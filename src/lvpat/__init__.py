@@ -8,16 +8,15 @@ from .extension import (ExtensionModel, TrainingSet, build_training_set,
                         coarsen_training_set, extend, factorize, gram_matrix,
                         load_model, project_coefficients, save_model, stitch,
                         train_extension_model, zero_extend)
-from .forward import (Part, WaveData, circular_mean, restrict_wave_data,
-                      simulate_wave_data, wave_trace)
+from .forward import (Part, WaveData, restrict_wave_data, simulate_wave_data,
+                      wave_trace)
 from .geometry import (BoundaryGeometry, BoundarySplit, EllipseDomain,
                        build_boundary, detection_region_contains,
                        split_boundary)
-from .inversion import (FilteredData, backproject_point, kappa_even,
-                        reconstruct, ubp_filter)
+from .inversion import kappa_even, reconstruct, ubp_filter
 from .metrics import (ErrorReport, boundary_time_inner, boundary_time_norm,
                       e2_error, grid_norm, subspace_distance)
-from .oracle import exact_circular_mean, oracle_wave_field
+from .oracle import backproject_point, exact_circular_mean, oracle_wave_field
 from .phantoms import (EllipseIndicator, GridSpec, ImageField, Phantom,
                        SquareIndicator, WeightedSum, distance_to_support,
                        eval_phantom, phantom_from_dict, phantom_to_dict,

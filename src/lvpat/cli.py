@@ -188,13 +188,12 @@ def _infer_shape(n: int) -> tuple:
     return (n_w, max(1, n_w // 2)) if n_w * max(1, n_w // 2) == n else (n, 1)
 
 
-def cmd_reconstruct(cfg: ExperimentConfig, data_path, out_dir: Path,
-                    threads: int) -> int:
+def cmd_reconstruct(cfg: ExperimentConfig, data_path, out_dir: Path) -> int:
     geom, split = cfg.build_geometry()
     data = read_wave_data(data_path)
     grid = cfg.build_grid()
     t0 = time.perf_counter()
-    image = reconstruct(data, geom, grid, threads=threads)
+    image = reconstruct(data, geom, grid)
     elapsed = time.perf_counter() - t0
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(data_path).stem
@@ -257,7 +256,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> dict:
     variant_n = {}
 
     t0 = time.perf_counter()
-    recon_full = reconstruct(full, geom, grid, threads=threads)
+    recon_full = reconstruct(full, geom, grid)
     recon_time_full = time.perf_counter() - t0
     write_image_field(recon_full, out / "recon_full.patb")
     export_pgm(recon_full, gray_lo, gray_hi, out / "recon_full.pgm")
@@ -269,7 +268,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> dict:
     export_pgm(_wave_image(u0.samples), -data_amp, data_amp,
                out / "extended_zero.pgm")
     t0 = time.perf_counter()
-    recon_zero = reconstruct(u0, geom, grid, threads=threads)
+    recon_zero = reconstruct(u0, geom, grid)
     recon_time_zero = time.perf_counter() - t0
     write_image_field(recon_zero, out / "recon_zero.patb")
     export_pgm(recon_zero, gray_lo, gray_hi, out / "recon_zero.pgm")
@@ -292,7 +291,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> dict:
                    out / f"extended_{name}.pgm")
 
         t0 = time.perf_counter()
-        recon = reconstruct(stitched, geom, grid, threads=threads)
+        recon = reconstruct(stitched, geom, grid)
         recon_time = time.perf_counter() - t0
         write_image_field(recon, out / f"recon_{name}.patb")
         export_pgm(recon, gray_lo, gray_hi, out / f"recon_{name}.pgm")
@@ -375,7 +374,7 @@ def main(argv=None) -> int:
         if args.command == "extend":
             return cmd_extend(cfg, args.model, args.data, out_dir)
         if args.command == "reconstruct":
-            return cmd_reconstruct(cfg, args.data, out_dir, threads)
+            return cmd_reconstruct(cfg, args.data, out_dir)
         if args.command == "evaluate":
             return cmd_evaluate(cfg, args.data, args.phantom, out_dir)
         if args.command == "experiment":

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf
 
-from ._util import parallel_map
+from ._util import cholesky_lower, parallel_map
 from .errors import DataMismatchError, ParameterError, SingularTrainingSetError
 from .forward import Part, WaveData, restrict_wave_data, simulate_wave_data
 from .geometry import BoundaryGeometry, BoundarySplit
@@ -165,12 +165,9 @@ def factorize(gram: np.ndarray, ridge_start: float = RIDGE_START,
     n = gram.shape[0]
     scale = float(np.trace(gram)) / n if n else 1.0
 
-    c, info = dpotrf(gram, lower=1)
+    c, info = cholesky_lower(gram)
     if info == 0:
-        d = np.diagonal(c)
-        if d.min() ** 2 > n * np.finfo(float).eps * d.max() ** 2:
-            return np.tril(c), 0.0
-        info = int(np.argmin(d)) + 1
+        return c, 0.0
 
     lam = np.linalg.eigvalsh(gram)
     if lam[0] <= n * np.finfo(float).eps * max(lam[-1], 0.0):

@@ -14,9 +14,7 @@ which keeps the differencing stable.
 
 The radius grid and the mean values depend on the phantom only through
 pointwise evaluation, so simulated data is linear in the phantom to rounding
-accuracy.  `circular_mean` (composite trapezoid on the circle) is retained as
-the generic sampled mean; the wave path uses the exact tables because sampled
-means of indicators converge too slowly for the time derivative.
+accuracy.
 """
 
 from __future__ import annotations
@@ -24,6 +22,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from ._util import parallel_map
 from .arcmeans import exact_mean_table
 from .errors import DataMismatchError, ParameterError
 from .geometry import BoundaryGeometry, BoundarySplit, detection_region_contains
-from .phantoms import Phantom, bounding_circle, eval_phantom
+from .phantoms import Phantom, bounding_circle
 
 # mean-table radius step as a fraction of dt; dt/4 keeps the interpolation
 # error of the square-root onset of circular means well under the data scale
@@ -72,25 +71,6 @@ class WaveData:
                         samples, self.fingerprint)
 
 
-def circular_mean(p: Phantom, center, radius: float, quad_order: int = 512) -> float:
-    """Mean of the phantom over the circle of given radius about center.
-
-    Composite trapezoid with quad_order nodes on the periodic circle
-    (equivalent to the uniform rectangle rule).  Radius 0 degenerates to a
-    point evaluation.  For indicator phantoms the error is O(1/quad_order).
-    """
-    if radius < 0:
-        raise ParameterError("radius must be >= 0")
-    if quad_order < 1:
-        raise ParameterError("quad_order must be >= 1")
-    c = np.asarray(center, dtype=float)
-    psi = 2.0 * np.pi * np.arange(quad_order) / quad_order
-    pts = np.empty((quad_order, 2))
-    pts[:, 0] = c[0] + radius * np.cos(psi)
-    pts[:, 1] = c[1] + radius * np.sin(psi)
-    return float(np.add.reduce(eval_phantom(p, pts)) / quad_order)
-
-
 class _WaveMap:
     """Linear map from a circular-mean table to w((k+1/2)dt), k = 0..n_time.
 
@@ -109,6 +89,7 @@ class _WaveMap:
         n_r = int(np.ceil(self.taus[-1] / dr)) + 1
         self.r_grid = dr * np.arange(n_r + 1)
         self.matrix = self._build()
+        self.matrix.flags.writeable = False
 
     def _build(self) -> np.ndarray:
         taus, r, dr = self.taus, self.r_grid, self.dr
@@ -128,18 +109,9 @@ class _WaveMap:
         return L
 
 
-_WAVE_MAPS: dict = {}
-
-
-def _get_wave_map(geom: BoundaryGeometry) -> _WaveMap:
-    key = (geom.n_time, geom.dt)
-    wm = _WAVE_MAPS.get(key)
-    if wm is None:
-        wm = _WaveMap(geom.dt, geom.n_time, _DR_FACTOR * geom.dt)
-        if len(_WAVE_MAPS) >= 4:
-            _WAVE_MAPS.pop(next(iter(_WAVE_MAPS)))
-        _WAVE_MAPS[key] = wm
-    return wm
+@lru_cache(maxsize=4)
+def _wave_map(dt: float, n_time: int) -> _WaveMap:
+    return _WaveMap(dt, n_time, _DR_FACTOR * dt)
 
 
 def _trace_from_map(p: Phantom, x: np.ndarray, wm: _WaveMap) -> np.ndarray:
@@ -160,7 +132,8 @@ def wave_trace(p: Phantom, x, geom: BoundaryGeometry) -> np.ndarray:
 
     x does not have to be a boundary node.
     """
-    return _trace_from_map(p, np.asarray(x, dtype=float), _get_wave_map(geom))
+    return _trace_from_map(p, np.asarray(x, dtype=float),
+                           _wave_map(geom.dt, geom.n_time))
 
 
 def _support_sample_points(p: Phantom) -> np.ndarray:
@@ -204,7 +177,7 @@ def simulate_wave_data(p: Phantom, geom: BoundaryGeometry, split: BoundarySplit,
     else:
         node_idx = split.gamma2_idx
 
-    wm = _get_wave_map(geom)
+    wm = _wave_map(geom.dt, geom.n_time)
     nodes = geom.positions[node_idx]
 
     def run(i: int) -> np.ndarray:

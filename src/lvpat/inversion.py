@@ -9,13 +9,21 @@ Abel-type integral is evaluated with the substitution t = sqrt(R^2+sigma^2),
 which removes the endpoint singularity; the resulting smooth integrand is
 integrated with a composite trapezoid of step ~dt, interpolating q linearly
 in time.  Contributions beyond t_max are neglected.
+
+The inner integral is linear in q, and the times and the radius grid
+R_j = j*dt/2 are the same at every node, so the per-node radial tables of all
+nodes are one product Q @ K.T with a fixed Abel matrix K (n_R x n_time),
+cached per (dt, n_time, n_R).  The image is then the interpolated boundary
+sum over the tables.  `oracle.backproject_point` evaluates the quadrature
+directly at single points and serves as the reference.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from ._util import parallel_map
 from .errors import DataMismatchError, ParameterError
 from .forward import Part, WaveData
 from .geometry import BoundaryGeometry
@@ -29,11 +37,7 @@ def kappa_even(d: int) -> float:
     return float((-1.0) ** ((d - 2) // 2) / np.pi ** (d / 2))
 
 
-class FilteredData(WaveData):
-    """Wave data after the temporal filter q = d/dt (u / t)."""
-
-
-def ubp_filter(u: WaveData) -> FilteredData:
+def ubp_filter(u: WaveData) -> WaveData:
     """Apply q = d/dt (u/t): centered differences inside, one-sided at the ends.
 
     Samples start at t = dt, so the division by t is always well defined.
@@ -46,77 +50,38 @@ def ubp_filter(u: WaveData) -> FilteredData:
     q[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2.0 * dt)
     q[:, 0] = (-3.0 * v[:, 0] + 4.0 * v[:, 1] - v[:, 2]) / (2.0 * dt)
     q[:, -1] = (3.0 * v[:, -1] - 4.0 * v[:, -2] + v[:, -3]) / (2.0 * dt)
-    return FilteredData(u.part, u.node_idx, u.dt, u.n_time, q, u.fingerprint)
+    return u.copy_with(q)
 
 
-def _abel_inner(q_row: np.ndarray, times: np.ndarray, dt: float, t_max: float,
-                radii: np.ndarray) -> np.ndarray:
-    """int_R^t_max q(t)/sqrt(t^2-R^2) dt for every R in radii.
+@lru_cache(maxsize=4)
+def _abel_matrix(dt: float, n_time: int, n_r: int) -> np.ndarray:
+    """Read-only K with (q @ K.T)[j] = int_R^t_max q(t)/sqrt(t^2-R^2) dt.
 
-    Uses sigma = sqrt(t^2 - R^2) so the integrand q/sqrt(R^2+sigma^2) is
-    smooth at sigma = 0; composite trapezoid with step ~dt.
+    Row j belongs to R = (j+1)*dt/2.  It sums, over the sigma nodes of R,
+    the trapezoid weight divided by t times the linear-interpolation hat
+    weights of q at t = sqrt(R^2+sigma^2), clamped to q[0] below t = dt like
+    `np.interp`.  All radii share the sigma count set by the smallest one,
+    R = dt/2.  Rows with R >= t_max are zero.
     """
-    out = np.zeros_like(radii)
-    active = radii < t_max
-    if not np.any(active):
-        return out
-    r_act = radii[active]
-    trapz = np.empty_like(r_act)
-    n_sig = int(np.ceil(np.sqrt(t_max * t_max - r_act.min() ** 2) / dt)) + 1
-    chunk = max(1, int(2e6) // (n_sig + 1))
-    for lo in range(0, len(r_act), chunk):
-        r = r_act[lo:lo + chunk]
-        sig_max = np.sqrt(t_max * t_max - r * r)
-        sig = np.linspace(0.0, 1.0, n_sig + 1)[None, :] * sig_max[:, None]
-        t = np.sqrt(r[:, None] ** 2 + sig * sig)
-        vals = np.interp(t.ravel(), times, q_row).reshape(t.shape) / t
-        h = sig_max / n_sig
-        trapz[lo:lo + chunk] = h * (np.sum(vals[:, 1:-1], axis=1)
-                                    + 0.5 * (vals[:, 0] + vals[:, -1]))
-    out[active] = trapz
-    return out
-
-
-def backproject_point(q: FilteredData, geom: BoundaryGeometry, x0) -> float:
-    """Back-projection value at a single strictly interior point."""
-    x0 = np.asarray(x0, dtype=float)
-    if not geom.domain.contains(x0):
-        raise ParameterError("reconstruction point must lie strictly inside the domain")
-    if q.part is not Part.FULL:
-        raise DataMismatchError("back-projection requires full-boundary data")
-    pos = geom.positions[q.node_idx]
-    radii = np.hypot(x0[0] - pos[:, 0], x0[1] - pos[:, 1])
-    total = 0.0
-    for i in range(len(q.node_idx)):
-        inner = _abel_inner(q.samples[i], q.times, q.dt, q.t_max,
-                            np.array([radii[i]]))[0]
-        dot = (geom.normals[q.node_idx[i]] * (x0 - pos[i])).sum()
-        total += geom.weights[q.node_idx[i]] * dot * inner
-    return kappa_even(2) * total
-
-
-class _NodeTables:
-    """Per-node tables of the inner Abel integral on a uniform R grid.
-
-    Reconstruction over a grid interpolates these tables instead of
-    re-evaluating the sigma quadrature per pixel; the table step dR = dt/2
-    keeps the interpolation error below the data resolution.
-    """
-
-    def __init__(self, q: FilteredData, geom: BoundaryGeometry, r_max: float,
-                 threads: int = 1):
-        self.d_r = 0.5 * q.dt
-        n_r = int(np.ceil(r_max / self.d_r)) + 2
-        self.r_grid = self.d_r * np.arange(1, n_r + 1)
-        times, dt, t_max = q.times, q.dt, q.t_max
-
-        def run(i: int) -> np.ndarray:
-            return _abel_inner(q.samples[i], times, dt, t_max, self.r_grid)
-
-        self.tables = parallel_map(run, range(len(q.node_idx)), threads)
-
-    def lookup(self, node: int, radii: np.ndarray) -> np.ndarray:
-        return np.interp(radii, self.r_grid, self.tables[node])
+    times = dt * np.arange(1, n_time + 1)
+    t_max = n_time * dt
+    r = 0.5 * dt * np.arange(1, n_r + 1)
+    r = r[r < t_max]
+    n_sig = int(np.ceil(np.sqrt(t_max * t_max - r[0] ** 2) / dt)) + 1
+    sig_max = np.sqrt(t_max * t_max - r * r)
+    sig = np.linspace(0.0, 1.0, n_sig + 1)[None, :] * sig_max[:, None]
+    t = np.sqrt(r[:, None] ** 2 + sig * sig)
+    trap = np.ones(n_sig + 1)
+    trap[[0, -1]] = 0.5
+    w = (sig_max / n_sig)[:, None] * trap / t
+    j = np.clip(np.searchsorted(times, t, side="right") - 1, 0, n_time - 2)
+    f = np.clip((t - times[j]) / (times[j + 1] - times[j]), 0.0, 1.0)
+    idx = (np.arange(len(r))[:, None] * n_time + j).ravel()
+    size = n_r * n_time
+    k = (np.bincount(idx, (w * (1.0 - f)).ravel(), size)
+         + np.bincount(idx + 1, (w * f).ravel(), size)).reshape(n_r, n_time)
+    k.flags.writeable = False
+    return k
 
 
 def reconstruct(u: WaveData, geom: BoundaryGeometry, grid: GridSpec,
@@ -124,7 +89,8 @@ def reconstruct(u: WaveData, geom: BoundaryGeometry, grid: GridSpec,
     """Back-projection image on the grid; cells outside the domain are masked.
 
     Requires full-boundary data: apply `extension.stitch` or
-    `extension.zero_extend` to limited-view data first.
+    `extension.zero_extend` to limited-view data first.  `threads` is
+    accepted and ignored; the result does not depend on it.
     """
     if u.part is not Part.FULL:
         raise DataMismatchError(
@@ -133,9 +99,8 @@ def reconstruct(u: WaveData, geom: BoundaryGeometry, grid: GridSpec,
         raise ParameterError("reconstruction grid needs a domain for masking")
 
     q = ubp_filter(u)
-    pts = grid.points()
     mask = grid.mask()
-    flat_pts = pts[mask]
+    flat_pts = grid.points()[mask]
 
     pos = geom.positions[u.node_idx]
     corners = np.array([
@@ -145,29 +110,21 @@ def reconstruct(u: WaveData, geom: BoundaryGeometry, grid: GridSpec,
         [grid.origin[0] + grid.h * (grid.nx - 1), grid.origin[1] + grid.h * (grid.ny - 1)],
     ])
     r_max = max(np.hypot(c[0] - pos[:, 0], c[1] - pos[:, 1]).max() for c in corners)
-    tables = _NodeTables(q, geom, r_max, threads=threads)
+    # table step dt/2 keeps the interpolation error below the data resolution
+    d_r = 0.5 * q.dt
+    n_r = int(np.ceil(r_max / d_r)) + 2
+    r_grid = d_r * np.arange(1, n_r + 1)
+    tables = q.samples @ _abel_matrix(q.dt, q.n_time, n_r).T
 
     normals = geom.normals[u.node_idx]
     weights = geom.weights[u.node_idx]
-
-    def run_block(block) -> np.ndarray:
-        lo, hi = block
-        p = flat_pts[lo:hi]
-        acc = np.zeros(len(p))
-        for i in range(len(u.node_idx)):
-            dx = p[:, 0] - pos[i, 0]
-            dy = p[:, 1] - pos[i, 1]
-            radii = np.hypot(dx, dy)
-            dot = normals[i, 0] * dx + normals[i, 1] * dy
-            acc += weights[i] * dot * tables.lookup(i, radii)
-        return kappa_even(2) * acc
-
-    block_size = 4096
-    blocks = [(lo, min(lo + block_size, len(flat_pts)))
-              for lo in range(0, len(flat_pts), block_size)]
-    parts = parallel_map(run_block, blocks, threads)
+    acc = np.zeros(len(flat_pts))
+    for i in range(len(u.node_idx)):
+        dx = flat_pts[:, 0] - pos[i, 0]
+        dy = flat_pts[:, 1] - pos[i, 1]
+        dot = normals[i, 0] * dx + normals[i, 1] * dy
+        acc += weights[i] * dot * np.interp(np.hypot(dx, dy), r_grid, tables[i])
 
     values = np.zeros(mask.shape)
-    if parts:
-        values[mask] = np.concatenate(parts)
+    values[mask] = kappa_even(2) * acc
     return ImageField(origin=grid.origin, h=grid.h, values=values, domain_mask=mask)

@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dpotrf
 
+from ._util import cholesky_lower
 from .errors import DataMismatchError, ParameterError, SingularTrainingSetError
 from .forward import WaveData
 from .geometry import BoundaryGeometry
@@ -67,15 +67,11 @@ def subspace_distance(f: Phantom, training, grid: GridSpec) -> float:
     basis = np.stack([rasterize(g, grid).values[mask] for g in training])
     gram = h2 * (basis @ basis.T)
     gram = 0.5 * (gram + gram.T)
-    c, info = dpotrf(gram, lower=1)
-    if info == 0:
-        d = np.diagonal(c)
-        if d.min() ** 2 <= len(training) * np.finfo(float).eps * d.max() ** 2:
-            info = int(np.argmin(d)) + 1
+    c, info = cholesky_lower(gram)
     if info != 0:
-        raise SingularTrainingSetError(minor_index=int(info), ridge=0.0)
+        raise SingularTrainingSetError(minor_index=info, ridge=0.0)
     rhs = h2 * (basis @ rf)
-    coeffs = cho_solve((np.tril(c), True), rhs)
+    coeffs = cho_solve((c, True), rhs)
     residual = rf - coeffs @ basis
     return float(np.sqrt(np.sum(residual * residual) * h2))
 

@@ -1,12 +1,18 @@
-"""Independent slow reference for the forward wave simulation.
+"""Independent slow references for the forward wave simulation and the
+back-projection.
 
-Everything here is deliberately built from different ingredients than the
-fast path in `forward`: circular means are exact arc measures obtained from
-circle/boundary intersection angles, the radial integral is split at the
-radii where the arc measure loses smoothness and uses Gauss-Legendre plus a
-Gauss-Jacobi rule for the inverse-square-root endpoint, and the time
+The forward reference is deliberately built from different ingredients than
+the fast path in `forward`: circular means are exact arc measures obtained
+from circle/boundary intersection angles, the radial integral is split at
+the radii where the arc measure loses smoothness and uses Gauss-Legendre
+plus a Gauss-Jacobi rule for the inverse-square-root endpoint, and the time
 derivative is a fine central difference.  Use for verification only; this is
 orders of magnitude slower than `forward.wave_trace`.
+
+`backproject_point` evaluates the back-projection at a single point with the
+sigma quadrature of the inner Abel integral taken directly, node by node;
+`inversion.reconstruct` applies the same quadrature as one cached matrix and
+interpolates in radius.
 """
 
 from __future__ import annotations
@@ -15,7 +21,10 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import roots_jacobi, roots_legendre
 
-from .errors import ParameterError
+from .errors import DataMismatchError, ParameterError
+from .forward import Part, WaveData
+from .geometry import BoundaryGeometry
+from .inversion import kappa_even
 from .phantoms import (EllipseIndicator, Phantom, SquareIndicator, WeightedSum,
                        eval_phantom)
 
@@ -164,3 +173,46 @@ def oracle_wave_field(p: Phantom, x, t: float, diff_step: float = 0.01 / 16) -> 
     up = _disc_potential(p, x, t + diff_step)
     dn = _disc_potential(p, x, t - diff_step)
     return (up - dn) / (2.0 * diff_step)
+
+
+def _abel_inner(q_row: np.ndarray, times: np.ndarray, dt: float, t_max: float,
+                radii: np.ndarray) -> np.ndarray:
+    """int_R^t_max q(t)/sqrt(t^2-R^2) dt for every R in radii.
+
+    Uses sigma = sqrt(t^2 - R^2) so the integrand q/sqrt(R^2+sigma^2) is
+    smooth at sigma = 0; composite trapezoid with step ~dt.
+    """
+    out = np.zeros_like(radii)
+    active = radii < t_max
+    if not np.any(active):
+        return out
+    r = radii[active]
+    n_sig = int(np.ceil(np.sqrt(t_max * t_max - r.min() ** 2) / dt)) + 1
+    sig_max = np.sqrt(t_max * t_max - r * r)
+    sig = np.linspace(0.0, 1.0, n_sig + 1)[None, :] * sig_max[:, None]
+    t = np.sqrt(r[:, None] ** 2 + sig * sig)
+    vals = np.interp(t, times, q_row) / t
+    h = sig_max / n_sig
+    out[active] = h * (np.sum(vals[:, 1:-1], axis=1) + 0.5 * (vals[:, 0] + vals[:, -1]))
+    return out
+
+
+def backproject_point(q: WaveData, geom: BoundaryGeometry, x0) -> float:
+    """Back-projection value at a single strictly interior point.
+
+    q is filtered full-boundary data (`inversion.ubp_filter`).
+    """
+    x0 = np.asarray(x0, dtype=float)
+    if not geom.domain.contains(x0):
+        raise ParameterError("reconstruction point must lie strictly inside the domain")
+    if q.part is not Part.FULL:
+        raise DataMismatchError("back-projection requires full-boundary data")
+    pos = geom.positions[q.node_idx]
+    radii = np.hypot(x0[0] - pos[:, 0], x0[1] - pos[:, 1])
+    total = 0.0
+    for i in range(len(q.node_idx)):
+        inner = _abel_inner(q.samples[i], q.times, q.dt, q.t_max,
+                            np.array([radii[i]]))[0]
+        dot = (geom.normals[q.node_idx[i]] * (x0 - pos[i])).sum()
+        total += geom.weights[q.node_idx[i]] * dot * inner
+    return kappa_even(2) * total

@@ -3,8 +3,8 @@ import pytest
 
 from lvpat.arcmeans import exact_mean_table
 from lvpat.errors import ParameterError
-from lvpat.forward import (Part, circular_mean, restrict_wave_data,
-                           simulate_wave_data, wave_trace)
+from lvpat.forward import (Part, restrict_wave_data, simulate_wave_data,
+                           wave_trace)
 from lvpat.oracle import (_term_critical_radii, exact_circular_mean,
                           oracle_wave_field)
 from lvpat.phantoms import (EllipseIndicator, SquareIndicator, WeightedSum,
@@ -35,29 +35,6 @@ def draw_checkpoints(p, x, geom, rng, count):
 
 
 class TestCircularMean:
-
-    def test_disc_engulfed_and_missed(self):
-        assert circular_mean(UNIT_DISC, (0, 0), 0.5, 256) == 1.0
-        assert circular_mean(UNIT_DISC, (0, 0), 2.0, 256) == 0.0
-
-    def test_unit_square_against_arc_clipping_oracle(self):
-        sq = SquareIndicator(0.0, 1.0, 0.0, 1.0)
-        want = exact_circular_mean(sq, (0.5, 0.5), 0.7)
-        got = circular_mean(sq, (0.5, 0.5), 0.7, quad_order=2 ** 22)
-        assert abs(got - want) <= 1e-6
-
-    def test_sampled_error_scales_inversely_with_order(self):
-        sq = SquareIndicator(-0.3, 0.4, -0.2, 0.5)
-        err = [abs(circular_mean(sq, (0.9, 0.4), 0.8, q)
-                   - exact_circular_mean(sq, (0.9, 0.4), 0.8))
-               for q in (512, 2 ** 14)]
-        assert err[0] <= 2 * (2 * np.pi) / 512
-        assert err[1] <= 2 * (2 * np.pi) / 2 ** 14
-
-    def test_zero_radius_is_point_evaluation(self):
-        assert circular_mean(UNIT_DISC, (0.2, 0.1), 0.0, 64) == 1.0
-        with pytest.raises(ParameterError):
-            circular_mean(UNIT_DISC, (0, 0), -1.0)
 
     def test_batch_table_matches_scalar_oracle(self):
         rng = np.random.default_rng(12)

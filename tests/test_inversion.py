@@ -4,9 +4,9 @@ import pytest
 from lvpat.errors import DataMismatchError, ParameterError
 from lvpat.forward import Part, WaveData, simulate_wave_data
 from lvpat.geometry import EllipseDomain, build_boundary, split_boundary
-from lvpat.inversion import (_abel_inner, backproject_point, kappa_even,
-                             reconstruct, ubp_filter)
+from lvpat.inversion import _abel_matrix, kappa_even, reconstruct, ubp_filter
 from lvpat.metrics import e2_error
+from lvpat.oracle import _abel_inner, backproject_point
 from lvpat.phantoms import (EllipseIndicator, GridSpec, SquareIndicator,
                             rasterize)
 
@@ -73,6 +73,40 @@ class TestAbelInner:
         times = 0.1 * np.arange(1, 11)
         got = _abel_inner(np.ones(10), times, 0.1, 1.0, np.array([1.0, 2.0]))
         assert np.all(got == 0.0)
+
+
+class TestAbelMatrix:
+
+    def test_tables_match_per_node_quadrature(self, medium_geom, medium_split):
+        full = simulate_wave_data(TEST_PHANTOM, medium_geom, medium_split, Part.FULL)
+        q = ubp_filter(full)
+        # radii dt/2 < dt hit the clamp to q[0]; the last ones lie beyond t_max
+        n_r = int(np.ceil(q.t_max / (0.5 * q.dt))) + 6
+        r_grid = 0.5 * q.dt * np.arange(1, n_r + 1)
+        assert r_grid[0] < q.dt and r_grid[-1] >= q.t_max
+        k = _abel_matrix(q.dt, q.n_time, n_r)
+        assert not k.flags.writeable
+        # phantom traces are zero before the first arrival, so two random
+        # rows make the clamp below t = dt visible
+        rng = np.random.default_rng(5)
+        rows = np.vstack([q.samples[[0, 57, 121, 200]],
+                          rng.standard_normal((2, q.n_time))])
+        got = rows @ k.T
+        want = np.array([_abel_inner(row, q.times, q.dt, q.t_max, r_grid)
+                         for row in rows])
+        assert np.all(want[:, r_grid >= q.t_max] == 0.0)
+        assert np.all(got[:, r_grid >= q.t_max] == 0.0)
+        err = np.abs(got - want).max(axis=1)
+        assert np.all(err <= 1e-12 * np.abs(want).max(axis=1))
+
+    def test_second_reconstruction_hits_cache(self, medium_geom, medium_split,
+                                              small_grid):
+        p = SquareIndicator(-1.0, -0.5, -0.5, -0.1)
+        full = simulate_wave_data(p, medium_geom, medium_split, Part.FULL)
+        reconstruct(full, medium_geom, small_grid)
+        hits = _abel_matrix.cache_info().hits
+        reconstruct(full, medium_geom, small_grid)
+        assert _abel_matrix.cache_info().hits > hits
 
 
 class TestBackprojection:
