@@ -6,6 +6,11 @@ per-edge arccos/arcsin clipping for boxes, and the roots of a degree-4
 polynomial in z = exp(i*beta) (batched companion eigenvalues, then Newton
 polishing) for ellipses.  Weighted sums combine term measures linearly, so
 linear combinations of phantoms produce exactly linear wave data.
+
+A table row is one (center, radius) pair: the center is either one point
+shared by every radius or one point per radius, so the whole boundary of a
+phantom can be evaluated in a single call.  Rows never interact, so a row's
+value does not depend on which other rows share its call.
 """
 
 from __future__ import annotations
@@ -22,11 +27,13 @@ _BOX_SLOTS = 8
 _ELL_SLOTS = 4
 
 
-def _measures_from_candidates(cand: np.ndarray, inside_fn, center, radii) -> np.ndarray:
+def _measures_from_candidates(cand: np.ndarray, inside_fn, cx, cy,
+                              radii) -> np.ndarray:
     """Total arc measure inside the support from per-radius crossing angles.
 
     cand is (n, slots) with NaN marking unused slots.  Arcs between
-    consecutive crossings are classified by testing their midpoints.
+    consecutive crossings are classified by testing their midpoints.  cx and
+    cy are scalars or per-row arrays of shape (n,).
     """
     n, slots = cand.shape
     cnt = np.sum(~np.isnan(cand), axis=1)
@@ -42,8 +49,8 @@ def _measures_from_candidates(cand: np.ndarray, inside_fn, center, radii) -> np.
     mids = s + 0.5 * gaps
 
     pts = np.empty((n, slots, 2))
-    pts[..., 0] = center[0] + radii[:, None] * np.cos(mids)
-    pts[..., 1] = center[1] + radii[:, None] * np.sin(mids)
+    pts[..., 0] = np.reshape(cx, (-1, 1)) + radii[:, None] * np.cos(mids)
+    pts[..., 1] = np.reshape(cy, (-1, 1)) + radii[:, None] * np.sin(mids)
     inside = inside_fn(pts) & valid
     measure = np.sum(np.where(inside, gaps, 0.0), axis=1)
 
@@ -51,14 +58,13 @@ def _measures_from_candidates(cand: np.ndarray, inside_fn, center, radii) -> np.
     none = cnt == 0
     if np.any(none):
         probe = np.empty((int(none.sum()), 2))
-        probe[:, 0] = center[0] + radii[none]
-        probe[:, 1] = center[1]
+        probe[:, 0] = np.broadcast_to(cx, radii.shape)[none] + radii[none]
+        probe[:, 1] = np.broadcast_to(cy, radii.shape)[none]
         measure[none] = np.where(inside_fn(probe), TWO_PI, 0.0)
     return measure
 
 
-def _box_arc_measures(sq: SquareIndicator, center, radii: np.ndarray) -> np.ndarray:
-    cx, cy = center
+def _box_arc_measures(sq: SquareIndicator, cx, cy, radii: np.ndarray) -> np.ndarray:
     r = radii
     cand = np.full((len(r), _BOX_SLOTS), np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -85,10 +91,11 @@ def _box_arc_measures(sq: SquareIndicator, center, radii: np.ndarray) -> np.ndar
     def inside(pts):
         return sq.evaluate(pts) > 0.0
 
-    return _measures_from_candidates(cand, inside, center, radii)
+    return _measures_from_candidates(cand, inside, cx, cy, radii)
 
 
-def _ellipse_arc_measures(el: EllipseIndicator, center, radii: np.ndarray) -> np.ndarray:
+def _ellipse_arc_measures(el: EllipseIndicator, cx, cy,
+                          radii: np.ndarray) -> np.ndarray:
     """Crossings of circles with the ellipse via the unit-circle quartic.
 
     In the ellipse frame (offset v, semi-axes a, b) the crossing condition is
@@ -97,7 +104,7 @@ def _ellipse_arc_measures(el: EllipseIndicator, center, radii: np.ndarray) -> np
     whose unit-modulus roots are the crossing angles.
     """
     ca, sa = np.cos(el.rotation), np.sin(el.rotation)
-    dx, dy = center[0] - el.center[0], center[1] - el.center[1]
+    dx, dy = cx - el.center[0], cy - el.center[1]
     v1 = ca * dx + sa * dy
     v2 = -sa * dx + ca * dy
     ia2, ib2 = 1.0 / el.semi_a ** 2, 1.0 / el.semi_b ** 2
@@ -152,21 +159,36 @@ def _ellipse_arc_measures(el: EllipseIndicator, center, radii: np.ndarray) -> np
     def inside(pts):
         return el.evaluate(pts) > 0.0
 
-    return _measures_from_candidates(cand, inside, center, radii)
+    return _measures_from_candidates(cand, inside, cx, cy, radii)
 
 
 def exact_mean_table(p: Phantom, center, radii: np.ndarray) -> np.ndarray:
-    """Exact circular means of the phantom at all radii about center."""
+    """Exact circular means of the phantom at all radii about center.
+
+    center is one point, shape (2,), shared by all radii, or one point per
+    radius, shape (len(radii), 2).
+    """
     c = np.asarray(center, dtype=float)
     r = np.asarray(radii, dtype=float)
+    if c.shape == (2,):
+        cx, cy = c[0], c[1]
+    elif c.shape == r.shape + (2,) and r.ndim == 1:
+        cx, cy = c[:, 0], c[:, 1]
+    else:
+        raise ParameterError(f"center shape {c.shape} fits neither (2,) nor "
+                             f"one point per radius ({len(r)}, 2)")
+    return _mean_table(p, cx, cy, r)
+
+
+def _mean_table(p: Phantom, cx, cy, r: np.ndarray) -> np.ndarray:
     if isinstance(p, SquareIndicator):
-        return _box_arc_measures(p, c, r) / TWO_PI
+        return _box_arc_measures(p, cx, cy, r) / TWO_PI
     if isinstance(p, EllipseIndicator):
-        return _ellipse_arc_measures(p, c, r) / TWO_PI
+        return _ellipse_arc_measures(p, cx, cy, r) / TWO_PI
     if isinstance(p, WeightedSum):
         out = np.zeros_like(r)
         for coef, q in p.terms:
             if coef != 0.0:
-                out += coef * exact_mean_table(q, c, r)
+                out += coef * _mean_table(q, cx, cy, r)
         return out
     raise ParameterError(f"unknown phantom type {type(p)!r}")

@@ -17,11 +17,11 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf
 
-from ._util import cholesky_lower, parallel_map
+from ._util import cholesky_lower
 from .errors import DataMismatchError, ParameterError, SingularTrainingSetError
 from .forward import Part, WaveData, restrict_wave_data, simulate_wave_data
 from .geometry import BoundaryGeometry, BoundarySplit
-from .phantoms import Phantom, phantom_from_dict, phantom_to_dict
+from .phantoms import phantom_from_dict, phantom_to_dict
 
 RIDGE_START = 1e-12
 RIDGE_CAP = 1e-6
@@ -81,8 +81,10 @@ def build_training_set(phantoms, geom: BoundaryGeometry, split: BoundarySplit,
 
     Simulating the full boundary once per phantom guarantees that stitching
     u1_i and u2_i back together reproduces the full data exactly.  Phantoms
-    with support outside the detection region are recorded on the set and
-    reported with a single warning.
+    are simulated one after another; `threads` goes to `simulate_wave_data`,
+    whose row chunks are the only parallel level.  Phantoms with support
+    outside the detection region are recorded on the set and reported with
+    a single warning.
     """
     from .forward import _support_sample_points
     from .geometry import detection_region_contains
@@ -101,10 +103,8 @@ def build_training_set(phantoms, geom: BoundaryGeometry, split: BoundarySplit,
                       "detection region; their extension is unstable",
                       stacklevel=2)
 
-    def run(p: Phantom) -> WaveData:
-        return simulate_wave_data(p, geom, split, Part.FULL)
-
-    full = parallel_map(run, phantoms, threads)
+    full = [simulate_wave_data(p, geom, split, Part.FULL, threads=threads)
+            for p in phantoms]
     u1 = [restrict_wave_data(w, split, Part.GAMMA1) for w in full]
     u2 = [restrict_wave_data(w, split, Part.GAMMA2) for w in full]
     return TrainingSet(phantoms=phantoms, u1=u1, u2=u2,
@@ -277,17 +277,19 @@ def save_model(model: ExtensionModel, path) -> None:
 
 def load_model(path, expected_fingerprint: str | None = None) -> ExtensionModel:
     """Load a model container; optionally verify the geometry fingerprint."""
-    from .io import read_container
+    from .io import finite_section, node_index_section, read_container
 
     with open(path, "rb") as fh:
         sections = dict(read_container(fh.read()))
     meta = json.loads(sections["meta"])
     if expected_fingerprint is not None and meta["fingerprint"] != expected_fingerprint:
         raise DataMismatchError("model belongs to a different geometry/split")
+    for name in ("gram", "chol", "weights", "u1", "u2"):
+        finite_section(name, sections[name])
     dt, n_time = float(meta["dt"]), int(meta["n_time"])
     fp = meta["fingerprint"]
-    u1_idx = sections["u1_idx"].astype(int)
-    u2_idx = sections["u2_idx"].astype(int)
+    u1_idx = node_index_section("u1_idx", sections["u1_idx"])
+    u2_idx = node_index_section("u2_idx", sections["u2_idx"])
     phantoms = [phantom_from_dict(d) for d in meta["phantoms"]]
     u1 = [WaveData(Part.GAMMA1, u1_idx, dt, n_time, s, fp) for s in sections["u1"]]
     u2 = [WaveData(Part.GAMMA2, u2_idx, dt, n_time, s, fp) for s in sections["u2"]]

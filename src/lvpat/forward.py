@@ -4,13 +4,17 @@ With initial pressure f and zero initial velocity, the solution satisfies
 u(x, t) = d/dt [ w(x, t) ],   w(x, t) = int_0^t M_r(x) r / sqrt(t^2 - r^2) dr,
 where M_r(x) is the circular mean of f over the circle of radius r about x.
 
-The implementation tabulates M_r on a uniform radius grid restricted to the
-support annulus of the phantom (exact arc-measure means, see `arcmeans`),
-integrates the piecewise-linear interpolant against the Abel weight in closed
-form (a cached linear map from mean tables to staggered-time values of w),
-and applies a centered difference on the staggered half-step time grid.  The
+Per phantom, the implementation tabulates M_r once for every observation
+point: each point gets a window of a uniform radius grid that covers the
+support annulus, and all (point, radius) rows go through one exact
+arc-measure mean table (see `arcmeans`).  Each point's slice of means then
+goes through its own columns of a cached linear map, the closed-form
+integral of the piecewise-linear interpolant against the Abel weight, which
+gives w at staggered half-step times; a centered difference yields u.  The
 time derivative therefore sees an exact integral of the tabulated means,
-which keeps the differencing stable.
+which keeps the differencing stable.  `threads` splits the rows into chunks
+of a fixed size and evaluates the chunks in parallel; the chunk bounds do
+not depend on the thread count, so neither do the output bytes.
 
 The radius grid and the mean values depend on the phantom only through
 pointwise evaluation, so simulated data is linear in the phantom to rounding
@@ -35,6 +39,11 @@ from .phantoms import Phantom, bounding_circle
 # mean-table radius step as a fraction of dt; dt/4 keeps the interpolation
 # error of the square-root onset of circular means well under the data scale
 _DR_FACTOR = 0.25
+
+# (center, radius) rows per mean-table call.  Chunks are what `threads`
+# spreads over workers; their bounds depend only on the row count, so the
+# output bytes do not depend on the thread count.
+_CHUNK_ROWS = 2 ** 14
 
 
 class Part(Enum):
@@ -114,17 +123,43 @@ def _wave_map(dt: float, n_time: int) -> _WaveMap:
     return _WaveMap(dt, n_time, _DR_FACTOR * dt)
 
 
-def _trace_from_map(p: Phantom, x: np.ndarray, wm: _WaveMap) -> np.ndarray:
+def _traces(p: Phantom, points: np.ndarray, wm: _WaveMap,
+            threads: int = 1) -> np.ndarray:
+    """Traces u(x, k*dt), k = 1..n_time, at each row x of points (m, 2).
+
+    A point's radius window [j_lo, j_hi] covers its distance to the bounding
+    circle of the support, with two grid steps of margin on each side.  The
+    windows of all points are stacked into one (center, radius) row list,
+    evaluated in _CHUNK_ROWS pieces, and each point's slice of means goes
+    through its own columns of the wave map.
+    """
     center, rho = bounding_circle(p)
-    d = float(np.hypot(x[0] - center[0], x[1] - center[1]))
+    d = np.hypot(points[:, 0] - center[0], points[:, 1] - center[1])
     n_col = len(wm.r_grid)
-    j_lo = max(0, int(np.floor((d - rho) / wm.dr)) - 2)
-    j_hi = min(n_col - 1, int(np.ceil((d + rho) / wm.dr)) + 2)
-    if j_lo >= n_col - 1 or j_hi <= 0 or j_hi < j_lo:
-        return np.zeros(wm.n_time)
-    means = exact_mean_table(p, x, wm.r_grid[j_lo:j_hi + 1])
-    w = wm.matrix[:, j_lo:j_hi + 1] @ means
-    return np.diff(w) / wm.dt
+    j_lo = np.maximum(0, np.floor((d - rho) / wm.dr).astype(int) - 2)
+    j_hi = np.minimum(n_col - 1, np.ceil((d + rho) / wm.dr).astype(int) + 2)
+    live = j_lo < n_col - 1  # otherwise the wave has not arrived by t_max
+    counts = np.where(live, j_hi - j_lo + 1, 0)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    n_rows = int(counts.sum())
+
+    cols = np.arange(n_rows) + np.repeat(j_lo - starts, counts)
+    centers = np.repeat(points, counts, axis=0)
+    radii = wm.r_grid[cols]
+
+    def run(lo: int) -> np.ndarray:
+        hi = lo + _CHUNK_ROWS
+        return exact_mean_table(p, centers[lo:hi], radii[lo:hi])
+
+    chunks = parallel_map(run, range(0, n_rows, _CHUNK_ROWS), threads)
+    means = np.concatenate(chunks) if chunks else np.zeros(0)
+
+    out = np.zeros((len(points), wm.n_time))
+    for i in np.flatnonzero(live):
+        w = wm.matrix[:, j_lo[i]:j_hi[i] + 1] @ means[starts[i]:ends[i]]
+        out[i] = np.diff(w) / wm.dt
+    return out
 
 
 def wave_trace(p: Phantom, x, geom: BoundaryGeometry) -> np.ndarray:
@@ -132,8 +167,8 @@ def wave_trace(p: Phantom, x, geom: BoundaryGeometry) -> np.ndarray:
 
     x does not have to be a boundary node.
     """
-    return _trace_from_map(p, np.asarray(x, dtype=float),
-                           _wave_map(geom.dt, geom.n_time))
+    point = np.asarray(x, dtype=float).reshape(1, 2)
+    return _traces(p, point, _wave_map(geom.dt, geom.n_time))[0]
 
 
 def _support_sample_points(p: Phantom) -> np.ndarray:
@@ -177,14 +212,8 @@ def simulate_wave_data(p: Phantom, geom: BoundaryGeometry, split: BoundarySplit,
     else:
         node_idx = split.gamma2_idx
 
-    wm = _wave_map(geom.dt, geom.n_time)
-    nodes = geom.positions[node_idx]
-
-    def run(i: int) -> np.ndarray:
-        return _trace_from_map(p, nodes[i], wm)
-
-    rows = parallel_map(run, range(len(node_idx)), threads)
-    samples = np.vstack(rows) if rows else np.zeros((0, geom.n_time))
+    samples = _traces(p, geom.positions[node_idx],
+                      _wave_map(geom.dt, geom.n_time), threads)
     return WaveData(part=part, node_idx=node_idx, dt=geom.dt,
                     n_time=geom.n_time, samples=samples,
                     fingerprint=split.fingerprint())

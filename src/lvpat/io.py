@@ -102,6 +102,25 @@ def read_container(data: bytes):
     return sections
 
 
+def finite_section(name: str, arr: np.ndarray) -> np.ndarray:
+    """arr itself; ContainerFormatError if it holds NaN or infinity."""
+    if not np.all(np.isfinite(arr)):
+        raise ContainerFormatError(f"section {name!r} holds non-finite values")
+    return arr
+
+
+def node_index_section(name: str, arr: np.ndarray) -> np.ndarray:
+    """Node indices stored as float64, as distinct non-negative integers."""
+    if arr.ndim != 1 or not np.all(np.isfinite(arr)) or \
+       np.any(arr != np.floor(arr)):
+        raise ContainerFormatError(f"section {name!r} is not a list of integers")
+    if np.any(arr < 0):
+        raise ContainerFormatError(f"section {name!r} holds negative node indices")
+    if len(np.unique(arr)) != len(arr):
+        raise ContainerFormatError(f"section {name!r} repeats a node index")
+    return arr.astype(int)
+
+
 def write_wave_data(w: WaveData, path) -> None:
     meta = json.dumps({"part": w.part.value, "dt": w.dt, "n_time": w.n_time,
                        "fingerprint": w.fingerprint}, sort_keys=True)
@@ -116,9 +135,9 @@ def read_wave_data(path) -> WaveData:
         sections = dict(read_container(fh.read()))
     meta = json.loads(sections["meta"])
     return WaveData(part=Part(meta["part"]),
-                    node_idx=sections["node_idx"].astype(int),
+                    node_idx=node_index_section("node_idx", sections["node_idx"]),
                     dt=float(meta["dt"]), n_time=int(meta["n_time"]),
-                    samples=sections["samples"],
+                    samples=finite_section("samples", sections["samples"]),
                     fingerprint=meta["fingerprint"])
 
 

@@ -133,6 +133,25 @@ class TestSubcommands:
                    "--out", str(out)])
         assert rc == 2
 
+    def test_extend_non_finite_data_is_config_error(self, tmp_path,
+                                                    smoke_config, capsys):
+        from lvpat.io import write_wave_data
+        out = tmp_path / "out"
+        phantom = tmp_path / "phantom_reference.json"
+        main(["train", "--config", str(smoke_config), "--out", str(out)])
+        main(["simulate", "--config", str(smoke_config), "--phantom",
+              str(phantom), "--part", "gamma1", "--out", str(out)])
+        data_path = out / "data_gamma1.patb"
+        data = read_wave_data(data_path)
+        samples = data.samples.copy()
+        samples[0, 0] = np.nan
+        write_wave_data(data.copy_with(samples), data_path)
+        rc = main(["extend", "--config", str(smoke_config),
+                   "--model", str(out / "model_4x2.patb"),
+                   "--data", str(data_path), "--out", str(out)])
+        assert rc == 2
+        assert "non-finite" in capsys.readouterr().err
+
 
 class TestExperiment:
 

@@ -256,6 +256,20 @@ class TestPersistence:
         with pytest.raises(DataMismatchError):
             load_model(path, expected_fingerprint="0123456789abcdef")
 
+    @pytest.mark.parametrize("section", ["gram", "chol", "u1", "u2"])
+    def test_non_finite_section_rejected(self, model8, tmp_path, section):
+        from lvpat.errors import ContainerFormatError
+        from lvpat.io import read_container, write_container
+        path = tmp_path / "model.patb"
+        save_model(model8, path)
+        sections = read_container(path.read_bytes())
+        for name, value in sections:
+            if name == section:
+                value.flat[value.size // 2] = np.nan
+        path.write_bytes(write_container(sections))
+        with pytest.raises(ContainerFormatError, match=section):
+            load_model(path)
+
     def test_truncated_file_rejected(self, model8, tmp_path):
         from lvpat.errors import ContainerFormatError
         path = tmp_path / "model.patb"

@@ -1,18 +1,31 @@
 import numpy as np
 import pytest
 
+import lvpat.forward as forward
 from lvpat.arcmeans import exact_mean_table
 from lvpat.errors import ParameterError
-from lvpat.forward import (Part, restrict_wave_data, simulate_wave_data,
-                           wave_trace)
+from lvpat.forward import (_CHUNK_ROWS, Part, _wave_map, restrict_wave_data,
+                           simulate_wave_data, wave_trace)
+from lvpat.geometry import build_boundary, split_boundary
 from lvpat.oracle import (_term_critical_radii, exact_circular_mean,
                           oracle_wave_field)
 from lvpat.phantoms import (EllipseIndicator, SquareIndicator, WeightedSum,
                             bounding_circle, distance_to_support)
 
-from conftest import TEST_PHANTOM, random_mix, random_square
+from conftest import GAMMA2_INTERVAL, TEST_PHANTOM, random_mix, random_square
 
 UNIT_DISC = EllipseIndicator((0.0, 0.0), 1.0, 1.0, 0.0)
+
+# One phantom per arc-measure path: box clipping, the ellipse quartic, the
+# linear branch of a circular ellipse (semi-axes equal, so the quartic's
+# leading coefficient is exactly zero) and a weighted sum of both kernels.
+KERNEL_CASES = {
+    "square": SquareIndicator(-1.0, -0.4, -0.6, 0.1),
+    "rotated_ellipse": TEST_PHANTOM,
+    "circular_ellipse": EllipseIndicator((-0.3, -0.2), 0.35, 0.35, 0.4),
+    "sum": WeightedSum(((0.7, SquareIndicator(-1.0, -0.4, -0.6, 0.1)),
+                        (-1.3, TEST_PHANTOM))),
+}
 
 
 def draw_checkpoints(p, x, geom, rng, count):
@@ -45,6 +58,44 @@ class TestCircularMean:
             got = exact_mean_table(p, center, radii)
             want = np.array([exact_circular_mean(p, center, r) for r in radii])
             assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_per_row_centers_match_scalar_calls(self, name):
+        p = KERNEL_CASES[name]
+        center, rho = bounding_circle(p)
+        rng = np.random.default_rng(40)
+        # (center, radii) groups: random centers and radii; a circle about the
+        # support's center small enough to lie inside it; one far away that
+        # neither meets nor encloses it; one enclosing it.  The last three
+        # have no crossings, at three different centers.
+        groups = [(rng.uniform(-2, 2, 2), np.sort(rng.uniform(0, 4, 30)))
+                  for _ in range(3)]
+        groups += [(center, np.array([0.0, 0.02, 0.05])),
+                   (np.array([1.9, 0.9]), np.array([0.1, 0.3])),
+                   (np.array([1.5, -0.5]), np.array([6.0]))]
+        centers = np.concatenate([np.tile(c, (len(r), 1)) for c, r in groups])
+        radii = np.concatenate([r for _, r in groups])
+        got = exact_mean_table(p, centers, radii)
+        want = np.concatenate([exact_mean_table(p, c, r) for c, r in groups])
+        assert got.tobytes() == want.tobytes()
+        # the inside circle holds the full value, the far and enclosing ones 0
+        assert np.all(got[-6:-3] != 0.0)
+        assert np.all(got[-3:] == 0.0)
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_two_row_centers_are_per_row(self, name):
+        # a (2, 2) array is two centers, not one center per coordinate
+        p = KERNEL_CASES[name]
+        centers = np.array([[-0.6, -0.25], [1.2, 0.4]])
+        radii = np.array([0.3, 1.7])
+        got = exact_mean_table(p, centers, radii)
+        want = np.concatenate([exact_mean_table(p, c, r[None])
+                               for c, r in zip(centers, radii)])
+        assert got.tobytes() == want.tobytes()
+
+    def test_mismatched_center_shape_rejected(self):
+        with pytest.raises(ParameterError):
+            exact_mean_table(TEST_PHANTOM, np.zeros((3, 2)), np.ones(4))
 
 
 class TestWaveTrace:
@@ -109,11 +160,54 @@ class TestSimulate:
         assert np.array_equal(r1.samples, g1.samples)
         assert np.array_equal(r1.node_idx, coarse_split.gamma1_idx)
 
-    def test_threaded_simulation_is_identical(self, coarse_geom, coarse_split):
+    @pytest.mark.parametrize("part", [Part.FULL, Part.GAMMA1])
+    @pytest.mark.parametrize("name", ["square", "rotated_ellipse", "sum"])
+    def test_rows_match_per_node_reference(self, domain, name, part):
+        # t_max = 1.5 is shorter than the distance from the phantoms to the
+        # far side of the boundary, so some rows are exactly zero
+        geom = build_boundary(domain, spacing_target=0.1, dt=0.05, t_max=1.5)
+        split = split_boundary(geom, GAMMA2_INTERVAL)
+        p = KERNEL_CASES[name]
+        data = simulate_wave_data(p, geom, split, part)
+        wm = _wave_map(geom.dt, geom.n_time)
+        center, rho = bounding_circle(p)
+        n_col = len(wm.r_grid)
+        zero_rows = 0
+        for row, i in zip(data.samples, data.node_idx):
+            x = geom.positions[i]
+            d = float(np.hypot(x[0] - center[0], x[1] - center[1]))
+            j_lo = max(0, int(np.floor((d - rho) / wm.dr)) - 2)
+            j_hi = min(n_col - 1, int(np.ceil((d + rho) / wm.dr)) + 2)
+            if j_lo >= n_col - 1:
+                want = np.zeros(geom.n_time)
+                zero_rows += 1
+            else:
+                means = exact_mean_table(p, x, wm.r_grid[j_lo:j_hi + 1])
+                want = np.diff(wm.matrix[:, j_lo:j_hi + 1] @ means) / geom.dt
+            assert row.tobytes() == want.tobytes()
+        assert 0 < zero_rows < len(data.node_idx)
+
+    def test_threaded_simulation_is_identical(self, medium_geom, medium_split,
+                                              monkeypatch):
         p = TEST_PHANTOM
-        one = simulate_wave_data(p, coarse_geom, coarse_split, Part.FULL, threads=1)
-        two = simulate_wave_data(p, coarse_geom, coarse_split, Part.FULL, threads=4)
-        assert np.array_equal(one.samples, two.samples)
+        calls = []
+
+        def counted(q, center, radii):
+            calls.append(len(radii))
+            return exact_mean_table(q, center, radii)
+
+        monkeypatch.setattr(forward, "exact_mean_table", counted)
+        runs = {}
+        for threads in (1, 2, 4):
+            calls.clear()
+            runs[threads] = simulate_wave_data(p, medium_geom, medium_split,
+                                               Part.FULL, threads=threads)
+            # at least 3 chunks, all full but an uneven last one
+            assert len(calls) >= 3
+            assert sorted(calls)[1:] == [_CHUNK_ROWS] * (len(calls) - 1)
+            assert 0 < min(calls) < _CHUNK_ROWS
+        for threads in (2, 4):
+            assert runs[threads].samples.tobytes() == runs[1].samples.tobytes()
 
     def test_support_outside_domain_rejected(self, coarse_geom, coarse_split):
         huge = SquareIndicator(-3.0, 3.0, -0.5, 0.5)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,35 @@ class TestContainer:
         assert back.dt == w.dt
         assert np.array_equal(back.samples, w.samples)
         assert back.fingerprint == w.fingerprint
+
+    def write_raw_wave_data(self, path, node_idx, samples):
+        meta = json.dumps({"part": "gamma1", "dt": 0.25, "n_time": 4,
+                           "fingerprint": "cafef00d"})
+        path.write_bytes(write_container([("meta", meta),
+                                          ("node_idx", node_idx),
+                                          ("samples", samples)]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_wave_data_non_finite_samples_rejected(self, tmp_path, bad):
+        samples = np.arange(12.0).reshape(3, 4)
+        samples[1, 2] = bad
+        path = tmp_path / "w.patb"
+        self.write_raw_wave_data(path, np.array([3.0, 5.0, 8.0]), samples)
+        with pytest.raises(ContainerFormatError, match="non-finite"):
+            read_wave_data(path)
+
+    @pytest.mark.parametrize("node_idx, reason", [
+        ([3.0, 5.5, 8.0], "integers"),
+        ([3.0, np.nan, 8.0], "integers"),
+        ([3.0, -5.0, 8.0], "negative"),
+        ([3.0, 5.0, 3.0], "repeats"),
+    ], ids=["fractional", "nan", "negative", "duplicate"])
+    def test_wave_data_bad_node_idx_rejected(self, tmp_path, node_idx, reason):
+        path = tmp_path / "w.patb"
+        self.write_raw_wave_data(path, np.array(node_idx),
+                                 np.arange(12.0).reshape(3, 4))
+        with pytest.raises(ContainerFormatError, match=reason):
+            read_wave_data(path)
 
     def test_image_field_round_trip(self, tmp_path):
         f = ImageField((0.5, -1.0), 0.125, np.arange(20.0).reshape(4, 5),
