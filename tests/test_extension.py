@@ -256,18 +256,44 @@ class TestPersistence:
         with pytest.raises(DataMismatchError):
             load_model(path, expected_fingerprint="0123456789abcdef")
 
-    @pytest.mark.parametrize("section", ["gram", "chol", "u1", "u2"])
-    def test_non_finite_section_rejected(self, model8, tmp_path, section):
-        from lvpat.errors import ContainerFormatError
+    @staticmethod
+    def corrupt_section(model, path, section, corrupt):
+        """Save model to path with corrupt(array) applied to one section."""
         from lvpat.io import read_container, write_container
-        path = tmp_path / "model.patb"
-        save_model(model8, path)
+        save_model(model, path)
         sections = read_container(path.read_bytes())
         for name, value in sections:
             if name == section:
-                value.flat[value.size // 2] = np.nan
+                corrupt(value)
         path.write_bytes(write_container(sections))
+
+    @pytest.mark.parametrize("section", ["gram", "chol", "weights", "u1", "u2"])
+    def test_non_finite_section_rejected(self, model8, tmp_path, section):
+        from lvpat.errors import ContainerFormatError
+        path = tmp_path / "model.patb"
+
+        def corrupt(value):
+            value.flat[value.size // 2] = np.nan
+
+        self.corrupt_section(model8, path, section, corrupt)
         with pytest.raises(ContainerFormatError, match=section):
+            load_model(path)
+
+    @pytest.mark.parametrize("section", ["u1_idx", "u2_idx"])
+    @pytest.mark.parametrize("bad, reason", [
+        (lambda idx: idx[1] + 0.5, "integers"),
+        (lambda idx: -1.0, "negative"),
+        (lambda idx: idx[0], "repeats"),
+    ], ids=["fractional", "negative", "duplicate"])
+    def test_bad_node_index_rejected(self, model8, tmp_path, section, bad, reason):
+        from lvpat.errors import ContainerFormatError
+        path = tmp_path / "model.patb"
+
+        def corrupt(value):
+            value[1] = bad(value)
+
+        self.corrupt_section(model8, path, section, corrupt)
+        with pytest.raises(ContainerFormatError, match=f"{section}.*{reason}"):
             load_model(path)
 
     def test_truncated_file_rejected(self, model8, tmp_path):
