@@ -27,8 +27,8 @@ from .inversion import reconstruct
 from .io import (export_csv, export_pgm, read_image_field, read_wave_data,
                  write_image_field, write_wave_data)
 from .metrics import ErrorReport, e2_error, subspace_distance
-from .phantoms import (GridSpec, ImageField, phantom_from_dict, rasterize,
-                       training_partition)
+from .phantoms import (GridSpec, ImageField, SquareIndicator,
+                       phantom_from_dict, rasterize, training_partition)
 
 CONFIG_ERROR_EXIT = 2
 NUMERIC_ERROR_EXIT = 3
@@ -92,14 +92,9 @@ class ExperimentConfig:
         return GridSpec(origin=self.grid_origin, h=self.grid_h,
                         nx=self.grid_nx, ny=self.grid_ny, domain=self.domain)
 
-    def load_phantom(self):
-        with open(self.phantom_path, "r", encoding="utf-8") as fh:
+    def load_phantom(self, path=None):
+        with open(path or self.phantom_path, "r", encoding="utf-8") as fh:
             return phantom_from_dict(json.load(fh))
-
-
-def _load_phantom_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return phantom_from_dict(json.load(fh))
 
 
 def _variant_name(n_w: int, n_h: int) -> str:
@@ -122,7 +117,7 @@ def _wave_image(samples: np.ndarray) -> ImageField:
 
 def cmd_simulate(cfg: ExperimentConfig, phantom_path, part: Part, out_dir: Path,
                  threads: int) -> int:
-    phantom = _load_phantom_file(phantom_path)
+    phantom = cfg.load_phantom(phantom_path)
     geom, split = cfg.build_geometry()
     t0 = time.perf_counter()
     data = simulate_wave_data(phantom, geom, split, part, threads=threads)
@@ -174,7 +169,7 @@ def cmd_extend(cfg: ExperimentConfig, model_path, data_path, out_dir: Path) -> i
     stitched = stitch(u1, u2_hat, geom, split)
     elapsed = time.perf_counter() - t0
     out_dir.mkdir(parents=True, exist_ok=True)
-    name = _variant_name(*_infer_shape(model.n))
+    name = _variant_name(*_partition_shape(model.training.phantoms))
     g2_path = out_dir / f"gamma2_hat_{name}.patb"
     full_path = out_dir / f"extended_{name}.patb"
     write_wave_data(u2_hat, g2_path)
@@ -183,9 +178,14 @@ def cmd_extend(cfg: ExperimentConfig, model_path, data_path, out_dir: Path) -> i
     return 0
 
 
-def _infer_shape(n: int) -> tuple:
-    n_w = int(round(np.sqrt(2 * n)))
-    return (n_w, max(1, n_w // 2)) if n_w * max(1, n_w // 2) == n else (n, 1)
+def _partition_shape(phantoms) -> tuple:
+    """(n_w, n_h) of a square training partition, read off its cell corners."""
+    if not all(isinstance(p, SquareIndicator) for p in phantoms):
+        raise ParameterError("model phantoms are not a square partition")
+    n_w, n_h = len({p.x_lo for p in phantoms}), len({p.y_lo for p in phantoms})
+    if n_w * n_h != len(phantoms):
+        raise ParameterError(f"model phantoms do not tile {n_w}x{n_h} cells")
+    return n_w, n_h
 
 
 def cmd_reconstruct(cfg: ExperimentConfig, data_path, out_dir: Path) -> int:
@@ -209,7 +209,7 @@ def cmd_reconstruct(cfg: ExperimentConfig, data_path, out_dir: Path) -> int:
 
 def cmd_evaluate(cfg: ExperimentConfig, recon_paths, phantom_path,
                  out_dir: Path) -> int:
-    truth = rasterize(_load_phantom_file(phantom_path), cfg.build_grid())
+    truth = rasterize(cfg.load_phantom(phantom_path), cfg.build_grid())
     e2 = {}
     for path in recon_paths:
         image = read_image_field(path)

@@ -6,11 +6,15 @@ L2 inner product over gamma1 x time: solve the Gram system for coefficients
 c and combine sum_j c_j * u2_j.  The Gram matrix is factorized once
 (Cholesky, with an escalating diagonal ridge as a safety net) and reused for
 every extension.
+
+The traces are two contiguous tensors, U1 (n, |gamma1|, T) and U2
+(n, |gamma2|, T): the Gram matrix is one GEMM, extension two GEMVs.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,10 +22,15 @@ from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf
 
 from ._util import cholesky_lower
-from .errors import DataMismatchError, ParameterError, SingularTrainingSetError
-from .forward import Part, WaveData, restrict_wave_data, simulate_wave_data
-from .geometry import BoundaryGeometry, BoundarySplit
-from .phantoms import phantom_from_dict, phantom_to_dict
+from .errors import (ContainerFormatError, DataMismatchError, ParameterError,
+                     SingularTrainingSetError)
+from .forward import Part, WaveData, _support_sample_points, simulate_wave_data
+from .geometry import (BoundaryGeometry, BoundarySplit,
+                       detection_region_contains)
+from .io import (finite_section, node_index_section, read_container,
+                 write_container)
+from .phantoms import (SquareIndicator, WeightedSum, phantom_from_dict,
+                       phantom_to_dict)
 
 RIDGE_START = 1e-12
 RIDGE_CAP = 1e-6
@@ -31,29 +40,51 @@ RIDGE_CAP = 1e-6
 class TrainingSet:
     """Simulated limited-view/missing-part trace pairs for training phantoms.
 
-    outside_detection lists indices of phantoms whose support pokes out of
-    the detection region; their extension problem is unstable, which is worth
-    knowing but not fatal.
+    u1_samples[k] holds phantom k's traces at the gamma1 nodes u1_idx and
+    u2_samples[k] those at the gamma2 nodes u2_idx, each with T samples at
+    step dt.  outside_detection lists indices of phantoms whose support
+    pokes out of the detection region; their extension problem is unstable,
+    which is worth knowing but not fatal.
     """
 
     phantoms: list
-    u1: list  # WaveData on gamma1, one per phantom
-    u2: list  # WaveData on gamma2, one per phantom
+    u1_idx: np.ndarray
+    u2_idx: np.ndarray
+    u1_samples: np.ndarray  # (n, |gamma1|, T)
+    u2_samples: np.ndarray  # (n, |gamma2|, T)
+    dt: float
     fingerprint: str
     outside_detection: tuple = ()
 
     def __post_init__(self):
-        if not (len(self.phantoms) == len(self.u1) == len(self.u2)):
-            raise ParameterError("phantoms/u1/u2 lengths differ")
-        if len(self.phantoms) < 1:
+        n, t = len(self.phantoms), self.u1_samples.shape[-1:]
+        if n < 1:
             raise ParameterError("training set must not be empty")
-        for w in (*self.u1, *self.u2):
-            if w.fingerprint != self.fingerprint:
-                raise DataMismatchError("training traces from mixed geometries")
+        if self.u1_samples.shape != (n, len(self.u1_idx), *t) or \
+           self.u2_samples.shape != (n, len(self.u2_idx), *t):
+            raise ParameterError("training tensors disagree with the phantom "
+                                 "count, node indices or time steps")
 
     @property
     def n(self) -> int:
         return len(self.phantoms)
+
+    def _views(self, part: Part, idx, samples) -> list:
+        read_only = samples.view()
+        read_only.flags.writeable = False
+        return [WaveData(part, idx, self.dt, samples.shape[2], s,
+                         self.fingerprint) for s in read_only]
+
+    @property
+    def u1(self) -> list:
+        """Per-phantom gamma1 WaveData, read-only views of u1_samples (no copy);
+        u1/u2 serve callers outside lvpat, such as `perfbench/spans.py`."""
+        return self._views(Part.GAMMA1, self.u1_idx, self.u1_samples)
+
+    @property
+    def u2(self) -> list:
+        """Per-phantom gamma2 WaveData: read-only views of u2_samples, no copy."""
+        return self._views(Part.GAMMA2, self.u2_idx, self.u2_samples)
 
 
 @dataclass
@@ -81,14 +112,11 @@ def build_training_set(phantoms, geom: BoundaryGeometry, split: BoundarySplit,
 
     Simulating the full boundary once per phantom guarantees that stitching
     u1_i and u2_i back together reproduces the full data exactly.  Phantoms
-    are simulated one after another; `threads` goes to `simulate_wave_data`,
-    whose row chunks are the only parallel level.  Phantoms with support
-    outside the detection region are recorded on the set and reported with
-    a single warning.
+    are simulated one after another into preallocated tensors; `threads`
+    goes to `simulate_wave_data`, whose row chunks are the only parallel
+    level.  Phantoms with support outside the detection region are recorded
+    on the set and reported with a single warning.
     """
-    from .forward import _support_sample_points
-    from .geometry import detection_region_contains
-
     phantoms = list(phantoms)
     if not phantoms:
         raise ParameterError("need at least one training phantom")
@@ -98,53 +126,30 @@ def build_training_set(phantoms, geom: BoundaryGeometry, split: BoundarySplit,
         if not all(detection_region_contains(split, q)
                    for q in _support_sample_points(p)))
     if outside:
-        import warnings
         warnings.warn(f"{len(outside)} training phantom(s) lie outside the "
                       "detection region; their extension is unstable",
                       stacklevel=2)
 
-    full = [simulate_wave_data(p, geom, split, Part.FULL, threads=threads)
-            for p in phantoms]
-    u1 = [restrict_wave_data(w, split, Part.GAMMA1) for w in full]
-    u2 = [restrict_wave_data(w, split, Part.GAMMA2) for w in full]
-    return TrainingSet(phantoms=phantoms, u1=u1, u2=u2,
-                       fingerprint=split.fingerprint(),
+    i1, i2 = split.gamma1_idx, split.gamma2_idx
+    u1 = np.empty((len(phantoms), len(i1), geom.n_time))
+    u2 = np.empty((len(phantoms), len(i2), geom.n_time))
+    for k, p in enumerate(phantoms):
+        s = simulate_wave_data(p, geom, split, Part.FULL, threads=threads).samples
+        u1[k], u2[k] = s[i1], s[i2]
+    return TrainingSet(phantoms=phantoms, u1_idx=i1, u2_idx=i2, u1_samples=u1,
+                       u2_samples=u2, dt=geom.dt, fingerprint=split.fingerprint(),
                        outside_detection=outside)
 
 
 def _gamma1_inner_weights(ts: TrainingSet, geom: BoundaryGeometry) -> np.ndarray:
-    idx = ts.u1[0].node_idx
-    return geom.weights[idx] * geom.dt
+    return geom.weights[ts.u1_idx] * geom.dt
 
 
 def gram_matrix(ts: TrainingSet, geom: BoundaryGeometry) -> np.ndarray:
-    """Pairwise discrete inner products of the gamma1 training traces.
-
-    Assembled in trace blocks so the full (n, gamma1*time) matrix is never
-    materialized; large training sets would otherwise dominate memory.
-    """
+    """Pairwise discrete inner products of the gamma1 training traces."""
     w = _gamma1_inner_weights(ts, geom)
-    n = ts.n
-    gram = np.empty((n, n))
-    block = max(1, int(3e7) // max(1, ts.u1[0].samples.size))
-
-    def flat_block(lo, hi, weighted):
-        rows = []
-        for k in range(lo, hi):
-            s = ts.u1[k].samples
-            rows.append((s * w[:, None]).ravel() if weighted else s.ravel())
-        return np.stack(rows)
-
-    for lo_i in range(0, n, block):
-        hi_i = min(lo_i + block, n)
-        wi = flat_block(lo_i, hi_i, weighted=True)
-        for lo_j in range(lo_i, n, block):
-            hi_j = min(lo_j + block, n)
-            uj = flat_block(lo_j, hi_j, weighted=False)
-            sub = wi @ uj.T
-            gram[lo_i:hi_i, lo_j:hi_j] = sub
-            gram[lo_j:hi_j, lo_i:hi_i] = sub.T
-            del uj
+    u = ts.u1_samples.reshape(ts.n, -1)
+    gram = (ts.u1_samples * w[:, None]).reshape(ts.n, -1) @ u.T
     return 0.5 * (gram + gram.T)
 
 
@@ -190,19 +195,14 @@ def train_extension_model(ts: TrainingSet, geom: BoundaryGeometry) -> ExtensionM
                           inner_weights=_gamma1_inner_weights(ts, geom))
 
 
-def _check_input(model: ExtensionModel, u1: WaveData):
+def project_coefficients(model: ExtensionModel, u1: WaveData) -> np.ndarray:
+    """Projection coefficients of u1 onto the span of the training traces."""
     if u1.fingerprint != model.fingerprint:
         raise DataMismatchError("limited-view data does not match the model geometry")
     if u1.part is not Part.GAMMA1:
         raise DataMismatchError("extension input must live on gamma1")
-
-
-def project_coefficients(model: ExtensionModel, u1: WaveData) -> np.ndarray:
-    """Projection coefficients of u1 onto the span of the training traces."""
-    _check_input(model, u1)
-    w = model.inner_weights
-    weighted = u1.samples * w[:, None]
-    rhs = np.array([float(np.sum(weighted * ui.samples)) for ui in model.training.u1])
+    weighted = u1.samples * model.inner_weights[:, None]
+    rhs = model.training.u1_samples.reshape(model.n, -1) @ weighted.ravel()
     coeffs = cho_solve((model.chol_lower, True), rhs)
     if not np.all(np.isfinite(coeffs)):
         raise SingularTrainingSetError(minor_index=0, ridge=model.ridge)
@@ -211,14 +211,11 @@ def project_coefficients(model: ExtensionModel, u1: WaveData) -> np.ndarray:
 
 def extend(model: ExtensionModel, u1: WaveData) -> WaveData:
     """Predicted gamma2 data: the coefficient combination of training u2 traces."""
-    coeffs = project_coefficients(model, u1)
-    template = model.training.u2[0]
-    samples = np.zeros_like(template.samples)
-    for c, u in zip(coeffs, model.training.u2):
-        samples += c * u.samples
-    return WaveData(part=Part.GAMMA2, node_idx=template.node_idx, dt=template.dt,
-                    n_time=template.n_time, samples=samples,
-                    fingerprint=template.fingerprint)
+    ts = model.training
+    samples = np.tensordot(project_coefficients(model, u1), ts.u2_samples, axes=1)
+    return WaveData(part=Part.GAMMA2, node_idx=ts.u2_idx, dt=ts.dt,
+                    n_time=samples.shape[1], samples=samples,
+                    fingerprint=ts.fingerprint)
 
 
 def stitch(u1: WaveData, u2: WaveData, geom: BoundaryGeometry,
@@ -249,55 +246,58 @@ def zero_extend(u1: WaveData, geom: BoundaryGeometry, split: BoundarySplit) -> W
 
 
 def save_model(model: ExtensionModel, path) -> None:
-    """Persist the model in a single container file (bit-exact round trip)."""
-    from .io import write_container
-
+    """Persist the model in one container file (bit-exact round trip); the
+    Cholesky factor is not stored, as `load_model` recomputes it exactly."""
+    ts = model.training
     meta = {
         "fingerprint": model.fingerprint,
-        "ridge": model.ridge,
-        "n": model.n,
-        "dt": model.training.u1[0].dt,
-        "n_time": model.training.u1[0].n_time,
-        "outside_detection": list(model.training.outside_detection),
-        "phantoms": [phantom_to_dict(p) for p in model.training.phantoms],
+        "dt": ts.dt,
+        "n_time": ts.u1_samples.shape[2],
+        "outside_detection": list(ts.outside_detection),
+        "phantoms": [phantom_to_dict(p) for p in ts.phantoms],
     }
     sections = [
         ("meta", json.dumps(meta, sort_keys=True)),
         ("gram", model.gram),
-        ("chol", model.chol_lower),
         ("weights", model.inner_weights),
-        ("u1_idx", model.training.u1[0].node_idx.astype(float)),
-        ("u2_idx", model.training.u2[0].node_idx.astype(float)),
-        ("u1", np.stack([u.samples for u in model.training.u1])),
-        ("u2", np.stack([u.samples for u in model.training.u2])),
+        ("u1_idx", ts.u1_idx.astype(float)),
+        ("u2_idx", ts.u2_idx.astype(float)),
+        ("u1", ts.u1_samples),
+        ("u2", ts.u2_samples),
     ]
     with open(path, "wb") as fh:
         fh.write(write_container(sections))
 
 
 def load_model(path, expected_fingerprint: str | None = None) -> ExtensionModel:
-    """Load a model container; optionally verify the geometry fingerprint."""
-    from .io import finite_section, node_index_section, read_container
+    """Load a model container; optionally verify the geometry fingerprint.
 
+    Tensors must be finite and sized to the phantom count, node indices and
+    n_time; the Gram matrix is refactorized, so it must pass `factorize`.
+    """
     with open(path, "rb") as fh:
         sections = dict(read_container(fh.read()))
     meta = json.loads(sections["meta"])
     if expected_fingerprint is not None and meta["fingerprint"] != expected_fingerprint:
         raise DataMismatchError("model belongs to a different geometry/split")
-    for name in ("gram", "chol", "weights", "u1", "u2"):
-        finite_section(name, sections[name])
-    dt, n_time = float(meta["dt"]), int(meta["n_time"])
-    fp = meta["fingerprint"]
     u1_idx = node_index_section("u1_idx", sections["u1_idx"])
     u2_idx = node_index_section("u2_idx", sections["u2_idx"])
     phantoms = [phantom_from_dict(d) for d in meta["phantoms"]]
-    u1 = [WaveData(Part.GAMMA1, u1_idx, dt, n_time, s, fp) for s in sections["u1"]]
-    u2 = [WaveData(Part.GAMMA2, u2_idx, dt, n_time, s, fp) for s in sections["u2"]]
-    ts = TrainingSet(phantoms=phantoms, u1=u1, u2=u2, fingerprint=fp,
+    n, n_time = len(phantoms), int(meta["n_time"])
+    for name, shape in (("gram", (n, n)), ("weights", (len(u1_idx),)),
+                        ("u1", (n, len(u1_idx), n_time)),
+                        ("u2", (n, len(u2_idx), n_time))):
+        finite_section(name, sections[name])
+        if sections[name].shape != shape:
+            raise ContainerFormatError(f"section {name!r} has shape "
+                                       f"{sections[name].shape}, expected {shape}")
+    ts = TrainingSet(phantoms=phantoms, u1_idx=u1_idx, u2_idx=u2_idx,
+                     u1_samples=sections["u1"], u2_samples=sections["u2"],
+                     dt=float(meta["dt"]), fingerprint=meta["fingerprint"],
                      outside_detection=tuple(meta.get("outside_detection", ())))
-    return ExtensionModel(training=ts, gram=sections["gram"],
-                          chol_lower=sections["chol"], ridge=float(meta["ridge"]),
-                          inner_weights=sections["weights"])
+    chol, ridge = factorize(sections["gram"])
+    return ExtensionModel(training=ts, gram=sections["gram"], chol_lower=chol,
+                          ridge=ridge, inner_weights=sections["weights"])
 
 
 def coarsen_training_set(ts: TrainingSet, fine_shape, coarse_shape) -> TrainingSet:
@@ -308,8 +308,6 @@ def coarsen_training_set(ts: TrainingSet, fine_shape, coarse_shape) -> TrainingS
     summed traces equal direct simulation of the merged squares because the
     simulator is linear.
     """
-    from .phantoms import SquareIndicator, WeightedSum
-
     fw, fh = fine_shape
     cw, ch = coarse_shape
     if fw % cw or fh % ch:
@@ -318,15 +316,16 @@ def coarsen_training_set(ts: TrainingSet, fine_shape, coarse_shape) -> TrainingS
         raise ParameterError("fine shape does not match the training set size")
     rw, rh = fw // cw, fh // ch
 
-    def fine_index(col, row):
-        return col * fh + row
+    def merge_cells(u):
+        # fine index (c*rw + i)*fh + r*rh + j -> coarse index c*ch + r
+        return u.reshape(cw, rw, ch, rh, *u.shape[1:]).sum(axis=(1, 3)) \
+                .reshape(cw * ch, *u.shape[1:])
 
-    phantoms, u1, u2 = [], [], []
+    phantoms = []
     for col in range(cw):
         for row in range(ch):
-            members = [fine_index(col * rw + i, row * rh + j)
-                       for i in range(rw) for j in range(rh)]
-            sub = [ts.phantoms[m] for m in members]
+            sub = [ts.phantoms[(col * rw + i) * fh + row * rh + j]
+                   for i in range(rw) for j in range(rh)]
             if all(isinstance(s, SquareIndicator) for s in sub):
                 merged = SquareIndicator(
                     x_lo=min(s.x_lo for s in sub), x_hi=max(s.x_hi for s in sub),
@@ -334,11 +333,7 @@ def coarsen_training_set(ts: TrainingSet, fine_shape, coarse_shape) -> TrainingS
             else:
                 merged = WeightedSum(tuple((1.0, s) for s in sub))
             phantoms.append(merged)
-            s1 = ts.u1[members[0]].samples.copy()
-            s2 = ts.u2[members[0]].samples.copy()
-            for m in members[1:]:
-                s1 += ts.u1[m].samples
-                s2 += ts.u2[m].samples
-            u1.append(ts.u1[members[0]].copy_with(s1))
-            u2.append(ts.u2[members[0]].copy_with(s2))
-    return TrainingSet(phantoms=phantoms, u1=u1, u2=u2, fingerprint=ts.fingerprint)
+    return TrainingSet(phantoms=phantoms, u1_idx=ts.u1_idx, u2_idx=ts.u2_idx,
+                       u1_samples=merge_cells(ts.u1_samples),
+                       u2_samples=merge_cells(ts.u2_samples), dt=ts.dt,
+                       fingerprint=ts.fingerprint)

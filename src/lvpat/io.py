@@ -153,9 +153,12 @@ def read_image_field(path) -> ImageField:
     with open(path, "rb") as fh:
         sections = dict(read_container(fh.read()))
     meta = json.loads(sections["meta"])
+    mask = sections["mask"]
+    if not np.all((mask == 0.0) | (mask == 1.0)):
+        raise ContainerFormatError("section 'mask' holds entries other than 0 and 1")
     return ImageField(origin=tuple(meta["origin"]), h=float(meta["h"]),
-                      values=sections["values"],
-                      domain_mask=sections["mask"] > 0.5)
+                      values=finite_section("values", sections["values"]),
+                      domain_mask=mask == 1.0)
 
 
 def export_pgm(field: ImageField, lo: float, hi: float, path) -> None:

@@ -153,6 +153,60 @@ class TestSubcommands:
         assert "non-finite" in capsys.readouterr().err
 
 
+    def test_extend_names_output_by_partition_shape(self, tmp_path,
+                                                    smoke_config):
+        out = tmp_path / "out"
+        raw = json.loads(smoke_config.read_text())
+        raw["n_list"] = [[4, 3]]
+        cfg = tmp_path / "config43.json"
+        cfg.write_text(json.dumps(raw))
+        with pytest.warns(UserWarning, match="n_w = 2"):
+            assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+            assert main(["simulate", "--config", str(cfg), "--phantom",
+                         str(tmp_path / "phantom_reference.json"),
+                         "--part", "gamma1", "--out", str(out)]) == 0
+            assert main(["extend", "--config", str(cfg),
+                         "--model", str(out / "model_4x3.patb"),
+                         "--data", str(out / "data_gamma1.patb"),
+                         "--out", str(out)]) == 0
+        assert (out / "extended_4x3.patb").exists()
+        assert (out / "gamma2_hat_4x3.patb").exists()
+
+    def test_extend_non_symmetric_gram_is_config_error(self, tmp_path,
+                                                       smoke_config, capsys):
+        from lvpat.io import read_container, write_container
+        out = tmp_path / "out"
+        phantom = tmp_path / "phantom_reference.json"
+        main(["train", "--config", str(smoke_config), "--out", str(out)])
+        main(["simulate", "--config", str(smoke_config), "--phantom",
+              str(phantom), "--part", "gamma1", "--out", str(out)])
+        model_path = out / "model_4x2.patb"
+        sections = read_container(model_path.read_bytes())
+        gram = dict(sections)["gram"]
+        gram[0, 1] += 1e-3 * np.abs(gram).max()
+        model_path.write_bytes(write_container(sections))
+        rc = main(["extend", "--config", str(smoke_config),
+                   "--model", str(model_path),
+                   "--data", str(out / "data_gamma1.patb"), "--out", str(out)])
+        assert rc == 2
+        assert "symmetric" in capsys.readouterr().err
+
+    def test_evaluate_non_finite_image_is_config_error(self, tmp_path,
+                                                       smoke_config, capsys):
+        from lvpat.io import write_image_field
+        from lvpat.phantoms import ImageField
+        values = np.zeros((41, 41))
+        values[20, 20] = np.nan
+        image = tmp_path / "recon_nan.patb"
+        write_image_field(ImageField((-2.2, -2.2), 0.11, values,
+                                     np.ones((41, 41), dtype=bool)), image)
+        rc = main(["evaluate", "--config", str(smoke_config),
+                   "--phantom", str(tmp_path / "phantom_reference.json"),
+                   "--data", str(image), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "non-finite" in capsys.readouterr().err
+
+
 class TestExperiment:
 
     def test_smoke_experiment(self, tmp_path, smoke_config):

@@ -1,13 +1,18 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
-from lvpat.errors import DataMismatchError, SingularTrainingSetError
-from lvpat.extension import (build_training_set, coarsen_training_set, extend,
-                             factorize, gram_matrix, load_model,
-                             project_coefficients, save_model, stitch,
-                             train_extension_model, zero_extend)
+from lvpat.errors import (ContainerFormatError, DataMismatchError,
+                          ParameterError, SingularTrainingSetError)
+from lvpat.extension import (TrainingSet, build_training_set,
+                             coarsen_training_set, extend, factorize,
+                             gram_matrix, load_model, project_coefficients,
+                             save_model, stitch, train_extension_model,
+                             zero_extend)
 from lvpat.forward import Part, WaveData, restrict_wave_data, simulate_wave_data
-from lvpat.metrics import boundary_time_norm
+from lvpat.metrics import boundary_time_inner, boundary_time_norm
 from lvpat.phantoms import SquareIndicator, WeightedSum, training_partition
 
 from conftest import BOX, TEST_PHANTOM
@@ -69,6 +74,31 @@ class TestTrainingSet:
             assert pa.x_lo == pytest.approx(pb.x_lo, abs=1e-12)
             assert pa.y_hi == pytest.approx(pb.y_hi, abs=1e-12)
 
+    def test_views_share_the_tensors(self, ts32, coarse_geom, coarse_split):
+        n_time = coarse_geom.n_time
+        assert ts32.u1_samples.shape == (512, len(coarse_split.gamma1_idx), n_time)
+        assert ts32.u2_samples.shape == (512, len(coarse_split.gamma2_idx), n_time)
+        view = ts32.u2[7].samples
+        assert np.shares_memory(view, ts32.u2_samples)
+        assert not view.flags.writeable
+
+    @pytest.mark.parametrize("bad", ["phantoms", "u1_idx", "u2_idx", "n_time"])
+    def test_constructor_rejects_mismatched_tensors(self, coarse_split, bad):
+        i1, i2 = coarse_split.gamma1_idx, coarse_split.gamma2_idx
+        args = dict(phantoms=[SquareIndicator(k, k + 1, 0, 1) for k in range(3)],
+                    u1_idx=i1, u2_idx=i2, u1_samples=np.zeros((3, len(i1), 6)),
+                    u2_samples=np.zeros((3, len(i2), 6)), dt=0.1,
+                    fingerprint=coarse_split.fingerprint())
+        TrainingSet(**args)
+        if bad == "phantoms":
+            args["phantoms"] = args["phantoms"][:2]
+        elif bad == "n_time":
+            args["u2_samples"] = np.zeros((3, len(i2), 5))
+        else:
+            args[bad] = args[bad][1:]
+        with pytest.raises(ParameterError):
+            TrainingSet(**args)
+
 
 class TestGramAndFactorization:
 
@@ -77,16 +107,34 @@ class TestGramAndFactorization:
         w = coarse_geom.weights[idx] * coarse_geom.dt
         n_time = coarse_geom.n_time
         fp = coarse_split.fingerprint()
-        traces = []
+        traces = np.zeros((4, len(idx), n_time))
         for k in range(4):
-            s = np.zeros((len(idx), n_time))
-            s[3 * k, 5 + k] = 1.0 / np.sqrt(w[3 * k] * 1.0)
-            traces.append(WaveData(Part.GAMMA1, idx, coarse_geom.dt, n_time, s, fp))
-        from lvpat.extension import TrainingSet
+            traces[k, 3 * k, 5 + k] = 1.0 / np.sqrt(w[3 * k] * 1.0)
         phantoms = [SquareIndicator(k, k + 1, 0, 1) for k in range(4)]
-        ts = TrainingSet(phantoms=phantoms, u1=traces, u2=traces, fingerprint=fp)
+        ts = TrainingSet(phantoms=phantoms, u1_idx=idx, u2_idx=idx,
+                         u1_samples=traces, u2_samples=traces,
+                         dt=coarse_geom.dt, fingerprint=fp)
         gram = gram_matrix(ts, coarse_geom)
         assert np.abs(gram - np.eye(4)).max() <= 1e-12
+
+    def test_gram_matches_pairwise_inner_products(self, coarse_geom,
+                                                  coarse_split):
+        # the boundary's own weights are uniform; uneven ones make a weight
+        # applied along the time axis instead of the node axis show
+        nodes = np.arange(coarse_geom.n_nodes)
+        geom = dataclasses.replace(
+            coarse_geom, weights=coarse_geom.weights * (1.5 + np.sin(nodes)))
+        ts = build_training_set(
+            [SquareIndicator(-1.0, -0.8, -0.5, -0.3),
+             SquareIndicator(-0.9, -0.5, -0.6, -0.2),
+             SquareIndicator(0.0, 0.3, -0.4, 0.1),
+             SquareIndicator(-0.3, 0.0, -0.1, 0.1)],
+            coarse_geom, coarse_split)
+        gram = gram_matrix(ts, geom)
+        u1 = ts.u1
+        want = np.array([[boundary_time_inner(a, b, geom) for b in u1]
+                         for a in u1])
+        assert np.abs(gram - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_identity_factorizes_with_zero_ridge(self):
         chol, ridge = factorize(np.eye(5))
@@ -243,8 +291,10 @@ class TestPersistence:
         assert np.array_equal(again.gram, model8.gram)
         assert np.array_equal(again.chol_lower, model8.chol_lower)
         assert again.ridge == model8.ridge
-        for a, b in zip(again.training.u1, model8.training.u1):
-            assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(again.training.u1_samples,
+                              model8.training.u1_samples)
+        assert np.array_equal(again.training.u2_samples,
+                              model8.training.u2_samples)
         # saving the reloaded model reproduces the same bytes
         path2 = tmp_path / "model2.patb"
         save_model(again, path2)
@@ -256,20 +306,33 @@ class TestPersistence:
         with pytest.raises(DataMismatchError):
             load_model(path, expected_fingerprint="0123456789abcdef")
 
+    def test_no_cholesky_section_stored(self, model8, tmp_path):
+        from lvpat.io import read_container
+        path = tmp_path / "model.patb"
+        save_model(model8, path)
+        sections = dict(read_container(path.read_bytes()))
+        assert list(sections) == ["meta", "gram", "weights", "u1_idx",
+                                  "u2_idx", "u1", "u2"]
+        assert "ridge" not in json.loads(sections["meta"])
+
     @staticmethod
     def corrupt_section(model, path, section, corrupt):
-        """Save model to path with corrupt(array) applied to one section."""
+        """Save model to path with corrupt(array) applied to one section.
+
+        corrupt edits the array in place, or returns a replacement for it.
+        """
         from lvpat.io import read_container, write_container
         save_model(model, path)
         sections = read_container(path.read_bytes())
-        for name, value in sections:
+        for k, (name, value) in enumerate(sections):
             if name == section:
-                corrupt(value)
+                replaced = corrupt(value)
+                if replaced is not None:
+                    sections[k] = (name, replaced)
         path.write_bytes(write_container(sections))
 
-    @pytest.mark.parametrize("section", ["gram", "chol", "weights", "u1", "u2"])
+    @pytest.mark.parametrize("section", ["gram", "weights", "u1", "u2"])
     def test_non_finite_section_rejected(self, model8, tmp_path, section):
-        from lvpat.errors import ContainerFormatError
         path = tmp_path / "model.patb"
 
         def corrupt(value):
@@ -279,6 +342,34 @@ class TestPersistence:
         with pytest.raises(ContainerFormatError, match=section):
             load_model(path)
 
+    @pytest.mark.parametrize("section, corrupt", [
+        ("gram", lambda g: g[:-1, :-1]),
+        ("gram", lambda g: g[:, :-1]),
+        ("weights", lambda w: w[:-1]),
+        ("u1", lambda u: u[:-1]),
+        ("u1", lambda u: u[:, :-1]),
+        ("u1", lambda u: u[:, :, :-1]),
+        ("u2", lambda u: u[:-1]),
+        ("u2", lambda u: u[:, :-1]),
+        ("u2", lambda u: u[:, :, :-1]),
+    ], ids=["gram-n", "gram-square", "weights-nodes", "u1-n", "u1-nodes",
+            "u1-time", "u2-n", "u2-nodes", "u2-time"])
+    def test_count_mismatch_rejected(self, model8, tmp_path, section, corrupt):
+        path = tmp_path / "model.patb"
+        self.corrupt_section(model8, path, section, corrupt)
+        with pytest.raises(ContainerFormatError, match=f"{section}.*shape"):
+            load_model(path)
+
+    def test_non_symmetric_gram_rejected(self, model8, tmp_path):
+        path = tmp_path / "model.patb"
+
+        def corrupt(gram):
+            gram[0, 1] += 1e-3 * np.abs(gram).max()
+
+        self.corrupt_section(model8, path, "gram", corrupt)
+        with pytest.raises(ParameterError, match="symmetric"):
+            load_model(path)
+
     @pytest.mark.parametrize("section", ["u1_idx", "u2_idx"])
     @pytest.mark.parametrize("bad, reason", [
         (lambda idx: idx[1] + 0.5, "integers"),
@@ -286,7 +377,6 @@ class TestPersistence:
         (lambda idx: idx[0], "repeats"),
     ], ids=["fractional", "negative", "duplicate"])
     def test_bad_node_index_rejected(self, model8, tmp_path, section, bad, reason):
-        from lvpat.errors import ContainerFormatError
         path = tmp_path / "model.patb"
 
         def corrupt(value):
@@ -297,7 +387,6 @@ class TestPersistence:
             load_model(path)
 
     def test_truncated_file_rejected(self, model8, tmp_path):
-        from lvpat.errors import ContainerFormatError
         path = tmp_path / "model.patb"
         save_model(model8, path)
         raw = path.read_bytes()

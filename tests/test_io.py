@@ -125,6 +125,30 @@ class TestContainer:
         assert np.array_equal(back.values, f.values)
         assert np.array_equal(back.domain_mask, f.domain_mask)
 
+    @staticmethod
+    def write_raw_image_field(path, values, mask):
+        meta = json.dumps({"origin": [0.0, 0.0], "h": 0.5})
+        path.write_bytes(write_container([("meta", meta), ("values", values),
+                                          ("mask", mask)]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_image_field_non_finite_values_rejected(self, tmp_path, bad):
+        values = np.arange(12.0).reshape(3, 4)
+        values[2, 1] = bad
+        path = tmp_path / "f.patb"
+        self.write_raw_image_field(path, values, np.ones((3, 4)))
+        with pytest.raises(ContainerFormatError, match="values.*non-finite"):
+            read_image_field(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.5, 2.0, -1.0])
+    def test_image_field_non_binary_mask_rejected(self, tmp_path, bad):
+        mask = np.ones((3, 4))
+        mask[0, 3] = bad
+        path = tmp_path / "f.patb"
+        self.write_raw_image_field(path, np.zeros((3, 4)), mask)
+        with pytest.raises(ContainerFormatError, match="mask"):
+            read_image_field(path)
+
 
 class TestPgm:
 
