@@ -1,11 +1,12 @@
 """Exact circular means of indicator phantoms, vectorized over radii.
 
 The circular mean of an indicator equals (angular measure of the circle arcs
-inside the support) / (2*pi).  Crossing angles are computed in closed form:
-per-edge arccos/arcsin clipping for boxes, and the roots of a degree-4
-polynomial in z = exp(i*beta) (batched companion eigenvalues, then Newton
-polishing) for ellipses.  Weighted sums combine term measures linearly, so
-linear combinations of phantoms produce exactly linear wave data.
+inside the support) / (2*pi).  For boxes it is closed form: the arcs inside
+the band x_lo <= x <= x_hi (arccos of the clipped edge offsets) overlap the
+arcs inside y_lo <= y <= y_hi (arcsin likewise).  Ellipse crossing angles
+are the roots of a degree-4 polynomial in z = exp(i*beta) (batched companion
+eigenvalues, then Newton polishing).  Weighted sums combine term measures
+linearly, so linear combinations of phantoms produce exactly linear wave data.
 
 A table row is one (center, radius) pair: the center is either one point
 shared by every radius or one point per radius, so the whole boundary of a
@@ -22,14 +23,12 @@ from .phantoms import EllipseIndicator, Phantom, SquareIndicator, WeightedSum
 
 TWO_PI = 2.0 * np.pi
 
-# max crossing count kept per radius: 8 for a box (2 per edge), 4 for an ellipse
-_BOX_SLOTS = 8
-_ELL_SLOTS = 4
+_ELL_SLOTS = 4  # max crossings of a circle with an ellipse
 
 
-def _measures_from_candidates(cand: np.ndarray, inside_fn, cx, cy,
+def _measures_from_candidates(cand: np.ndarray, el: EllipseIndicator, cx, cy,
                               radii) -> np.ndarray:
-    """Total arc measure inside the support from per-radius crossing angles.
+    """Total arc measure inside the ellipse from per-radius crossing angles.
 
     cand is (n, slots) with NaN marking unused slots.  Arcs between
     consecutive crossings are classified by testing their midpoints.  cx and
@@ -51,7 +50,7 @@ def _measures_from_candidates(cand: np.ndarray, inside_fn, cx, cy,
     pts = np.empty((n, slots, 2))
     pts[..., 0] = np.reshape(cx, (-1, 1)) + radii[:, None] * np.cos(mids)
     pts[..., 1] = np.reshape(cy, (-1, 1)) + radii[:, None] * np.sin(mids)
-    inside = inside_fn(pts) & valid
+    inside = (el.evaluate(pts) > 0.0) & valid
     measure = np.sum(np.where(inside, gaps, 0.0), axis=1)
 
     # radii with no crossings: the whole circle is inside or outside
@@ -60,38 +59,30 @@ def _measures_from_candidates(cand: np.ndarray, inside_fn, cx, cy,
         probe = np.empty((int(none.sum()), 2))
         probe[:, 0] = np.broadcast_to(cx, radii.shape)[none] + radii[none]
         probe[:, 1] = np.broadcast_to(cy, radii.shape)[none]
-        measure[none] = np.where(inside_fn(probe), TWO_PI, 0.0)
+        measure[none] = np.where(el.evaluate(probe) > 0.0, TWO_PI, 0.0)
     return measure
 
 
 def _box_arc_measures(sq: SquareIndicator, cx, cy, radii: np.ndarray) -> np.ndarray:
+    """Arc measure inside a box as four clamped interval overlaps.
+
+    On theta in [0, pi] the x band is [alpha_hi, alpha_lo] and the y band is
+    [beta_lo, beta_hi] plus [pi - beta_hi, pi - beta_lo]; theta -> -theta maps
+    the lower half circle onto the upper one with the y band negated.  Rows
+    with r = 0 take 2*pi * f(center).
+    """
     r = radii
-    cand = np.full((len(r), _BOX_SLOTS), np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
-        col = 0
-        for x_edge in (sq.x_lo, sq.x_hi):
-            c = np.where(r > 0, (x_edge - cx) / np.where(r > 0, r, 1.0), np.inf)
-            ok = np.abs(c) <= 1.0
-            base = np.arccos(np.clip(c, -1.0, 1.0))
-            for psi in (base, -base):
-                y = cy + r * np.sin(psi)
-                hit = ok & (y >= sq.y_lo) & (y <= sq.y_hi)
-                cand[:, col] = np.where(hit, psi % TWO_PI, np.nan)
-                col += 1
-        for y_edge in (sq.y_lo, sq.y_hi):
-            sv = np.where(r > 0, (y_edge - cy) / np.where(r > 0, r, 1.0), np.inf)
-            ok = np.abs(sv) <= 1.0
-            base = np.arcsin(np.clip(sv, -1.0, 1.0))
-            for psi in (base, np.pi - base):
-                x = cx + r * np.cos(psi)
-                hit = ok & (x >= sq.x_lo) & (x <= sq.x_hi)
-                cand[:, col] = np.where(hit, psi % TWO_PI, np.nan)
-                col += 1
-
-    def inside(pts):
-        return sq.evaluate(pts) > 0.0
-
-    return _measures_from_candidates(cand, inside, cx, cy, radii)
+        a_hi = np.arccos(np.clip((sq.x_hi - cx) / r, -1.0, 1.0))
+        a_lo = np.arccos(np.clip((sq.x_lo - cx) / r, -1.0, 1.0))
+        b_lo = np.arcsin(np.clip((sq.y_lo - cy) / r, -1.0, 1.0))
+        b_hi = np.arcsin(np.clip((sq.y_hi - cy) / r, -1.0, 1.0))
+    lo = np.stack([b_lo, np.pi - b_hi, -b_hi, np.pi + b_lo], axis=1)
+    hi = np.stack([b_hi, np.pi - b_lo, -b_lo, np.pi + b_hi], axis=1)
+    overlap = np.minimum(a_lo[:, None], hi) - np.maximum(a_hi[:, None], lo)
+    measure = np.sum(np.maximum(overlap, 0.0), axis=1)
+    center = np.stack(np.broadcast_arrays(cx, cy), axis=-1)
+    return np.where(r > 0, measure, TWO_PI * sq.evaluate(center))
 
 
 def _ellipse_arc_measures(el: EllipseIndicator, cx, cy,
@@ -156,10 +147,7 @@ def _ellipse_arc_measures(el: EllipseIndicator, cx, cy,
         cand[idx, 0] = np.where(ok, (gamma + delta + el.rotation) % TWO_PI, np.nan)
         cand[idx, 1] = np.where(ok, (gamma - delta + el.rotation) % TWO_PI, np.nan)
 
-    def inside(pts):
-        return el.evaluate(pts) > 0.0
-
-    return _measures_from_candidates(cand, inside, cx, cy, radii)
+    return _measures_from_candidates(cand, el, cx, cy, radii)
 
 
 def exact_mean_table(p: Phantom, center, radii: np.ndarray) -> np.ndarray:

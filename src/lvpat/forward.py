@@ -7,14 +7,15 @@ where M_r(x) is the circular mean of f over the circle of radius r about x.
 Per phantom, the implementation tabulates M_r once for every observation
 point: each point gets a window of a uniform radius grid that covers the
 support annulus, and all (point, radius) rows go through one exact
-arc-measure mean table (see `arcmeans`).  Each point's slice of means then
-goes through its own columns of a cached linear map, the closed-form
-integral of the piecewise-linear interpolant against the Abel weight, which
-gives w at staggered half-step times; a centered difference yields u.  The
-time derivative therefore sees an exact integral of the tabulated means,
-which keeps the differencing stable.  `threads` splits the rows into chunks
-of a fixed size and evaluates the chunks in parallel; the chunk bounds do
-not depend on the thread count, so neither do the output bytes.
+arc-measure mean table (see `arcmeans`).  The means form one sparse matrix,
+a row per point holding its window, and one sparse product with a cached
+linear map, the closed-form integral of the piecewise-linear interpolant
+against the Abel weight, gives w at staggered half-step times for every
+point; a centered difference along time yields u.  The time derivative
+therefore sees an exact integral of the tabulated means, which keeps the
+differencing stable.  `threads` splits the rows into chunks of a fixed size
+and evaluates the chunks' mean tables in parallel; the chunk bounds do not
+depend on the thread count, so neither do the output bytes.
 
 The radius grid and the mean values depend on the phantom only through
 pointwise evaluation, so simulated data is linear in the phantom to rounding
@@ -29,6 +30,7 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from ._util import parallel_map
 from .arcmeans import exact_mean_table
@@ -88,6 +90,7 @@ class _WaveMap:
     r / sqrt(tau^2 - r^2) over [0, tau], using
         int r / sqrt(tau^2-r^2) dr   = -sqrt(tau^2-r^2)
         int r^2 / sqrt(tau^2-r^2) dr = tau^2/2 asin(r/tau) - r/2 sqrt(tau^2-r^2).
+    `matrix_t` is the map transposed: (radius nodes, half-step times).
     """
 
     def __init__(self, dt: float, n_time: int, dr: float):
@@ -97,24 +100,24 @@ class _WaveMap:
         self.taus = (np.arange(n_time + 1) + 0.5) * dt
         n_r = int(np.ceil(self.taus[-1] / dr)) + 1
         self.r_grid = dr * np.arange(n_r + 1)
-        self.matrix = self._build()
-        self.matrix.flags.writeable = False
+        self.matrix_t = self._build()
+        self.matrix_t.flags.writeable = False
 
     def _build(self) -> np.ndarray:
-        taus, r, dr = self.taus, self.r_grid, self.dr
+        taus, r, dr = self.taus, self.r_grid[:, None], self.dr
         n_tau, n_col = len(taus), len(r)
-        L = np.zeros((n_tau, n_col))
+        L = np.zeros((n_col, n_tau))
         chunk = max(1, int(4e6) // n_col)
         for lo in range(0, n_tau, chunk):
             hi = min(lo + chunk, n_tau)
-            t = taus[lo:hi, None]
-            rc = np.minimum(r[None, :], t)
+            t = taus[None, lo:hi]
+            rc = np.minimum(r, t)
             s = np.sqrt(np.maximum(t * t - rc * rc, 0.0))
             a = 0.5 * t * t * np.arcsin(rc / t) - 0.5 * rc * s
-            d_i0 = s[:, :-1] - s[:, 1:]
-            d_i1 = a[:, 1:] - a[:, :-1]
-            L[lo:hi, :-1] += (r[None, 1:] * d_i0 - d_i1) / dr
-            L[lo:hi, 1:] += (d_i1 - r[None, :-1] * d_i0) / dr
+            d_i0 = s[:-1] - s[1:]
+            d_i1 = a[1:] - a[:-1]
+            L[:-1, lo:hi] += (r[1:] * d_i0 - d_i1) / dr
+            L[1:, lo:hi] += (d_i1 - r[:-1] * d_i0) / dr
         return L
 
 
@@ -129,17 +132,18 @@ def _traces(p: Phantom, points: np.ndarray, wm: _WaveMap,
 
     A point's radius window [j_lo, j_hi] covers its distance to the bounding
     circle of the support, with two grid steps of margin on each side.  The
-    windows of all points are stacked into one (center, radius) row list,
-    evaluated in _CHUNK_ROWS pieces, and each point's slice of means goes
-    through its own columns of the wave map.
+    windows of all points are stacked into one (center, radius) row list and
+    evaluated in _CHUNK_ROWS pieces; the means, placed at their radius
+    columns, form a sparse (points, radius nodes) table whose product with
+    the wave map gives every point's w at once.
     """
     center, rho = bounding_circle(p)
     d = np.hypot(points[:, 0] - center[0], points[:, 1] - center[1])
     n_col = len(wm.r_grid)
     j_lo = np.maximum(0, np.floor((d - rho) / wm.dr).astype(int) - 2)
     j_hi = np.minimum(n_col - 1, np.ceil((d + rho) / wm.dr).astype(int) + 2)
-    live = j_lo < n_col - 1  # otherwise the wave has not arrived by t_max
-    counts = np.where(live, j_hi - j_lo + 1, 0)
+    # no rows for a point the wave does not reach by t_max
+    counts = np.where(j_lo < n_col - 1, j_hi - j_lo + 1, 0)
     ends = np.cumsum(counts)
     starts = ends - counts
     n_rows = int(counts.sum())
@@ -155,11 +159,9 @@ def _traces(p: Phantom, points: np.ndarray, wm: _WaveMap,
     chunks = parallel_map(run, range(0, n_rows, _CHUNK_ROWS), threads)
     means = np.concatenate(chunks) if chunks else np.zeros(0)
 
-    out = np.zeros((len(points), wm.n_time))
-    for i in np.flatnonzero(live):
-        w = wm.matrix[:, j_lo[i]:j_hi[i] + 1] @ means[starts[i]:ends[i]]
-        out[i] = np.diff(w) / wm.dt
-    return out
+    table = csr_array((means, cols, np.concatenate([[0], ends])),
+                      shape=(len(points), n_col))
+    return np.diff(table @ wm.matrix_t, axis=1) / wm.dt
 
 
 def wave_trace(p: Phantom, x, geom: BoundaryGeometry) -> np.ndarray:

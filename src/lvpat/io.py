@@ -12,6 +12,7 @@ sections, so identical runs produce identical files.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -67,6 +68,13 @@ class _Reader:
         return out
 
 
+def _decode(raw: bytes, encoding: str, what: str) -> str:
+    try:
+        return raw.decode(encoding)
+    except UnicodeDecodeError:
+        raise ContainerFormatError(f"{what} is not {encoding} text") from None
+
+
 def read_container(data: bytes):
     """Parse container bytes back into a list of (name, value) pairs."""
     rd = _Reader(data)
@@ -77,7 +85,7 @@ def read_container(data: bytes):
         raise ContainerFormatError(f"unsupported container version {version}")
     sections = []
     for _ in range(count):
-        name = rd.take(16).rstrip(b"\0").decode("ascii")
+        name = _decode(rd.take(16).rstrip(b"\0"), "ascii", "section name")
         kind, rank = struct.unpack("<II", rd.take(8))
         dims = struct.unpack(f"<{rank}I", rd.take(4 * rank)) if rank else ()
         (length,) = struct.unpack("<Q", rd.take(8))
@@ -85,12 +93,11 @@ def read_container(data: bytes):
         if kind == KIND_TEXT:
             if rank != 0:
                 raise ContainerFormatError("metadata section with nonzero rank")
-            sections.append((name, payload.decode("utf-8")))
+            sections.append((name, _decode(payload, "utf-8", f"section {name!r}")))
         elif kind == KIND_TENSOR:
-            expected = 8 * int(np.prod(dims, dtype=np.int64)) if rank else 8
             if rank == 0:
                 raise ContainerFormatError("tensor section with rank 0")
-            if length != expected:
+            if length != 8 * math.prod(dims):
                 raise ContainerFormatError(
                     f"section {name!r}: payload length {length} != dims {dims}")
             arr = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()

@@ -206,6 +206,25 @@ class TestSubcommands:
         assert rc == 2
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token, encoding", [(b"meta", "ascii"),
+                                                 (b"gamma1", "utf-8")],
+                             ids=["name", "text"])
+    def test_extend_undecodable_container_is_config_error(
+            self, tmp_path, smoke_config, capsys, token, encoding):
+        from lvpat.forward import Part, WaveData
+        from lvpat.io import write_wave_data
+        data_path = tmp_path / "data.patb"
+        write_wave_data(WaveData(Part.GAMMA1, np.arange(3), 0.1, 4,
+                                 np.zeros((3, 4)), "cafef00d"), data_path)
+        blob = bytearray(data_path.read_bytes())
+        blob[blob.index(token)] = 0xFF
+        data_path.write_bytes(bytes(blob))
+        rc = main(["extend", "--config", str(smoke_config),
+                   "--model", str(tmp_path / "model_4x2.patb"),
+                   "--data", str(data_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"not {encoding}" in capsys.readouterr().err
+
 
 class TestExperiment:
 

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -69,6 +70,65 @@ class TestContainer:
         blob[12 + 16 + 8] = 5  # claim 5 rows instead of 2
         with pytest.raises(ContainerFormatError):
             read_container(bytes(blob))
+
+    @pytest.mark.parametrize("where, encoding", [(12, "ascii"), (50, "utf-8")],
+                             ids=["name", "text"])
+    def test_undecodable_bytes_rejected(self, where, encoding):
+        # byte 12 starts the first section name, byte 50 lies in its text
+        blob = bytearray(write_container([("meta", '{"key": "value"}')]))
+        blob[where] = 0xFF
+        with pytest.raises(ContainerFormatError, match=f"not {encoding}"):
+            read_container(bytes(blob))
+
+    def test_dims_beyond_int64_rejected(self):
+        # 2**22 * 2**21 * 2**21 = 2**64 elements: a product in int64 wraps to
+        # 0 and would match this empty payload
+        blob = (b"PATB" + struct.pack("<II", 1, 1) + b"x".ljust(16, b"\0")
+                + struct.pack("<5IQ", 0, 3, 2 ** 22, 2 ** 21, 2 ** 21, 0))
+        with pytest.raises(ContainerFormatError, match="payload length"):
+            read_container(blob)
+
+    @staticmethod
+    def u32_offsets(blob) -> list:
+        """Offsets of every u32 field of a valid container: the version, the
+        section count, and per section the kind, rank, dims and both halves
+        of the u64 byte length."""
+        offsets, pos = [4, 8], 12
+        for _ in range(struct.unpack_from("<I", blob, 8)[0]):
+            rank = struct.unpack_from("<I", blob, pos + 20)[0]
+            offsets += [pos + 16 + 4 * k for k in range(2 + rank)]
+            pos += 24 + 4 * rank
+            offsets += [pos, pos + 4]
+            pos += 8 + struct.unpack_from("<Q", blob, pos)[0]
+        return offsets
+
+    def test_fuzzed_containers_raise_only_format_errors(self):
+        # seeded truncations, bit flips and u32 fields overwritten with huge
+        # values: each mutant parses or raises ContainerFormatError
+        meta = json.dumps({"part": "gamma1", "dt": 0.25, "n_time": 4,
+                           "fingerprint": "cafef00d"})
+        blob = write_container([("meta", meta),
+                                ("node_idx", np.array([3.0, 5.0, 8.0])),
+                                ("samples", np.arange(12.0).reshape(3, 4))])
+        offsets = self.u32_offsets(blob)
+        assert offsets[-1] + 4 + 96 == len(blob)
+        rng = np.random.default_rng(6)
+        rejected = 0
+        for trial in range(3000):
+            mutant = bytearray(blob)
+            if trial % 3 == 0:
+                mutant = mutant[:rng.integers(0, len(blob))]
+            elif trial % 3 == 1:
+                for bit in rng.integers(0, 8 * len(blob), rng.integers(1, 4)):
+                    mutant[bit // 8] ^= 1 << (bit % 8)
+            else:
+                huge = int(rng.choice([2 ** 31, 2 ** 32 - 1, 2 ** 30 + 7]))
+                struct.pack_into("<I", mutant, int(rng.choice(offsets)), huge)
+            try:
+                read_container(bytes(mutant))
+            except ContainerFormatError:
+                rejected += 1
+        assert rejected > 2000
 
     def test_long_name_rejected(self):
         with pytest.raises(ParameterError):
