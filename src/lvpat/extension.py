@@ -8,7 +8,8 @@ c and combine sum_j c_j * u2_j.  The Gram matrix is factorized once
 every extension.
 
 The traces are two contiguous tensors, U1 (n, |gamma1|, T) and U2
-(n, |gamma2|, T): the Gram matrix is one GEMM, extension two GEMVs.
+(n, |gamma2|, T): the Gram matrix is a blocked SYRK over gamma1 nodes,
+extension two GEMVs.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve
+from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpotrf
 
 from ._util import cholesky_lower
@@ -27,13 +29,14 @@ from .errors import (ContainerFormatError, DataMismatchError, ParameterError,
 from .forward import Part, WaveData, _support_sample_points, simulate_wave_data
 from .geometry import (BoundaryGeometry, BoundarySplit,
                        detection_region_contains)
-from .io import (finite_section, node_index_section, read_container,
-                 write_container)
+from .io import (dump_container, finite_section, node_index_section,
+                 read_container)
 from .phantoms import (SquareIndicator, WeightedSum, phantom_from_dict,
                        phantom_to_dict)
 
 RIDGE_START = 1e-12
 RIDGE_CAP = 1e-6
+GRAM_BLOCK_NODES = 16
 
 
 @dataclass
@@ -146,11 +149,22 @@ def _gamma1_inner_weights(ts: TrainingSet, geom: BoundaryGeometry) -> np.ndarray
 
 
 def gram_matrix(ts: TrainingSet, geom: BoundaryGeometry) -> np.ndarray:
-    """Pairwise discrete inner products of the gamma1 training traces."""
-    w = _gamma1_inner_weights(ts, geom)
-    u = ts.u1_samples.reshape(ts.n, -1)
-    gram = (ts.u1_samples * w[:, None]).reshape(ts.n, -1) @ u.T
-    return 0.5 * (gram + gram.T)
+    """Pairwise discrete inner products of the gamma1 training traces.
+
+    Accumulated over blocks of GRAM_BLOCK_NODES gamma1 nodes in node order:
+    each block, scaled by sqrt(weight), adds its X @ X.T through one SYRK
+    into the lower triangle, which is mirrored at the end.  So the result is
+    exactly symmetric and the only copy of U1 is one block.
+    """
+    root = np.sqrt(_gamma1_inner_weights(ts, geom))
+    gram = np.zeros((ts.n, ts.n), order="F")
+    for lo in range(0, len(root), GRAM_BLOCK_NODES):
+        blk = slice(lo, lo + GRAM_BLOCK_NODES)
+        x = (ts.u1_samples[:, blk] * root[blk, None]).reshape(ts.n, -1)
+        # x.T is x's buffer in Fortran order, so dsyrk makes no copy
+        gram = dsyrk(1.0, x.T, beta=1.0, c=gram, trans=1, lower=1,
+                     overwrite_c=1)
+    return np.tril(gram) + np.tril(gram, -1).T
 
 
 def factorize(gram: np.ndarray, ridge_start: float = RIDGE_START,
@@ -266,7 +280,7 @@ def save_model(model: ExtensionModel, path) -> None:
         ("u2", ts.u2_samples),
     ]
     with open(path, "wb") as fh:
-        fh.write(write_container(sections))
+        dump_container(sections, fh)
 
 
 def load_model(path, expected_fingerprint: str | None = None) -> ExtensionModel:

@@ -11,11 +11,15 @@ integrated with a composite trapezoid of step ~dt, interpolating q linearly
 in time.  Contributions beyond t_max are neglected.
 
 The inner integral is linear in q, and the times and the radius grid
-R_j = j*dt/2 are the same at every node, so the per-node radial tables of all
-nodes are one product Q @ K.T with a fixed Abel matrix K (n_R x n_time),
-cached per (dt, n_time, n_R).  The image is then the interpolated boundary
-sum over the tables.  `oracle.backproject_point` evaluates the quadrature
-directly at single points and serves as the reference.
+R_j = (j+1)*dt/2 are the same at every node, so the per-node radial tables of
+all nodes are one product Q @ K.T with a fixed Abel matrix K (n_R x n_time),
+cached per (dt, n_time, n_R).  The interpolated boundary sum over the tables
+is linear too: a sparse matrix B (masked pixels x nodes*n_R) holds, per
+(pixel, node) pair, the weight w_i <nu_i, x-x_i> split over the two radius
+nodes around |x-x_i|, so the image is B @ tables.ravel().  B is built once
+per grid, node set and radius grid and kept for the next call.
+`oracle.backproject_point` evaluates the quadrature directly at single
+points and serves as the reference.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import DataMismatchError, ParameterError
 from .forward import Part, WaveData
@@ -84,13 +89,65 @@ def _abel_matrix(dt: float, n_time: int, n_r: int) -> np.ndarray:
     return k
 
 
+_BLOCK_PIXELS = 256  # bounds the build's temporaries to 256 x nodes per array
+
+
+@lru_cache(maxsize=1)
+def _boundary_operator(grid: GridSpec, positions: bytes, normals: bytes,
+                       weights: bytes, dt: float, n_r: int) -> csr_array:
+    """Read-only B with B @ tables.ravel() the interpolated boundary sum.
+
+    Rows are the masked pixels in `grid.points()[mask]` order; column
+    i*n_r + j belongs to node i and radius R_j = (j+1)*dt/2.  Each (pixel x,
+    node i) pair has the two entries w_i <nu_i, x-x_i> (1-f) and
+    w_i <nu_i, x-x_i> f at j and j+1, where |x-x_i| lies in [R_j, R_j+1] at
+    fraction f, clamped to R_0 below like `np.interp`.  Rows hold their
+    entries in node order, so their columns ascend.  The node arrays come as
+    bytes so that they can key the cache.
+    """
+    pos = np.frombuffer(positions).reshape(-1, 2)
+    nrm = np.frombuffer(normals).reshape(-1, 2)
+    wts = np.frombuffer(weights)
+    pts = grid.points()[grid.mask()]
+    n_pix, n_nodes = len(pts), len(wts)
+    nnz = 2 * n_pix * n_nodes
+    index = np.int64 if max(nnz, n_nodes * n_r) >= 2 ** 31 else np.int32
+    data = np.empty((n_pix, n_nodes, 2))
+    indices = np.empty((n_pix, n_nodes, 2), dtype=index)
+    base = n_r * np.arange(n_nodes, dtype=index)
+    d_r = 0.5 * dt
+    for lo in range(0, n_pix, _BLOCK_PIXELS):
+        blk = pts[lo:lo + _BLOCK_PIXELS]
+        dx = blk[:, 0, None] - pos[:, 0]
+        dy = blk[:, 1, None] - pos[:, 1]
+        c = wts * (nrm[:, 0] * dx + nrm[:, 1] * dy)
+        s = np.hypot(dx, dy) / d_r - 1.0
+        j = np.clip(np.floor(s), 0, n_r - 2).astype(index)
+        f = np.clip(s - j, 0.0, 1.0)
+        rows = slice(lo, lo + len(blk))
+        data[rows, :, 0] = c * (1.0 - f)
+        data[rows, :, 1] = c * f
+        indices[rows, :, 0] = base + j
+        indices[rows, :, 1] = base + j + 1
+    indptr = np.arange(0, nnz + 1, 2 * n_nodes, dtype=index)
+    b = csr_array((data.reshape(-1), indices.reshape(-1), indptr),
+                  shape=(n_pix, n_nodes * n_r))
+    for arr in (b.data, b.indices, b.indptr):
+        arr.flags.writeable = False
+    return b
+
+
 def reconstruct(u: WaveData, geom: BoundaryGeometry, grid: GridSpec,
                 threads: int = 1) -> ImageField:
     """Back-projection image on the grid; cells outside the domain are masked.
 
     Requires full-boundary data: apply `extension.stitch` or
-    `extension.zero_extend` to limited-view data first.  `threads` is
-    accepted and ignored; the result does not depend on it.
+    `extension.zero_extend` to limited-view data first.  The image is the
+    filter, the Abel tables Q @ K.T and one product with the cached boundary
+    operator B (see `_boundary_operator`).  B stores 24 bytes per (masked
+    pixel, node) pair and stays in memory until a call with another grid,
+    node set or time step replaces it.  `threads` is accepted and ignored;
+    the result does not depend on it.
     """
     if u.part is not Part.FULL:
         raise DataMismatchError(
@@ -99,9 +156,6 @@ def reconstruct(u: WaveData, geom: BoundaryGeometry, grid: GridSpec,
         raise ParameterError("reconstruction grid needs a domain for masking")
 
     q = ubp_filter(u)
-    mask = grid.mask()
-    flat_pts = grid.points()[mask]
-
     pos = geom.positions[u.node_idx]
     corners = np.array([
         [grid.origin[0], grid.origin[1]],
@@ -111,20 +165,12 @@ def reconstruct(u: WaveData, geom: BoundaryGeometry, grid: GridSpec,
     ])
     r_max = max(np.hypot(c[0] - pos[:, 0], c[1] - pos[:, 1]).max() for c in corners)
     # table step dt/2 keeps the interpolation error below the data resolution
-    d_r = 0.5 * q.dt
-    n_r = int(np.ceil(r_max / d_r)) + 2
-    r_grid = d_r * np.arange(1, n_r + 1)
+    n_r = int(np.ceil(r_max / (0.5 * q.dt))) + 2
     tables = q.samples @ _abel_matrix(q.dt, q.n_time, n_r).T
-
-    normals = geom.normals[u.node_idx]
-    weights = geom.weights[u.node_idx]
-    acc = np.zeros(len(flat_pts))
-    for i in range(len(u.node_idx)):
-        dx = flat_pts[:, 0] - pos[i, 0]
-        dy = flat_pts[:, 1] - pos[i, 1]
-        dot = normals[i, 0] * dx + normals[i, 1] * dy
-        acc += weights[i] * dot * np.interp(np.hypot(dx, dy), r_grid, tables[i])
-
+    b = _boundary_operator(grid, pos.tobytes(),
+                           geom.normals[u.node_idx].tobytes(),
+                           geom.weights[u.node_idx].tobytes(), q.dt, n_r)
+    mask = grid.mask()
     values = np.zeros(mask.shape)
-    values[mask] = kappa_even(2) * acc
+    values[mask] = kappa_even(2) * (b @ tables.reshape(-1))
     return ImageField(origin=grid.origin, h=grid.h, values=values, domain_mask=mask)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from io import BytesIO
 
 import numpy as np
 
@@ -30,9 +31,11 @@ KIND_TEXT = 1
 _U32_MAX = 2 ** 32 - 1
 
 
-def write_container(sections) -> bytes:
-    """Serialize (name, value) pairs; value is an ndarray or a str."""
-    chunks = [MAGIC, struct.pack("<II", VERSION, len(sections))]
+def dump_container(sections, fh) -> None:
+    """Write (name, value) pairs to the binary file fh; value is an ndarray
+    or a str.  Every header is checked before the first byte is written, and
+    tensors go to the file from their own buffers, without a bytes copy."""
+    parts = []
     for name, value in sections:
         raw_name = name.encode("ascii")
         if len(raw_name) > 16:
@@ -40,27 +43,37 @@ def write_container(sections) -> bytes:
         header = raw_name.ljust(16, b"\0")
         if isinstance(value, str):
             payload = value.encode("utf-8")
-            chunks.append(header + struct.pack("<II", KIND_TEXT, 0)
-                          + struct.pack("<Q", len(payload)))
-            chunks.append(payload)
+            header += struct.pack("<IIQ", KIND_TEXT, 0, len(payload))
         else:
-            arr = np.ascontiguousarray(value, dtype="<f8")
-            if any(d > _U32_MAX for d in arr.shape):
+            payload = np.ascontiguousarray(value, dtype="<f8")
+            if any(d > _U32_MAX for d in payload.shape):
                 raise ParameterError("tensor dimension exceeds u32 range")
-            payload = arr.tobytes()
-            chunks.append(header + struct.pack("<II", KIND_TENSOR, arr.ndim)
-                          + struct.pack(f"<{arr.ndim}I", *arr.shape)
-                          + struct.pack("<Q", len(payload)))
-            chunks.append(payload)
-    return b"".join(chunks)
+            header += (struct.pack("<II", KIND_TENSOR, payload.ndim)
+                       + struct.pack(f"<{payload.ndim}I", *payload.shape)
+                       + struct.pack("<Q", payload.nbytes))
+        parts.append((header, payload))
+    fh.write(MAGIC + struct.pack("<II", VERSION, len(parts)))
+    for header, payload in parts:
+        fh.write(header)
+        fh.write(payload)
+
+
+def write_container(sections) -> bytes:
+    """The bytes `dump_container` writes for these sections."""
+    buf = BytesIO()
+    dump_container(sections, buf)
+    return buf.getvalue()
 
 
 class _Reader:
+    """Consumes a container's bytes through a memoryview, so taking a
+    payload copies nothing."""
+
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise ContainerFormatError("container truncated")
         out = self.data[self.pos:self.pos + n]
@@ -85,7 +98,7 @@ def read_container(data: bytes):
         raise ContainerFormatError(f"unsupported container version {version}")
     sections = []
     for _ in range(count):
-        name = _decode(rd.take(16).rstrip(b"\0"), "ascii", "section name")
+        name = _decode(bytes(rd.take(16)).rstrip(b"\0"), "ascii", "section name")
         kind, rank = struct.unpack("<II", rd.take(8))
         dims = struct.unpack(f"<{rank}I", rd.take(4 * rank)) if rank else ()
         (length,) = struct.unpack("<Q", rd.take(8))
@@ -93,7 +106,8 @@ def read_container(data: bytes):
         if kind == KIND_TEXT:
             if rank != 0:
                 raise ContainerFormatError("metadata section with nonzero rank")
-            sections.append((name, _decode(payload, "utf-8", f"section {name!r}")))
+            sections.append((name, _decode(bytes(payload), "utf-8",
+                                           f"section {name!r}")))
         elif kind == KIND_TENSOR:
             if rank == 0:
                 raise ContainerFormatError("tensor section with rank 0")
@@ -134,7 +148,7 @@ def write_wave_data(w: WaveData, path) -> None:
     sections = [("meta", meta), ("node_idx", w.node_idx.astype(float)),
                 ("samples", w.samples)]
     with open(path, "wb") as fh:
-        fh.write(write_container(sections))
+        dump_container(sections, fh)
 
 
 def read_wave_data(path) -> WaveData:
@@ -153,7 +167,7 @@ def write_image_field(f: ImageField, path) -> None:
     sections = [("meta", meta), ("values", f.values),
                 ("mask", f.domain_mask.astype(float))]
     with open(path, "wb") as fh:
-        fh.write(write_container(sections))
+        dump_container(sections, fh)
 
 
 def read_image_field(path) -> ImageField:

@@ -6,11 +6,11 @@ import pytest
 
 from lvpat.errors import (ContainerFormatError, DataMismatchError,
                           ParameterError, SingularTrainingSetError)
-from lvpat.extension import (TrainingSet, build_training_set,
-                             coarsen_training_set, extend, factorize,
-                             gram_matrix, load_model, project_coefficients,
-                             save_model, stitch, train_extension_model,
-                             zero_extend)
+from lvpat.extension import (GRAM_BLOCK_NODES, TrainingSet,
+                             build_training_set, coarsen_training_set, extend,
+                             factorize, gram_matrix, load_model,
+                             project_coefficients, save_model, stitch,
+                             train_extension_model, zero_extend)
 from lvpat.forward import Part, WaveData, restrict_wave_data, simulate_wave_data
 from lvpat.metrics import boundary_time_inner, boundary_time_norm
 from lvpat.phantoms import SquareIndicator, WeightedSum, training_partition
@@ -135,6 +135,10 @@ class TestGramAndFactorization:
         want = np.array([[boundary_time_inner(a, b, geom) for b in u1]
                          for a in u1])
         assert np.abs(gram - want).max() <= 1e-12 * np.abs(want).max()
+        # the gamma1 node count is no multiple of the node block, so the
+        # last block is a partial one
+        assert len(ts.u1_idx) % GRAM_BLOCK_NODES != 0
+        assert np.array_equal(gram, gram.T)
 
     def test_identity_factorizes_with_zero_ridge(self):
         chol, ridge = factorize(np.eye(5))

@@ -1,16 +1,60 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from lvpat.errors import DataMismatchError, ParameterError
+from lvpat.extension import zero_extend
 from lvpat.forward import Part, WaveData, simulate_wave_data
 from lvpat.geometry import EllipseDomain, build_boundary, split_boundary
-from lvpat.inversion import _abel_matrix, kappa_even, reconstruct, ubp_filter
+from lvpat.inversion import (_abel_matrix, _boundary_operator, kappa_even,
+                             reconstruct, ubp_filter)
 from lvpat.metrics import e2_error
 from lvpat.oracle import _abel_inner, backproject_point
 from lvpat.phantoms import (EllipseIndicator, GridSpec, SquareIndicator,
                             rasterize)
 
 from conftest import TEST_PHANTOM
+
+
+def loop_reconstruct(u, geom, grid):
+    """Reference image for `reconstruct`: the boundary sum node by node,
+    np.interp of each node's radial table at |x - x_i|."""
+    q = ubp_filter(u)
+    mask = grid.mask()
+    flat_pts = grid.points()[mask]
+    pos = geom.positions[u.node_idx]
+    corners = np.array([
+        [grid.origin[0], grid.origin[1]],
+        [grid.origin[0] + grid.h * (grid.nx - 1), grid.origin[1]],
+        [grid.origin[0], grid.origin[1] + grid.h * (grid.ny - 1)],
+        [grid.origin[0] + grid.h * (grid.nx - 1), grid.origin[1] + grid.h * (grid.ny - 1)],
+    ])
+    r_max = max(np.hypot(c[0] - pos[:, 0], c[1] - pos[:, 1]).max() for c in corners)
+    d_r = 0.5 * q.dt
+    n_r = int(np.ceil(r_max / d_r)) + 2
+    r_grid = d_r * np.arange(1, n_r + 1)
+    tables = q.samples @ _abel_matrix(q.dt, q.n_time, n_r).T
+    normals = geom.normals[u.node_idx]
+    weights = geom.weights[u.node_idx]
+    acc = np.zeros(len(flat_pts))
+    for i in range(len(u.node_idx)):
+        dx = flat_pts[:, 0] - pos[i, 0]
+        dy = flat_pts[:, 1] - pos[i, 1]
+        dot = normals[i, 0] * dx + normals[i, 1] * dy
+        acc += weights[i] * dot * np.interp(np.hypot(dx, dy), r_grid, tables[i])
+    values = np.zeros(mask.shape)
+    values[mask] = kappa_even(2) * acc
+    return values
+
+
+def assert_matches_loop(u, geom, grid, rel=1e-12):
+    field = reconstruct(u, geom, grid)
+    want = loop_reconstruct(u, geom, grid)[grid.mask()]
+    diff = field.values[grid.mask()] - want
+    assert np.linalg.norm(diff) <= rel * np.linalg.norm(want)
+    assert np.abs(diff).max() <= rel * np.abs(want).max()
+    return field
 
 
 def synthetic_full(geom, fn):
@@ -200,3 +244,97 @@ class TestReconstruct:
         one = reconstruct(full, medium_geom, small_grid, threads=1)
         two = reconstruct(full, medium_geom, small_grid, threads=4)
         assert np.array_equal(one.values, two.values)
+
+
+class TestBoundaryOperator:
+
+    @pytest.mark.parametrize("case", ["square", "ellipse", "zero-extended"])
+    def test_matches_per_node_loop(self, case, medium_geom, medium_split,
+                                   small_grid):
+        if case == "square":
+            full = simulate_wave_data(SquareIndicator(-1.0, -0.5, -0.5, -0.1),
+                                      medium_geom, medium_split, Part.FULL)
+        elif case == "ellipse":
+            full = simulate_wave_data(TEST_PHANTOM, medium_geom, medium_split,
+                                      Part.FULL)
+        else:
+            full = zero_extend(simulate_wave_data(
+                TEST_PHANTOM, medium_geom, medium_split, Part.GAMMA1),
+                medium_geom, medium_split)
+        assert_matches_loop(full, medium_geom, small_grid)
+
+    def test_lower_clamp_and_exact_grid_radius(self, domain):
+        # dyadic dt, grid and node positions make distances exact: node 0 sits
+        # 0.01 < dt/2 from the pixel (1, 0), so np.interp clamps to the first
+        # radius there; node 1 sits exactly 5*dt/2 from the pixel (0.5, 0.25)
+        geom = build_boundary(domain, spacing_target=0.125, dt=0.0625,
+                              t_max=8.0)
+        pos = geom.positions.copy()
+        pos[0] = (1.01, 0.0)
+        pos[1] = (0.5 + 5 * 0.03125, 0.25)
+        geom = dataclasses.replace(geom, positions=pos)
+        grid = GridSpec(origin=(-2.25, -1.25), h=0.0625, nx=73, ny=41,
+                        domain=domain)
+        pts = grid.points()
+        assert grid.mask()[52, 20] and np.all(pts[52, 20] == (1.0, 0.0))
+        assert grid.mask()[44, 24] and np.all(pts[44, 24] == (0.5, 0.25))
+        assert np.hypot(*(pts[52, 20] - pos[0])) < 0.5 * geom.dt
+        assert np.hypot(*(pts[44, 24] - pos[1])) == 5 * 0.5 * geom.dt
+        # random traces give every radius of the tables its own value
+        rng = np.random.default_rng(11)
+        data = WaveData(Part.FULL, np.arange(geom.n_nodes), geom.dt,
+                        geom.n_time,
+                        rng.standard_normal((geom.n_nodes, geom.n_time)), "dyadic")
+        assert_matches_loop(data, geom, grid)
+
+    def test_second_call_hits_cache(self, medium_geom, medium_split,
+                                    small_grid):
+        full = simulate_wave_data(TEST_PHANTOM, medium_geom, medium_split,
+                                  Part.FULL)
+        first = reconstruct(full, medium_geom, small_grid)
+        info = _boundary_operator.cache_info()
+        again = reconstruct(full, medium_geom, small_grid)
+        assert _boundary_operator.cache_info().hits == info.hits + 1
+        assert _boundary_operator.cache_info().misses == info.misses
+        assert np.array_equal(first.values, again.values)
+
+    @pytest.mark.parametrize("change", ["weights", "normals", "origin"])
+    def test_inputs_that_differ_get_their_own_operator(
+            self, change, medium_geom, medium_split, small_grid):
+        full = simulate_wave_data(TEST_PHANTOM, medium_geom, medium_split,
+                                  Part.FULL)
+        nodes = np.arange(medium_geom.n_nodes)
+        geom, grid = medium_geom, small_grid
+        if change == "weights":
+            geom = dataclasses.replace(
+                geom, weights=geom.weights * (1.5 + np.sin(nodes)))
+        elif change == "normals":
+            a = 0.2 * np.sin(nodes)
+            n = geom.normals
+            geom = dataclasses.replace(geom, normals=np.stack(
+                [np.cos(a) * n[:, 0] - np.sin(a) * n[:, 1],
+                 np.sin(a) * n[:, 0] + np.cos(a) * n[:, 1]], axis=1))
+        else:
+            grid = dataclasses.replace(
+                grid, origin=(grid.origin[0] + grid.h / 3, grid.origin[1]))
+        base = assert_matches_loop(full, medium_geom, small_grid)
+        misses = _boundary_operator.cache_info().misses
+        other = assert_matches_loop(full, geom, grid)
+        assert _boundary_operator.cache_info().misses == misses + 1
+        mask = small_grid.mask() & grid.mask()
+        assert not np.allclose(other.values[mask], base.values[mask])
+
+    def test_operator_is_read_only_with_int32_indices(self, medium_geom,
+                                                      small_grid):
+        b = _boundary_operator(small_grid, medium_geom.positions.tobytes(),
+                               medium_geom.normals.tobytes(),
+                               medium_geom.weights.tobytes(),
+                               medium_geom.dt, 200)
+        n_pix = int(small_grid.mask().sum())
+        assert b.shape == (n_pix, 200 * medium_geom.n_nodes)
+        assert b.nnz == 2 * n_pix * medium_geom.n_nodes
+        assert b.indices.dtype == b.indptr.dtype == np.int32
+        for arr in (b.data, b.indices, b.indptr):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -6,9 +7,9 @@ import pytest
 
 from lvpat.errors import ContainerFormatError, ParameterError
 from lvpat.forward import Part, WaveData
-from lvpat.io import (export_csv, export_pgm, read_container, read_image_field,
-                      read_wave_data, write_container, write_image_field,
-                      write_wave_data)
+from lvpat.io import (dump_container, export_csv, export_pgm, read_container,
+                      read_image_field, read_wave_data, write_container,
+                      write_image_field, write_wave_data)
 from lvpat.metrics import ErrorReport
 from lvpat.phantoms import ImageField
 
@@ -29,6 +30,51 @@ class TestContainer:
         a = write_container([("x", arr), ("m", "meta")])
         b = write_container([("x", arr.copy()), ("m", "meta")])
         assert a == b
+
+    def test_bytes_match_pinned_reference(self):
+        # sha256 of the container this section list has always produced: text
+        # with a non-ASCII character, an empty tensor, a Fortran-ordered
+        # tensor (written row-major) and an integer one (written as float64)
+        sections = [("meta", '{"dt": 0.25, "note": "\u00e9"}'),
+                    ("empty", np.zeros((0, 3))),
+                    ("ramp", np.arange(12.0).reshape(3, 4) / 7.0),
+                    ("fortran", np.asfortranarray(
+                        np.arange(6.0).reshape(2, 3) - 2.5)),
+                    ("ints", np.array([3, 5, 8]))]
+        blob = write_container(sections)
+        assert len(blob) == 394
+        assert hashlib.sha256(blob).hexdigest() == (
+            "e052ab3a969e86b177a7300a5a69d29238961583fa2d9add25d9beeee16c04a9")
+
+    def test_files_match_pinned_reference(self, tmp_path):
+        # sha256 of the files the wave-data and image writers have always
+        # produced for these inputs
+        w = WaveData(Part.GAMMA1, np.array([3, 5, 8]), 0.25, 4,
+                     np.arange(12.0).reshape(3, 4) / 3.0, "cafef00d")
+        write_wave_data(w, tmp_path / "w.patb")
+        vals = np.arange(6.0).reshape(2, 3) / 9.0
+        write_image_field(ImageField((-1.0, 0.5), 0.125, vals, vals > 0.2),
+                          tmp_path / "f.patb")
+        digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                  for name in ("w.patb", "f.patb")}
+        assert digest == {
+            "w.patb": "7450721c5625cb526a4181a5535a0f74f3652aa21afcecd7fd76e158daeafa73",
+            "f.patb": "68df11591d8000ac04456dfd85df0c2c74de977196a60430274658d0f5467066"}
+
+    def test_long_name_leaves_file_empty(self, tmp_path):
+        # headers are checked before anything is written
+        path = tmp_path / "c.patb"
+        with open(path, "wb") as fh:
+            with pytest.raises(ParameterError):
+                dump_container([("x", np.ones(3)), ("y" * 17, "text")], fh)
+        assert path.read_bytes() == b""
+
+    def test_read_tensors_own_their_data(self):
+        blob = write_container([("x", np.arange(4.0)), ("m", "meta")])
+        (_, arr), _ = read_container(blob)
+        assert arr.base is None and arr.flags.writeable
+        arr[0] = 9.0
+        assert read_container(blob)[0][1][0] == 0.0
 
     def test_empty_section_list(self):
         blob = write_container([])
