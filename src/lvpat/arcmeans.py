@@ -4,9 +4,10 @@ The circular mean of an indicator equals (angular measure of the circle arcs
 inside the support) / (2*pi).  For boxes it is closed form: the arcs inside
 the band x_lo <= x <= x_hi (arccos of the clipped edge offsets) overlap the
 arcs inside y_lo <= y <= y_hi (arcsin likewise).  Ellipse crossing angles
-are the roots of a degree-4 polynomial in z = exp(i*beta) (batched companion
-eigenvalues, then Newton polishing).  Weighted sums combine term measures
-linearly, so linear combinations of phantoms produce exactly linear wave data.
+are the real roots of a quartic in the tangent half-angle, solved row by row
+in closed form (Ferrari, Cardano) and polished by Newton steps.  Weighted
+sums combine term measures linearly, so linear combinations of phantoms
+produce exactly linear wave data.
 
 A table row is one (center, radius) pair: the center is either one point
 shared by every radius or one point per radius, so the whole boundary of a
@@ -85,14 +86,72 @@ def _box_arc_measures(sq: SquareIndicator, cx, cy, radii: np.ndarray) -> np.ndar
     return np.where(r > 0, measure, TWO_PI * sq.evaluate(center))
 
 
+_CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi / 3 * np.arange(3))
+_QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])  # exp(i*phi), phi = k*pi/2
+
+
+def _monic_quartic_roots(a, b, c, d) -> np.ndarray:
+    """All roots of z^4 + a z^3 + b z^2 + c z + d, shape (n, 4), row by row.
+
+    Ferrari's method.  With z = y - a/4 the quartic is y^4 + p y^2 + q y + r,
+    which factors as (y^2 - s y + k + q/(2s)) (y^2 + s y + k - q/(2s)) with
+    k = p/2 + m and s^2 = 2m for any root m of the resolvent cubic
+    m^3 + p m^2 + (p^2/4 - r) m - q^2/8.  Cardano solves the cubic; its root
+    of largest modulus, refined by one Newton step, keeps s away from 0 (s = 0
+    needs p = q = r = 0, a fourfold root, where q/(2s) is taken as 0).  The
+    quadratics are solved without cancellation, and two Newton steps on the
+    quartic remove the rounding of the closed form.
+    """
+    h = 0.25 * a
+    p = b - 6.0 * h * h
+    q = c - (2.0 * b - 8.0 * h * h) * h
+    r = d - (c - (b - 3.0 * h * h) * h) * h
+    e1, e0 = 0.25 * p * p - r, -0.125 * q * q
+    # Cardano on t^3 + P t + Q with m = t - p/3; of the two cubes u^3 pick the
+    # larger, so that -Q/2 and the square root do not cancel
+    P = e1 - p * p / 3.0
+    Q = (2.0 * p * p - 9.0 * e1) * p / 27.0 + e0
+    root = np.sqrt(0.25 * Q * Q + P * P * P / 27.0)
+    u3 = np.where(np.abs(root - 0.5 * Q) >= np.abs(root + 0.5 * Q),
+                  root - 0.5 * Q, -root - 0.5 * Q)
+    u = (np.cbrt(np.abs(u3)) * np.exp(1j / 3.0 * np.angle(u3)))[:, None] \
+        * _CUBE_ROOTS_OF_UNITY
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.where(u != 0, u - P[:, None] / (3.0 * u), 0.0) - p[:, None] / 3.0
+        m = np.take_along_axis(m, np.argmax(np.abs(m), axis=1)[:, None], axis=1)[:, 0]
+        f = ((m + p) * m + e1) * m + e0
+        fp = (3.0 * m + 2.0 * p) * m + e1
+        m = m - np.where(fp != 0, f / fp, 0.0)
+        s = np.sqrt(2.0 * m)
+        k = 0.5 * p + m
+        g = np.where(s != 0, q / (2.0 * s), 0.0)
+        # y^2 + B y + C: the root -(B +- sqrt(B^2 - 4C))/2 of larger modulus,
+        # then C over it
+        qb = np.stack([-s, s], axis=1)
+        qc = np.stack([k + g, k - g], axis=1)
+        sq = np.sqrt(qb * qb - 4.0 * qc)
+        big = -0.5 * np.where(np.abs(qb + sq) >= np.abs(qb - sq), qb + sq, qb - sq)
+        z = np.concatenate([big, np.where(big != 0, qc / big, 0.0)], axis=1) \
+            - h[:, None]
+        a, b, c, d = (np.reshape(x, (-1, 1)) for x in (a, b, c, d))
+        for _ in range(2):
+            f = (((z + a) * z + b) * z + c) * z + d
+            fp = ((4.0 * z + 3.0 * a) * z + 2.0 * b) * z + c
+            z = z - np.where(fp != 0, f / fp, 0.0)
+    return z
+
+
 def _ellipse_arc_measures(el: EllipseIndicator, cx, cy,
                           radii: np.ndarray) -> np.ndarray:
     """Crossings of circles with the ellipse via the unit-circle quartic.
 
     In the ellipse frame (offset v, semi-axes a, b) the crossing condition is
-    A cos^2(beta) + B cos(beta) + C sin(beta) + D = 0; with z = exp(i*beta)
-    this becomes A z^4 + (2B - 2iC) z^3 + (2A + 4D) z^2 + (2B + 2iC) z + A = 0,
-    whose unit-modulus roots are the crossing angles.
+    g(beta) = A cos^2(beta) + B cos(beta) + C sin(beta) + D = 0; with
+    z = exp(i*beta) this becomes
+    A z^4 + (2B - 2iC) z^3 + (2A + 4D) z^2 + (2B + 2iC) z + A = 0, whose
+    unit-modulus roots are the crossing angles.  They are found as the real
+    roots t of the same quartic after the change z = exp(i*phi)(1 + it)/(1 - it),
+    by `_monic_quartic_roots`, and polished on g(beta).
     """
     ca, sa = np.cos(el.rotation), np.sin(el.rotation)
     dx, dy = cx - el.center[0], cy - el.center[1]
@@ -112,26 +171,36 @@ def _ellipse_arc_measures(el: EllipseIndicator, cx, cy,
 
     if np.any(quartic):
         idx = np.flatnonzero(quartic)
-        a4 = A[idx].astype(complex)
-        comp = np.zeros((len(idx), 4, 4), dtype=complex)
-        comp[:, 1, 0] = 1.0
-        comp[:, 2, 1] = 1.0
-        comp[:, 3, 2] = 1.0
-        comp[:, 0, 3] = -A[idx] / a4
-        comp[:, 1, 3] = -(2.0 * B[idx] + 2.0j * C[idx]) / a4
-        comp[:, 2, 3] = -(2.0 * A[idx] + 4.0 * D[idx]) / a4
-        comp[:, 3, 3] = -(2.0 * B[idx] - 2.0j * C[idx]) / a4
-        roots = np.linalg.eigvals(comp)
-        on_circle = np.abs(np.abs(roots) - 1.0) < 1e-6
-        beta = np.where(on_circle, np.angle(roots), np.nan)
-        # Newton polish on g(beta) to remove companion rounding
-        An, Bn, Cn, Dn = (A[idx, None], B[idx, None], C[idx, None], D[idx, None])
-        for _ in range(3):
-            cb, sb = np.cos(beta), np.sin(beta)
-            g = An * cb * cb + Bn * cb + Cn * sb + Dn
-            gp = -2.0 * An * cb * sb - Bn * sb + Cn * cb
-            step = np.where(np.abs(gp) > 1e-300, g / gp, 0.0)
-            beta = beta - np.clip(step, -0.1, 0.1)
+        # In z the roots spread from |z| ~ |A|/scale to its inverse, and the
+        # closed form loses the unit-modulus ones to cancellation once |A|
+        # falls below about 1e-4 * scale (nearly circular ellipses, small
+        # circles).  In t = tan((beta - phi)/2) the unit circle is the real
+        # line, and g is g(phi + pi) t^4 + 2C t^3 + 2(D - A) t^2 + 2C t + g(phi)
+        # in the coefficients A, B, C, D of beta - phi.  Of phi = 0, pi/2, pi,
+        # 3pi/2 the one with the largest |g(phi + pi)| >= scale/2 bounds every
+        # root by |t| < 7.
+        Aq, Bq, Cq, Dq = A[idx], B[idx], C[idx], D[idx]
+        turns = np.stack([(Aq, Bq, Cq, Dq), (-Aq, Cq, -Bq, Aq + Dq),
+                          (Aq, -Bq, -Cq, Dq), (-Aq, -Cq, Bq, Aq + Dq)])
+        k = np.argmax(np.abs(turns[:, 0] - turns[:, 1] + turns[:, 3]), axis=0)
+        Ak, Bk, Ck, Dk = np.take_along_axis(turns, k[None, None], axis=0)[0]
+        lead = (Ak - Bk + Dk).astype(complex)
+        t = _monic_quartic_roots(2.0 * Ck / lead, 2.0 * (Dk - Ak) / lead,
+                                 2.0 * Ck / lead, (Ak + Bk + Dk) / lead)
+        # t = +-i maps to z = 0 or infinity; an exact double root gives 0/0
+        # in the polish; np.where discards both
+        with np.errstate(divide="ignore", invalid="ignore"):
+            roots = _QUARTER_TURNS[k, None] * (1.0 + 1.0j * t) / (1.0 - 1.0j * t)
+            on_circle = np.abs(np.abs(roots) - 1.0) < 1e-6
+            beta = np.where(on_circle, np.angle(roots), np.nan)
+            # Newton polish on g(beta) to remove the closed form's rounding
+            An, Bn, Cn, Dn = (A[idx, None], B[idx, None], C[idx, None], D[idx, None])
+            for _ in range(3):
+                cb, sb = np.cos(beta), np.sin(beta)
+                g = An * cb * cb + Bn * cb + Cn * sb + Dn
+                gp = -2.0 * An * cb * sb - Bn * sb + Cn * cb
+                step = np.where(np.abs(gp) > 1e-300, g / gp, 0.0)
+                beta = beta - np.clip(step, -0.1, 0.1)
         # beta is the angle in the ellipse frame; world angle adds the rotation
         cand[idx] = (beta + el.rotation) % TWO_PI
 

@@ -141,17 +141,21 @@ def reconstruct(u: WaveData, geom: BoundaryGeometry, grid: GridSpec,
                 threads: int = 1) -> ImageField:
     """Back-projection image on the grid; cells outside the domain are masked.
 
-    Requires full-boundary data: apply `extension.stitch` or
-    `extension.zero_extend` to limited-view data first.  The image is the
-    filter, the Abel tables Q @ K.T and one product with the cached boundary
-    operator B (see `_boundary_operator`).  B stores 24 bytes per (masked
-    pixel, node) pair and stays in memory until a call with another grid,
-    node set or time step replaces it.  `threads` is accepted and ignored;
-    the result does not depend on it.
+    Requires full-boundary data over every node of `geom`, in node order:
+    apply `extension.stitch` or `extension.zero_extend` to limited-view data
+    first.  The image is the filter, the Abel tables Q @ K.T and one product
+    with the cached boundary operator B (see `_boundary_operator`).  B
+    stores 24 bytes per (masked pixel, node) pair and stays in memory until a
+    call with another grid, node set or time step replaces it.  `threads` is
+    accepted and ignored; the result does not depend on it.
     """
     if u.part is not Part.FULL:
         raise DataMismatchError(
             "reconstruct requires full-boundary data; stitch or zero-extend first")
+    if not np.array_equal(u.node_idx, np.arange(geom.n_nodes)):
+        raise DataMismatchError(
+            f"full-boundary data must hold nodes 0..{geom.n_nodes - 1} of the "
+            f"geometry in order; got {len(u.node_idx)} node indices")
     if grid.domain is None:
         raise ParameterError("reconstruction grid needs a domain for masking")
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import lvpat.forward as forward
-from lvpat.arcmeans import exact_mean_table
+from lvpat.arcmeans import (_measures_from_candidates, _monic_quartic_roots,
+                            exact_mean_table)
 from lvpat.errors import ParameterError
 from lvpat.forward import (_CHUNK_ROWS, Part, _wave_map, restrict_wave_data,
                            simulate_wave_data, wave_trace)
@@ -56,6 +57,95 @@ BOX_EDGE_ROWS = {
     "inside": ((0.0, 0.25), 0.3, 1.0),
     "enclosing": ((0.0, 0.25), 1.0, 0.0),
 }
+
+
+def companion_roots(a, b, c, d):
+    """Roots of z^4 + a z^3 + b z^2 + c z + d as companion eigenvalues."""
+    comp = np.zeros((len(a), 4, 4), dtype=complex)
+    comp[:, 1, 0] = comp[:, 2, 1] = comp[:, 3, 2] = 1.0
+    comp[:, :, 3] = -np.stack([d, c, b, a], axis=1)
+    return np.linalg.eigvals(comp)
+
+
+def companion_arc_measures(el, cx, cy, radii):
+    """The ellipse arc measure as computed before the closed-form solver:
+    unit-modulus companion eigenvalues of the quartic in z = exp(i*beta),
+    kept as the reference for the closed form."""
+    ca, sa = np.cos(el.rotation), np.sin(el.rotation)
+    dx, dy = cx - el.center[0], cy - el.center[1]
+    v1 = ca * dx + sa * dy
+    v2 = -sa * dx + ca * dy
+    ia2, ib2 = 1.0 / el.semi_a ** 2, 1.0 / el.semi_b ** 2
+    r = radii
+    A = r * r * (ia2 - ib2)
+    B = 2.0 * v1 * r * ia2
+    C = 2.0 * v2 * r * ib2
+    D = v1 * v1 * ia2 + v2 * v2 * ib2 + r * r * ib2 - 1.0
+    cand = np.full((len(r), 4), np.nan)
+    scale = np.maximum.reduce([np.abs(A), np.abs(B), np.abs(C), np.abs(D),
+                               np.full_like(A, 1e-300)])
+    quartic = np.abs(A) > 1e-12 * scale
+    idx = np.flatnonzero(quartic)
+    Aq, Bq, Cq, Dq = A[idx], B[idx], C[idx], D[idx]
+    roots = companion_roots((2.0 * Bq - 2.0j * Cq) / Aq,
+                            (2.0 * Aq + 4.0 * Dq) / Aq + 0j,
+                            (2.0 * Bq + 2.0j * Cq) / Aq, np.ones(len(idx)) + 0j)
+    on_circle = np.abs(np.abs(roots) - 1.0) < 1e-6
+    beta = np.where(on_circle, np.angle(roots), np.nan)
+    An, Bn, Cn, Dn = (A[idx, None], B[idx, None], C[idx, None], D[idx, None])
+    for _ in range(3):
+        cb, sb = np.cos(beta), np.sin(beta)
+        g = An * cb * cb + Bn * cb + Cn * sb + Dn
+        gp = -2.0 * An * cb * sb - Bn * sb + Cn * cb
+        step = np.where(np.abs(gp) > 1e-300, g / gp, 0.0)
+        beta = beta - np.clip(step, -0.1, 0.1)
+    cand[idx] = (beta + el.rotation) % (2 * np.pi)
+    lin = np.flatnonzero(~quartic & (r > 0))
+    amp = np.hypot(B[lin], C[lin])
+    gamma = np.arctan2(C[lin], B[lin])
+    ratio = np.where(amp > 0, -D[lin] / np.where(amp > 0, amp, 1.0), 2.0)
+    ok = np.abs(ratio) <= 1.0
+    delta = np.arccos(np.clip(ratio, -1.0, 1.0))
+    cand[lin, 0] = np.where(ok, (gamma + delta + el.rotation) % (2 * np.pi), np.nan)
+    cand[lin, 1] = np.where(ok, (gamma - delta + el.rotation) % (2 * np.pi), np.nan)
+    return _measures_from_candidates(cand, el, cx, cy, radii)
+
+
+# An axis-aligned ellipse with dyadic center and semi-axes, so that centers on
+# its axes give exactly B = 0 or C = 0, and concentric circles B = C = 0.
+AXIS_ELLIPSE = EllipseIndicator((0.25, -0.125), 0.5, 0.25, 0.0)
+
+
+def axis_ellipse_rows():
+    """(center, radius, tangent) rows of AXIS_ELLIPSE that are degenerate for
+    the quartic: concentric circles (the depressed quartic has q = 0),
+    centers on the major (C = 0) and minor (B = 0) axes, radii within 1e-9 of
+    tangency, and small circles about an interior center."""
+    c = np.array(AXIS_ELLIPSE.center)
+    a, b = AXIS_ELLIPSE.semi_a, AXIS_ELLIPSE.semi_b
+    rows = [(c, r, False) for r in (0.1, 0.2, 0.3, 0.37, 0.45, 0.6, 1.5)]
+    rows += [(c, r + e, True) for r in (a, b) for e in (-1e-9, 0.0, 1e-9)]
+    for axis in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
+        for u in (0.125, 0.375, 0.75, 1.5):
+            rows += [(c + u * axis, r, False) for r in (0.0625, 0.3, 0.55, 1.2)]
+        # inside tangent at the vertex from the center side, and outside
+        # tangent from beyond the vertex
+        vertex = a if axis[0] else b
+        rows += [(c + 0.0625 * axis, vertex - 0.0625 + e, True)
+                 for e in (-1e-9, 1e-9)]
+        rows += [(c + (vertex + 0.5) * axis, 0.5 + e, True)
+                 for e in (-1e-9, 1e-9)]
+    inner = c + np.array([0.0625, 0.03125])
+    rows += [(inner, r, False) for r in (1e-9, 1e-6, 1e-3, 0.05)]
+    return rows
+
+
+def concentric_mean(el, r):
+    """Closed-form circular mean of an axis-aligned ellipse (a > b) about
+    its center: the circle is inside where sin^2(beta) < s0."""
+    ia2, ib2 = 1.0 / el.semi_a ** 2, 1.0 / el.semi_b ** 2
+    s0 = (1.0 / r ** 2 - ia2) / (ib2 - ia2)
+    return 4.0 * np.arcsin(np.sqrt(np.clip(s0, 0.0, 1.0))) / (2 * np.pi)
 
 
 def draw_checkpoints(p, x, geom, rng, count):
@@ -137,6 +227,59 @@ class TestCircularMean:
         want = np.concatenate([exact_mean_table(p, c, r[None])
                                for c, r in zip(centers, radii)])
         assert got.tobytes() == want.tobytes()
+
+    def test_quartic_roots_match_companion_eigenvalues(self):
+        rng = np.random.default_rng(31)
+        a, b, c, d = (rng.standard_normal((4, 20000))
+                      + 1j * rng.standard_normal((4, 20000)))
+        got = _monic_quartic_roots(a, b, c, d)
+        want = companion_roots(a, b, c, d)
+        # nearest neighbour both ways, relative to max(1, |root|)
+        dist = np.abs(got[:, :, None] - want[:, None, :])
+        scale = np.maximum(1.0, np.abs(want))[:, None, :]
+        assert np.all(np.isfinite(got))
+        assert (dist / scale).min(axis=1).max() <= 1e-10
+        assert (dist / scale).min(axis=2).max() <= 1e-10
+
+    def test_ellipse_table_matches_companion_path(self):
+        rng = np.random.default_rng(32)
+        # eccentric and nearly circular ellipses: in z = exp(i*beta) the
+        # latter spread the quartic's roots over |A|/scale ~ 1e-7 and its
+        # inverse; small radii about interior centers do the same
+        ellipses = [TEST_PHANTOM, AXIS_ELLIPSE,
+                    EllipseIndicator((0.1, -0.2), 0.4, 0.13, 2.3),
+                    EllipseIndicator((-0.3, 0.25), 0.3, 0.3 / (1 + 1e-7), 0.9)]
+        worst = 0.0
+        for el in ellipses:
+            n = 30000
+            centers = rng.uniform(-2, 2, (n, 2))
+            radii = rng.uniform(0, 4, n)
+            near = slice(0, 2000)
+            centers[near] = np.array(el.center) + rng.uniform(-0.1, 0.1, (2000, 2))
+            radii[near] = 10.0 ** rng.uniform(-8, -1, 2000)
+            got = 2 * np.pi * exact_mean_table(el, centers, radii)
+            want = companion_arc_measures(el, centers[:, 0], centers[:, 1], radii)
+            worst = max(worst, np.abs(got - want).max())
+        assert worst <= 1e-12
+
+    def test_degenerate_ellipse_rows(self):
+        rows = axis_ellipse_rows()
+        centers = np.array([c for c, _, _ in rows])
+        radii = np.array([r for _, r, _ in rows])
+        got = exact_mean_table(AXIS_ELLIPSE, centers, radii)
+        assert not np.any(np.isnan(got))
+        assert np.all((got >= 0.0) & (got <= 1.0))
+        c = np.array(AXIS_ELLIPSE.center)
+        for (center, r, tangent), value in zip(rows, got):
+            if np.array_equal(center, c):
+                # tangency costs sqrt(eps) at the double root
+                tol = 1e-6 if tangent else 1e-12
+                assert abs(value - concentric_mean(AXIS_ELLIPSE, r)) <= tol
+            if not tangent:
+                want = exact_circular_mean(AXIS_ELLIPSE, center, r)
+                assert abs(value - want) <= 1e-12
+        # small circles about the interior center lie inside
+        assert np.all(got[-4:] == 1.0)
 
     def test_mismatched_center_shape_rejected(self):
         with pytest.raises(ParameterError):

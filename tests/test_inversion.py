@@ -232,6 +232,23 @@ class TestReconstruct:
         with pytest.raises(DataMismatchError):
             reconstruct(g1, medium_geom, small_grid)
 
+    def test_node_beyond_geometry_rejected(self, medium_geom, small_grid):
+        data = synthetic_full(medium_geom, lambda t: t * t)
+        idx = data.node_idx.copy()
+        idx[-1] = medium_geom.n_nodes
+        with pytest.raises(DataMismatchError):
+            reconstruct(dataclasses.replace(data, node_idx=idx), medium_geom,
+                        small_grid)
+
+    def test_subset_of_nodes_rejected(self, medium_geom, small_grid):
+        # full-boundary data of a coarser boundary: fewer nodes than geom
+        data = synthetic_full(medium_geom, lambda t: t * t)
+        keep = np.arange(0, medium_geom.n_nodes, 2)
+        subset = dataclasses.replace(data, node_idx=keep,
+                                     samples=data.samples[keep])
+        with pytest.raises(DataMismatchError):
+            reconstruct(subset, medium_geom, small_grid)
+
     def test_grid_needs_domain(self, medium_geom):
         data = synthetic_full(medium_geom, lambda t: t * t)
         bare = GridSpec(origin=(-1, -1), h=0.1, nx=21, ny=21, domain=None)
