@@ -192,15 +192,20 @@ def _ellipse_arc_measures(el: EllipseIndicator, cx, cy,
         with np.errstate(divide="ignore", invalid="ignore"):
             roots = _QUARTER_TURNS[k, None] * (1.0 + 1.0j * t) / (1.0 - 1.0j * t)
             on_circle = np.abs(np.abs(roots) - 1.0) < 1e-6
-            beta = np.where(on_circle, np.angle(roots), np.nan)
-            # Newton polish on g(beta) to remove the closed form's rounding
-            An, Bn, Cn, Dn = (A[idx, None], B[idx, None], C[idx, None], D[idx, None])
+            beta = np.full(roots.shape, np.nan)
+            # Newton polish on g(beta) to remove the closed form's rounding,
+            # on the slots of roots on the circle only
+            live = np.nonzero(on_circle)
+            b = np.angle(roots[live])
+            rows = idx[live[0]]
+            An, Bn, Cn, Dn = A[rows], B[rows], C[rows], D[rows]
             for _ in range(3):
-                cb, sb = np.cos(beta), np.sin(beta)
+                cb, sb = np.cos(b), np.sin(b)
                 g = An * cb * cb + Bn * cb + Cn * sb + Dn
                 gp = -2.0 * An * cb * sb - Bn * sb + Cn * cb
                 step = np.where(np.abs(gp) > 1e-300, g / gp, 0.0)
-                beta = beta - np.clip(step, -0.1, 0.1)
+                b = b - np.clip(step, -0.1, 0.1)
+            beta[live] = b
         # beta is the angle in the ellipse frame; world angle adds the rotation
         cand[idx] = (beta + el.rotation) % TWO_PI
 

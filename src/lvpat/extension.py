@@ -287,7 +287,9 @@ def load_model(path, expected_fingerprint: str | None = None) -> ExtensionModel:
     """Load a model container; optionally verify the geometry fingerprint.
 
     Tensors must be finite and sized to the phantom count, node indices and
-    n_time; the Gram matrix is refactorized, so it must pass `factorize`.
+    n_time; the node indices of gamma1 and gamma2 must partition
+    0 .. |gamma1| + |gamma2| - 1; the Gram matrix is refactorized, so it must
+    pass `factorize`.
     """
     with open(path, "rb") as fh:
         sections = dict(read_container(fh.read()))
@@ -296,6 +298,13 @@ def load_model(path, expected_fingerprint: str | None = None) -> ExtensionModel:
         raise DataMismatchError("model belongs to a different geometry/split")
     u1_idx = node_index_section("u1_idx", sections["u1_idx"])
     u2_idx = node_index_section("u2_idx", sections["u2_idx"])
+    if np.intersect1d(u1_idx, u2_idx).size:
+        raise ContainerFormatError("sections 'u1_idx' and 'u2_idx' share node indices")
+    # distinct indices, all below their count: exactly 0 .. n_nodes - 1
+    n_nodes = len(u1_idx) + len(u2_idx)
+    if np.any(u1_idx >= n_nodes) or np.any(u2_idx >= n_nodes):
+        raise ContainerFormatError(f"sections 'u1_idx' and 'u2_idx' do not "
+                                   f"cover the nodes 0 .. {n_nodes - 1}")
     phantoms = [phantom_from_dict(d) for d in meta["phantoms"]]
     n, n_time = len(phantoms), int(meta["n_time"])
     for name, shape in (("gram", (n, n)), ("weights", (len(u1_idx),)),

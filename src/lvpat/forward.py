@@ -5,17 +5,22 @@ u(x, t) = d/dt [ w(x, t) ],   w(x, t) = int_0^t M_r(x) r / sqrt(t^2 - r^2) dr,
 where M_r(x) is the circular mean of f over the circle of radius r about x.
 
 Per phantom, the implementation tabulates M_r once for every observation
-point: each point gets a window of a uniform radius grid that covers the
-support annulus, and all (point, radius) rows go through one exact
-arc-measure mean table (see `arcmeans`).  The means form one sparse matrix,
-a row per point holding its window, and one sparse product with a cached
-linear map, the closed-form integral of the piecewise-linear interpolant
-against the Abel weight, gives w at staggered half-step times for every
-point; a centered difference along time yields u.  The time derivative
+point and every term of the phantom (a square or an ellipse is one term, a
+weighted sum has one per nonzero coefficient).  Each (point, term) pair gets
+a window of a uniform radius grid that covers the term's support annulus,
+and all (point, radius) rows of a term go through the exact arc-measure
+mean table (see `arcmeans`), scaled by the term's coefficient.  The means
+form one sparse matrix, a row per point holding the windows of all terms
+(where windows overlap, a row holds several entries of one column).  One
+sparse product with a cached linear map then gives u at every sample time:
+the map is the closed-form integral of the piecewise-linear interpolant
+against the Abel weight at staggered half-step times, centrally differenced
+in time and divided by dt once when it is built.  The time derivative
 therefore sees an exact integral of the tabulated means, which keeps the
-differencing stable.  `threads` splits the rows into chunks of a fixed size
-and evaluates the chunks' mean tables in parallel; the chunk bounds do not
-depend on the thread count, so neither do the output bytes.
+differencing stable.  `threads` splits two things: the mean-table rows, in
+chunks of a fixed size per term, and the product, in blocks of whole table
+rows with about as many entries as a chunk.  Neither set of bounds depends
+on the thread count, so neither do the output bytes.
 
 The radius grid and the mean values depend on the phantom only through
 pointwise evaluation, so simulated data is linear in the phantom to rounding
@@ -36,15 +41,20 @@ from ._util import parallel_map
 from .arcmeans import exact_mean_table
 from .errors import DataMismatchError, ParameterError
 from .geometry import BoundaryGeometry, BoundarySplit, detection_region_contains
-from .phantoms import Phantom, bounding_circle
+from .phantoms import (EllipseIndicator, Phantom, SquareIndicator, WeightedSum,
+                       bounding_circle)
 
 # mean-table radius step as a fraction of dt; dt/4 keeps the interpolation
 # error of the square-root onset of circular means well under the data scale
 _DR_FACTOR = 0.25
 
-# (center, radius) rows per mean-table call.  Chunks are what `threads`
-# spreads over workers; their bounds depend only on the row count, so the
-# output bytes do not depend on the thread count.
+# (center, radius) rows per mean-table call, and table entries per block of
+# the product with the wave map (a block holds whole table rows and ends once
+# it has this many entries).  Chunks and blocks are what `threads` spreads
+# over workers; their bounds depend only on the table, so the output bytes
+# do not depend on the thread count.  Smaller product blocks cost more than
+# they save: a training cell's product at step 0.04 (about 5k entries,
+# 1.5 ms whole) took 2.2 ms in blocks of 64 rows on one thread, 4.0 ms on two.
 _CHUNK_ROWS = 2 ** 14
 
 
@@ -83,14 +93,16 @@ class WaveData:
 
 
 class _WaveMap:
-    """Linear map from a circular-mean table to w((k+1/2)dt), k = 0..n_time.
+    """Linear map from a circular-mean table to u(k*dt), k = 1..n_time.
 
-    Means are piecewise linear on the uniform radius grid j*dr.  Each matrix
-    entry is the closed-form integral of a hat basis function against
-    r / sqrt(tau^2 - r^2) over [0, tau], using
+    Means are piecewise linear on the uniform radius grid j*dr.  The wave
+    potential w at the half-step times tau_k = (k + 1/2)dt, k = 0..n_time, is
+    a sum over hat basis functions, each the closed-form integral of the hat
+    against r / sqrt(tau^2 - r^2) over [0, tau], using
         int r / sqrt(tau^2-r^2) dr   = -sqrt(tau^2-r^2)
         int r^2 / sqrt(tau^2-r^2) dr = tau^2/2 asin(r/tau) - r/2 sqrt(tau^2-r^2).
-    `matrix_t` is the map transposed: (radius nodes, half-step times).
+    `diff_t` holds these integrals differenced between consecutive half-step
+    times and divided by dt, transposed: (radius nodes, n_time).
     """
 
     def __init__(self, dt: float, n_time: int, dr: float):
@@ -100,25 +112,32 @@ class _WaveMap:
         self.taus = (np.arange(n_time + 1) + 0.5) * dt
         n_r = int(np.ceil(self.taus[-1] / dr)) + 1
         self.r_grid = dr * np.arange(n_r + 1)
-        self.matrix_t = self._build()
-        self.matrix_t.flags.writeable = False
+        self.diff_t = self._build()
+        self.diff_t.flags.writeable = False
 
     def _build(self) -> np.ndarray:
+        """The differenced map, built in blocks of sample times.
+
+        A block evaluates the integrals at its half-step times plus the next
+        one, so no undifferenced matrix of the full size is held.
+        """
         taus, r, dr = self.taus, self.r_grid[:, None], self.dr
-        n_tau, n_col = len(taus), len(r)
-        L = np.zeros((n_col, n_tau))
+        n_col = len(r)
+        out = np.empty((n_col, self.n_time))
         chunk = max(1, int(4e6) // n_col)
-        for lo in range(0, n_tau, chunk):
-            hi = min(lo + chunk, n_tau)
-            t = taus[None, lo:hi]
+        for lo in range(0, self.n_time, chunk):
+            hi = min(lo + chunk, self.n_time)
+            t = taus[None, lo:hi + 1]
             rc = np.minimum(r, t)
             s = np.sqrt(np.maximum(t * t - rc * rc, 0.0))
             a = 0.5 * t * t * np.arcsin(rc / t) - 0.5 * rc * s
             d_i0 = s[:-1] - s[1:]
             d_i1 = a[1:] - a[:-1]
-            L[:-1, lo:hi] += (r[1:] * d_i0 - d_i1) / dr
-            L[1:, lo:hi] += (d_i1 - r[:-1] * d_i0) / dr
-        return L
+            w = np.zeros((n_col, hi + 1 - lo))
+            w[:-1] += (r[1:] * d_i0 - d_i1) / dr
+            w[1:] += (d_i1 - r[:-1] * d_i0) / dr
+            out[:, lo:hi] = np.diff(w, axis=1) / self.dt
+        return out
 
 
 @lru_cache(maxsize=4)
@@ -130,38 +149,62 @@ def _traces(p: Phantom, points: np.ndarray, wm: _WaveMap,
             threads: int = 1) -> np.ndarray:
     """Traces u(x, k*dt), k = 1..n_time, at each row x of points (m, 2).
 
-    A point's radius window [j_lo, j_hi] covers its distance to the bounding
-    circle of the support, with two grid steps of margin on each side.  The
-    windows of all points are stacked into one (center, radius) row list and
-    evaluated in _CHUNK_ROWS pieces; the means, placed at their radius
-    columns, form a sparse (points, radius nodes) table whose product with
-    the wave map gives every point's w at once.
+    For every nonzero term of the phantom, a point's radius window
+    [j_lo, j_hi] covers its distance to the bounding circle of that term's
+    support, with two grid steps of margin on each side.  Each term's
+    windows are stacked into one (center, radius) row list and evaluated in
+    _CHUNK_ROWS pieces; the means, scaled by the term's coefficient and
+    placed at their radius columns, form one sparse (points, radius nodes)
+    table, whose product with the differenced wave map gives every trace.
     """
-    center, rho = bounding_circle(p)
-    d = np.hypot(points[:, 0] - center[0], points[:, 1] - center[1])
-    n_col = len(wm.r_grid)
-    j_lo = np.maximum(0, np.floor((d - rho) / wm.dr).astype(int) - 2)
-    j_hi = np.minimum(n_col - 1, np.ceil((d + rho) / wm.dr).astype(int) + 2)
-    # no rows for a point the wave does not reach by t_max
-    counts = np.where(j_lo < n_col - 1, j_hi - j_lo + 1, 0)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    n_rows = int(counts.sum())
+    terms = p.terms if isinstance(p, WeightedSum) else ((1.0, p),)
+    terms = [(coef, q) for coef, q in terms if coef != 0.0]
+    m, n_col = len(points), len(wm.r_grid)
+    j_lo = np.zeros((len(terms), m), dtype=int)
+    counts = np.zeros((len(terms), m), dtype=int)
+    for k, (_, q) in enumerate(terms):
+        center, rho = bounding_circle(q)
+        d = np.hypot(points[:, 0] - center[0], points[:, 1] - center[1])
+        j_lo[k] = np.maximum(0, np.floor((d - rho) / wm.dr).astype(int) - 2)
+        j_hi = np.minimum(n_col - 1, np.ceil((d + rho) / wm.dr).astype(int) + 2)
+        # no rows for a point the wave does not reach by t_max
+        counts[k] = np.where(j_lo[k] < n_col - 1, j_hi - j_lo[k] + 1, 0)
+    # a point's table row holds its windows in term order
+    indptr = np.concatenate([[0], np.cumsum(counts.sum(axis=0))])
+    offsets = indptr[:-1] + np.cumsum(counts, axis=0) - counts
 
-    cols = np.arange(n_rows) + np.repeat(j_lo - starts, counts)
-    centers = np.repeat(points, counts, axis=0)
-    radii = wm.r_grid[cols]
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=int)
+    rows = []  # per term: (centers, radii, positions in the table)
+    for k in range(len(terms)):
+        starts = np.cumsum(counts[k]) - counts[k]
+        n = np.arange(counts[k].sum())
+        cols = n + np.repeat(j_lo[k] - starts, counts[k])
+        at = n + np.repeat(offsets[k] - starts, counts[k])
+        indices[at] = cols
+        rows.append((np.repeat(points, counts[k], axis=0), wm.r_grid[cols], at))
 
-    def run(lo: int) -> np.ndarray:
+    def run(task) -> None:
+        k, lo = task
+        centers, radii, at = rows[k]
         hi = lo + _CHUNK_ROWS
-        return exact_mean_table(p, centers[lo:hi], radii[lo:hi])
+        data[at[lo:hi]] = terms[k][0] * exact_mean_table(
+            terms[k][1], centers[lo:hi], radii[lo:hi])
 
-    chunks = parallel_map(run, range(0, n_rows, _CHUNK_ROWS), threads)
-    means = np.concatenate(chunks) if chunks else np.zeros(0)
+    parallel_map(run, [(k, lo) for k, (_, radii, _) in enumerate(rows)
+                       for lo in range(0, len(radii), _CHUNK_ROWS)], threads)
+    table = csr_array((data, indices, indptr), shape=(m, n_col))
 
-    table = csr_array((means, cols, np.concatenate([[0], ends])),
-                      shape=(len(points), n_col))
-    return np.diff(table @ wm.matrix_t, axis=1) / wm.dt
+    out = np.empty((m, wm.n_time))
+    starts = np.searchsorted(indptr, np.arange(_CHUNK_ROWS, indptr[-1], _CHUNK_ROWS))
+    bounds = np.unique(np.concatenate([[0], starts, [m]]))
+
+    def product(block) -> None:
+        lo, hi = block
+        out[lo:hi] = table[lo:hi] @ wm.diff_t
+
+    parallel_map(product, zip(bounds[:-1], bounds[1:]), threads)
+    return out
 
 
 def wave_trace(p: Phantom, x, geom: BoundaryGeometry) -> np.ndarray:
@@ -175,7 +218,6 @@ def wave_trace(p: Phantom, x, geom: BoundaryGeometry) -> np.ndarray:
 
 def _support_sample_points(p: Phantom) -> np.ndarray:
     """Points outlining the support; used for containment checks."""
-    from .phantoms import EllipseIndicator, SquareIndicator, WeightedSum
     if isinstance(p, SquareIndicator):
         return np.array([[p.x_lo, p.y_lo], [p.x_lo, p.y_hi],
                          [p.x_hi, p.y_lo], [p.x_hi, p.y_hi]])

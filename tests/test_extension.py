@@ -390,6 +390,29 @@ class TestPersistence:
         with pytest.raises(ContainerFormatError, match=f"{section}.*{reason}"):
             load_model(path)
 
+    def test_overlapping_node_indices_rejected(self, model8, tmp_path):
+        path = tmp_path / "model.patb"
+        u1_idx = model8.training.u1_idx
+
+        def corrupt(value):
+            value[0] = u1_idx[0]
+
+        self.corrupt_section(model8, path, "u2_idx", corrupt)
+        with pytest.raises(ContainerFormatError, match="share node indices"):
+            load_model(path)
+
+    def test_node_index_gap_rejected(self, model8, tmp_path):
+        path = tmp_path / "model.patb"
+        ts = model8.training
+        n_nodes = len(ts.u1_idx) + len(ts.u2_idx)
+
+        def corrupt(value):
+            value[-1] = n_nodes
+
+        self.corrupt_section(model8, path, "u1_idx", corrupt)
+        with pytest.raises(ContainerFormatError, match="do not cover"):
+            load_model(path)
+
     def test_truncated_file_rejected(self, model8, tmp_path):
         path = tmp_path / "model.patb"
         save_model(model8, path)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import lvpat.forward as forward
-from lvpat.arcmeans import (_measures_from_candidates, _monic_quartic_roots,
-                            exact_mean_table)
+import lvpat.arcmeans as arcmeans
+from lvpat.arcmeans import (_QUARTER_TURNS, _measures_from_candidates,
+                            _monic_quartic_roots, exact_mean_table)
 from lvpat.errors import ParameterError
 from lvpat.forward import (_CHUNK_ROWS, Part, _wave_map, restrict_wave_data,
                            simulate_wave_data, wave_trace)
@@ -67,23 +68,30 @@ def companion_roots(a, b, c, d):
     return np.linalg.eigvals(comp)
 
 
-def companion_arc_measures(el, cx, cy, radii):
-    """The ellipse arc measure as computed before the closed-form solver:
-    unit-modulus companion eigenvalues of the quartic in z = exp(i*beta),
-    kept as the reference for the closed form."""
+def crossing_coefficients(el, cx, cy, r):
+    """A, B, C, D of g(beta) = A cos^2 + B cos + C sin + D per row, and the
+    scale of the row's largest coefficient."""
     ca, sa = np.cos(el.rotation), np.sin(el.rotation)
     dx, dy = cx - el.center[0], cy - el.center[1]
     v1 = ca * dx + sa * dy
     v2 = -sa * dx + ca * dy
     ia2, ib2 = 1.0 / el.semi_a ** 2, 1.0 / el.semi_b ** 2
-    r = radii
     A = r * r * (ia2 - ib2)
     B = 2.0 * v1 * r * ia2
     C = 2.0 * v2 * r * ib2
     D = v1 * v1 * ia2 + v2 * v2 * ib2 + r * r * ib2 - 1.0
-    cand = np.full((len(r), 4), np.nan)
     scale = np.maximum.reduce([np.abs(A), np.abs(B), np.abs(C), np.abs(D),
                                np.full_like(A, 1e-300)])
+    return A, B, C, D, scale
+
+
+def companion_arc_measures(el, cx, cy, radii):
+    """The ellipse arc measure as computed before the closed-form solver:
+    unit-modulus companion eigenvalues of the quartic in z = exp(i*beta),
+    kept as the reference for the closed form."""
+    r = radii
+    A, B, C, D, scale = crossing_coefficients(el, cx, cy, r)
+    cand = np.full((len(r), 4), np.nan)
     quartic = np.abs(A) > 1e-12 * scale
     idx = np.flatnonzero(quartic)
     Aq, Bq, Cq, Dq = A[idx], B[idx], C[idx], D[idx]
@@ -146,6 +154,64 @@ def concentric_mean(el, r):
     ia2, ib2 = 1.0 / el.semi_a ** 2, 1.0 / el.semi_b ** 2
     s0 = (1.0 / r ** 2 - ia2) / (ib2 - ia2)
     return 4.0 * np.arcsin(np.sqrt(np.clip(s0, 0.0, 1.0))) / (2 * np.pi)
+
+
+def all_slot_candidates(el, cx, cy, radii):
+    """Crossing angles of the quartic rows as computed before the polish was
+    restricted to on-circle slots: the three g(beta) Newton rounds run over
+    all four slots, NaN ones included.  NaN marks unused slots and rows
+    that are not quartic rows."""
+    r = radii
+    A, B, C, D, scale = crossing_coefficients(el, cx, cy, r)
+    cand = np.full((len(r), 4), np.nan)
+    idx = np.flatnonzero(np.abs(A) > 1e-12 * scale)
+    Aq, Bq, Cq, Dq = A[idx], B[idx], C[idx], D[idx]
+    turns = np.stack([(Aq, Bq, Cq, Dq), (-Aq, Cq, -Bq, Aq + Dq),
+                      (Aq, -Bq, -Cq, Dq), (-Aq, -Cq, Bq, Aq + Dq)])
+    k = np.argmax(np.abs(turns[:, 0] - turns[:, 1] + turns[:, 3]), axis=0)
+    Ak, Bk, Ck, Dk = np.take_along_axis(turns, k[None, None], axis=0)[0]
+    lead = (Ak - Bk + Dk).astype(complex)
+    t = _monic_quartic_roots(2.0 * Ck / lead, 2.0 * (Dk - Ak) / lead,
+                             2.0 * Ck / lead, (Ak + Bk + Dk) / lead)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = _QUARTER_TURNS[k, None] * (1.0 + 1.0j * t) / (1.0 - 1.0j * t)
+        on_circle = np.abs(np.abs(roots) - 1.0) < 1e-6
+        beta = np.where(on_circle, np.angle(roots), np.nan)
+        An, Bn, Cn, Dn = (A[idx, None], B[idx, None], C[idx, None], D[idx, None])
+        for _ in range(3):
+            cb, sb = np.cos(beta), np.sin(beta)
+            g = An * cb * cb + Bn * cb + Cn * sb + Dn
+            gp = -2.0 * An * cb * sb - Bn * sb + Cn * cb
+            step = np.where(np.abs(gp) > 1e-300, g / gp, 0.0)
+            beta = beta - np.clip(step, -0.1, 0.1)
+    cand[idx] = (beta + el.rotation) % (2 * np.pi)
+    return cand
+
+
+def undifferenced_map(wm):
+    """The hat integrals of the wave map at every half-step time, not
+    differenced: (radius nodes, n_time + 1), from the formula of _WaveMap."""
+    t, r, dr = wm.taus[None, :], wm.r_grid[:, None], wm.dr
+    rc = np.minimum(r, t)
+    s = np.sqrt(np.maximum(t * t - rc * rc, 0.0))
+    a = 0.5 * t * t * np.arcsin(rc / t) - 0.5 * rc * s
+    d_i0 = s[:-1] - s[1:]
+    d_i1 = a[1:] - a[:-1]
+    w = np.zeros((len(wm.r_grid), len(wm.taus)))
+    w[:-1] += (r[1:] * d_i0 - d_i1) / dr
+    w[1:] += (d_i1 - r[:-1] * d_i0) / dr
+    return w
+
+
+def radius_window(p, x, wm):
+    """(j_lo, j_hi) of the radius grid covering the bounding circle of p as
+    seen from x, with two steps of margin; None past the last radius node."""
+    center, rho = bounding_circle(p)
+    n_col = len(wm.r_grid)
+    d = float(np.hypot(x[0] - center[0], x[1] - center[1]))
+    j_lo = max(0, int(np.floor((d - rho) / wm.dr)) - 2)
+    j_hi = min(n_col - 1, int(np.ceil((d + rho) / wm.dr)) + 2)
+    return None if j_lo >= n_col - 1 else (j_lo, j_hi)
 
 
 def draw_checkpoints(p, x, geom, rng, count):
@@ -262,6 +328,29 @@ class TestCircularMean:
             worst = max(worst, np.abs(got - want).max())
         assert worst <= 1e-12
 
+    def test_polish_on_live_slots_matches_all_slot_polish(self, monkeypatch):
+        el = EllipseIndicator((0.1, -0.2), 0.6, 0.15, 0.7)
+        rng = np.random.default_rng(33)
+        n = 20000
+        centers = np.array(el.center) + rng.uniform(-1.0, 1.0, (n, 2))
+        radii = rng.uniform(0.0, 1.5, n)
+        # about the ellipse's center, radii between the semi-axes cross four
+        # times
+        centers[:2000] = el.center
+        radii[:2000] = rng.uniform(0.16, 0.59, 2000)
+        seen = []
+
+        def capture(cand, *args):
+            seen.append(cand.copy())
+            return _measures_from_candidates(cand, *args)
+
+        monkeypatch.setattr(arcmeans, "_measures_from_candidates", capture)
+        exact_mean_table(el, centers, radii)
+        want = all_slot_candidates(el, centers[:, 0], centers[:, 1], radii)
+        assert np.array_equal(seen[0], want, equal_nan=True)
+        crossings = np.sum(~np.isnan(want), axis=1)
+        assert {0, 2, 4} <= set(crossings.tolist())
+
     def test_degenerate_ellipse_rows(self):
         rows = axis_ellipse_rows()
         centers = np.array([c for c, _, _ in rows])
@@ -353,29 +442,66 @@ class TestSimulate:
     def test_rows_match_per_node_reference(self, domain, name, part):
         # t_max = 1.5 is shorter than the distance from the phantoms to the
         # far side of the boundary, so some rows are exactly zero.  The
-        # sparse product sums in another order than this per-node matvec,
-        # so live rows agree to 1e-12 relative, not bit for bit.
+        # reference takes one window per node, about the whole phantom's
+        # bounding circle, and the undifferenced map; the sparse product
+        # takes term windows, the differenced map and another summation
+        # order, so live rows agree to 1e-12 relative, not bit for bit.
         geom = build_boundary(domain, spacing_target=0.1, dt=0.05, t_max=1.5)
         split = split_boundary(geom, GAMMA2_INTERVAL)
         p = KERNEL_CASES[name]
         data = simulate_wave_data(p, geom, split, part)
         wm = _wave_map(geom.dt, geom.n_time)
-        center, rho = bounding_circle(p)
-        n_col = len(wm.r_grid)
+        w_t = undifferenced_map(wm)
         zero_rows = 0
         for row, i in zip(data.samples, data.node_idx):
             x = geom.positions[i]
-            d = float(np.hypot(x[0] - center[0], x[1] - center[1]))
-            j_lo = max(0, int(np.floor((d - rho) / wm.dr)) - 2)
-            j_hi = min(n_col - 1, int(np.ceil((d + rho) / wm.dr)) + 2)
-            if j_lo >= n_col - 1:
+            window = radius_window(p, x, wm)
+            if window is None:
                 want = np.zeros(geom.n_time)
                 zero_rows += 1
             else:
+                j_lo, j_hi = window
                 means = exact_mean_table(p, x, wm.r_grid[j_lo:j_hi + 1])
-                want = np.diff(means @ wm.matrix_t[j_lo:j_hi + 1]) / geom.dt
+                want = np.diff(means @ w_t[j_lo:j_hi + 1]) / geom.dt
             assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max()
         assert 0 < zero_rows < len(data.node_idx)
+
+    def test_wave_map_is_differenced_hat_integrals(self):
+        # 1100 steps build the map in two blocks of sample times
+        for dt, n_time in ((0.05, 30), (0.05, 1100)):
+            wm = forward._WaveMap(dt, n_time, forward._DR_FACTOR * dt)
+            want = np.diff(undifferenced_map(wm), axis=1) / dt
+            assert wm.diff_t.shape == want.shape == (len(wm.r_grid), n_time)
+            assert not wm.diff_t.flags.writeable
+            err = np.abs(wm.diff_t - want).max()
+            assert err <= 1e-12 * np.abs(want).max()
+
+    def test_sum_rows_follow_term_windows(self, coarse_geom, coarse_split,
+                                          monkeypatch):
+        # two terms in opposite corners of the domain: the sum's bounding
+        # circle spans both, each term's only itself
+        square = SquareIndicator(-1.5, -1.3, -0.3, -0.1)
+        ellipse = EllipseIndicator((1.3, 0.2), 0.2, 0.1, 0.5)
+        p = WeightedSum(((0.8, square), (-1.2, ellipse)))
+        calls = []
+
+        def counted(q, center, radii):
+            calls.append((q, len(radii)))
+            return exact_mean_table(q, center, radii)
+
+        monkeypatch.setattr(forward, "exact_mean_table", counted)
+        simulate_wave_data(p, coarse_geom, coarse_split, Part.FULL)
+        wm = _wave_map(coarse_geom.dt, coarse_geom.n_time)
+
+        def window_rows(q):
+            windows = [radius_window(q, x, wm) for x in coarse_geom.positions]
+            return sum(hi - lo + 1 for lo, hi in filter(None, windows))
+
+        assert not any(isinstance(q, WeightedSum) for q, _ in calls)
+        assert {q for q, _ in calls} == {square, ellipse}
+        total = sum(n for _, n in calls)
+        assert total == window_rows(square) + window_rows(ellipse)
+        assert total < 2 * window_rows(p)
 
     def test_threaded_simulation_is_identical(self, medium_geom, medium_split,
                                               monkeypatch):
@@ -396,6 +522,35 @@ class TestSimulate:
             assert len(calls) >= 3
             assert sorted(calls)[1:] == [_CHUNK_ROWS] * (len(calls) - 1)
             assert 0 < min(calls) < _CHUNK_ROWS
+        for threads in (2, 4):
+            assert runs[threads].samples.tobytes() == runs[1].samples.tobytes()
+
+    def test_threaded_sum_simulation_is_identical(self, medium_geom,
+                                                  medium_split, monkeypatch):
+        p = KERNEL_CASES["sum"]
+        calls = []
+
+        def counted(q, center, radii):
+            calls.append((q, len(radii)))
+            return exact_mean_table(q, center, radii)
+
+        monkeypatch.setattr(forward, "exact_mean_table", counted)
+        runs, chunks = {}, {}
+        for threads in (1, 2, 4):
+            calls.clear()
+            runs[threads] = simulate_wave_data(p, medium_geom, medium_split,
+                                               Part.FULL, threads=threads)
+            chunks[threads] = sorted(calls, key=lambda c: (str(c[0]), c[1]))
+        # chunk bounds do not depend on threads: per term, full chunks and
+        # one uneven last one
+        assert chunks[2] == chunks[1] and chunks[4] == chunks[1]
+        for _, q in p.terms:
+            sizes = sorted(n for term, n in chunks[1] if term == q)
+            assert len(sizes) >= 2
+            assert sizes[1:] == [_CHUNK_ROWS] * (len(sizes) - 1)
+            assert 0 < sizes[0] < _CHUNK_ROWS
+        # the table's entries span at least two product blocks
+        assert sum(n for _, n in chunks[1]) > _CHUNK_ROWS
         for threads in (2, 4):
             assert runs[threads].samples.tobytes() == runs[1].samples.tobytes()
 
