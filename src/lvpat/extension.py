@@ -292,7 +292,7 @@ def load_model(path, expected_fingerprint: str | None = None) -> ExtensionModel:
     pass `factorize`.
     """
     with open(path, "rb") as fh:
-        sections = dict(read_container(fh.read()))
+        sections = dict(read_container(fh))
     meta = json.loads(sections["meta"])
     if expected_fingerprint is not None and meta["fingerprint"] != expected_fingerprint:
         raise DataMismatchError("model belongs to a different geometry/split")

@@ -7,12 +7,15 @@ where M_r(x) is the circular mean of f over the circle of radius r about x.
 Per phantom, the implementation tabulates M_r once for every observation
 point and every term of the phantom (a square or an ellipse is one term, a
 weighted sum has one per nonzero coefficient).  Each (point, term) pair gets
-a window of a uniform radius grid that covers the term's support annulus,
-and all (point, radius) rows of a term go through the exact arc-measure
-mean table (see `arcmeans`), scaled by the term's coefficient.  The means
-form one sparse matrix, a row per point holding the windows of all terms
-(where windows overlap, a row holds several entries of one column).  One
-sparse product with a cached linear map then gives u at every sample time:
+a window of a uniform radius grid that covers the term's support annulus
+(see `phantoms.radial_extent`: exact for boxes, a rigorous enclosure for
+ellipses), and all (point, radius) rows of a term go through the exact
+arc-measure mean table (see `arcmeans`), scaled by the term's coefficient.
+The nonzero means form one sparse matrix, a row per point holding the
+windows of all terms (where windows overlap, a row holds several entries of
+one column); a mean of exactly 0.0 is not stored, since it adds exactly
++0.0 to every sum of the product.  One sparse product with a cached linear
+map then gives u at every sample time:
 the map is the closed-form integral of the piecewise-linear interpolant
 against the Abel weight at staggered half-step times, centrally differenced
 in time and divided by dt once when it is built.  The time derivative
@@ -42,7 +45,7 @@ from .arcmeans import exact_mean_table
 from .errors import DataMismatchError, ParameterError
 from .geometry import BoundaryGeometry, BoundarySplit, detection_region_contains
 from .phantoms import (EllipseIndicator, Phantom, SquareIndicator, WeightedSum,
-                       bounding_circle)
+                       ellipse_boundary_points, radial_extent)
 
 # mean-table radius step as a fraction of dt; dt/4 keeps the interpolation
 # error of the square-root onset of circular means well under the data scale
@@ -52,10 +55,16 @@ _DR_FACTOR = 0.25
 # the product with the wave map (a block holds whole table rows and ends once
 # it has this many entries).  Chunks and blocks are what `threads` spreads
 # over workers; their bounds depend only on the table, so the output bytes
-# do not depend on the thread count.  Smaller product blocks cost more than
-# they save: a training cell's product at step 0.04 (about 5k entries,
-# 1.5 ms whole) took 2.2 ms in blocks of 64 rows on one thread, 4.0 ms on two.
+# do not depend on the thread count.  Smaller pieces cost more than they
+# save: a training cell's product at step 0.04 (about 5k entries, 1.5 ms
+# whole) took 2.2 ms in blocks of 64 rows on one thread, 4.0 ms on two, and
+# mean-table chunks of 2^12 rows made a 16x8 training partition about 1.5x
+# slower at threads=2.
 _CHUNK_ROWS = 2 ** 14
+
+# map entries per block of sample times in the wave-map build, so that each
+# of the build's temporaries takes about 1 MiB whatever the map's size
+_MAP_BLOCK_ENTRIES = 2 ** 17
 
 
 class Part(Enum):
@@ -119,12 +128,15 @@ class _WaveMap:
         """The differenced map, built in blocks of sample times.
 
         A block evaluates the integrals at its half-step times plus the next
-        one, so no undifferenced matrix of the full size is held.
+        one, so no undifferenced matrix of the full size is held, and spans
+        about _MAP_BLOCK_ENTRIES map entries, so its temporaries stay near
+        1 MiB each.  Every entry is computed elementwise, so the map's bytes
+        do not depend on the block size.
         """
         taus, r, dr = self.taus, self.r_grid[:, None], self.dr
         n_col = len(r)
         out = np.empty((n_col, self.n_time))
-        chunk = max(1, int(4e6) // n_col)
+        chunk = max(1, _MAP_BLOCK_ENTRIES // n_col)
         for lo in range(0, self.n_time, chunk):
             hi = min(lo + chunk, self.n_time)
             t = taus[None, lo:hi + 1]
@@ -133,6 +145,7 @@ class _WaveMap:
             a = 0.5 * t * t * np.arcsin(rc / t) - 0.5 * rc * s
             d_i0 = s[:-1] - s[1:]
             d_i1 = a[1:] - a[:-1]
+            del rc, s, a  # free them before the next temporaries
             w = np.zeros((n_col, hi + 1 - lo))
             w[:-1] += (r[1:] * d_i0 - d_i1) / dr
             w[1:] += (d_i1 - r[:-1] * d_i0) / dr
@@ -150,12 +163,15 @@ def _traces(p: Phantom, points: np.ndarray, wm: _WaveMap,
     """Traces u(x, k*dt), k = 1..n_time, at each row x of points (m, 2).
 
     For every nonzero term of the phantom, a point's radius window
-    [j_lo, j_hi] covers its distance to the bounding circle of that term's
-    support, with two grid steps of margin on each side.  Each term's
-    windows are stacked into one (center, radius) row list and evaluated in
-    _CHUNK_ROWS pieces; the means, scaled by the term's coefficient and
-    placed at their radius columns, form one sparse (points, radius nodes)
-    table, whose product with the differenced wave map gives every trace.
+    [j_lo, j_hi] covers the term's `radial_extent` about the point (exact
+    for boxes; for ellipses from boundary samples widened by their spacing;
+    the bounding circle otherwise), with two grid steps of margin on each
+    side.  Each term's windows are stacked into one (center, radius) row
+    list and evaluated in _CHUNK_ROWS pieces; the means, scaled by the
+    term's coefficient and placed at their radius columns, form one sparse
+    (points, radius nodes) table.  Entries equal to 0.0 are dropped from it
+    (each would add exactly +0.0), and its product with the differenced
+    wave map gives every trace.
     """
     terms = p.terms if isinstance(p, WeightedSum) else ((1.0, p),)
     terms = [(coef, q) for coef, q in terms if coef != 0.0]
@@ -163,10 +179,9 @@ def _traces(p: Phantom, points: np.ndarray, wm: _WaveMap,
     j_lo = np.zeros((len(terms), m), dtype=int)
     counts = np.zeros((len(terms), m), dtype=int)
     for k, (_, q) in enumerate(terms):
-        center, rho = bounding_circle(q)
-        d = np.hypot(points[:, 0] - center[0], points[:, 1] - center[1])
-        j_lo[k] = np.maximum(0, np.floor((d - rho) / wm.dr).astype(int) - 2)
-        j_hi = np.minimum(n_col - 1, np.ceil((d + rho) / wm.dr).astype(int) + 2)
+        lo, hi = radial_extent(q, points)
+        j_lo[k] = np.maximum(0, np.floor(lo / wm.dr).astype(int) - 2)
+        j_hi = np.minimum(n_col - 1, np.ceil(hi / wm.dr).astype(int) + 2)
         # no rows for a point the wave does not reach by t_max
         counts[k] = np.where(j_lo[k] < n_col - 1, j_hi - j_lo[k] + 1, 0)
     # a point's table row holds its windows in term order
@@ -194,8 +209,10 @@ def _traces(p: Phantom, points: np.ndarray, wm: _WaveMap,
     parallel_map(run, [(k, lo) for k, (_, radii, _) in enumerate(rows)
                        for lo in range(0, len(radii), _CHUNK_ROWS)], threads)
     table = csr_array((data, indices, indptr), shape=(m, n_col))
+    table.eliminate_zeros()
 
     out = np.empty((m, wm.n_time))
+    indptr = table.indptr
     starts = np.searchsorted(indptr, np.arange(_CHUNK_ROWS, indptr[-1], _CHUNK_ROWS))
     bounds = np.unique(np.concatenate([[0], starts, [m]]))
 
@@ -222,11 +239,7 @@ def _support_sample_points(p: Phantom) -> np.ndarray:
         return np.array([[p.x_lo, p.y_lo], [p.x_lo, p.y_hi],
                          [p.x_hi, p.y_lo], [p.x_hi, p.y_hi]])
     if isinstance(p, EllipseIndicator):
-        psi = np.linspace(0, 2 * np.pi, 256, endpoint=False)
-        c, s = np.cos(p.rotation), np.sin(p.rotation)
-        bx = p.center[0] + p.semi_a * np.cos(psi) * c - p.semi_b * np.sin(psi) * s
-        by = p.center[1] + p.semi_a * np.cos(psi) * s + p.semi_b * np.sin(psi) * c
-        return np.stack([bx, by], axis=-1)
+        return ellipse_boundary_points(p, 256)
     if isinstance(p, WeightedSum):
         parts = [_support_sample_points(q) for coef, q in p.terms if coef != 0.0]
         return np.concatenate(parts) if parts else np.zeros((0, 2))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from io import BytesIO
+from io import SEEK_END, BytesIO
 
 import numpy as np
 
@@ -66,19 +66,37 @@ def write_container(sections) -> bytes:
 
 
 class _Reader:
-    """Consumes a container's bytes through a memoryview, so taking a
-    payload copies nothing."""
+    """Consumes a container from a binary file object.  Every read is
+    checked against the bytes left in the file before anything is
+    allocated for it, so a corrupt length cannot ask for more memory than
+    the file holds."""
 
-    def __init__(self, data: bytes):
-        self.data = memoryview(data)
-        self.pos = 0
+    def __init__(self, fh):
+        self.fh = fh
+        self.pos = fh.tell()
+        self.end = fh.seek(0, SEEK_END)
+        fh.seek(self.pos)
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.data):
+    def reserve(self, n: int) -> None:
+        if n > self.end - self.pos:
             raise ContainerFormatError("container truncated")
-        out = self.data[self.pos:self.pos + n]
         self.pos += n
+
+    def take(self, n: int) -> bytes:
+        self.reserve(n)
+        out = self.fh.read(n)
+        if len(out) != n:
+            raise ContainerFormatError("container truncated")
         return out
+
+    def take_tensor(self, dims) -> np.ndarray:
+        """A float64 array of shape dims, read straight from the file."""
+        nbytes = 8 * math.prod(dims)
+        self.reserve(nbytes)
+        arr = np.empty(dims, dtype="<f8")
+        if nbytes and self.fh.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
+            raise ContainerFormatError("container truncated")
+        return arr
 
 
 def _decode(raw: bytes, encoding: str, what: str) -> str:
@@ -88,9 +106,11 @@ def _decode(raw: bytes, encoding: str, what: str) -> str:
         raise ContainerFormatError(f"{what} is not {encoding} text") from None
 
 
-def read_container(data: bytes):
-    """Parse container bytes back into a list of (name, value) pairs."""
-    rd = _Reader(data)
+def read_container(fh):
+    """Parse a container from the binary file object fh, from its current
+    position to its end, into a list of (name, value) pairs.  Tensors are
+    read straight into their arrays."""
+    rd = _Reader(fh)
     if rd.take(4) != MAGIC:
         raise ContainerFormatError("bad magic")
     version, count = struct.unpack("<II", rd.take(8))
@@ -98,15 +118,14 @@ def read_container(data: bytes):
         raise ContainerFormatError(f"unsupported container version {version}")
     sections = []
     for _ in range(count):
-        name = _decode(bytes(rd.take(16)).rstrip(b"\0"), "ascii", "section name")
+        name = _decode(rd.take(16).rstrip(b"\0"), "ascii", "section name")
         kind, rank = struct.unpack("<II", rd.take(8))
         dims = struct.unpack(f"<{rank}I", rd.take(4 * rank)) if rank else ()
         (length,) = struct.unpack("<Q", rd.take(8))
-        payload = rd.take(length)
         if kind == KIND_TEXT:
             if rank != 0:
                 raise ContainerFormatError("metadata section with nonzero rank")
-            sections.append((name, _decode(bytes(payload), "utf-8",
+            sections.append((name, _decode(rd.take(length), "utf-8",
                                            f"section {name!r}")))
         elif kind == KIND_TENSOR:
             if rank == 0:
@@ -114,18 +133,20 @@ def read_container(data: bytes):
             if length != 8 * math.prod(dims):
                 raise ContainerFormatError(
                     f"section {name!r}: payload length {length} != dims {dims}")
-            arr = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
-            sections.append((name, arr))
+            sections.append((name, rd.take_tensor(dims)))
         else:
             raise ContainerFormatError(f"unknown section kind {kind}")
-    if rd.pos != len(data):
+    if rd.pos != rd.end:
         raise ContainerFormatError("trailing bytes after last section")
     return sections
 
 
 def finite_section(name: str, arr: np.ndarray) -> np.ndarray:
-    """arr itself; ContainerFormatError if it holds NaN or infinity."""
-    if not np.all(np.isfinite(arr)):
+    """arr itself; ContainerFormatError if it holds NaN or infinity.
+
+    NaN propagates through min and max, so the two reductions see every
+    non-finite entry without a temporary of arr's size."""
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise ContainerFormatError(f"section {name!r} holds non-finite values")
     return arr
 
@@ -153,7 +174,7 @@ def write_wave_data(w: WaveData, path) -> None:
 
 def read_wave_data(path) -> WaveData:
     with open(path, "rb") as fh:
-        sections = dict(read_container(fh.read()))
+        sections = dict(read_container(fh))
     meta = json.loads(sections["meta"])
     return WaveData(part=Part(meta["part"]),
                     node_idx=node_index_section("node_idx", sections["node_idx"]),
@@ -172,7 +193,7 @@ def write_image_field(f: ImageField, path) -> None:
 
 def read_image_field(path) -> ImageField:
     with open(path, "rb") as fh:
-        sections = dict(read_container(fh.read()))
+        sections = dict(read_container(fh))
     meta = json.loads(sections["meta"])
     mask = sections["mask"]
     if not np.all((mask == 0.0) | (mask == 1.0)):

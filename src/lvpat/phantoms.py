@@ -8,6 +8,7 @@ exactly once.  The ellipse indicator uses the strict interior.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -113,6 +114,49 @@ def bounding_circle(p: Phantom):
     return np.array([cx, cy]), 0.5 * np.hypot(x_hi - x_lo, y_hi - y_lo)
 
 
+def ellipse_boundary_points(el: EllipseIndicator, n: int) -> np.ndarray:
+    """The boundary points at parameters psi = 2*pi*k/n, k = 0..n-1, as (n, 2)."""
+    psi = np.linspace(0, 2 * np.pi, n, endpoint=False)
+    c, s = np.cos(el.rotation), np.sin(el.rotation)
+    bx = el.center[0] + el.semi_a * np.cos(psi) * c - el.semi_b * np.sin(psi) * s
+    by = el.center[1] + el.semi_a * np.cos(psi) * s + el.semi_b * np.sin(psi) * c
+    return np.stack([bx, by], axis=-1)
+
+
+_EXTENT_SAMPLES = 256
+
+
+def radial_extent(p: Phantom, points: np.ndarray):
+    """(lo, hi) per row of points (m, 2): the support lies in the annulus
+    lo <= |y - x| <= hi about each point x.
+
+    Boxes are exact: lo is the distance to the box (0 inside), hi the
+    distance to its farthest corner.  Ellipses use the nearest and farthest
+    of 256 parametric boundary samples, widened by max(semi_a, semi_b)*pi/256:
+    consecutive samples lie at most max(semi_a, semi_b)*2*pi/256 apart along
+    the boundary, so every boundary point is that close to a sample.  lo is
+    0 inside.  Any other phantom gets its bounding circle.
+    """
+    x, y = points[:, 0], points[:, 1]
+    if isinstance(p, SquareIndicator):
+        near_x = np.maximum(np.maximum(p.x_lo - x, x - p.x_hi), 0.0)
+        near_y = np.maximum(np.maximum(p.y_lo - y, y - p.y_hi), 0.0)
+        far_x = np.maximum(x - p.x_lo, p.x_hi - x)
+        far_y = np.maximum(y - p.y_lo, p.y_hi - y)
+        return np.hypot(near_x, near_y), np.hypot(far_x, far_y)
+    if isinstance(p, EllipseIndicator):
+        b = ellipse_boundary_points(p, _EXTENT_SAMPLES)
+        dx, dy = x[:, None] - b[:, 0], y[:, None] - b[:, 1]
+        d2 = dx * dx + dy * dy
+        slack = max(p.semi_a, p.semi_b) * np.pi / _EXTENT_SAMPLES
+        lo = np.where(p.evaluate(points) > 0.0, 0.0,
+                      np.maximum(np.sqrt(d2.min(axis=1)) - slack, 0.0))
+        return lo, np.sqrt(d2.max(axis=1)) + slack
+    center, rho = bounding_circle(p)
+    d = np.hypot(x - center[0], y - center[1])
+    return d - rho, d + rho
+
+
 def distance_to_support(p: Phantom, point) -> float:
     """Euclidean distance from point to the phantom support (0 if inside).
 
@@ -204,18 +248,33 @@ class GridSpec:
         object.__setattr__(self, "origin", (float(self.origin[0]), float(self.origin[1])))
 
     def points(self) -> np.ndarray:
-        """All grid nodes as an (nx, ny, 2) array."""
+        """All grid nodes as a read-only (nx, ny, 2) array, computed once."""
+        return self._points
+
+    def mask(self) -> np.ndarray:
+        """Read-only (nx, ny) bool array of the nodes inside the domain,
+        computed once."""
+        return self._mask
+
+    # cached in the instance dict: hash and equality stay on the fields
+    @cached_property
+    def _points(self) -> np.ndarray:
         x = self.origin[0] + self.h * np.arange(self.nx)
         y = self.origin[1] + self.h * np.arange(self.ny)
         out = np.empty((self.nx, self.ny, 2))
         out[..., 0] = x[:, None]
         out[..., 1] = y[None, :]
+        out.flags.writeable = False
         return out
 
-    def mask(self) -> np.ndarray:
+    @cached_property
+    def _mask(self) -> np.ndarray:
         if self.domain is None:
-            return np.ones((self.nx, self.ny), dtype=bool)
-        return self.domain.contains(self.points())
+            out = np.ones((self.nx, self.ny), dtype=bool)
+        else:
+            out = self.domain.contains(self._points)
+        out.flags.writeable = False
+        return out
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import json
 import shutil
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -181,7 +182,7 @@ class TestSubcommands:
         main(["simulate", "--config", str(smoke_config), "--phantom",
               str(phantom), "--part", "gamma1", "--out", str(out)])
         model_path = out / "model_4x2.patb"
-        sections = read_container(model_path.read_bytes())
+        sections = read_container(BytesIO(model_path.read_bytes()))
         gram = dict(sections)["gram"]
         gram[0, 1] += 1e-3 * np.abs(gram).max()
         model_path.write_bytes(write_container(sections))

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import tracemalloc
+from io import BytesIO
 
 import numpy as np
 import pytest
@@ -304,6 +306,18 @@ class TestPersistence:
         save_model(again, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_load_reads_payloads_in_place(self, model8, tmp_path):
+        # each tensor is read straight into its array: no copy of the file
+        path = tmp_path / "model.patb"
+        save_model(model8, path)
+        tracemalloc.start()
+        try:
+            load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * path.stat().st_size
+
     def test_fingerprint_checked_on_load(self, model8, tmp_path):
         path = tmp_path / "model.patb"
         save_model(model8, path)
@@ -314,7 +328,7 @@ class TestPersistence:
         from lvpat.io import read_container
         path = tmp_path / "model.patb"
         save_model(model8, path)
-        sections = dict(read_container(path.read_bytes()))
+        sections = dict(read_container(BytesIO(path.read_bytes())))
         assert list(sections) == ["meta", "gram", "weights", "u1_idx",
                                   "u2_idx", "u1", "u2"]
         assert "ridge" not in json.loads(sections["meta"])
@@ -327,7 +341,7 @@ class TestPersistence:
         """
         from lvpat.io import read_container, write_container
         save_model(model, path)
-        sections = read_container(path.read_bytes())
+        sections = read_container(BytesIO(path.read_bytes()))
         for k, (name, value) in enumerate(sections):
             if name == section:
                 replaced = corrupt(value)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from lvpat.geometry import build_boundary, split_boundary
 from lvpat.oracle import (_term_critical_radii, exact_circular_mean,
                           oracle_wave_field)
 from lvpat.phantoms import (EllipseIndicator, SquareIndicator, WeightedSum,
-                            bounding_circle, distance_to_support)
+                            bounding_circle, distance_to_support,
+                            ellipse_boundary_points)
 
 from conftest import GAMMA2_INTERVAL, TEST_PHANTOM, random_mix, random_square
 
@@ -212,6 +215,62 @@ def radius_window(p, x, wm):
     j_lo = max(0, int(np.floor((d - rho) / wm.dr)) - 2)
     j_hi = min(n_col - 1, int(np.ceil((d + rho) / wm.dr)) + 2)
     return None if j_lo >= n_col - 1 else (j_lo, j_hi)
+
+
+def extent_window(q, x, wm):
+    """(j_lo, j_hi) of the radius grid covering the support of the box or
+    ellipse q as seen from x, with two steps of margin; None past the last
+    radius node.  A box's support lies between its distance from x (0
+    inside) and its farthest corner; an ellipse's between the nearest and
+    farthest of 256 parametric boundary samples, each widened by
+    max(semi_a, semi_b) * pi / 256, and from 0 when x is inside."""
+    if isinstance(q, SquareIndicator):
+        near = np.hypot(max(q.x_lo - x[0], x[0] - q.x_hi, 0.0),
+                        max(q.y_lo - x[1], x[1] - q.y_hi, 0.0))
+        far = np.hypot(max(x[0] - q.x_lo, q.x_hi - x[0]),
+                       max(x[1] - q.y_lo, q.y_hi - x[1]))
+    else:
+        psi = np.linspace(0, 2 * np.pi, 256, endpoint=False)
+        c, s = np.cos(q.rotation), np.sin(q.rotation)
+        bx = q.center[0] + q.semi_a * np.cos(psi) * c - q.semi_b * np.sin(psi) * s
+        by = q.center[1] + q.semi_a * np.cos(psi) * s + q.semi_b * np.sin(psi) * c
+        d2 = (x[0] - bx) ** 2 + (x[1] - by) ** 2
+        slack = max(q.semi_a, q.semi_b) * np.pi / 256
+        inside = q.evaluate(np.asarray(x, dtype=float)) > 0.0
+        near = 0.0 if inside else max(np.sqrt(d2.min()) - slack, 0.0)
+        far = np.sqrt(d2.max()) + slack
+    n_col = len(wm.r_grid)
+    j_lo = max(0, int(np.floor(near / wm.dr)) - 2)
+    j_hi = min(n_col - 1, int(np.ceil(far / wm.dr)) + 2)
+    return None if j_lo >= n_col - 1 else (j_lo, j_hi)
+
+
+def support_edge_points(q):
+    """Points on the edge of the support of a box or ellipse: a box's
+    corners and edge midpoints; an ellipse's boundary at every fifth of the
+    256 sample parameters and of the parameters halfway between them, where
+    the nearest sample is farthest."""
+    if isinstance(q, SquareIndicator):
+        xs = (q.x_lo, 0.5 * (q.x_lo + q.x_hi), q.x_hi)
+        ys = (q.y_lo, 0.5 * (q.y_lo + q.y_hi), q.y_hi)
+        return np.array([(x, y) for x in xs for y in ys
+                         if x in (q.x_lo, q.x_hi) or y in (q.y_lo, q.y_hi)])
+    return ellipse_boundary_points(q, 512)[::5]
+
+
+# Terms for the window rule: eccentric ellipses with semi_b > semi_a (the
+# boundary runs fastest along semi_b, so a slack of semi_a * pi / 256 is too
+# small), a nearly circular ellipse (the quartic's linear branch), a square
+# of side 1e-4 and a nested sum, which is flattened into its terms.
+WINDOW_CASES = {
+    "tall_ellipse": EllipseIndicator((0.1, 0.05), 0.12, 0.85, 0.3),
+    "nearly_circular": EllipseIndicator((-0.4, 0.2), 0.3, 0.3 * (1 + 1e-7), 1.1),
+    "tiny_square": SquareIndicator(0.3, 0.3001, -0.2, -0.1999),
+    "nested_sum": WeightedSum((
+        (0.5, WeightedSum(((1.0, SquareIndicator(-1.0, -0.4, -0.6, 0.1)),
+                           (-2.0, TEST_PHANTOM)))),
+        (1.5, EllipseIndicator((0.9, 0.1), 0.15, 0.4, 2.0)))),
+}
 
 
 def draw_checkpoints(p, x, geom, rng, count):
@@ -493,19 +552,24 @@ class TestSimulate:
         simulate_wave_data(p, coarse_geom, coarse_split, Part.FULL)
         wm = _wave_map(coarse_geom.dt, coarse_geom.n_time)
 
-        def window_rows(q):
-            windows = [radius_window(q, x, wm) for x in coarse_geom.positions]
+        def window_rows(q, window):
+            windows = [window(q, x, wm) for x in coarse_geom.positions]
             return sum(hi - lo + 1 for lo, hi in filter(None, windows))
 
         assert not any(isinstance(q, WeightedSum) for q, _ in calls)
         assert {q for q, _ in calls} == {square, ellipse}
         total = sum(n for _, n in calls)
-        assert total == window_rows(square) + window_rows(ellipse)
-        assert total < 2 * window_rows(p)
+        assert total == (window_rows(square, extent_window)
+                         + window_rows(ellipse, extent_window))
+        # exact extents cut the rows of the terms' bounding circles, which
+        # cut those of the whole sum's
+        old = window_rows(square, radius_window) + window_rows(ellipse, radius_window)
+        assert total < old < 2 * window_rows(p, radius_window)
 
     def test_threaded_simulation_is_identical(self, medium_geom, medium_split,
                                               monkeypatch):
-        p = TEST_PHANTOM
+        # a wide ellipse: its windows on medium_geom hold about 52k rows
+        p = EllipseIndicator((-0.2, -0.1), 1.3, 0.6, np.pi / 8)
         calls = []
 
         def counted(q, center, radii):
@@ -518,8 +582,8 @@ class TestSimulate:
             calls.clear()
             runs[threads] = simulate_wave_data(p, medium_geom, medium_split,
                                                Part.FULL, threads=threads)
-            # at least 3 chunks, all full but an uneven last one
-            assert len(calls) >= 3
+            # at least 3 full chunks and an uneven last one
+            assert len(calls) >= 4
             assert sorted(calls)[1:] == [_CHUNK_ROWS] * (len(calls) - 1)
             assert 0 < min(calls) < _CHUNK_ROWS
         for threads in (2, 4):
@@ -553,6 +617,83 @@ class TestSimulate:
         assert sum(n for _, n in chunks[1]) > _CHUNK_ROWS
         for threads in (2, 4):
             assert runs[threads].samples.tobytes() == runs[1].samples.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(WINDOW_CASES))
+    def test_rows_outside_term_extent_are_zero(self, coarse_geom, name,
+                                               monkeypatch):
+        # every row of a term's bounding-circle window that the forward does
+        # not evaluate has a mean of exactly 0.0; dr = 0.001 is finer than
+        # the sampling error a too small ellipse slack leaves at the edge
+        p = WINDOW_CASES[name]
+        wm = forward._WaveMap(0.004, 600, forward._DR_FACTOR * 0.004)
+        rng = np.random.default_rng(51)
+        terms = p.terms if isinstance(p, WeightedSum) else ((1.0, p),)
+        lo, hi = np.array(p.bounding_box()).reshape(2, 2)
+        points = [coarse_geom.positions[::8],
+                  np.stack([rng.uniform(lo[0] - 0.2, lo[1] + 0.2, 40),
+                            rng.uniform(hi[0] - 0.2, hi[1] + 0.2, 40)], axis=-1)]
+        points += [support_edge_points(q) for _, q in terms]
+        evaluated = []
+
+        def recorded(q, center, radii):
+            evaluated.append((q, radii.copy()))
+            return exact_mean_table(q, center, radii)
+
+        monkeypatch.setattr(forward, "exact_mean_table", recorded)
+        dropped = 0
+        for x in np.concatenate(points):
+            evaluated.clear()
+            forward._traces(p, x[None], wm)
+            for coef, q in terms:
+                window = radius_window(q, x, wm)
+                if window is None:
+                    continue
+                radii = wm.r_grid[window[0]:window[1] + 1]
+                kept = np.concatenate([r for t, r in evaluated if t == q] or [[]])
+                gone = radii[~np.isin(radii, kept)]
+                dropped += len(gone)
+                assert np.all(exact_mean_table(q, x, gone) == 0.0)
+        # a 1e-4 square's bounding circle is as tight as its extent
+        assert dropped > 0 or name == "tiny_square"
+
+    def test_table_stores_no_zeros(self, coarse_geom, coarse_split,
+                                   monkeypatch):
+        p = WINDOW_CASES["nested_sum"]
+        means, tables = [], []
+        build = forward.csr_array
+
+        def recorded(q, center, radii):
+            means.append(exact_mean_table(q, center, radii))
+            return means[-1]
+
+        def kept(*args, **kwargs):
+            tables.append(build(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(forward, "exact_mean_table", recorded)
+        monkeypatch.setattr(forward, "csr_array", kept)
+        simulate_wave_data(p, coarse_geom, coarse_split, Part.FULL)
+        monkeypatch.undo()
+        values = np.concatenate(means)
+        # the windows' margins hold exact zeros; none of them is stored
+        assert np.count_nonzero(values == 0.0) > 0
+        assert tables[0].nnz == np.count_nonzero(values)
+        assert np.all(tables[0].data != 0.0)
+
+    def test_wave_map_blocks_change_no_bytes(self, monkeypatch):
+        # the step-0.02 map of the forward-mix workload: 30.6 MiB
+        dt, n_time = 0.02, 1000
+        tracemalloc.start()
+        try:
+            wm = forward._WaveMap(dt, n_time, forward._DR_FACTOR * dt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= wm.diff_t.nbytes + 8 * 2 ** 20
+        # one block of 4e6 entries per 999 sample times
+        monkeypatch.setattr(forward, "_MAP_BLOCK_ENTRIES", int(4e6))
+        wide = forward._WaveMap(dt, n_time, forward._DR_FACTOR * dt)
+        assert wide.diff_t.tobytes() == wm.diff_t.tobytes()
 
     def test_support_outside_domain_rejected(self, coarse_geom, coarse_split):
         huge = SquareIndicator(-3.0, 3.0, -0.5, 0.5)

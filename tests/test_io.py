@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+from io import BytesIO
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ class TestContainer:
         arr = np.arange(6.0).reshape(3, 2)
         sections = [("data", arr), ("note", "hello")]
         blob = write_container(sections)
-        back = read_container(blob)
+        back = read_container(BytesIO(blob))
         assert back[0][0] == "data"
         assert np.array_equal(back[0][1], arr)
         assert back[1] == ("note", "hello")
@@ -71,36 +72,36 @@ class TestContainer:
 
     def test_read_tensors_own_their_data(self):
         blob = write_container([("x", np.arange(4.0)), ("m", "meta")])
-        (_, arr), _ = read_container(blob)
+        (_, arr), _ = read_container(BytesIO(blob))
         assert arr.base is None and arr.flags.writeable
         arr[0] = 9.0
-        assert read_container(blob)[0][1][0] == 0.0
+        assert read_container(BytesIO(blob))[0][1][0] == 0.0
 
     def test_empty_section_list(self):
         blob = write_container([])
-        assert read_container(blob) == []
+        assert read_container(BytesIO(blob)) == []
 
     def test_bad_magic_rejected(self):
         blob = bytearray(write_container([("x", np.ones((2, 2)))]))
         blob[:4] = b"BTAP"
         with pytest.raises(ContainerFormatError):
-            read_container(bytes(blob))
+            read_container(BytesIO(bytes(blob)))
 
     def test_truncation_rejected(self):
         blob = write_container([("x", np.ones((4, 4)))])
         with pytest.raises(ContainerFormatError):
-            read_container(blob[:-5])
+            read_container(BytesIO(blob[:-5]))
 
     def test_trailing_garbage_rejected(self):
         blob = write_container([("x", np.ones((2, 2)))])
         with pytest.raises(ContainerFormatError):
-            read_container(blob + b"\x00")
+            read_container(BytesIO(blob + b"\x00"))
 
     def test_bad_version_rejected(self):
         blob = bytearray(write_container([]))
         blob[4] = 9
         with pytest.raises(ContainerFormatError):
-            read_container(bytes(blob))
+            read_container(BytesIO(bytes(blob)))
 
     def test_unknown_kind_rejected(self):
         blob = bytearray(write_container([("x", np.ones((1, 1)))]))
@@ -108,14 +109,14 @@ class TestContainer:
         # 12-byte file header
         blob[12 + 16] = 7
         with pytest.raises(ContainerFormatError):
-            read_container(bytes(blob))
+            read_container(BytesIO(bytes(blob)))
 
     def test_length_mismatch_rejected(self):
         blob = bytearray(write_container([("x", np.ones((2, 3)))]))
         # dims start after header(12) + name(16) + kind/rank(8)
         blob[12 + 16 + 8] = 5  # claim 5 rows instead of 2
         with pytest.raises(ContainerFormatError):
-            read_container(bytes(blob))
+            read_container(BytesIO(bytes(blob)))
 
     @pytest.mark.parametrize("where, encoding", [(12, "ascii"), (50, "utf-8")],
                              ids=["name", "text"])
@@ -124,7 +125,7 @@ class TestContainer:
         blob = bytearray(write_container([("meta", '{"key": "value"}')]))
         blob[where] = 0xFF
         with pytest.raises(ContainerFormatError, match=f"not {encoding}"):
-            read_container(bytes(blob))
+            read_container(BytesIO(bytes(blob)))
 
     def test_dims_beyond_int64_rejected(self):
         # 2**22 * 2**21 * 2**21 = 2**64 elements: a product in int64 wraps to
@@ -132,7 +133,25 @@ class TestContainer:
         blob = (b"PATB" + struct.pack("<II", 1, 1) + b"x".ljust(16, b"\0")
                 + struct.pack("<5IQ", 0, 3, 2 ** 22, 2 ** 21, 2 ** 21, 0))
         with pytest.raises(ContainerFormatError, match="payload length"):
-            read_container(blob)
+            read_container(BytesIO(blob))
+
+    @pytest.mark.parametrize("kind, dims", [(0, (2 ** 20, 2 ** 17)), (1, ())],
+                             ids=["tensor", "text"])
+    def test_length_beyond_file_rejected(self, kind, dims):
+        # a header that declares 2**40 payload bytes is rejected against the
+        # bytes left in the file, before anything is allocated for it
+        blob = (b"PATB" + struct.pack("<II", 1, 1) + b"x".ljust(16, b"\0")
+                + struct.pack(f"<II{len(dims)}IQ", kind, len(dims), *dims,
+                              2 ** 40) + b"\0" * 64)
+        with pytest.raises(ContainerFormatError, match="truncated"):
+            read_container(BytesIO(blob))
+
+    def test_read_starts_at_the_file_position(self):
+        blob = write_container([("x", np.arange(3.0))])
+        fh = BytesIO(b"header" + blob)
+        fh.seek(6)
+        ((name, arr),) = read_container(fh)
+        assert name == "x" and np.array_equal(arr, np.arange(3.0))
 
     @staticmethod
     def u32_offsets(blob) -> list:
@@ -171,7 +190,7 @@ class TestContainer:
                 huge = int(rng.choice([2 ** 31, 2 ** 32 - 1, 2 ** 30 + 7]))
                 struct.pack_into("<I", mutant, int(rng.choice(offsets)), huge)
             try:
-                read_container(bytes(mutant))
+                read_container(BytesIO(bytes(mutant)))
             except ContainerFormatError:
                 rejected += 1
         assert rejected > 2000

@@ -126,6 +126,22 @@ class TestRasterize:
         assert field.domain_mask.sum() * cell_area == pytest.approx(
             np.pi * 2.0 * 1.0, rel=0.01)
 
+    def test_grid_arrays_are_read_only_and_computed_once(self, domain):
+        grid = GridSpec(origin=(-2.2, -2.2), h=4.4 / 60, nx=61, ny=61,
+                        domain=domain)
+        twin = GridSpec(origin=(-2.2, -2.2), h=4.4 / 60, nx=61, ny=61,
+                        domain=domain)
+        for arr, again in ((grid.points(), grid.points()),
+                           (grid.mask(), grid.mask())):
+            assert again is arr
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.reshape(-1)[0] = 0
+        assert rasterize(TEST_PHANTOM, grid).domain_mask is grid.mask()
+        # hash and equality stay on the fields, cached arrays or not
+        assert grid == twin and hash(grid) == hash(twin)
+        assert np.array_equal(twin.mask(), grid.mask())
+
     def test_zero_phantom(self, small_grid):
         zero = WeightedSum(())
         field = rasterize(zero, small_grid)
