@@ -5,8 +5,8 @@ training traces, and universal back-projection reconstruction."""
 from .errors import (ContainerFormatError, DataMismatchError, ParameterError,
                      SingularTrainingSetError)
 from .extension import (ExtensionModel, TrainingSet, build_training_set,
-                        coarsen_training_set, extend, factorize, gram_matrix,
-                        load_model, project_coefficients, save_model, stitch,
+                        extend, factorize, gram_matrix, load_model,
+                        project_coefficients, save_model, stitch,
                         train_extension_model, zero_extend)
 from .forward import (Part, WaveData, restrict_wave_data, simulate_wave_data,
                       wave_trace)

@@ -66,6 +66,9 @@ class ExperimentConfig:
         phantom_path = (base / raw["phantom"]).resolve()
         if not phantom_path.exists():
             raise ParameterError(f"phantom spec not found: {phantom_path}")
+        threads = int(raw.get("threads", 1))
+        if threads < 1:
+            raise ParameterError(f"threads must be at least 1, got {threads}")
         return cls(
             domain=EllipseDomain(float(g["a1"]), float(g["a2"])),
             spacing=float(g["spacing"]),
@@ -80,7 +83,7 @@ class ExperimentConfig:
             grid_nx=int(grid["nx"]),
             grid_ny=int(grid["ny"]),
             out_dir=(base / raw.get("out_dir", "out")).resolve(),
-            threads=int(raw.get("threads", 1)),
+            threads=threads,
         )
 
     def build_geometry(self) -> tuple:

@@ -31,8 +31,7 @@ from .geometry import (BoundaryGeometry, BoundarySplit,
                        detection_region_contains)
 from .io import (dump_container, finite_section, node_index_section,
                  read_container)
-from .phantoms import (SquareIndicator, WeightedSum, phantom_from_dict,
-                       phantom_to_dict)
+from .phantoms import phantom_from_dict, phantom_to_dict
 
 RIDGE_START = 1e-12
 RIDGE_CAP = 1e-6
@@ -116,9 +115,9 @@ def build_training_set(phantoms, geom: BoundaryGeometry, split: BoundarySplit,
     Simulating the full boundary once per phantom guarantees that stitching
     u1_i and u2_i back together reproduces the full data exactly.  Phantoms
     are simulated one after another into preallocated tensors; `threads`
-    goes to `simulate_wave_data`, whose row chunks are the only parallel
-    level.  Phantoms with support outside the detection region are recorded
-    on the set and reported with a single warning.
+    goes to `simulate_wave_data`, whose blocks of boundary points are the
+    only parallel level.  Phantoms with support outside the detection region
+    are recorded on the set and reported with a single warning.
     """
     phantoms = list(phantoms)
     if not phantoms:
@@ -322,41 +321,3 @@ def load_model(path, expected_fingerprint: str | None = None) -> ExtensionModel:
     return ExtensionModel(training=ts, gram=sections["gram"], chol_lower=chol,
                           ridge=ridge, inner_weights=sections["weights"])
 
-
-def coarsen_training_set(ts: TrainingSet, fine_shape, coarse_shape) -> TrainingSet:
-    """Training set for a coarser partition by summing nested fine traces.
-
-    Both shapes are (n_w, n_h) with column-major bottom-to-top numbering, and
-    the fine partition must refine the coarse one by integer factors.  The
-    summed traces equal direct simulation of the merged squares because the
-    simulator is linear.
-    """
-    fw, fh = fine_shape
-    cw, ch = coarse_shape
-    if fw % cw or fh % ch:
-        raise ParameterError("fine partition does not refine the coarse one")
-    if fw * fh != ts.n:
-        raise ParameterError("fine shape does not match the training set size")
-    rw, rh = fw // cw, fh // ch
-
-    def merge_cells(u):
-        # fine index (c*rw + i)*fh + r*rh + j -> coarse index c*ch + r
-        return u.reshape(cw, rw, ch, rh, *u.shape[1:]).sum(axis=(1, 3)) \
-                .reshape(cw * ch, *u.shape[1:])
-
-    phantoms = []
-    for col in range(cw):
-        for row in range(ch):
-            sub = [ts.phantoms[(col * rw + i) * fh + row * rh + j]
-                   for i in range(rw) for j in range(rh)]
-            if all(isinstance(s, SquareIndicator) for s in sub):
-                merged = SquareIndicator(
-                    x_lo=min(s.x_lo for s in sub), x_hi=max(s.x_hi for s in sub),
-                    y_lo=min(s.y_lo for s in sub), y_hi=max(s.y_hi for s in sub))
-            else:
-                merged = WeightedSum(tuple((1.0, s) for s in sub))
-            phantoms.append(merged)
-    return TrainingSet(phantoms=phantoms, u1_idx=ts.u1_idx, u2_idx=ts.u2_idx,
-                       u1_samples=merge_cells(ts.u1_samples),
-                       u2_samples=merge_cells(ts.u2_samples), dt=ts.dt,
-                       fingerprint=ts.fingerprint)

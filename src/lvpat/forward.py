@@ -11,19 +11,19 @@ a window of a uniform radius grid that covers the term's support annulus
 (see `phantoms.radial_extent`: exact for boxes, a rigorous enclosure for
 ellipses), and all (point, radius) rows of a term go through the exact
 arc-measure mean table (see `arcmeans`), scaled by the term's coefficient.
-The nonzero means form one sparse matrix, a row per point holding the
-windows of all terms (where windows overlap, a row holds several entries of
-one column); a mean of exactly 0.0 is not stored, since it adds exactly
-+0.0 to every sum of the product.  One sparse product with a cached linear
-map then gives u at every sample time:
+The nonzero means form a sparse matrix, a row per point holding the windows
+of all terms (where windows overlap, a row holds several entries of one
+column); a mean of exactly 0.0 is not stored, since it adds exactly +0.0 to
+every sum of the product.  A sparse product with a cached linear map then
+gives u at every sample time:
 the map is the closed-form integral of the piecewise-linear interpolant
 against the Abel weight at staggered half-step times, centrally differenced
 in time and divided by dt once when it is built.  The time derivative
 therefore sees an exact integral of the tabulated means, which keeps the
-differencing stable.  `threads` splits two things: the mean-table rows, in
-chunks of a fixed size per term, and the product, in blocks of whole table
-rows with about as many entries as a chunk.  Neither set of bounds depends
-on the thread count, so neither do the output bytes.
+differencing stable.  `threads` spreads blocks of whole points over
+workers; each block builds its own rows of the table and their product.
+The block bounds come from the windows' entry counts alone, and rows never
+interact, so the output bytes do not depend on the thread count.
 
 The radius grid and the mean values depend on the phantom only through
 pointwise evaluation, so simulated data is linear in the phantom to rounding
@@ -51,15 +51,14 @@ from .phantoms import (EllipseIndicator, Phantom, SquareIndicator, WeightedSum,
 # error of the square-root onset of circular means well under the data scale
 _DR_FACTOR = 0.25
 
-# (center, radius) rows per mean-table call, and table entries per block of
-# the product with the wave map (a block holds whole table rows and ends once
-# it has this many entries).  Chunks and blocks are what `threads` spreads
-# over workers; their bounds depend only on the table, so the output bytes
-# do not depend on the thread count.  Smaller pieces cost more than they
-# save: a training cell's product at step 0.04 (about 5k entries, 1.5 ms
-# whole) took 2.2 ms in blocks of 64 rows on one thread, 4.0 ms on two, and
-# mean-table chunks of 2^12 rows made a 16x8 training partition about 1.5x
-# slower at threads=2.
+# table entries per block of points: the points are cut into
+# ceil(entries / _CHUNK_ROWS) blocks of whole points with about equal entry
+# counts, and blocks are what `threads` spreads over workers.  Their bounds
+# depend only on the windows, so the output bytes do not depend on the thread
+# count.  Smaller pieces cost more than they save: a training cell's product
+# at step 0.04 (about 5k entries, 1.5 ms whole) took 2.2 ms in blocks of 64
+# rows on one thread, 4.0 ms on two, and mean-table chunks of 2^12 rows made
+# a 16x8 training partition about 1.5x slower at threads=2.
 _CHUNK_ROWS = 2 ** 14
 
 # map entries per block of sample times in the wave-map build, so that each
@@ -164,14 +163,15 @@ def _traces(p: Phantom, points: np.ndarray, wm: _WaveMap,
 
     For every nonzero term of the phantom, a point's radius window
     [j_lo, j_hi] covers the term's `radial_extent` about the point (exact
-    for boxes; for ellipses from boundary samples widened by their spacing;
-    the bounding circle otherwise), with two grid steps of margin on each
-    side.  Each term's windows are stacked into one (center, radius) row
-    list and evaluated in _CHUNK_ROWS pieces; the means, scaled by the
-    term's coefficient and placed at their radius columns, form one sparse
-    (points, radius nodes) table.  Entries equal to 0.0 are dropped from it
-    (each would add exactly +0.0), and its product with the differenced
-    wave map gives every trace.
+    for boxes; for ellipses from boundary samples widened by their spacing),
+    with two grid steps of margin on each side.  A point's table row holds
+    its windows in term order.  The points are split into blocks of whole
+    points with about _CHUNK_ROWS entries each, cut from the window counts
+    alone.  Per block, each term's rows go through one mean-table call,
+    scaled by the term's coefficient; entries equal to 0.0 leave the
+    block's sparse (points, radius nodes) table (each would add exactly
+    +0.0), and its product with the differenced wave map gives the block's
+    traces.
     """
     terms = p.terms if isinstance(p, WeightedSum) else ((1.0, p),)
     terms = [(coef, q) for coef, q in terms if coef != 0.0]
@@ -184,43 +184,36 @@ def _traces(p: Phantom, points: np.ndarray, wm: _WaveMap,
         j_hi = np.minimum(n_col - 1, np.ceil(hi / wm.dr).astype(int) + 2)
         # no rows for a point the wave does not reach by t_max
         counts[k] = np.where(j_lo[k] < n_col - 1, j_hi - j_lo[k] + 1, 0)
-    # a point's table row holds its windows in term order
-    indptr = np.concatenate([[0], np.cumsum(counts.sum(axis=0))])
-    offsets = indptr[:-1] + np.cumsum(counts, axis=0) - counts
-
-    data = np.empty(indptr[-1])
-    indices = np.empty(indptr[-1], dtype=int)
-    rows = []  # per term: (centers, radii, positions in the table)
-    for k in range(len(terms)):
-        starts = np.cumsum(counts[k]) - counts[k]
-        n = np.arange(counts[k].sum())
-        cols = n + np.repeat(j_lo[k] - starts, counts[k])
-        at = n + np.repeat(offsets[k] - starts, counts[k])
-        indices[at] = cols
-        rows.append((np.repeat(points, counts[k], axis=0), wm.r_grid[cols], at))
-
-    def run(task) -> None:
-        k, lo = task
-        centers, radii, at = rows[k]
-        hi = lo + _CHUNK_ROWS
-        data[at[lo:hi]] = terms[k][0] * exact_mean_table(
-            terms[k][1], centers[lo:hi], radii[lo:hi])
-
-    parallel_map(run, [(k, lo) for k, (_, radii, _) in enumerate(rows)
-                       for lo in range(0, len(radii), _CHUNK_ROWS)], threads)
-    table = csr_array((data, indices, indptr), shape=(m, n_col))
-    table.eliminate_zeros()
-
+    ends = np.cumsum(counts.sum(axis=0))
+    total = int(counts.sum())
+    n_blocks = max(1, -(-total // _CHUNK_ROWS))
+    # a block ends with the point whose row reaches its share of the entries
+    cuts = np.searchsorted(ends, total * np.arange(1, n_blocks) // n_blocks) + 1
+    bounds = np.unique(np.concatenate([[0], cuts, [m]]))
     out = np.empty((m, wm.n_time))
-    indptr = table.indptr
-    starts = np.searchsorted(indptr, np.arange(_CHUNK_ROWS, indptr[-1], _CHUNK_ROWS))
-    bounds = np.unique(np.concatenate([[0], starts, [m]]))
 
-    def product(block) -> None:
-        lo, hi = block
-        out[lo:hi] = table[lo:hi] @ wm.diff_t
+    def block(task) -> None:
+        lo, hi = task
+        c = counts[:, lo:hi]
+        indptr = np.concatenate([[0], np.cumsum(c.sum(axis=0))])
+        offsets = indptr[:-1] + np.cumsum(c, axis=0) - c
+        data = np.empty(indptr[-1])
+        indices = np.empty(indptr[-1], dtype=int)
+        for k, (coef, q) in enumerate(terms):
+            if not c[k].any():
+                continue
+            n = np.arange(c[k].sum())
+            starts = np.cumsum(c[k]) - c[k]
+            cols = n + np.repeat(j_lo[k, lo:hi] - starts, c[k])
+            at = n + np.repeat(offsets[k] - starts, c[k])
+            indices[at] = cols
+            data[at] = coef * exact_mean_table(
+                q, np.repeat(points[lo:hi], c[k], axis=0), wm.r_grid[cols])
+        table = csr_array((data, indices, indptr), shape=(hi - lo, n_col))
+        table.eliminate_zeros()
+        out[lo:hi] = table @ wm.diff_t
 
-    parallel_map(product, zip(bounds[:-1], bounds[1:]), threads)
+    parallel_map(block, zip(bounds[:-1], bounds[1:]), threads)
     return out
 
 

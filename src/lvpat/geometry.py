@@ -24,6 +24,11 @@ TWO_PI = 2.0 * np.pi
 _ARC_TOL = 1e-10
 
 
+def _positive(x) -> bool:
+    """x is a finite number above 0 (NaN fails both tests)."""
+    return bool(x > 0 and np.isfinite(x))
+
+
 @dataclass(frozen=True)
 class EllipseDomain:
     """Ellipse centered at the origin with semi-axes a1 (x) and a2 (y)."""
@@ -32,8 +37,8 @@ class EllipseDomain:
     a2: float
 
     def __post_init__(self):
-        if self.a1 <= 0 or self.a2 <= 0:
-            raise ParameterError("semi-axes must be positive")
+        if not (_positive(self.a1) and _positive(self.a2)):
+            raise ParameterError("semi-axes must be finite and positive")
 
     def boundary_point(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -141,8 +146,9 @@ def build_boundary(domain: EllipseDomain, spacing_target: float, dt: float,
     the uniform weight perimeter / count.  The time grid has
     n_time = round(t_max / dt) samples at k*dt, k >= 1.
     """
-    if spacing_target <= 0 or dt <= 0:
-        raise ParameterError("spacing_target and dt must be positive")
+    if not (_positive(spacing_target) and _positive(dt) and _positive(t_max)):
+        raise ParameterError("spacing_target, dt and t_max must be finite and "
+                             "positive")
     if t_max < dt:
         raise ParameterError("t_max must be at least dt")
 

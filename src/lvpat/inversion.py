@@ -141,13 +141,14 @@ def reconstruct(u: WaveData, geom: BoundaryGeometry, grid: GridSpec,
                 threads: int = 1) -> ImageField:
     """Back-projection image on the grid; cells outside the domain are masked.
 
-    Requires full-boundary data over every node of `geom`, in node order:
-    apply `extension.stitch` or `extension.zero_extend` to limited-view data
-    first.  The image is the filter, the Abel tables Q @ K.T and one product
-    with the cached boundary operator B (see `_boundary_operator`).  B
-    stores 24 bytes per (masked pixel, node) pair and stays in memory until a
-    call with another grid, node set or time step replaces it.  `threads` is
-    accepted and ignored; the result does not depend on it.
+    Requires full-boundary data over every node of `geom`, in node order,
+    on the geometry's time grid: apply `extension.stitch` or
+    `extension.zero_extend` to limited-view data first.  The image is the
+    filter, the Abel tables Q @ K.T and one product with the cached
+    boundary operator B (see `_boundary_operator`).  B stores 24 bytes per
+    (masked pixel, node) pair and stays in memory until a call with another
+    grid, node set or time step replaces it.  `threads` is accepted and
+    ignored; the result does not depend on it.
     """
     if u.part is not Part.FULL:
         raise DataMismatchError(
@@ -156,6 +157,10 @@ def reconstruct(u: WaveData, geom: BoundaryGeometry, grid: GridSpec,
         raise DataMismatchError(
             f"full-boundary data must hold nodes 0..{geom.n_nodes - 1} of the "
             f"geometry in order; got {len(u.node_idx)} node indices")
+    if u.dt != geom.dt or u.n_time != geom.n_time:
+        raise DataMismatchError(
+            f"data sampled at dt={u.dt!r} over {u.n_time} steps; the geometry "
+            f"has dt={geom.dt!r} over {geom.n_time} steps")
     if grid.domain is None:
         raise ParameterError("reconstruction grid needs a domain for masking")
 

@@ -176,9 +176,12 @@ def read_wave_data(path) -> WaveData:
     with open(path, "rb") as fh:
         sections = dict(read_container(fh))
     meta = json.loads(sections["meta"])
+    dt = float(meta["dt"])
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ContainerFormatError(f"time step {dt!r} is not finite and positive")
     return WaveData(part=Part(meta["part"]),
                     node_idx=node_index_section("node_idx", sections["node_idx"]),
-                    dt=float(meta["dt"]), n_time=int(meta["n_time"]),
+                    dt=dt, n_time=int(meta["n_time"]),
                     samples=finite_section("samples", sections["samples"]),
                     fingerprint=meta["fingerprint"])
 

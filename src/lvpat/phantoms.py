@@ -135,7 +135,8 @@ def radial_extent(p: Phantom, points: np.ndarray):
     of 256 parametric boundary samples, widened by max(semi_a, semi_b)*pi/256:
     consecutive samples lie at most max(semi_a, semi_b)*2*pi/256 apart along
     the boundary, so every boundary point is that close to a sample.  lo is
-    0 inside.  Any other phantom gets its bounding circle.
+    0 inside.  Any other phantom, a weighted sum included, raises
+    ParameterError: the forward passes the terms of a sum one at a time.
     """
     x, y = points[:, 0], points[:, 1]
     if isinstance(p, SquareIndicator):
@@ -152,9 +153,7 @@ def radial_extent(p: Phantom, points: np.ndarray):
         lo = np.where(p.evaluate(points) > 0.0, 0.0,
                       np.maximum(np.sqrt(d2.min(axis=1)) - slack, 0.0))
         return lo, np.sqrt(d2.max(axis=1)) + slack
-    center, rho = bounding_circle(p)
-    d = np.hypot(x - center[0], y - center[1])
-    return d - rho, d + rho
+    raise ParameterError(f"no radial extent for phantom type {type(p)!r}")
 
 
 def distance_to_support(p: Phantom, point) -> float:
@@ -243,9 +242,12 @@ class GridSpec:
     domain: EllipseDomain | None = None
 
     def __post_init__(self):
-        if self.h <= 0 or self.nx < 1 or self.ny < 1:
-            raise ParameterError("invalid grid spec")
-        object.__setattr__(self, "origin", (float(self.origin[0]), float(self.origin[1])))
+        origin = (float(self.origin[0]), float(self.origin[1]))
+        if not (self.h > 0 and np.isfinite(self.h)) or \
+           not np.all(np.isfinite(origin)) or self.nx < 1 or self.ny < 1:
+            raise ParameterError("invalid grid spec: h must be finite and "
+                                 "positive, the origin finite, nx, ny >= 1")
+        object.__setattr__(self, "origin", origin)
 
     def points(self) -> np.ndarray:
         """All grid nodes as a read-only (nx, ny, 2) array, computed once."""

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 from io import BytesIO
@@ -44,6 +45,24 @@ class TestConfig:
         bad = tmp_path / "bad.json"
         bad.write_text("{")
         assert main(["train", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("geometry", "dt", float("nan"), "dt"),
+        ("geometry", "spacing", -0.1, "spacing"),
+        ("geometry", "a1", float("nan"), "semi-axes"),
+        ("geometry", "t_max", float("inf"), "t_max"),
+        ("grid", "h", float("nan"), "grid"),
+        (None, "threads", 0, "threads"),
+    ], ids=["nan-dt", "negative-spacing", "nan-a1", "inf-t_max", "nan-h",
+            "zero-threads"])
+    def test_bad_value_is_config_error(self, tmp_path, smoke_config, capsys,
+                                       section, key, value, message):
+        raw = json.loads(smoke_config.read_text())
+        (raw[section] if section else raw)[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["experiment", "--config", str(bad)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_off_rule_partition_warns(self, tmp_path, smoke_config):
         raw = json.loads(smoke_config.read_text())
@@ -153,6 +172,26 @@ class TestSubcommands:
         assert rc == 2
         assert "non-finite" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("dt, message", [
+        (float("nan"), "time step"), (-0.1, "time step"), (0.0, "time step"),
+        (0.05, "dt=0.05"),
+    ], ids=["nan", "negative", "zero", "other-step"])
+    def test_reconstruct_bad_time_step_is_config_error(self, tmp_path,
+                                                       smoke_config, capsys,
+                                                       dt, message):
+        # the smoke geometry samples at dt = 0.1
+        from lvpat.io import write_wave_data
+        out = tmp_path / "out"
+        main(["simulate", "--config", str(smoke_config), "--phantom",
+              str(tmp_path / "phantom_reference.json"), "--out", str(out)])
+        data_path = out / "data_full.patb"
+        data = read_wave_data(data_path)
+        write_wave_data(dataclasses.replace(data, dt=dt), data_path)
+        rc = main(["reconstruct", "--config", str(smoke_config),
+                   "--data", str(data_path), "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
     def test_extend_names_output_by_partition_shape(self, tmp_path,
                                                     smoke_config):

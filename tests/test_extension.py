@@ -9,10 +9,10 @@ import pytest
 from lvpat.errors import (ContainerFormatError, DataMismatchError,
                           ParameterError, SingularTrainingSetError)
 from lvpat.extension import (GRAM_BLOCK_NODES, TrainingSet,
-                             build_training_set, coarsen_training_set, extend,
-                             factorize, gram_matrix, load_model,
-                             project_coefficients, save_model, stitch,
-                             train_extension_model, zero_extend)
+                             build_training_set, extend, factorize,
+                             gram_matrix, load_model, project_coefficients,
+                             save_model, stitch, train_extension_model,
+                             zero_extend)
 from lvpat.forward import Part, WaveData, restrict_wave_data, simulate_wave_data
 from lvpat.metrics import boundary_time_inner, boundary_time_norm
 from lvpat.phantoms import SquareIndicator, WeightedSum, training_partition
@@ -20,17 +20,22 @@ from lvpat.phantoms import SquareIndicator, WeightedSum, training_partition
 from conftest import BOX, TEST_PHANTOM
 
 
+def partition_set(shape, geom, split):
+    """Training set of the (n_w, n_h) partition of BOX, simulated directly."""
+    return build_training_set(training_partition(BOX, *shape), geom, split,
+                              threads=2)
+
+
 @pytest.fixture(scope="module")
 def ts32(coarse_geom, coarse_split):
-    """Finest training set; coarser ones are derived by trace summation."""
-    return build_training_set(training_partition(BOX, 32, 16), coarse_geom,
-                              coarse_split, threads=2)
+    """Finest training set of the partitions used here."""
+    return partition_set((32, 16), coarse_geom, coarse_split)
 
 
 @pytest.fixture(scope="module")
-def model8(ts32, coarse_geom):
-    return train_extension_model(coarsen_training_set(ts32, (32, 16), (8, 4)),
-                                 coarse_geom)
+def model8(coarse_geom, coarse_split):
+    return train_extension_model(partition_set((8, 4), coarse_geom,
+                                               coarse_split), coarse_geom)
 
 
 def mixture_data(model, coefs, split):
@@ -63,18 +68,6 @@ class TestTrainingSet:
         with pytest.raises(SingularTrainingSetError) as info:
             factorize(gram)
         assert info.value.minor_index == 2
-
-    def test_coarsen_matches_direct_simulation(self, ts32, coarse_geom,
-                                               coarse_split):
-        direct = build_training_set(training_partition(BOX, 4, 2), coarse_geom,
-                                    coarse_split, threads=2)
-        derived = coarsen_training_set(ts32, (32, 16), (4, 2))
-        for a, b in zip(derived.u1, direct.u1):
-            scale = max(np.abs(b.samples).max(), 1e-30)
-            assert np.abs(a.samples - b.samples).max() <= 1e-10 * scale
-        for pa, pb in zip(derived.phantoms, direct.phantoms):
-            assert pa.x_lo == pytest.approx(pb.x_lo, abs=1e-12)
-            assert pa.y_hi == pytest.approx(pb.y_hi, abs=1e-12)
 
     def test_views_share_the_tensors(self, ts32, coarse_geom, coarse_split):
         n_time = coarse_geom.n_time
@@ -226,13 +219,16 @@ class TestExtend:
         scale = np.abs(want).max()
         assert np.abs(got - want).max() <= 1e-10 * scale
 
-    def test_nested_coarse_function_in_fine_model(self, ts32, coarse_geom):
+    def test_nested_coarse_function_in_fine_model(self, ts32, coarse_geom,
+                                                  coarse_split):
         # a 4x2 cell is a union of 32x16 cells, so the fine model must extend
         # its trace to solver accuracy
-        coarse = coarsen_training_set(ts32, (32, 16), (4, 2))
+        cell = training_partition(BOX, 4, 2)[3]
+        full = simulate_wave_data(cell, coarse_geom, coarse_split, Part.FULL)
         fine_model = train_extension_model(ts32, coarse_geom)
-        got = extend(fine_model, coarse.u1[3])
-        want = coarse.u2[3]
+        got = extend(fine_model,
+                     restrict_wave_data(full, coarse_split, Part.GAMMA1))
+        want = restrict_wave_data(full, coarse_split, Part.GAMMA2)
         rel = (np.linalg.norm(got.samples - want.samples)
                / np.linalg.norm(want.samples))
         assert rel <= 1e-6
@@ -245,8 +241,8 @@ class TestExtend:
         u2 = restrict_wave_data(full, coarse_split, Part.GAMMA2)
         errs = []
         for shape in [(4, 2), (8, 4), (16, 8), (32, 16)]:
-            ts = ts32 if shape == (32, 16) else coarsen_training_set(
-                ts32, (32, 16), shape)
+            ts = ts32 if shape == (32, 16) else partition_set(
+                shape, coarse_geom, coarse_split)
             model = train_extension_model(ts, coarse_geom)
             got = extend(model, u1)
             diff = u2.copy_with(got.samples - u2.samples)

@@ -292,6 +292,63 @@ def draw_checkpoints(p, x, geom, rng, count):
     return ks
 
 
+def simulate_recorded(p, geom, split, threads, monkeypatch):
+    """Full-boundary data of p, and what the forward did to compute it: the
+    task lists of its `parallel_map` calls, (term, node indices, means) per
+    mean-table call, and the sparse tables it built."""
+    tasks, calls, tables = [], [], []
+    run, means, build = forward.parallel_map, exact_mean_table, forward.csr_array
+    node = {x.tobytes(): i for i, x in enumerate(geom.positions)}
+
+    def mapped(fn, items, threads=1):
+        tasks.append(list(items))
+        return run(fn, tasks[-1], threads)
+
+    def recorded(q, center, radii):
+        calls.append((q, np.array([node[c.tobytes()] for c in center]),
+                      means(q, center, radii)))
+        return calls[-1][2]
+
+    def kept(*args, **kwargs):
+        tables.append(build(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(forward, "parallel_map", mapped)
+    monkeypatch.setattr(forward, "exact_mean_table", recorded)
+    monkeypatch.setattr(forward, "csr_array", kept)
+    data = simulate_wave_data(p, geom, split, Part.FULL, threads=threads)
+    monkeypatch.undo()
+    return data, tasks, calls, tables
+
+
+def check_point_blocks(tasks, calls, n_points):
+    """The block rule of `forward._traces`; returns the block bounds.
+
+    One parallel pass over consecutive blocks of whole points; per block one
+    mean-table call per term with rows in it; ceil(entries / _CHUNK_ROWS)
+    blocks, each within one point's row of an equal share of the entries."""
+    assert len(tasks) == 1
+    bounds = tasks[0]
+    assert bounds[0][0] == 0 and bounds[-1][1] == n_points
+    assert all(a[1] == b[0] and a[0] < a[1] for a, b in zip(bounds, bounds[1:]))
+    ends = np.array([hi for _, hi in bounds])
+    entries = np.zeros(len(bounds), dtype=int)
+    seen = set()
+    for q, nodes, _ in calls:
+        block = np.searchsorted(ends, nodes, side="right")
+        # the call's rows all lie in one block: blocks hold whole points
+        assert np.all(block == block[0])
+        assert (block[0], id(q)) not in seen
+        seen.add((block[0], id(q)))
+        entries[block[0]] += len(nodes)
+    row = np.bincount(np.concatenate([n for _, n, _ in calls]),
+                      minlength=n_points)
+    total = row.sum()
+    assert len(bounds) == -(-total // _CHUNK_ROWS)
+    assert np.all(np.abs(entries - total / len(bounds)) <= row.max())
+    return bounds
+
+
 class TestCircularMean:
 
     def test_batch_table_matches_scalar_oracle(self):
@@ -568,54 +625,33 @@ class TestSimulate:
 
     def test_threaded_simulation_is_identical(self, medium_geom, medium_split,
                                               monkeypatch):
-        # a wide ellipse: its windows on medium_geom hold about 52k rows
+        # a wide ellipse: its windows on medium_geom hold about 52k entries
         p = EllipseIndicator((-0.2, -0.1), 1.3, 0.6, np.pi / 8)
-        calls = []
-
-        def counted(q, center, radii):
-            calls.append(len(radii))
-            return exact_mean_table(q, center, radii)
-
-        monkeypatch.setattr(forward, "exact_mean_table", counted)
-        runs = {}
+        runs, bounds = {}, {}
         for threads in (1, 2, 4):
-            calls.clear()
-            runs[threads] = simulate_wave_data(p, medium_geom, medium_split,
-                                               Part.FULL, threads=threads)
-            # at least 3 full chunks and an uneven last one
-            assert len(calls) >= 4
-            assert sorted(calls)[1:] == [_CHUNK_ROWS] * (len(calls) - 1)
-            assert 0 < min(calls) < _CHUNK_ROWS
+            runs[threads], tasks, calls, _ = simulate_recorded(
+                p, medium_geom, medium_split, threads, monkeypatch)
+            bounds[threads] = check_point_blocks(tasks, calls,
+                                                 medium_geom.n_nodes)
+        assert len(bounds[1]) >= 4
         for threads in (2, 4):
+            assert bounds[threads] == bounds[1]
             assert runs[threads].samples.tobytes() == runs[1].samples.tobytes()
 
     def test_threaded_sum_simulation_is_identical(self, medium_geom,
                                                   medium_split, monkeypatch):
         p = KERNEL_CASES["sum"]
-        calls = []
-
-        def counted(q, center, radii):
-            calls.append((q, len(radii)))
-            return exact_mean_table(q, center, radii)
-
-        monkeypatch.setattr(forward, "exact_mean_table", counted)
-        runs, chunks = {}, {}
+        runs, bounds = {}, {}
         for threads in (1, 2, 4):
-            calls.clear()
-            runs[threads] = simulate_wave_data(p, medium_geom, medium_split,
-                                               Part.FULL, threads=threads)
-            chunks[threads] = sorted(calls, key=lambda c: (str(c[0]), c[1]))
-        # chunk bounds do not depend on threads: per term, full chunks and
-        # one uneven last one
-        assert chunks[2] == chunks[1] and chunks[4] == chunks[1]
-        for _, q in p.terms:
-            sizes = sorted(n for term, n in chunks[1] if term == q)
-            assert len(sizes) >= 2
-            assert sizes[1:] == [_CHUNK_ROWS] * (len(sizes) - 1)
-            assert 0 < sizes[0] < _CHUNK_ROWS
-        # the table's entries span at least two product blocks
-        assert sum(n for _, n in chunks[1]) > _CHUNK_ROWS
+            runs[threads], tasks, calls, _ = simulate_recorded(
+                p, medium_geom, medium_split, threads, monkeypatch)
+            bounds[threads] = check_point_blocks(tasks, calls,
+                                                 medium_geom.n_nodes)
+            # every block holds rows of both terms
+            assert len(calls) == 2 * len(bounds[threads])
+        assert len(bounds[1]) >= 2
         for threads in (2, 4):
+            assert bounds[threads] == bounds[1]
             assert runs[threads].samples.tobytes() == runs[1].samples.tobytes()
 
     @pytest.mark.parametrize("name", sorted(WINDOW_CASES))
@@ -656,29 +692,19 @@ class TestSimulate:
         # a 1e-4 square's bounding circle is as tight as its extent
         assert dropped > 0 or name == "tiny_square"
 
-    def test_table_stores_no_zeros(self, coarse_geom, coarse_split,
+    def test_table_stores_no_zeros(self, medium_geom, medium_split,
                                    monkeypatch):
         p = WINDOW_CASES["nested_sum"]
-        means, tables = [], []
-        build = forward.csr_array
-
-        def recorded(q, center, radii):
-            means.append(exact_mean_table(q, center, radii))
-            return means[-1]
-
-        def kept(*args, **kwargs):
-            tables.append(build(*args, **kwargs))
-            return tables[-1]
-
-        monkeypatch.setattr(forward, "exact_mean_table", recorded)
-        monkeypatch.setattr(forward, "csr_array", kept)
-        simulate_wave_data(p, coarse_geom, coarse_split, Part.FULL)
-        monkeypatch.undo()
-        values = np.concatenate(means)
-        # the windows' margins hold exact zeros; none of them is stored
+        _, tasks, calls, tables = simulate_recorded(p, medium_geom,
+                                                    medium_split, 2, monkeypatch)
+        bounds = check_point_blocks(tasks, calls, medium_geom.n_nodes)
+        assert len(tables) == len(bounds) >= 2
+        values = np.concatenate([v for _, _, v in calls])
+        # the windows' margins hold exact zeros; no block table stores one
         assert np.count_nonzero(values == 0.0) > 0
-        assert tables[0].nnz == np.count_nonzero(values)
-        assert np.all(tables[0].data != 0.0)
+        assert sum(t.nnz for t in tables) == np.count_nonzero(values)
+        for t in tables:
+            assert np.all(t.data != 0.0)
 
     def test_wave_map_blocks_change_no_bytes(self, monkeypatch):
         # the step-0.02 map of the forward-mix workload: 30.6 MiB

@@ -249,6 +249,19 @@ class TestReconstruct:
         with pytest.raises(DataMismatchError):
             reconstruct(subset, medium_geom, small_grid)
 
+    @pytest.mark.parametrize("dt_factor, extra_steps", [(0.5, 0), (1.0, -1)],
+                             ids=["half-step", "short"])
+    def test_other_time_grid_rejected(self, medium_geom, small_grid,
+                                      dt_factor, extra_steps):
+        # data on another time grid would back-project with the wrong times
+        data = synthetic_full(medium_geom, lambda t: t * t)
+        n_time = medium_geom.n_time + extra_steps
+        other = dataclasses.replace(data, dt=dt_factor * medium_geom.dt,
+                                    n_time=n_time,
+                                    samples=data.samples[:, :n_time])
+        with pytest.raises(DataMismatchError, match="dt="):
+            reconstruct(other, medium_geom, small_grid)
+
     def test_grid_needs_domain(self, medium_geom):
         data = synthetic_full(medium_geom, lambda t: t * t)
         bare = GridSpec(origin=(-1, -1), h=0.1, nx=21, ny=21, domain=None)

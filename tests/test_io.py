@@ -227,6 +227,15 @@ class TestContainer:
         with pytest.raises(ContainerFormatError, match="non-finite"):
             read_wave_data(path)
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -0.1, 0.0])
+    def test_wave_data_bad_time_step_rejected(self, tmp_path, dt):
+        w = WaveData(Part.GAMMA1, np.array([3, 5, 8]), dt, 4,
+                     np.arange(12.0).reshape(3, 4), "cafef00d")
+        path = tmp_path / "w.patb"
+        write_wave_data(w, path)
+        with pytest.raises(ContainerFormatError, match="time step"):
+            read_wave_data(path)
+
     @pytest.mark.parametrize("node_idx, reason", [
         ([3.0, 5.5, 8.0], "integers"),
         ([3.0, np.nan, 8.0], "integers"),
