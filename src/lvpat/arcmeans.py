@@ -5,9 +5,9 @@ inside the support) / (2*pi).  For boxes it is closed form: the arcs inside
 the band x_lo <= x <= x_hi (arccos of the clipped edge offsets) overlap the
 arcs inside y_lo <= y <= y_hi (arcsin likewise).  Ellipse crossing angles
 are the real roots of a quartic in the tangent half-angle, solved row by row
-in closed form (Ferrari, Cardano) and polished by Newton steps.  Weighted
-sums combine term measures linearly, so linear combinations of phantoms
-produce exactly linear wave data.
+in closed form (Ferrari, Cardano) and polished by Newton steps.  A weighted
+sum has no table of its own: the forward evaluates it term by term, so
+linear combinations of phantoms produce linear wave data.
 
 A table row is one (center, radius) pair: the center is either one point
 shared by every radius or one point per radius, so the whole boundary of a
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-from .phantoms import EllipseIndicator, Phantom, SquareIndicator, WeightedSum
+from .phantoms import EllipseIndicator, Phantom, SquareIndicator
 
 TWO_PI = 2.0 * np.pi
 
@@ -64,26 +64,30 @@ def _measures_from_candidates(cand: np.ndarray, el: EllipseIndicator, cx, cy,
     return measure
 
 
-def _box_arc_measures(sq: SquareIndicator, cx, cy, radii: np.ndarray) -> np.ndarray:
+def _box_arc_measures(edges, cx, cy, radii: np.ndarray) -> np.ndarray:
     """Arc measure inside a box as four clamped interval overlaps.
 
-    On theta in [0, pi] the x band is [alpha_hi, alpha_lo] and the y band is
-    [beta_lo, beta_hi] plus [pi - beta_hi, pi - beta_lo]; theta -> -theta maps
-    the lower half circle onto the upper one with the y band negated.  Rows
-    with r = 0 take 2*pi * f(center).
+    edges are (x_lo, x_hi, y_lo, y_hi); each edge, like each center
+    coordinate, is a scalar or a per-row array, so one call can evaluate
+    rows of many boxes.  On theta in [0, pi] the x band is
+    [alpha_hi, alpha_lo] and the y band is [beta_lo, beta_hi] plus
+    [pi - beta_hi, pi - beta_lo]; theta -> -theta maps the lower half circle
+    onto the upper one with the y band negated.  Rows with r = 0 take
+    2*pi * f(center), with the box half-open as in `SquareIndicator`.
     """
+    x_lo, x_hi, y_lo, y_hi = edges
     r = radii
     with np.errstate(divide="ignore", invalid="ignore"):
-        a_hi = np.arccos(np.clip((sq.x_hi - cx) / r, -1.0, 1.0))
-        a_lo = np.arccos(np.clip((sq.x_lo - cx) / r, -1.0, 1.0))
-        b_lo = np.arcsin(np.clip((sq.y_lo - cy) / r, -1.0, 1.0))
-        b_hi = np.arcsin(np.clip((sq.y_hi - cy) / r, -1.0, 1.0))
+        a_hi = np.arccos(np.clip((x_hi - cx) / r, -1.0, 1.0))
+        a_lo = np.arccos(np.clip((x_lo - cx) / r, -1.0, 1.0))
+        b_lo = np.arcsin(np.clip((y_lo - cy) / r, -1.0, 1.0))
+        b_hi = np.arcsin(np.clip((y_hi - cy) / r, -1.0, 1.0))
     lo = np.stack([b_lo, np.pi - b_hi, -b_hi, np.pi + b_lo], axis=1)
     hi = np.stack([b_hi, np.pi - b_lo, -b_lo, np.pi + b_hi], axis=1)
     overlap = np.minimum(a_lo[:, None], hi) - np.maximum(a_hi[:, None], lo)
     measure = np.sum(np.maximum(overlap, 0.0), axis=1)
-    center = np.stack(np.broadcast_arrays(cx, cy), axis=-1)
-    return np.where(r > 0, measure, TWO_PI * sq.evaluate(center))
+    inside = (cx >= x_lo) & (cx < x_hi) & (cy >= y_lo) & (cy < y_hi)
+    return np.where(r > 0, measure, TWO_PI * inside)
 
 
 _CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi / 3 * np.arange(3))
@@ -225,7 +229,7 @@ def _ellipse_arc_measures(el: EllipseIndicator, cx, cy,
 
 
 def exact_mean_table(p: Phantom, center, radii: np.ndarray) -> np.ndarray:
-    """Exact circular means of the phantom at all radii about center.
+    """Exact circular means of a box or an ellipse at all radii about center.
 
     center is one point, shape (2,), shared by all radii, or one point per
     radius, shape (len(radii), 2).
@@ -239,18 +243,8 @@ def exact_mean_table(p: Phantom, center, radii: np.ndarray) -> np.ndarray:
     else:
         raise ParameterError(f"center shape {c.shape} fits neither (2,) nor "
                              f"one point per radius ({len(r)}, 2)")
-    return _mean_table(p, cx, cy, r)
-
-
-def _mean_table(p: Phantom, cx, cy, r: np.ndarray) -> np.ndarray:
     if isinstance(p, SquareIndicator):
-        return _box_arc_measures(p, cx, cy, r) / TWO_PI
+        return _box_arc_measures(p.bounding_box(), cx, cy, r) / TWO_PI
     if isinstance(p, EllipseIndicator):
         return _ellipse_arc_measures(p, cx, cy, r) / TWO_PI
-    if isinstance(p, WeightedSum):
-        out = np.zeros_like(r)
-        for coef, q in p.terms:
-            if coef != 0.0:
-                out += coef * _mean_table(q, cx, cy, r)
-        return out
-    raise ParameterError(f"unknown phantom type {type(p)!r}")
+    raise ParameterError(f"no mean table for phantom type {type(p)!r}")

@@ -34,6 +34,15 @@ CONFIG_ERROR_EXIT = 2
 NUMERIC_ERROR_EXIT = 3
 
 
+def _whole(value, name: str) -> int:
+    """A config count as an int; a fractional or non-numeric value is
+    rejected rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or \
+       not float(value).is_integer():
+        raise ParameterError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class ExperimentConfig:
     domain: EllipseDomain
@@ -59,14 +68,15 @@ class ExperimentConfig:
         base = path.parent
         g = raw["geometry"]
         grid = raw["grid"]
-        n_list = [tuple(int(v) for v in pair) for pair in raw["n_list"]]
+        n_list = [tuple(_whole(v, "n_list entry") for v in pair)
+                  for pair in raw["n_list"]]
         for n_w, n_h in n_list:
             if n_w != 2 * n_h:
                 warnings.warn(f"partition {n_w}x{n_h} does not follow n_w = 2*n_h")
         phantom_path = (base / raw["phantom"]).resolve()
         if not phantom_path.exists():
             raise ParameterError(f"phantom spec not found: {phantom_path}")
-        threads = int(raw.get("threads", 1))
+        threads = _whole(raw.get("threads", 1), "threads")
         if threads < 1:
             raise ParameterError(f"threads must be at least 1, got {threads}")
         return cls(
@@ -80,8 +90,8 @@ class ExperimentConfig:
             n_list=n_list,
             grid_origin=tuple(float(v) for v in grid["origin"]),
             grid_h=float(grid["h"]),
-            grid_nx=int(grid["nx"]),
-            grid_ny=int(grid["ny"]),
+            grid_nx=_whole(grid["nx"], "grid.nx"),
+            grid_ny=_whole(grid["ny"], "grid.ny"),
             out_dir=(base / raw.get("out_dir", "out")).resolve(),
             threads=threads,
         )

@@ -26,7 +26,8 @@ from scipy.linalg.lapack import dpotrf
 from ._util import cholesky_lower
 from .errors import (ContainerFormatError, DataMismatchError, ParameterError,
                      SingularTrainingSetError)
-from .forward import Part, WaveData, _support_sample_points, simulate_wave_data
+from .forward import (Part, WaveData, _support_sample_points, _traces,
+                      _wave_map)
 from .geometry import (BoundaryGeometry, BoundarySplit,
                        detection_region_contains)
 from .io import (dump_container, finite_section, node_index_section,
@@ -110,36 +111,39 @@ class ExtensionModel:
 
 def build_training_set(phantoms, geom: BoundaryGeometry, split: BoundarySplit,
                        threads: int = 1) -> TrainingSet:
-    """Simulate full-boundary data per phantom and file both restrictions.
+    """Simulate every phantom's traces at the gamma1 and the gamma2 nodes.
 
-    Simulating the full boundary once per phantom guarantees that stitching
-    u1_i and u2_i back together reproduces the full data exactly.  Phantoms
-    are simulated one after another into preallocated tensors; `threads`
-    goes to `simulate_wave_data`, whose blocks of boundary points are the
-    only parallel level.  Phantoms with support outside the detection region
-    are recorded on the set and reported with a single warning.
+    All phantoms go through one forward pass per boundary part, straight
+    into the U1 and U2 tensors.  A trace depends only on its phantom and its
+    node, so u1_i and u2_i stitched together are exactly the phantom's
+    full-boundary data.  `threads` spreads the forward's blocks of
+    (phantom, node) rows.  Every support must lie inside the domain;
+    phantoms with support outside the detection region are recorded on the
+    set and reported with a single warning.
     """
     phantoms = list(phantoms)
     if not phantoms:
         raise ParameterError("need at least one training phantom")
 
-    outside = tuple(
-        i for i, p in enumerate(phantoms)
-        if not all(detection_region_contains(split, q)
-                   for q in _support_sample_points(p)))
+    pts = [_support_sample_points(p) for p in phantoms]
+    owner = np.repeat(np.arange(len(phantoms)), [len(q) for q in pts])
+    pts = np.concatenate(pts)
+    if not np.all(geom.domain.contains(pts)):
+        raise ParameterError("phantom support is not inside the domain")
+    poking = np.bincount(owner[~detection_region_contains(split, pts)],
+                         minlength=len(phantoms))
+    outside = tuple(int(i) for i in np.flatnonzero(poking))
     if outside:
         warnings.warn(f"{len(outside)} training phantom(s) lie outside the "
                       "detection region; their extension is unstable",
                       stacklevel=2)
 
     i1, i2 = split.gamma1_idx, split.gamma2_idx
-    u1 = np.empty((len(phantoms), len(i1), geom.n_time))
-    u2 = np.empty((len(phantoms), len(i2), geom.n_time))
-    for k, p in enumerate(phantoms):
-        s = simulate_wave_data(p, geom, split, Part.FULL, threads=threads).samples
-        u1[k], u2[k] = s[i1], s[i2]
-    return TrainingSet(phantoms=phantoms, u1_idx=i1, u2_idx=i2, u1_samples=u1,
-                       u2_samples=u2, dt=geom.dt, fingerprint=split.fingerprint(),
+    wm = _wave_map(geom.dt, geom.n_time)
+    return TrainingSet(phantoms=phantoms, u1_idx=i1, u2_idx=i2,
+                       u1_samples=_traces(phantoms, geom.positions[i1], wm, threads),
+                       u2_samples=_traces(phantoms, geom.positions[i2], wm, threads),
+                       dt=geom.dt, fingerprint=split.fingerprint(),
                        outside_detection=outside)
 
 

@@ -4,26 +4,30 @@ With initial pressure f and zero initial velocity, the solution satisfies
 u(x, t) = d/dt [ w(x, t) ],   w(x, t) = int_0^t M_r(x) r / sqrt(t^2 - r^2) dr,
 where M_r(x) is the circular mean of f over the circle of radius r about x.
 
-Per phantom, the implementation tabulates M_r once for every observation
-point and every term of the phantom (a square or an ellipse is one term, a
-weighted sum has one per nonzero coefficient).  Each (point, term) pair gets
-a window of a uniform radius grid that covers the term's support annulus
-(see `phantoms.radial_extent`: exact for boxes, a rigorous enclosure for
-ellipses), and all (point, radius) rows of a term go through the exact
-arc-measure mean table (see `arcmeans`), scaled by the term's coefficient.
-The nonzero means form a sparse matrix, a row per point holding the windows
-of all terms (where windows overlap, a row holds several entries of one
-column); a mean of exactly 0.0 is not stored, since it adds exactly +0.0 to
-every sum of the product.  A sparse product with a cached linear map then
-gives u at every sample time:
+For a sequence of phantoms (one for `simulate_wave_data`, a whole training
+set for `extension.build_training_set`) the implementation tabulates M_r
+once for every (phantom, observation point) row and every term of the
+phantom (a square or an ellipse is one term, a weighted sum has one per
+nonzero coefficient).  Each (row, term) pair gets a window of a uniform
+radius grid that covers the term's support annulus (see
+`phantoms.radial_extent`: exact for boxes, a rigorous enclosure for
+ellipses), and the means come from the exact arc measures (see `arcmeans`),
+scaled by the term's coefficient: the rows of all box terms of a block in
+one evaluation with the edges gathered per row, each ellipse term's rows in
+one mean-table call.  The nonzero means form a sparse matrix, a row holding
+the windows of all its phantom's terms (where windows overlap, a row holds
+several entries of one column); a mean of exactly 0.0 is not stored, since
+it adds exactly +0.0 to every sum of the product.  A sparse product with a
+cached linear map then gives u at every sample time:
 the map is the closed-form integral of the piecewise-linear interpolant
 against the Abel weight at staggered half-step times, centrally differenced
 in time and divided by dt once when it is built.  The time derivative
 therefore sees an exact integral of the tabulated means, which keeps the
-differencing stable.  `threads` spreads blocks of whole points over
+differencing stable.  `threads` spreads blocks of whole rows over
 workers; each block builds its own rows of the table and their product.
 The block bounds come from the windows' entry counts alone, and rows never
-interact, so the output bytes do not depend on the thread count.
+interact, so the output bytes depend neither on the thread count nor on
+which other phantoms and points share the pass.
 
 The radius grid and the mean values depend on the phantom only through
 pointwise evaluation, so simulated data is linear in the phantom to rounding
@@ -39,9 +43,10 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.sparse import csr_array
+from scipy.sparse._sparsetools import csr_matvecs
 
 from ._util import parallel_map
-from .arcmeans import exact_mean_table
+from .arcmeans import TWO_PI, _box_arc_measures, exact_mean_table
 from .errors import DataMismatchError, ParameterError
 from .geometry import BoundaryGeometry, BoundarySplit, detection_region_contains
 from .phantoms import (EllipseIndicator, Phantom, SquareIndicator, WeightedSum,
@@ -51,8 +56,8 @@ from .phantoms import (EllipseIndicator, Phantom, SquareIndicator, WeightedSum,
 # error of the square-root onset of circular means well under the data scale
 _DR_FACTOR = 0.25
 
-# table entries per block of points: the points are cut into
-# ceil(entries / _CHUNK_ROWS) blocks of whole points with about equal entry
+# table entries per block of rows: the (phantom, point) rows are cut into
+# ceil(entries / _CHUNK_ROWS) blocks of whole rows with about equal entry
 # counts, and blocks are what `threads` spreads over workers.  Their bounds
 # depend only on the windows, so the output bytes do not depend on the thread
 # count.  Smaller pieces cost more than they save: a training cell's product
@@ -157,63 +162,95 @@ def _wave_map(dt: float, n_time: int) -> _WaveMap:
     return _WaveMap(dt, n_time, _DR_FACTOR * dt)
 
 
-def _traces(p: Phantom, points: np.ndarray, wm: _WaveMap,
+def _traces(phantoms, points: np.ndarray, wm: _WaveMap,
             threads: int = 1) -> np.ndarray:
-    """Traces u(x, k*dt), k = 1..n_time, at each row x of points (m, 2).
+    """Traces u(x, k*dt), k = 1..n_time, of each phantom at each row x of
+    points (m, 2), as (phantoms, m, n_time).
 
-    For every nonzero term of the phantom, a point's radius window
-    [j_lo, j_hi] covers the term's `radial_extent` about the point (exact
-    for boxes; for ellipses from boundary samples widened by their spacing),
-    with two grid steps of margin on each side.  A point's table row holds
-    its windows in term order.  The points are split into blocks of whole
-    points with about _CHUNK_ROWS entries each, cut from the window counts
-    alone.  Per block, each term's rows go through one mean-table call,
-    scaled by the term's coefficient; entries equal to 0.0 leave the
-    block's sparse (points, radius nodes) table (each would add exactly
-    +0.0), and its product with the differenced wave map gives the block's
-    traces.
+    A table row is one (phantom, point) pair, phantom-major.  For every
+    nonzero term of the phantom, the point's radius window [j_lo, j_hi]
+    covers the term's `radial_extent` about the point (exact for boxes; for
+    ellipses from boundary samples widened by their spacing), with two grid
+    steps of margin on each side, and the row holds its windows in term
+    order.  The rows are split into blocks of whole rows with about
+    _CHUNK_ROWS entries each, cut from the window counts alone.  Per block,
+    the rows of all box terms go through one box mean evaluation with the
+    edges gathered per entry, and each ellipse term's rows through one
+    mean-table call; each mean is scaled by its term's coefficient.  Entries
+    equal to 0.0 leave the block's sparse (rows, radius nodes) table (each
+    would add exactly +0.0), and its product with the differenced wave map
+    gives the block's traces.
     """
-    terms = p.terms if isinstance(p, WeightedSum) else ((1.0, p),)
-    terms = [(coef, q) for coef, q in terms if coef != 0.0]
-    m, n_col = len(points), len(wm.r_grid)
+    # the nonzero terms of all phantoms, phantom by phantom in term order
+    terms, owner = [], []
+    for k, p in enumerate(phantoms):
+        for coef, q in p.terms if isinstance(p, WeightedSum) else ((1.0, p),):
+            if coef != 0.0:
+                terms.append((coef, q))
+                owner.append(k)
+    n_rows, m, n_col = len(phantoms) * len(points), len(points), len(wm.r_grid)
     j_lo = np.zeros((len(terms), m), dtype=int)
     counts = np.zeros((len(terms), m), dtype=int)
-    for k, (_, q) in enumerate(terms):
+    for t, (_, q) in enumerate(terms):
         lo, hi = radial_extent(q, points)
-        j_lo[k] = np.maximum(0, np.floor(lo / wm.dr).astype(int) - 2)
+        j_lo[t] = np.maximum(0, np.floor(lo / wm.dr).astype(int) - 2)
         j_hi = np.minimum(n_col - 1, np.ceil(hi / wm.dr).astype(int) + 2)
         # no rows for a point the wave does not reach by t_max
-        counts[k] = np.where(j_lo[k] < n_col - 1, j_hi - j_lo[k] + 1, 0)
-    ends = np.cumsum(counts.sum(axis=0))
-    total = int(counts.sum())
+        counts[t] = np.where(j_lo[t] < n_col - 1, j_hi - j_lo[t] + 1, 0)
+    # one window per (term, point), ordered by row, then by term
+    seg_t, seg_i = np.divmod(np.arange(counts.size), m)
+    seg_row = np.asarray(owner, dtype=int)[seg_t] * m + seg_i
+    order = np.argsort(seg_row, kind="stable")
+    seg_t, seg_i, seg_row = seg_t[order], seg_i[order], seg_row[order]
+    seg_count, seg_jlo = counts[seg_t, seg_i], j_lo[seg_t, seg_i]
+    row_count = np.bincount(seg_row, seg_count, n_rows).astype(int)
+    ends = np.cumsum(row_count)
+    total = int(row_count.sum())
     n_blocks = max(1, -(-total // _CHUNK_ROWS))
-    # a block ends with the point whose row reaches its share of the entries
+    # a block ends with the row that reaches its share of the entries
     cuts = np.searchsorted(ends, total * np.arange(1, n_blocks) // n_blocks) + 1
-    bounds = np.unique(np.concatenate([[0], cuts, [m]]))
-    out = np.empty((m, wm.n_time))
+    bounds = np.unique(np.concatenate([[0], cuts, [n_rows]]))
+    seg_bounds = np.searchsorted(seg_row, bounds)
+    coefs = np.array([coef for coef, _ in terms])
+    is_box = np.array([isinstance(q, SquareIndicator) for _, q in terms], dtype=bool)
+    edges = np.array([q.bounding_box() if isinstance(q, SquareIndicator)
+                      else (np.nan,) * 4 for _, q in terms]).reshape(-1, 4).T
+    px, py = np.array(points.T)
+    out = np.zeros((len(phantoms), m, wm.n_time))
+    rows_out = out.reshape(n_rows, wm.n_time)
 
     def block(task) -> None:
-        lo, hi = task
-        c = counts[:, lo:hi]
-        indptr = np.concatenate([[0], np.cumsum(c.sum(axis=0))])
-        offsets = indptr[:-1] + np.cumsum(c, axis=0) - c
-        data = np.empty(indptr[-1])
-        indices = np.empty(indptr[-1], dtype=int)
-        for k, (coef, q) in enumerate(terms):
-            if not c[k].any():
-                continue
-            n = np.arange(c[k].sum())
-            starts = np.cumsum(c[k]) - c[k]
-            cols = n + np.repeat(j_lo[k, lo:hi] - starts, c[k])
-            at = n + np.repeat(offsets[k] - starts, c[k])
-            indices[at] = cols
-            data[at] = coef * exact_mean_table(
-                q, np.repeat(points[lo:hi], c[k], axis=0), wm.r_grid[cols])
-        table = csr_array((data, indices, indptr), shape=(hi - lo, n_col))
+        (lo, hi), (s0, s1) = task
+        c = seg_count[s0:s1]
+        cols = np.arange(c.sum()) + np.repeat(seg_jlo[s0:s1] - (np.cumsum(c) - c), c)
+        term = np.repeat(seg_t[s0:s1], c)
+        point = np.repeat(seg_i[s0:s1], c)
+        radii = wm.r_grid[cols]
+        data = np.empty(len(cols))
+        box = is_box[term]
+        if box.any():
+            at = slice(None) if box.all() else np.flatnonzero(box)
+            t = term[at]
+            data[at] = coefs[t] * (_box_arc_measures(
+                np.take(edges, t, axis=1), px[point[at]], py[point[at]],
+                radii[at]) / TWO_PI)
+        ell = np.flatnonzero(~box)
+        for t in np.unique(term[ell]):
+            at = ell[term[ell] == t]
+            data[at] = coefs[t] * exact_mean_table(
+                terms[t][1], points[point[at]], radii[at])
+        indptr = np.concatenate([[0], np.cumsum(row_count[lo:hi])])
+        table = csr_array((data, cols, indptr), shape=(hi - lo, n_col))
         table.eliminate_zeros()
-        out[lo:hi] = table @ wm.diff_t
+        # table @ diff_t by the kernel scipy runs for it, adding straight
+        # into this block's rows of the zeroed output (C-contiguous, so the
+        # ravel is a view): no block-sized temporary is left behind in a
+        # worker's malloc arena
+        csr_matvecs(hi - lo, n_col, wm.n_time, table.indptr, table.indices,
+                    table.data, wm.diff_t.ravel(), rows_out[lo:hi].ravel())
 
-    parallel_map(block, zip(bounds[:-1], bounds[1:]), threads)
+    parallel_map(block, zip(zip(bounds[:-1], bounds[1:]),
+                            zip(seg_bounds[:-1], seg_bounds[1:])), threads)
     return out
 
 
@@ -223,7 +260,7 @@ def wave_trace(p: Phantom, x, geom: BoundaryGeometry) -> np.ndarray:
     x does not have to be a boundary node.
     """
     point = np.asarray(x, dtype=float).reshape(1, 2)
-    return _traces(p, point, _wave_map(geom.dt, geom.n_time))[0]
+    return _traces([p], point, _wave_map(geom.dt, geom.n_time))[0, 0]
 
 
 def _support_sample_points(p: Phantom) -> np.ndarray:
@@ -251,7 +288,7 @@ def simulate_wave_data(p: Phantom, geom: BoundaryGeometry, split: BoundarySplit,
     if len(pts) and not np.all(geom.domain.contains(pts)):
         raise ParameterError("phantom support is not inside the domain")
     if part is not Part.FULL and len(pts):
-        if not all(detection_region_contains(split, q) for q in pts):
+        if not np.all(detection_region_contains(split, pts)):
             warnings.warn("phantom support is not inside the detection region",
                           stacklevel=2)
 
@@ -262,8 +299,8 @@ def simulate_wave_data(p: Phantom, geom: BoundaryGeometry, split: BoundarySplit,
     else:
         node_idx = split.gamma2_idx
 
-    samples = _traces(p, geom.positions[node_idx],
-                      _wave_map(geom.dt, geom.n_time), threads)
+    samples = _traces([p], geom.positions[node_idx],
+                      _wave_map(geom.dt, geom.n_time), threads)[0]
     return WaveData(part=part, node_idx=node_idx, dt=geom.dt,
                     n_time=geom.n_time, samples=samples,
                     fingerprint=split.fingerprint())

@@ -225,11 +225,12 @@ def split_boundary(geom: BoundaryGeometry, theta_interval) -> BoundarySplit:
     )
 
 
-def detection_region_contains(split: BoundarySplit, point) -> bool:
-    """True iff point lies strictly inside the convex hull of the gamma1 nodes."""
-    p = np.asarray(point, dtype=float)
+def detection_region_contains(split: BoundarySplit, points):
+    """True where a point lies strictly inside the convex hull of the gamma1
+    nodes; points is one point (2,) or an array (..., 2)."""
+    p = np.asarray(points, dtype=float)
     v = split.hull_vertices
     edges = np.roll(v, -1, axis=0) - v
-    rel = p[None, :] - v
-    cross = edges[:, 0] * rel[:, 1] - edges[:, 1] * rel[:, 0]
-    return bool(np.all(cross > 0.0))
+    rel = p[..., None, :] - v
+    cross = edges[:, 0] * rel[..., 1] - edges[:, 1] * rel[..., 0]
+    return np.all(cross > 0.0, axis=-1)

@@ -13,6 +13,10 @@ orders of magnitude slower than `forward.wave_trace`.
 sigma quadrature of the inner Abel integral taken directly, node by node;
 `inversion.reconstruct` applies the same quadrature as one cached matrix and
 interpolates in radius.
+
+`phantom_mean_table` is the exception: not independent, but the whole-sum
+mean table, built from `arcmeans.exact_mean_table` term by term, that the
+forward's per-term windows are checked against.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import roots_jacobi, roots_legendre
 
+from .arcmeans import exact_mean_table
 from .errors import DataMismatchError, ParameterError
 from .forward import Part, WaveData
 from .geometry import BoundaryGeometry
@@ -102,6 +107,22 @@ def exact_circular_mean(p: Phantom, center, r: float) -> float:
     if isinstance(p, WeightedSum):
         return sum(coef * exact_circular_mean(q, c, r) for coef, q in p.terms)
     return _indicator_arc_measure(p, c, r) / TWO_PI
+
+
+def phantom_mean_table(p: Phantom, center, radii: np.ndarray) -> np.ndarray:
+    """`arcmeans.exact_mean_table` extended to weighted sums, term by term.
+
+    The forward never evaluates a sum as a whole: it gives each term its own
+    radius window.  This is the whole-phantom table the tests compare those
+    windows against.
+    """
+    if not isinstance(p, WeightedSum):
+        return exact_mean_table(p, center, radii)
+    out = np.zeros(np.shape(radii))
+    for coef, q in p.terms:
+        if coef != 0.0:
+            out += coef * exact_mean_table(q, center, radii)
+    return out
 
 
 def _term_critical_radii(p, x) -> list:

@@ -25,8 +25,9 @@ class SquareIndicator:
     y_hi: float
 
     def __post_init__(self):
-        if self.x_hi <= self.x_lo or self.y_hi <= self.y_lo:
-            raise ParameterError("box extents must be positive")
+        if not (self.x_lo < self.x_hi and self.y_lo < self.y_hi):
+            box = tuple(float(v) for v in self.bounding_box())
+            raise ParameterError(f"box {box} needs x_lo < x_hi and y_lo < y_hi")
 
     def evaluate(self, points):
         pts = np.asarray(points, dtype=float)
@@ -146,13 +147,19 @@ def radial_extent(p: Phantom, points: np.ndarray):
         far_y = np.maximum(y - p.y_lo, p.y_hi - y)
         return np.hypot(near_x, near_y), np.hypot(far_x, far_y)
     if isinstance(p, EllipseIndicator):
-        b = ellipse_boundary_points(p, _EXTENT_SAMPLES)
-        dx, dy = x[:, None] - b[:, 0], y[:, None] - b[:, 1]
-        d2 = dx * dx + dy * dy
+        bx, by = np.array(ellipse_boundary_points(p, _EXTENT_SAMPLES).T)
+        near2, far2 = np.empty(len(points)), np.empty(len(points))
+        # squared distances over blocks of as many points as samples, so
+        # that each temporary stays at 256 x 256 entries
+        for lo in range(0, len(points), _EXTENT_SAMPLES):
+            blk = slice(lo, lo + _EXTENT_SAMPLES)
+            d2 = np.square(x[blk, None] - bx)
+            d2 += np.square(y[blk, None] - by)
+            near2[blk], far2[blk] = d2.min(axis=1), d2.max(axis=1)
         slack = max(p.semi_a, p.semi_b) * np.pi / _EXTENT_SAMPLES
         lo = np.where(p.evaluate(points) > 0.0, 0.0,
-                      np.maximum(np.sqrt(d2.min(axis=1)) - slack, 0.0))
-        return lo, np.sqrt(d2.max(axis=1)) + slack
+                      np.maximum(np.sqrt(near2) - slack, 0.0))
+        return lo, np.sqrt(far2) + slack
     raise ParameterError(f"no radial extent for phantom type {type(p)!r}")
 
 
@@ -215,8 +222,9 @@ def training_partition(box, n_w: int, n_h: int):
     x_lo, x_hi, y_lo, y_hi = (float(v) for v in box)
     if n_w < 1 or n_h < 1:
         raise ParameterError("partition counts must be >= 1")
-    if x_hi <= x_lo or y_hi <= y_lo:
-        raise ParameterError("degenerate box")
+    if not (x_lo < x_hi and y_lo < y_hi):
+        raise ParameterError(f"degenerate box {(x_lo, x_hi, y_lo, y_hi)}: "
+                             "needs x_lo < x_hi and y_lo < y_hi")
     x_edges = x_lo + (x_hi - x_lo) * np.arange(n_w + 1) / n_w
     y_edges = y_lo + (y_hi - y_lo) * np.arange(n_h + 1) / n_h
     x_edges[0], x_edges[-1] = x_lo, x_hi

@@ -53,8 +53,12 @@ class TestConfig:
         ("geometry", "t_max", float("inf"), "t_max"),
         ("grid", "h", float("nan"), "grid"),
         (None, "threads", 0, "threads"),
+        (None, "threads", 1.7, "threads"),
+        ("grid", "nx", 40.5, "grid.nx"),
+        ("grid", "ny", 41.2, "grid.ny"),
     ], ids=["nan-dt", "negative-spacing", "nan-a1", "inf-t_max", "nan-h",
-            "zero-threads"])
+            "zero-threads", "fractional-threads", "fractional-nx",
+            "fractional-ny"])
     def test_bad_value_is_config_error(self, tmp_path, smoke_config, capsys,
                                        section, key, value, message):
         raw = json.loads(smoke_config.read_text())
@@ -63,6 +67,18 @@ class TestConfig:
         bad.write_text(json.dumps(raw))
         assert main(["experiment", "--config", str(bad)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edge", range(4),
+                             ids=["x_lo", "x_hi", "y_lo", "y_hi"])
+    def test_nan_box_edge_is_config_error(self, tmp_path, smoke_config, capsys,
+                                          edge):
+        raw = json.loads(smoke_config.read_text())
+        raw["box"][edge] = float("nan")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(bad),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "degenerate box" in capsys.readouterr().err
 
     def test_off_rule_partition_warns(self, tmp_path, smoke_config):
         raw = json.loads(smoke_config.read_text())

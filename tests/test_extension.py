@@ -77,6 +77,43 @@ class TestTrainingSet:
         assert np.shares_memory(view, ts32.u2_samples)
         assert not view.flags.writeable
 
+    def test_tensors_are_restrictions_of_full_simulations(self, coarse_geom,
+                                                          coarse_split):
+        # squares, an ellipse and a nested sum of both kernels go through one
+        # forward pass per boundary part; each phantom's rows are its own
+        # full-boundary data, bit for bit, at every thread count
+        cells = training_partition(BOX, 4, 2)
+        nested = WeightedSum(((0.5, WeightedSum(((1.0, cells[1]),
+                                                 (-2.0, TEST_PHANTOM)))),
+                              (1.5, cells[6])))
+        phantoms = [*cells[:4], TEST_PHANTOM, nested, *cells[4:]]
+        full = [simulate_wave_data(p, coarse_geom, coarse_split, Part.FULL).samples
+                for p in phantoms]
+        i1, i2 = coarse_split.gamma1_idx, coarse_split.gamma2_idx
+        u1 = np.stack([s[i1] for s in full])
+        u2 = np.stack([s[i2] for s in full])
+        for threads in (1, 2, 4):
+            ts = build_training_set(phantoms, coarse_geom, coarse_split,
+                                    threads=threads)
+            assert ts.u1_samples.tobytes() == u1.tobytes()
+            assert ts.u2_samples.tobytes() == u2.tobytes()
+
+    def test_support_outside_domain_rejected(self, coarse_geom, coarse_split):
+        cells = training_partition(BOX, 2, 1)
+        huge = SquareIndicator(-3.0, 3.0, -0.5, 0.5)
+        with pytest.raises(ParameterError, match="domain"):
+            build_training_set([*cells, huge], coarse_geom, coarse_split)
+
+    def test_outside_detection_warns_once(self, coarse_geom, coarse_split):
+        # two phantoms in the missing cap's shadow, one inside the region
+        shadow = [SquareIndicator(-0.1, 0.1, 0.8, 0.92),
+                  SquareIndicator(0.15, 0.3, 0.8, 0.9)]
+        with pytest.warns(UserWarning, match="2 training phantom") as seen:
+            ts = build_training_set([shadow[0], training_partition(BOX, 1, 1)[0],
+                                     shadow[1]], coarse_geom, coarse_split)
+        assert len(seen) == 1
+        assert ts.outside_detection == (0, 2)
+
     @pytest.mark.parametrize("bad", ["phantoms", "u1_idx", "u2_idx", "n_time"])
     def test_constructor_rejects_mismatched_tensors(self, coarse_split, bad):
         i1, i2 = coarse_split.gamma1_idx, coarse_split.gamma2_idx

@@ -1,4 +1,6 @@
+import itertools
 import tracemalloc
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -12,10 +14,10 @@ from lvpat.forward import (_CHUNK_ROWS, Part, _wave_map, restrict_wave_data,
                            simulate_wave_data, wave_trace)
 from lvpat.geometry import build_boundary, split_boundary
 from lvpat.oracle import (_term_critical_radii, exact_circular_mean,
-                          oracle_wave_field)
+                          oracle_wave_field, phantom_mean_table)
 from lvpat.phantoms import (EllipseIndicator, SquareIndicator, WeightedSum,
                             bounding_circle, distance_to_support,
-                            ellipse_boundary_points)
+                            ellipse_boundary_points, training_partition)
 
 from conftest import GAMMA2_INTERVAL, TEST_PHANTOM, random_mix, random_square
 
@@ -292,57 +294,95 @@ def draw_checkpoints(p, x, geom, rng, count):
     return ks
 
 
-def simulate_recorded(p, geom, split, threads, monkeypatch):
-    """Full-boundary data of p, and what the forward did to compute it: the
-    task lists of its `parallel_map` calls, (term, node indices, means) per
-    mean-table call, and the sparse tables it built."""
+# One mean evaluation of the forward for one term: call numbers the
+# evaluations, rows are (phantom, point) rows k * len(points) + i.
+Eval = namedtuple("Eval", "call term rows radii means")
+
+
+def record_forward(monkeypatch, phantoms, points):
+    """Patch the forward so that it records what it computes; returns the
+    lists the patch fills: the task list of each `parallel_map` call, one
+    Eval per term per mean evaluation, and the sparse tables the blocks
+    build.  A block's one box evaluation takes the rows of all its box
+    terms; it is split here into its boxes by their edges."""
     tasks, calls, tables = [], [], []
-    run, means, build = forward.parallel_map, exact_mean_table, forward.csr_array
-    node = {x.tobytes(): i for i, x in enumerate(geom.positions)}
+    run, means, boxes, build = (forward.parallel_map, forward.exact_mean_table,
+                                forward._box_arc_measures, forward.csr_array)
+    owner = {}
+    for k, p in enumerate(phantoms):
+        for _, q in p.terms if isinstance(p, WeightedSum) else ((1.0, p),):
+            owner.setdefault(q, k)
+    index = {x.tobytes(): i for i, x in enumerate(points)}
+    numbers = itertools.count()
+
+    def rows(q, centers):
+        return owner[q] * len(points) + np.array(
+            [index[c.tobytes()] for c in centers], dtype=int)
 
     def mapped(fn, items, threads=1):
         tasks.append(list(items))
         return run(fn, tasks[-1], threads)
 
-    def recorded(q, center, radii):
-        calls.append((q, np.array([node[c.tobytes()] for c in center]),
-                      means(q, center, radii)))
-        return calls[-1][2]
+    def term_means(q, centers, radii):
+        values = means(q, centers, radii)
+        calls.append(Eval(next(numbers), q, rows(q, centers), radii, values))
+        return values
+
+    def box_measures(edges, cx, cy, radii):
+        values = boxes(edges, cx, cy, radii)
+        call = next(numbers)
+        keys, which = np.unique(np.transpose(edges), axis=0, return_inverse=True)
+        for k, key in enumerate(keys):
+            at = which.ravel() == k
+            q = SquareIndicator(*key)
+            calls.append(Eval(call, q, rows(q, np.stack([cx[at], cy[at]], -1)),
+                              radii[at], values[at] / (2 * np.pi)))
+        return values
 
     def kept(*args, **kwargs):
         tables.append(build(*args, **kwargs))
         return tables[-1]
 
     monkeypatch.setattr(forward, "parallel_map", mapped)
-    monkeypatch.setattr(forward, "exact_mean_table", recorded)
+    monkeypatch.setattr(forward, "exact_mean_table", term_means)
+    monkeypatch.setattr(forward, "_box_arc_measures", box_measures)
     monkeypatch.setattr(forward, "csr_array", kept)
+    return tasks, calls, tables
+
+
+def simulate_recorded(p, geom, split, threads, monkeypatch):
+    """Full-boundary data of p and the record of `record_forward`, whose
+    rows are then the nodes."""
+    tasks, calls, tables = record_forward(monkeypatch, [p], geom.positions)
     data = simulate_wave_data(p, geom, split, Part.FULL, threads=threads)
     monkeypatch.undo()
     return data, tasks, calls, tables
 
 
-def check_point_blocks(tasks, calls, n_points):
-    """The block rule of `forward._traces`; returns the block bounds.
+def check_point_blocks(tasks, calls, n_rows):
+    """The block rule of `forward._traces`; returns the blocks' row bounds.
 
-    One parallel pass over consecutive blocks of whole points; per block one
-    mean-table call per term with rows in it; ceil(entries / _CHUNK_ROWS)
-    blocks, each within one point's row of an equal share of the entries."""
+    One parallel pass over consecutive blocks of whole rows; per block one
+    box evaluation for all its box terms and one mean-table call per
+    ellipse term with rows in it; ceil(entries / _CHUNK_ROWS) blocks, each
+    within one row of an equal share of the entries."""
     assert len(tasks) == 1
-    bounds = tasks[0]
-    assert bounds[0][0] == 0 and bounds[-1][1] == n_points
+    bounds = [rows for rows, _ in tasks[0]]
+    assert bounds[0][0] == 0 and bounds[-1][1] == n_rows
     assert all(a[1] == b[0] and a[0] < a[1] for a, b in zip(bounds, bounds[1:]))
     ends = np.array([hi for _, hi in bounds])
     entries = np.zeros(len(bounds), dtype=int)
-    seen = set()
-    for q, nodes, _ in calls:
-        block = np.searchsorted(ends, nodes, side="right")
-        # the call's rows all lie in one block: blocks hold whole points
+    kinds = {}
+    for e in calls:
+        block = np.searchsorted(ends, e.rows, side="right")
+        # the call's rows all lie in one block: blocks hold whole rows
         assert np.all(block == block[0])
-        assert (block[0], id(q)) not in seen
-        seen.add((block[0], id(q)))
-        entries[block[0]] += len(nodes)
-    row = np.bincount(np.concatenate([n for _, n, _ in calls]),
-                      minlength=n_points)
+        kind = (block[0], "box" if isinstance(e.term, SquareIndicator)
+                else id(e.term))
+        assert kinds.setdefault(e.call, kind) == kind
+        entries[block[0]] += len(e.rows)
+    assert len(set(kinds.values())) == len(kinds)
+    row = np.bincount(np.concatenate([e.rows for e in calls]), minlength=n_rows)
     total = row.sum()
     assert len(bounds) == -(-total // _CHUNK_ROWS)
     assert np.all(np.abs(entries - total / len(bounds)) <= row.max())
@@ -357,7 +397,7 @@ class TestCircularMean:
                   random_mix(rng)):
             center = rng.uniform(-2, 2, 2)
             radii = np.sort(rng.uniform(0.0, 4.0, 40))
-            got = exact_mean_table(p, center, radii)
+            got = phantom_mean_table(p, center, radii)
             want = np.array([exact_circular_mean(p, center, r) for r in radii])
             assert np.abs(got - want).max() <= 1e-12
 
@@ -376,6 +416,37 @@ class TestCircularMean:
             if known is not None:
                 assert abs(value - known) <= 1e-12
 
+    def test_per_row_box_edges_match_scalar_boxes(self):
+        # rows of several boxes in one evaluation, edges gathered per row,
+        # give each box's own table bit for bit: EDGE_BOX with its edge
+        # rows (r = 0, tangents, corners) and partition cells with random
+        # rows, r = 0 among them, all interleaved
+        rng = np.random.default_rng(42)
+        groups = [(EDGE_BOX,
+                   np.array([c for c, _, _ in BOX_EDGE_ROWS.values()], dtype=float),
+                   np.array([r for _, r, _ in BOX_EDGE_ROWS.values()]))]
+        for box in training_partition((-1.25, 0.5, -0.7, 0.1752), 4, 2):
+            radii = rng.uniform(0.0, 3.0, 40)
+            radii[:3] = 0.0
+            groups.append((box, rng.uniform(-2, 2, (40, 2)), radii))
+        edges = np.concatenate([np.tile(q.bounding_box(), (len(r), 1))
+                                for q, _, r in groups]).T
+        centers = np.concatenate([c for _, c, _ in groups])
+        radii = np.concatenate([r for _, _, r in groups])
+        order = rng.permutation(len(radii))
+        got = np.empty(len(radii))
+        got[order] = arcmeans._box_arc_measures(
+            edges[:, order], centers[order, 0], centers[order, 1],
+            radii[order]) / (2 * np.pi)
+        want = np.concatenate([exact_mean_table(q, c, r) for q, c, r in groups])
+        assert got.tobytes() == want.tobytes()
+
+    def test_sum_has_no_mean_table(self):
+        # the forward evaluates a sum term by term; `oracle` holds the
+        # whole-sum reference
+        with pytest.raises(ParameterError):
+            exact_mean_table(KERNEL_CASES["sum"], np.zeros(2), np.ones(3))
+
     @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
     def test_per_row_centers_match_scalar_calls(self, name):
         p = KERNEL_CASES[name]
@@ -392,8 +463,8 @@ class TestCircularMean:
                    (np.array([1.5, -0.5]), np.array([6.0]))]
         centers = np.concatenate([np.tile(c, (len(r), 1)) for c, r in groups])
         radii = np.concatenate([r for _, r in groups])
-        got = exact_mean_table(p, centers, radii)
-        want = np.concatenate([exact_mean_table(p, c, r) for c, r in groups])
+        got = phantom_mean_table(p, centers, radii)
+        want = np.concatenate([phantom_mean_table(p, c, r) for c, r in groups])
         assert got.tobytes() == want.tobytes()
         # the inside circle holds the full value, the far and enclosing ones 0
         assert np.all(got[-6:-3] != 0.0)
@@ -405,8 +476,8 @@ class TestCircularMean:
         p = KERNEL_CASES[name]
         centers = np.array([[-0.6, -0.25], [1.2, 0.4]])
         radii = np.array([0.3, 1.7])
-        got = exact_mean_table(p, centers, radii)
-        want = np.concatenate([exact_mean_table(p, c, r[None])
+        got = phantom_mean_table(p, centers, radii)
+        want = np.concatenate([phantom_mean_table(p, c, r[None])
                                for c, r in zip(centers, radii)])
         assert got.tobytes() == want.tobytes()
 
@@ -577,7 +648,7 @@ class TestSimulate:
                 zero_rows += 1
             else:
                 j_lo, j_hi = window
-                means = exact_mean_table(p, x, wm.r_grid[j_lo:j_hi + 1])
+                means = phantom_mean_table(p, x, wm.r_grid[j_lo:j_hi + 1])
                 want = np.diff(means @ w_t[j_lo:j_hi + 1]) / geom.dt
             assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max()
         assert 0 < zero_rows < len(data.node_idx)
@@ -599,13 +670,7 @@ class TestSimulate:
         square = SquareIndicator(-1.5, -1.3, -0.3, -0.1)
         ellipse = EllipseIndicator((1.3, 0.2), 0.2, 0.1, 0.5)
         p = WeightedSum(((0.8, square), (-1.2, ellipse)))
-        calls = []
-
-        def counted(q, center, radii):
-            calls.append((q, len(radii)))
-            return exact_mean_table(q, center, radii)
-
-        monkeypatch.setattr(forward, "exact_mean_table", counted)
+        _, calls, _ = record_forward(monkeypatch, [p], coarse_geom.positions)
         simulate_wave_data(p, coarse_geom, coarse_split, Part.FULL)
         wm = _wave_map(coarse_geom.dt, coarse_geom.n_time)
 
@@ -613,9 +678,9 @@ class TestSimulate:
             windows = [window(q, x, wm) for x in coarse_geom.positions]
             return sum(hi - lo + 1 for lo, hi in filter(None, windows))
 
-        assert not any(isinstance(q, WeightedSum) for q, _ in calls)
-        assert {q for q, _ in calls} == {square, ellipse}
-        total = sum(n for _, n in calls)
+        assert not any(isinstance(e.term, WeightedSum) for e in calls)
+        assert {e.term for e in calls} == {square, ellipse}
+        total = sum(len(e.radii) for e in calls)
         assert total == (window_rows(square, extent_window)
                          + window_rows(ellipse, extent_window))
         # exact extents cut the rows of the terms' bounding circles, which
@@ -654,6 +719,34 @@ class TestSimulate:
             assert bounds[threads] == bounds[1]
             assert runs[threads].samples.tobytes() == runs[1].samples.tobytes()
 
+    def test_phantoms_share_blocks(self, medium_geom, medium_split,
+                                   monkeypatch):
+        # the rows of many phantoms, phantom-major, are cut by the rule of
+        # a single phantom's points; one box evaluation per block takes the
+        # rows of every box term in it, and a row keeps its term order
+        cells = training_partition((-1.25, 0.5, -0.7, 0.1752), 8, 4)
+        phantoms = [*cells[:12], KERNEL_CASES["sum"], *cells[12:]]
+        points = medium_geom.positions[medium_split.gamma1_idx]
+        wm = _wave_map(medium_geom.dt, medium_geom.n_time)
+        runs, bounds = {}, {}
+        for threads in (1, 2):
+            tasks, calls, _ = record_forward(monkeypatch, phantoms, points)
+            runs[threads] = forward._traces(phantoms, points, wm, threads)
+            monkeypatch.undo()
+            bounds[threads] = check_point_blocks(tasks, calls,
+                                                 len(phantoms) * len(points))
+        assert len(bounds[1]) >= 4 and bounds[2] == bounds[1]
+        assert runs[2].tobytes() == runs[1].tobytes()
+        # some block's one box evaluation holds the rows of several cells
+        boxes = {}
+        for e in calls:
+            if isinstance(e.term, SquareIndicator):
+                boxes.setdefault(e.call, set()).add(e.term)
+        assert max(len(terms) for terms in boxes.values()) > 2
+        for k in (0, 12, 13):
+            one = forward._traces([phantoms[k]], points, wm)[0]
+            assert runs[1][k].tobytes() == one.tobytes()
+
     @pytest.mark.parametrize("name", sorted(WINDOW_CASES))
     def test_rows_outside_term_extent_are_zero(self, coarse_geom, name,
                                                monkeypatch):
@@ -668,24 +761,19 @@ class TestSimulate:
         points = [coarse_geom.positions[::8],
                   np.stack([rng.uniform(lo[0] - 0.2, lo[1] + 0.2, 40),
                             rng.uniform(hi[0] - 0.2, hi[1] + 0.2, 40)], axis=-1)]
-        points += [support_edge_points(q) for _, q in terms]
-        evaluated = []
-
-        def recorded(q, center, radii):
-            evaluated.append((q, radii.copy()))
-            return exact_mean_table(q, center, radii)
-
-        monkeypatch.setattr(forward, "exact_mean_table", recorded)
+        points = np.concatenate(points + [support_edge_points(q) for _, q in terms])
+        _, evaluated, _ = record_forward(monkeypatch, [p], points)
         dropped = 0
-        for x in np.concatenate(points):
+        for x in points:
             evaluated.clear()
-            forward._traces(p, x[None], wm)
+            forward._traces([p], x[None], wm)
             for coef, q in terms:
                 window = radius_window(q, x, wm)
                 if window is None:
                     continue
                 radii = wm.r_grid[window[0]:window[1] + 1]
-                kept = np.concatenate([r for t, r in evaluated if t == q] or [[]])
+                kept = np.concatenate([e.radii for e in evaluated if e.term == q]
+                                      or [[]])
                 gone = radii[~np.isin(radii, kept)]
                 dropped += len(gone)
                 assert np.all(exact_mean_table(q, x, gone) == 0.0)
@@ -699,12 +787,24 @@ class TestSimulate:
                                                     medium_split, 2, monkeypatch)
         bounds = check_point_blocks(tasks, calls, medium_geom.n_nodes)
         assert len(tables) == len(bounds) >= 2
-        values = np.concatenate([v for _, _, v in calls])
+        values = np.concatenate([e.means for e in calls])
         # the windows' margins hold exact zeros; no block table stores one
         assert np.count_nonzero(values == 0.0) > 0
         assert sum(t.nnz for t in tables) == np.count_nonzero(values)
         for t in tables:
             assert np.all(t.data != 0.0)
+
+    def test_rows_are_the_table_product(self, medium_geom, medium_split,
+                                        monkeypatch):
+        # each block adds its product into the output rows; those rows are
+        # exactly scipy's table @ diff_t of the block tables
+        p = KERNEL_CASES["sum"]
+        data, _, _, tables = simulate_recorded(p, medium_geom, medium_split, 1,
+                                               monkeypatch)
+        wm = _wave_map(medium_geom.dt, medium_geom.n_time)
+        assert len(tables) >= 2
+        want = np.concatenate([t @ wm.diff_t for t in tables])
+        assert data.samples.tobytes() == want.tobytes()
 
     def test_wave_map_blocks_change_no_bytes(self, monkeypatch):
         # the step-0.02 map of the forward-mix workload: 30.6 MiB
