@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
+import scipy
 from scipy.linalg.lapack import dpotrf
 
 
@@ -34,6 +39,64 @@ def parallel_map(fn, items, threads: int = 1) -> list:
     if threads <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
     return list(_pool(threads).map(fn, items))
+
+
+# (get, set) symbol pairs, in order of preference: the scipy-openblas wheels
+# prefix their exports, and the 64-bit-integer builds add a "64_" suffix
+_OPENBLAS_THREAD_SYMBOLS = tuple(
+    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+    for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", ""))
+
+
+@lru_cache(maxsize=None)
+def _openblas() -> tuple:
+    """(get, set) thread-count functions of the OpenBLAS builds that numpy
+    and scipy ship in their `numpy.libs` / `scipy.libs` folders.
+
+    Empty for any other BLAS (MKL, Accelerate, a system library).  Opening
+    an already loaded library returns the loaded instance, so the functions
+    act on the BLAS that numpy and scipy call.
+    """
+    found = []
+    for pkg in (np, scipy):
+        pattern = os.path.join(os.path.dirname(pkg.__file__), os.pardir,
+                               f"{pkg.__name__}.libs", "*openblas*")
+        for path in sorted(glob.glob(pattern)):
+            lib = ctypes.CDLL(path)
+            names = next((pair for pair in _OPENBLAS_THREAD_SYMBOLS
+                          if all(hasattr(lib, name) for name in pair)), None)
+            if names is None:
+                continue
+            get, set_ = (getattr(lib, name) for name in names)
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            found.append((get, set_))
+    return tuple(found)
+
+
+@contextmanager
+def serial_blas():
+    """Run the block with numpy's and scipy's OpenBLAS on one thread.
+
+    After each threaded call OpenBLAS's idle workers keep spinning for a
+    while, taking cores from `parallel_map`'s workers: on 2 cores the
+    benchmark's pipeline operation (`BENCH_serial_blas.json`) took a median
+    0.75 s that way against 0.63 s on one BLAS thread.  One thread also
+    fixes the order of BLAS sums, so outputs do not depend on
+    OPENBLAS_NUM_THREADS.  The previous counts come back on exit, also when
+    the block raises.  The count is process-wide: BLAS calls that other
+    threads make meanwhile run serial too.  Without OpenBLAS this does
+    nothing.
+    """
+    libs = _openblas()
+    saved = [get() for get, _ in libs]
+    for _, set_ in libs:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), n in zip(libs, saved):
+            set_(n)
 
 
 def cholesky_lower(a: np.ndarray) -> tuple:

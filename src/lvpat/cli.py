@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._util import serial_blas
 from .errors import (ContainerFormatError, DataMismatchError, ParameterError,
                      SingularTrainingSetError)
 from .extension import (build_training_set, extend, load_model, save_model,
@@ -41,6 +42,13 @@ def _whole(value, name: str) -> int:
        not float(value).is_integer():
         raise ParameterError(f"{name} must be a whole number, got {value!r}")
     return int(value)
+
+
+def _thread_count(value, name: str) -> int:
+    threads = _whole(value, name)
+    if threads < 1:
+        raise ParameterError(f"{name} must be at least 1, got {threads}")
+    return threads
 
 
 @dataclass
@@ -76,9 +84,7 @@ class ExperimentConfig:
         phantom_path = (base / raw["phantom"]).resolve()
         if not phantom_path.exists():
             raise ParameterError(f"phantom spec not found: {phantom_path}")
-        threads = _whole(raw.get("threads", 1), "threads")
-        if threads < 1:
-            raise ParameterError(f"threads must be at least 1, got {threads}")
+        threads = _thread_count(raw.get("threads", 1), "threads")
         return cls(
             domain=EllipseDomain(float(g["a1"]), float(g["a2"])),
             spacing=float(g["spacing"]),
@@ -235,6 +241,7 @@ def cmd_evaluate(cfg: ExperimentConfig, recon_paths, phantom_path,
     return 0
 
 
+@serial_blas()
 def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> dict:
     """Full limited-view pipeline; returns a summary dict (also written to disk).
 
@@ -242,6 +249,14 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> dict:
     data and each learned extension, reconstruction containers and PGMs for
     the full-view, zero-extension, and learned variants, an error CSV, and a
     timing CSV.
+
+    The whole run is inside `_util.serial_blas`: its BLAS calls use one
+    thread, so OpenBLAS's idle workers do not spin against the forward's
+    `threads`, and every output byte except timings.csv is the same for any
+    `threads` and any OpenBLAS thread setting.  The BLAS thread count is
+    process-wide, so BLAS calls that other threads of the process make
+    during the run are serial too; the previous count comes back when the
+    run returns or raises.
     """
     threads = cfg.threads if threads is None else threads
     out = cfg.out_dir
@@ -378,23 +393,26 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = ExperimentConfig.from_json(args.config)
-        threads = args.threads if args.threads is not None else cfg.threads
+        threads = cfg.threads if args.threads is None else \
+            _thread_count(args.threads, "--threads")
         out_dir = Path(args.out).resolve() if args.out else cfg.out_dir
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args.phantom, Part(args.part), out_dir, threads)
-        if args.command == "train":
-            return cmd_train(cfg, out_dir, threads)
-        if args.command == "extend":
-            return cmd_extend(cfg, args.model, args.data, out_dir)
-        if args.command == "reconstruct":
-            return cmd_reconstruct(cfg, args.data, out_dir)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, args.data, args.phantom, out_dir)
-        if args.command == "experiment":
-            cfg2 = cfg if args.out is None else ExperimentConfig(
-                **{**cfg.__dict__, "out_dir": out_dir})
-            run_experiment(cfg2, threads=threads)
-            return 0
+        with serial_blas():  # see run_experiment
+            if args.command == "simulate":
+                return cmd_simulate(cfg, args.phantom, Part(args.part), out_dir,
+                                    threads)
+            if args.command == "train":
+                return cmd_train(cfg, out_dir, threads)
+            if args.command == "extend":
+                return cmd_extend(cfg, args.model, args.data, out_dir)
+            if args.command == "reconstruct":
+                return cmd_reconstruct(cfg, args.data, out_dir)
+            if args.command == "evaluate":
+                return cmd_evaluate(cfg, args.data, args.phantom, out_dir)
+            if args.command == "experiment":
+                cfg2 = cfg if args.out is None else ExperimentConfig(
+                    **{**cfg.__dict__, "out_dir": out_dir})
+                run_experiment(cfg2, threads=threads)
+                return 0
         raise ParameterError(f"unknown command {args.command}")
     except (ParameterError, DataMismatchError, ContainerFormatError,
             FileNotFoundError, KeyError, json.JSONDecodeError) as exc:

@@ -31,7 +31,7 @@ from .forward import (Part, WaveData, _support_sample_points, _traces,
 from .geometry import (BoundaryGeometry, BoundarySplit,
                        detection_region_contains)
 from .io import (dump_container, finite_section, node_index_section,
-                 read_container)
+                 read_container, time_axis)
 from .phantoms import phantom_from_dict, phantom_to_dict
 
 RIDGE_START = 1e-12
@@ -289,7 +289,8 @@ def save_model(model: ExtensionModel, path) -> None:
 def load_model(path, expected_fingerprint: str | None = None) -> ExtensionModel:
     """Load a model container; optionally verify the geometry fingerprint.
 
-    Tensors must be finite and sized to the phantom count, node indices and
+    dt must be finite and positive and n_time a positive whole number;
+    tensors must be finite and sized to the phantom count, node indices and
     n_time; the node indices of gamma1 and gamma2 must partition
     0 .. |gamma1| + |gamma2| - 1; the Gram matrix is refactorized, so it must
     pass `factorize`.
@@ -309,7 +310,8 @@ def load_model(path, expected_fingerprint: str | None = None) -> ExtensionModel:
         raise ContainerFormatError(f"sections 'u1_idx' and 'u2_idx' do not "
                                    f"cover the nodes 0 .. {n_nodes - 1}")
     phantoms = [phantom_from_dict(d) for d in meta["phantoms"]]
-    n, n_time = len(phantoms), int(meta["n_time"])
+    dt, n_time = time_axis(meta)
+    n = len(phantoms)
     for name, shape in (("gram", (n, n)), ("weights", (len(u1_idx),)),
                         ("u1", (n, len(u1_idx), n_time)),
                         ("u2", (n, len(u2_idx), n_time))):
@@ -319,7 +321,7 @@ def load_model(path, expected_fingerprint: str | None = None) -> ExtensionModel:
                                        f"{sections[name].shape}, expected {shape}")
     ts = TrainingSet(phantoms=phantoms, u1_idx=u1_idx, u2_idx=u2_idx,
                      u1_samples=sections["u1"], u2_samples=sections["u2"],
-                     dt=float(meta["dt"]), fingerprint=meta["fingerprint"],
+                     dt=dt, fingerprint=meta["fingerprint"],
                      outside_detection=tuple(meta.get("outside_detection", ())))
     chol, ridge = factorize(sections["gram"])
     return ExtensionModel(training=ts, gram=sections["gram"], chol_lower=chol,

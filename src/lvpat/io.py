@@ -163,6 +163,20 @@ def node_index_section(name: str, arr: np.ndarray) -> np.ndarray:
     return arr.astype(int)
 
 
+def time_axis(meta: dict) -> tuple:
+    """(dt, n_time) of a container's metadata: dt finite and positive,
+    n_time a positive whole number."""
+    dt, n_time = meta["dt"], meta["n_time"]
+    if isinstance(dt, bool) or not isinstance(dt, (int, float)) or \
+       not (dt > 0 and math.isfinite(dt)):
+        raise ContainerFormatError(f"time step {dt!r} is not finite and positive")
+    if isinstance(n_time, bool) or not isinstance(n_time, (int, float)) or \
+       not (n_time >= 1 and float(n_time).is_integer()):
+        raise ContainerFormatError(f"n_time {n_time!r} is not a positive "
+                                   f"whole number")
+    return float(dt), int(n_time)
+
+
 def write_wave_data(w: WaveData, path) -> None:
     meta = json.dumps({"part": w.part.value, "dt": w.dt, "n_time": w.n_time,
                        "fingerprint": w.fingerprint}, sort_keys=True)
@@ -176,12 +190,10 @@ def read_wave_data(path) -> WaveData:
     with open(path, "rb") as fh:
         sections = dict(read_container(fh))
     meta = json.loads(sections["meta"])
-    dt = float(meta["dt"])
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ContainerFormatError(f"time step {dt!r} is not finite and positive")
+    dt, n_time = time_axis(meta)
     return WaveData(part=Part(meta["part"]),
                     node_idx=node_index_section("node_idx", sections["node_idx"]),
-                    dt=dt, n_time=int(meta["n_time"]),
+                    dt=dt, n_time=n_time,
                     samples=finite_section("samples", sections["samples"]),
                     fingerprint=meta["fingerprint"])
 

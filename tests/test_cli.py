@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
 from io import BytesIO
 from pathlib import Path
 
@@ -11,6 +14,7 @@ from lvpat.cli import ExperimentConfig, main, run_experiment
 from lvpat.io import read_wave_data
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = CONFIG_DIR.parent / "src"
 
 
 @pytest.fixture()
@@ -67,6 +71,14 @@ class TestConfig:
         bad.write_text(json.dumps(raw))
         assert main(["experiment", "--config", str(bad)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_bad_threads_flag_is_config_error(self, tmp_path, smoke_config,
+                                              capsys, threads):
+        assert main(["train", "--config", str(smoke_config), "--threads",
+                     threads, "--out", str(tmp_path / "out")]) == 2
+        assert "--threads must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("edge", range(4),
                              ids=["x_lo", "x_hi", "y_lo", "y_hi"])
@@ -297,3 +309,87 @@ class TestExperiment:
         assert len(lines) == 5  # header + zero + 2 learned + full
         # even at smoke resolution the learned extension beats zero padding
         assert summary["e2"]["4x2"] < summary["e2"]["zero"]
+
+
+@pytest.fixture()
+def blas_threads():
+    """Every OpenBLAS numpy and scipy loaded set to 2 threads for the test;
+    yields a function that reads their counts."""
+    from lvpat import _util
+    libs = _util._openblas()
+    if not libs:
+        pytest.skip("numpy and scipy do not use their bundled OpenBLAS")
+    saved = [get() for get, _ in libs]
+    for _, set_ in libs:
+        set_(2)
+    yield lambda: [get() for get, _ in libs]
+    for (_, set_), n in zip(libs, saved):
+        set_(n)
+
+
+class TestSerialBlas:
+
+    def test_run_experiment_restores_thread_counts(self, smoke_config,
+                                                   monkeypatch, blas_threads):
+        import lvpat.cli as cli
+        real, seen = cli.rasterize, []
+
+        def rasterize(*args, **kwargs):
+            seen.append(blas_threads())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "rasterize", rasterize)
+        run_experiment(ExperimentConfig.from_json(smoke_config), threads=2)
+        assert seen and all(counts == [1] * len(counts) for counts in seen)
+        assert blas_threads() == [2] * len(seen[0])
+
+    def test_run_experiment_restores_thread_counts_on_error(
+            self, smoke_config, monkeypatch, blas_threads):
+        import lvpat.cli as cli
+        seen = []
+
+        def reconstruct(*args, **kwargs):
+            seen.append(blas_threads())
+            raise RuntimeError("reconstruct failed")
+
+        monkeypatch.setattr(cli, "reconstruct", reconstruct)
+        with pytest.raises(RuntimeError, match="reconstruct failed"):
+            run_experiment(ExperimentConfig.from_json(smoke_config))
+        assert seen[0] == [1] * len(seen[0])
+        assert blas_threads() == [2] * len(seen[0])
+
+    def test_no_openblas_does_nothing(self, monkeypatch, blas_threads):
+        from lvpat import _util
+        monkeypatch.setattr(_util, "_openblas", lambda: ())
+        with _util.serial_blas():
+            inside = blas_threads()
+        assert inside == blas_threads() == [2] * len(inside)
+
+    def test_outputs_independent_of_openblas_threads(self, tmp_path):
+        # large enough for OpenBLAS to thread its calls: the 151^2 grid of
+        # the reduced config at step 0.04 (the smoke config is not)
+        raw = json.loads((CONFIG_DIR / "experiment_reduced.json").read_text())
+        raw["geometry"]["spacing"] = raw["geometry"]["dt"] = 0.04
+        raw["n_list"] = [[4, 2]]
+        raw["phantom"] = str(CONFIG_DIR / "phantom_reference.json")
+        outs = {}
+        for n in ("1", "2"):
+            raw["out_dir"] = str(tmp_path / f"blas{n}")
+            cfg_path = tmp_path / f"blas{n}.json"
+            cfg_path.write_text(json.dumps(raw))
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": n,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [
+                       str(SRC_DIR), os.environ.get("PYTHONPATH")]))}
+            subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from lvpat.cli import ExperimentConfig, "
+                 "run_experiment; run_experiment("
+                 "ExperimentConfig.from_json(sys.argv[1]))", str(cfg_path)],
+                env=env, check=True, capture_output=True)
+            outs[n] = {p.name: p.read_bytes()
+                       for p in sorted(Path(raw["out_dir"]).iterdir())
+                       if p.name != "timings.csv"}
+        assert "recon_4x2.patb" in outs["1"]
+        assert outs["1"].keys() == outs["2"].keys()
+        differ = [name for name in outs["1"] if outs["1"][name] != outs["2"][name]]
+        assert not differ, f"outputs depend on OPENBLAS_NUM_THREADS: {differ}"

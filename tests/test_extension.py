@@ -411,6 +411,28 @@ class TestPersistence:
         with pytest.raises(ContainerFormatError, match=f"{section}.*shape"):
             load_model(path)
 
+    @pytest.mark.parametrize("key, bad, message", [
+        ("dt", lambda dt: float("nan"), "time step"),
+        ("dt", lambda dt: 0.0, "time step"),
+        ("dt", lambda dt: -0.1, "time step"),
+        ("n_time", lambda n: n + 0.5, "n_time"),
+        ("n_time", lambda n: 0, "n_time"),
+        ("n_time", lambda n: -n, "n_time"),
+    ], ids=["nan-dt", "zero-dt", "negative-dt", "fractional-n_time",
+            "zero-n_time", "negative-n_time"])
+    def test_bad_time_axis_rejected(self, model8, tmp_path, key, bad, message):
+        # the fractional n_time used to be truncated to the tensors' length
+        path = tmp_path / "model.patb"
+
+        def corrupt(text):
+            meta = json.loads(text)
+            meta[key] = bad(meta[key])
+            return json.dumps(meta, sort_keys=True)
+
+        self.corrupt_section(model8, path, "meta", corrupt)
+        with pytest.raises(ContainerFormatError, match=message):
+            load_model(path)
+
     def test_non_symmetric_gram_rejected(self, model8, tmp_path):
         path = tmp_path / "model.patb"
 

@@ -211,8 +211,8 @@ class TestContainer:
         assert np.array_equal(back.samples, w.samples)
         assert back.fingerprint == w.fingerprint
 
-    def write_raw_wave_data(self, path, node_idx, samples):
-        meta = json.dumps({"part": "gamma1", "dt": 0.25, "n_time": 4,
+    def write_raw_wave_data(self, path, node_idx, samples, n_time=4):
+        meta = json.dumps({"part": "gamma1", "dt": 0.25, "n_time": n_time,
                            "fingerprint": "cafef00d"})
         path.write_bytes(write_container([("meta", meta),
                                           ("node_idx", node_idx),
@@ -234,6 +234,15 @@ class TestContainer:
         path = tmp_path / "w.patb"
         write_wave_data(w, path)
         with pytest.raises(ContainerFormatError, match="time step"):
+            read_wave_data(path)
+
+    @pytest.mark.parametrize("n_time", [4.5, 0, -4, "4", True])
+    def test_wave_data_bad_n_time_rejected(self, tmp_path, n_time):
+        # 4.5 used to be truncated to the samples' 4 columns and accepted
+        path = tmp_path / "w.patb"
+        self.write_raw_wave_data(path, np.array([3.0, 5.0, 8.0]),
+                                 np.arange(12.0).reshape(3, 4), n_time=n_time)
+        with pytest.raises(ContainerFormatError, match="n_time"):
             read_wave_data(path)
 
     @pytest.mark.parametrize("node_idx, reason", [
