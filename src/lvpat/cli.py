@@ -12,7 +12,7 @@ import json
 import sys
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from .errors import (ContainerFormatError, DataMismatchError, ParameterError,
                      SingularTrainingSetError)
 from .extension import (build_training_set, extend, load_model, save_model,
                         stitch, train_extension_model, zero_extend)
-from .forward import Part, restrict_wave_data, simulate_wave_data
+from .forward import Part, WaveData, restrict_wave_data, simulate_wave_data
 from .geometry import EllipseDomain, build_boundary, split_boundary
 from .inversion import reconstruct
 from .io import (export_csv, export_pgm, read_image_field, read_wave_data,
@@ -120,81 +120,8 @@ def _variant_name(n_w: int, n_h: int) -> str:
     return f"{n_w}x{n_h}"
 
 
-def _recon_gray_range(truth: ImageField) -> tuple:
-    vals = truth.values[truth.domain_mask]
-    lo, hi = float(vals.min()), float(vals.max())
-    if hi <= lo:
-        lo, hi = 0.0, 1.0
-    pad = 0.2 * (hi - lo)
-    return lo - pad, hi + pad
-
-
-def _wave_image(samples: np.ndarray) -> ImageField:
-    return ImageField(origin=(0.0, 0.0), h=1.0, values=samples,
-                      domain_mask=np.ones(samples.shape, dtype=bool))
-
-
-def cmd_simulate(cfg: ExperimentConfig, phantom_path, part: Part, out_dir: Path,
-                 threads: int) -> int:
-    phantom = cfg.load_phantom(phantom_path)
-    geom, split = cfg.build_geometry()
-    t0 = time.perf_counter()
-    data = simulate_wave_data(phantom, geom, split, part, threads=threads)
-    elapsed = time.perf_counter() - t0
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / f"data_{part.value}.patb"
-    write_wave_data(data, out)
-    print(f"simulate: {out} ({len(data.node_idx)} nodes, {elapsed:.2f} s)")
-    return 0
-
-
 def _partitions_ascending(cfg: ExperimentConfig):
     return sorted(cfg.n_list, key=lambda p: p[0] * p[1])
-
-
-def _train_one_model(cfg: ExperimentConfig, geom, split, n_w, n_h, threads):
-    """One model, simulated from scratch; returns (model, wall seconds).
-
-    The timing covers everything a standalone build costs: trace simulation,
-    Gram assembly, and factorization.
-    """
-    t0 = time.perf_counter()
-    ts = build_training_set(training_partition(cfg.box, n_w, n_h),
-                            geom, split, threads=threads)
-    model = train_extension_model(ts, geom)
-    return model, time.perf_counter() - t0
-
-
-def cmd_train(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
-    geom, split = cfg.build_geometry()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for n_w, n_h in _partitions_ascending(cfg):
-        name = _variant_name(n_w, n_h)
-        model, elapsed = _train_one_model(cfg, geom, split, n_w, n_h, threads)
-        path = out_dir / f"model_{name}.patb"
-        save_model(model, path)
-        print(f"train: {path} (n={model.n}, ridge={model.ridge:.3e}, "
-              f"{elapsed:.2f} s)")
-        del model
-    return 0
-
-
-def cmd_extend(cfg: ExperimentConfig, model_path, data_path, out_dir: Path) -> int:
-    geom, split = cfg.build_geometry()
-    u1 = read_wave_data(data_path)
-    model = load_model(model_path, expected_fingerprint=split.fingerprint())
-    t0 = time.perf_counter()
-    u2_hat = extend(model, u1)
-    stitched = stitch(u1, u2_hat, geom, split)
-    elapsed = time.perf_counter() - t0
-    out_dir.mkdir(parents=True, exist_ok=True)
-    name = _variant_name(*_partition_shape(model.training.phantoms))
-    g2_path = out_dir / f"gamma2_hat_{name}.patb"
-    full_path = out_dir / f"extended_{name}.patb"
-    write_wave_data(u2_hat, g2_path)
-    write_wave_data(stitched, full_path)
-    print(f"extend: {full_path} ({elapsed:.3f} s)")
-    return 0
 
 
 def _partition_shape(phantoms) -> tuple:
@@ -207,27 +134,109 @@ def _partition_shape(phantoms) -> tuple:
     return n_w, n_h
 
 
-def cmd_reconstruct(cfg: ExperimentConfig, data_path, out_dir: Path) -> int:
-    geom, split = cfg.build_geometry()
-    data = read_wave_data(data_path)
-    grid = cfg.build_grid()
-    t0 = time.perf_counter()
-    image = reconstruct(data, geom, grid)
-    elapsed = time.perf_counter() - t0
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = Path(data_path).stem
-    write_image_field(image, out_dir / f"recon_{stem}.patb")
-    vals = image.values[image.domain_mask]
+def _gray_range(field: ImageField, pad: float) -> tuple:
+    """PGM gray range: the field's range over its domain, widened on each
+    side by `pad` times its width; a constant field maps [0, 1]."""
+    vals = field.values[field.domain_mask]
     lo, hi = float(vals.min()), float(vals.max())
     if hi <= lo:
         lo, hi = 0.0, 1.0
-    export_pgm(image, lo, hi, out_dir / f"recon_{stem}.pgm")
-    print(f"reconstruct: {out_dir / f'recon_{stem}.patb'} ({elapsed:.2f} s)")
+    pad *= hi - lo
+    return lo - pad, hi + pad
+
+
+def _write_wave(data: WaveData, path: Path, amp: float | None = None) -> None:
+    """Write a wave-data container; given an amplitude, also its samples as
+    a PGM beside it with the gray range [-amp, amp]."""
+    write_wave_data(data, path)
+    if amp is not None:
+        image = ImageField(origin=(0.0, 0.0), h=1.0, values=data.samples,
+                           domain_mask=np.ones(data.samples.shape, dtype=bool))
+        export_pgm(image, -amp, amp, path.with_suffix(".pgm"))
+
+
+def _train(cfg: ExperimentConfig, geom, split, n_w, n_h):
+    """One model, simulated from scratch; returns (model, wall seconds).
+
+    The timing covers everything a standalone build costs: trace simulation,
+    Gram assembly, and factorization.
+    """
+    t0 = time.perf_counter()
+    ts = build_training_set(training_partition(cfg.box, n_w, n_h),
+                            geom, split, threads=cfg.threads)
+    model = train_extension_model(ts, geom)
+    return model, time.perf_counter() - t0
+
+
+def _extend(model, u1: WaveData, geom, split):
+    """(gamma2 extension, stitched full-boundary data, seconds for both)."""
+    t0 = time.perf_counter()
+    u2_hat = extend(model, u1)
+    stitched = stitch(u1, u2_hat, geom, split)
+    return u2_hat, stitched, time.perf_counter() - t0
+
+
+def _reconstruct(data: WaveData, geom, grid: GridSpec, path: Path,
+                 gray: tuple | None = None):
+    """Back-project, write the image and its PGM beside it (gray range
+    `gray`, else the image's own range); returns (image, seconds of the
+    back-projection)."""
+    t0 = time.perf_counter()
+    image = reconstruct(data, geom, grid)
+    elapsed = time.perf_counter() - t0
+    write_image_field(image, path)
+    export_pgm(image, *(gray or _gray_range(image, 0.0)),
+               path.with_suffix(".pgm"))
+    return image, elapsed
+
+
+def cmd_simulate(cfg: ExperimentConfig, phantom_path, part: Part) -> int:
+    phantom = cfg.load_phantom(phantom_path)
+    geom, split = cfg.build_geometry()
+    t0 = time.perf_counter()
+    data = simulate_wave_data(phantom, geom, split, part, threads=cfg.threads)
+    elapsed = time.perf_counter() - t0
+    out = cfg.out_dir / f"data_{part.value}.patb"
+    _write_wave(data, out)
+    print(f"simulate: {out} ({len(data.node_idx)} nodes, {elapsed:.2f} s)")
     return 0
 
 
-def cmd_evaluate(cfg: ExperimentConfig, recon_paths, phantom_path,
-                 out_dir: Path) -> int:
+def cmd_train(cfg: ExperimentConfig) -> int:
+    geom, split = cfg.build_geometry()
+    for n_w, n_h in _partitions_ascending(cfg):
+        model, elapsed = _train(cfg, geom, split, n_w, n_h)
+        path = cfg.out_dir / f"model_{_variant_name(n_w, n_h)}.patb"
+        save_model(model, path)
+        print(f"train: {path} (n={model.n}, ridge={model.ridge:.3e}, "
+              f"{elapsed:.2f} s)")
+        del model
+    return 0
+
+
+def cmd_extend(cfg: ExperimentConfig, model_path, data_path) -> int:
+    geom, split = cfg.build_geometry()
+    u1 = read_wave_data(data_path)
+    model = load_model(model_path, expected_fingerprint=split.fingerprint())
+    u2_hat, stitched, elapsed = _extend(model, u1, geom, split)
+    name = _variant_name(*_partition_shape(model.training.phantoms))
+    full_path = cfg.out_dir / f"extended_{name}.patb"
+    _write_wave(u2_hat, cfg.out_dir / f"gamma2_hat_{name}.patb")
+    _write_wave(stitched, full_path)
+    print(f"extend: {full_path} ({elapsed:.3f} s)")
+    return 0
+
+
+def cmd_reconstruct(cfg: ExperimentConfig, data_path) -> int:
+    geom, _ = cfg.build_geometry()
+    data = read_wave_data(data_path)
+    path = cfg.out_dir / f"recon_{Path(data_path).stem}.patb"
+    _, elapsed = _reconstruct(data, geom, cfg.build_grid(), path)
+    print(f"reconstruct: {path} ({elapsed:.2f} s)")
+    return 0
+
+
+def cmd_evaluate(cfg: ExperimentConfig, recon_paths, phantom_path) -> int:
     truth = rasterize(cfg.load_phantom(phantom_path), cfg.build_grid())
     e2 = {}
     for path in recon_paths:
@@ -235,10 +244,26 @@ def cmd_evaluate(cfg: ExperimentConfig, recon_paths, phantom_path,
         e2[Path(path).stem] = e2_error(image, truth)
     report = ErrorReport(e2_per_variant=e2, e_n_factors={},
                          metadata={"variant_n": {}})
-    out_dir.mkdir(parents=True, exist_ok=True)
-    export_csv(report, out_dir / "errors.csv")
-    print(f"evaluate: {out_dir / 'errors.csv'}")
+    export_csv(report, cfg.out_dir / "errors.csv")
+    print(f"evaluate: {cfg.out_dir / 'errors.csv'}")
     return 0
+
+
+def _variants(cfg: ExperimentConfig, geom, split, full: WaveData,
+              u1: WaveData):
+    """(name, n, full-boundary data, training phantoms, stage seconds) of
+    the full-view reference, the zero extension, then each learned
+    extension by ascending partition size.  A model is released before the
+    next is trained: the training traces are the largest allocation."""
+    yield "full", None, full, None, {}
+    yield "zero", 0, zero_extend(u1, geom, split), [], {}
+    for n_w, n_h in _partitions_ascending(cfg):
+        model, train_s = _train(cfg, geom, split, n_w, n_h)
+        _, stitched, extend_s = _extend(model, u1, geom, split)
+        n, phantoms = model.n, model.training.phantoms
+        del model
+        yield (_variant_name(n_w, n_h), n, stitched, phantoms,
+               {"train": train_s, "extend": extend_s})
 
 
 @serial_blas()
@@ -246,9 +271,11 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> dict:
     """Full limited-view pipeline; returns a summary dict (also written to disk).
 
     Produces, under cfg.out_dir: wave-data containers and PGMs for the true
-    data and each learned extension, reconstruction containers and PGMs for
-    the full-view, zero-extension, and learned variants, an error CSV, and a
-    timing CSV.
+    data and each extension, reconstruction containers and PGMs for the
+    full-view, zero-extension, and learned variants, an error CSV, and a
+    timing CSV.  `threads`, when given, overrides cfg.threads.  Each stage
+    runs the same helper as its subcommand, so the outputs other than
+    timings.csv equal those of the simulate/train/extend/reconstruct chain.
 
     The whole run is inside `_util.serial_blas`: its BLAS calls use one
     thread, so OpenBLAS's idle workers do not spin against the forward's
@@ -258,99 +285,50 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> dict:
     during the run are serial too; the previous count comes back when the
     run returns or raises.
     """
-    threads = cfg.threads if threads is None else threads
+    if threads is not None:
+        cfg = replace(cfg, threads=threads)
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     geom, split = cfg.build_geometry()
     grid = cfg.build_grid()
     phantom = cfg.load_phantom()
     truth = rasterize(phantom, grid)
-    gray_lo, gray_hi = _recon_gray_range(truth)
+    gray = _gray_range(truth, 0.2)
 
-    timings = {}
-
-    t0 = time.perf_counter()
-    full = simulate_wave_data(phantom, geom, split, Part.FULL, threads=threads)
-    timings["simulate_truth"] = time.perf_counter() - t0
+    full = simulate_wave_data(phantom, geom, split, Part.FULL,
+                              threads=cfg.threads)
     u1 = restrict_wave_data(full, split, Part.GAMMA1)
-    write_wave_data(full, out / "data_full.patb")
-    write_wave_data(u1, out / "data_gamma1.patb")
-    data_amp = float(np.abs(full.samples).max()) or 1.0
-    export_pgm(_wave_image(full.samples), -data_amp, data_amp,
-               out / "data_full.pgm")
+    amp = float(np.abs(full.samples).max()) or 1.0
+    _write_wave(full, out / "data_full.patb", amp)
+    _write_wave(u1, out / "data_gamma1.patb")
 
-    e2 = {}
-    e_n = {}
-    variant_n = {}
-
-    t0 = time.perf_counter()
-    recon_full = reconstruct(full, geom, grid)
-    recon_time_full = time.perf_counter() - t0
-    write_image_field(recon_full, out / "recon_full.patb")
-    export_pgm(recon_full, gray_lo, gray_hi, out / "recon_full.pgm")
-    e2["full"] = e2_error(recon_full, truth)
-    variant_n["full"] = None
-
-    u0 = zero_extend(u1, geom, split)
-    write_wave_data(u0, out / "extended_zero.patb")
-    export_pgm(_wave_image(u0.samples), -data_amp, data_amp,
-               out / "extended_zero.pgm")
-    t0 = time.perf_counter()
-    recon_zero = reconstruct(u0, geom, grid)
-    recon_time_zero = time.perf_counter() - t0
-    write_image_field(recon_zero, out / "recon_zero.patb")
-    export_pgm(recon_zero, gray_lo, gray_hi, out / "recon_zero.pgm")
-    e2["zero"] = e2_error(recon_zero, truth)
-    variant_n["zero"] = 0
-    e_n[0] = subspace_distance(phantom, [], grid)
-
-    timing_rows = []
-    for (n_w, n_h) in _partitions_ascending(cfg):
-        name = _variant_name(n_w, n_h)
-        model, train_time = _train_one_model(cfg, geom, split, n_w, n_h, threads)
-        n = model.n
-
-        t0 = time.perf_counter()
-        u2_hat = extend(model, u1)
-        stitched = stitch(u1, u2_hat, geom, split)
-        extend_time = time.perf_counter() - t0
-        write_wave_data(stitched, out / f"extended_{name}.patb")
-        export_pgm(_wave_image(stitched.samples), -data_amp, data_amp,
-                   out / f"extended_{name}.pgm")
-
-        t0 = time.perf_counter()
-        recon = reconstruct(stitched, geom, grid)
-        recon_time = time.perf_counter() - t0
-        write_image_field(recon, out / f"recon_{name}.patb")
-        export_pgm(recon, gray_lo, gray_hi, out / f"recon_{name}.pgm")
-
-        e2[name] = e2_error(recon, truth)
+    e2, e_n, variant_n, seconds = {}, {}, {}, {}
+    for name, n, data, training, times in _variants(cfg, geom, split, full, u1):
+        image, times["reconstruct"] = _reconstruct(
+            data, geom, grid, out / f"recon_{name}.patb", gray)
+        e2[name] = e2_error(image, truth)
         variant_n[name] = n
-        e_n[n] = subspace_distance(phantom, model.training.phantoms, grid)
-        timing_rows.append((name, n, train_time, extend_time, recon_time))
-        del model  # the training traces are the largest allocation
+        seconds[name] = times
+        if training is not None:  # an extension of the gamma1 data
+            _write_wave(data, out / f"extended_{name}.patb", amp)
+            e_n[n] = subspace_distance(phantom, training, grid)
 
-    report = ErrorReport(e2_per_variant=e2, e_n_factors=e_n,
-                         metadata={"variant_n": variant_n,
-                                   "grid": [grid.nx, grid.ny, grid.h],
-                                   "nodes": geom.n_nodes,
-                                   "n_time": geom.n_time})
-    export_csv(report, out / "errors.csv")
+    export_csv(ErrorReport(e2_per_variant=e2, e_n_factors=e_n,
+                           metadata={"variant_n": variant_n}),
+               out / "errors.csv")
 
+    learned = [name for name, times in seconds.items() if "train" in times]
     with open(out / "timings.csv", "w", encoding="utf-8") as fh:
         fh.write("variant,n,train_s,extend_s,reconstruct_s\n")
-        for name, n, tr, ex, rc in timing_rows:
-            fh.write(f"{name},{n},{tr:.6f},{ex:.6f},{rc:.6f}\n")
-        fh.write(f"full,,,,{recon_time_full:.6f}\n")
-        fh.write(f"zero,0,,,{recon_time_zero:.6f}\n")
+        for name in learned + ["full", "zero"]:
+            n, times = variant_n[name], seconds[name]
+            fh.write(",".join([name, "" if n is None else str(n)] + [
+                f"{times[k]:.6f}" if k in times else ""
+                for k in ("train", "extend", "reconstruct")]) + "\n")
 
-    summary = {"e2": e2, "e_n": e_n,
-               "timings": {name: {"train": tr, "extend": ex, "reconstruct": rc}
-                           for name, n, tr, ex, rc in timing_rows},
-               "recon_time_full": recon_time_full,
-               "simulate_truth_time": timings["simulate_truth"]}
     print("experiment: E2 " + ", ".join(f"{k}={v:.5f}" for k, v in e2.items()))
-    return summary
+    return {"e2": e2, "e_n": e_n,
+            "timings": {name: seconds[name] for name in learned}}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -393,25 +371,24 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = ExperimentConfig.from_json(args.config)
-        threads = cfg.threads if args.threads is None else \
-            _thread_count(args.threads, "--threads")
-        out_dir = Path(args.out).resolve() if args.out else cfg.out_dir
+        cfg = replace(
+            cfg, out_dir=Path(args.out).resolve() if args.out else cfg.out_dir,
+            threads=cfg.threads if args.threads is None else
+            _thread_count(args.threads, "--threads"))
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
         with serial_blas():  # see run_experiment
             if args.command == "simulate":
-                return cmd_simulate(cfg, args.phantom, Part(args.part), out_dir,
-                                    threads)
+                return cmd_simulate(cfg, args.phantom, Part(args.part))
             if args.command == "train":
-                return cmd_train(cfg, out_dir, threads)
+                return cmd_train(cfg)
             if args.command == "extend":
-                return cmd_extend(cfg, args.model, args.data, out_dir)
+                return cmd_extend(cfg, args.model, args.data)
             if args.command == "reconstruct":
-                return cmd_reconstruct(cfg, args.data, out_dir)
+                return cmd_reconstruct(cfg, args.data)
             if args.command == "evaluate":
-                return cmd_evaluate(cfg, args.data, args.phantom, out_dir)
+                return cmd_evaluate(cfg, args.data, args.phantom)
             if args.command == "experiment":
-                cfg2 = cfg if args.out is None else ExperimentConfig(
-                    **{**cfg.__dict__, "out_dir": out_dir})
-                run_experiment(cfg2, threads=threads)
+                run_experiment(cfg)
                 return 0
         raise ParameterError(f"unknown command {args.command}")
     except (ParameterError, DataMismatchError, ContainerFormatError,

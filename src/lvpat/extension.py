@@ -26,10 +26,8 @@ from scipy.linalg.lapack import dpotrf
 from ._util import cholesky_lower
 from .errors import (ContainerFormatError, DataMismatchError, ParameterError,
                      SingularTrainingSetError)
-from .forward import (Part, WaveData, _support_sample_points, _traces,
-                      _wave_map)
-from .geometry import (BoundaryGeometry, BoundarySplit,
-                       detection_region_contains)
+from .forward import Part, WaveData, _check_supports, _traces, _wave_map
+from .geometry import BoundaryGeometry, BoundarySplit
 from .io import (dump_container, finite_section, node_index_section,
                  read_container, time_axis)
 from .phantoms import phantom_from_dict, phantom_to_dict
@@ -125,14 +123,7 @@ def build_training_set(phantoms, geom: BoundaryGeometry, split: BoundarySplit,
     if not phantoms:
         raise ParameterError("need at least one training phantom")
 
-    pts = [_support_sample_points(p) for p in phantoms]
-    owner = np.repeat(np.arange(len(phantoms)), [len(q) for q in pts])
-    pts = np.concatenate(pts)
-    if not np.all(geom.domain.contains(pts)):
-        raise ParameterError("phantom support is not inside the domain")
-    poking = np.bincount(owner[~detection_region_contains(split, pts)],
-                         minlength=len(phantoms))
-    outside = tuple(int(i) for i in np.flatnonzero(poking))
+    outside = _check_supports(phantoms, geom, split)
     if outside:
         warnings.warn(f"{len(outside)} training phantom(s) lie outside the "
                       "detection region; their extension is unstable",
@@ -218,8 +209,16 @@ def project_coefficients(model: ExtensionModel, u1: WaveData) -> np.ndarray:
         raise DataMismatchError("limited-view data does not match the model geometry")
     if u1.part is not Part.GAMMA1:
         raise DataMismatchError("extension input must live on gamma1")
+    ts = model.training
+    if not np.array_equal(u1.node_idx, ts.u1_idx):
+        raise DataMismatchError("limited-view data is not on the model's "
+                                "gamma1 nodes in node order")
+    if u1.dt != ts.dt or u1.n_time != ts.u1_samples.shape[2]:
+        raise DataMismatchError(
+            f"data sampled at dt={u1.dt!r} over {u1.n_time} steps; the model "
+            f"has dt={ts.dt!r} over {ts.u1_samples.shape[2]} steps")
     weighted = u1.samples * model.inner_weights[:, None]
-    rhs = model.training.u1_samples.reshape(model.n, -1) @ weighted.ravel()
+    rhs = ts.u1_samples.reshape(model.n, -1) @ weighted.ravel()
     coeffs = cho_solve((model.chol_lower, True), rhs)
     if not np.all(np.isfinite(coeffs)):
         raise SingularTrainingSetError(minor_index=0, ridge=model.ridge)

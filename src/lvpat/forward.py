@@ -276,6 +276,23 @@ def _support_sample_points(p: Phantom) -> np.ndarray:
     raise ParameterError(f"unknown phantom type {type(p)!r}")
 
 
+def _check_supports(phantoms, geom: BoundaryGeometry,
+                    split: BoundarySplit | None) -> tuple:
+    """Indices of the phantoms whose support leaves the split's detection
+    region, () without a split; every support must lie inside the domain,
+    else ParameterError."""
+    pts = [_support_sample_points(p) for p in phantoms]
+    owner = np.repeat(np.arange(len(phantoms)), [len(q) for q in pts])
+    pts = np.concatenate(pts)
+    if not np.all(geom.domain.contains(pts)):
+        raise ParameterError("phantom support is not inside the domain")
+    if split is None:
+        return ()
+    poking = np.bincount(owner[~detection_region_contains(split, pts)],
+                         minlength=len(phantoms))
+    return tuple(int(i) for i in np.flatnonzero(poking))
+
+
 def simulate_wave_data(p: Phantom, geom: BoundaryGeometry, split: BoundarySplit,
                        part: Part = Part.FULL, threads: int = 1) -> WaveData:
     """Wave traces at every node of the requested boundary part.
@@ -284,13 +301,9 @@ def simulate_wave_data(p: Phantom, geom: BoundaryGeometry, split: BoundarySplit,
     simulations a support outside the detection region only triggers a
     warning (the extension problem is then unstable, not undefined).
     """
-    pts = _support_sample_points(p)
-    if len(pts) and not np.all(geom.domain.contains(pts)):
-        raise ParameterError("phantom support is not inside the domain")
-    if part is not Part.FULL and len(pts):
-        if not np.all(detection_region_contains(split, pts)):
-            warnings.warn("phantom support is not inside the detection region",
-                          stacklevel=2)
+    if _check_supports([p], geom, None if part is Part.FULL else split):
+        warnings.warn("phantom support is not inside the detection region",
+                      stacklevel=2)
 
     if part is Part.FULL:
         node_idx = np.arange(geom.n_nodes)

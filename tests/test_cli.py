@@ -154,6 +154,14 @@ class TestSubcommands:
         assert text.startswith("variant,n,E2,E_n")
         assert "recon_extended_4x2" in text
 
+        # the experiment runs the same stage code as the chain above
+        exp = tmp_path / "experiment"
+        assert main(["experiment", "--config", str(smoke_config),
+                     "--out", str(exp)]) == 0
+        assert (out / "extended_4x2.patb").read_bytes() == \
+            (exp / "extended_4x2.patb").read_bytes()
+        assert recon.read_bytes() == (exp / "recon_4x2.patb").read_bytes()
+
     def test_numeric_failure_exit_code(self, smoke_config, monkeypatch):
         import lvpat.cli as cli
         from lvpat.errors import SingularTrainingSetError
@@ -180,6 +188,24 @@ class TestSubcommands:
                    "--data", str(out / "data_gamma1.patb"),
                    "--out", str(out)])
         assert rc == 2
+
+    def test_extend_data_on_other_time_step_is_config_error(
+            self, tmp_path, smoke_config, capsys):
+        from lvpat.io import write_wave_data
+        out = tmp_path / "out"
+        main(["train", "--config", str(smoke_config), "--out", str(out)])
+        main(["simulate", "--config", str(smoke_config), "--phantom",
+              str(tmp_path / "phantom_reference.json"), "--part", "gamma1",
+              "--out", str(out)])
+        data_path = out / "data_gamma1.patb"
+        data = read_wave_data(data_path)
+        write_wave_data(dataclasses.replace(data, dt=2 * data.dt), data_path)
+        rc = main(["extend", "--config", str(smoke_config),
+                   "--model", str(out / "model_4x2.patb"),
+                   "--data", str(data_path), "--out", str(out)])
+        assert rc == 2
+        assert "dt=0.2" in capsys.readouterr().err
+        assert not (out / "extended_4x2.patb").exists()
 
     def test_extend_non_finite_data_is_config_error(self, tmp_path,
                                                     smoke_config, capsys):

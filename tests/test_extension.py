@@ -229,6 +229,20 @@ class TestProjection:
 
 class TestExtend:
 
+    @pytest.mark.parametrize("mismatch", [
+        lambda u: dataclasses.replace(u, node_idx=u.node_idx[:-1],
+                                      samples=u.samples[:-1]),
+        lambda u: dataclasses.replace(u, n_time=u.n_time - 1,
+                                      samples=u.samples[:, :-1]),
+        lambda u: dataclasses.replace(u, dt=2 * u.dt),
+        lambda u: dataclasses.replace(u, node_idx=u.node_idx[::-1],
+                                      samples=u.samples[::-1]),
+    ], ids=["node-dropped", "short-time-axis", "double-dt", "reversed-nodes"])
+    def test_data_off_the_model_grid_rejected(self, model8, mismatch):
+        # same fingerprint and part as the model, other nodes or time grid
+        with pytest.raises(DataMismatchError):
+            extend(model8, mismatch(model8.training.u1[0]))
+
     def test_training_member_is_reproduced(self, model8, coarse_geom):
         got = extend(model8, model8.training.u1[5])
         want = model8.training.u2[5]
