@@ -3,11 +3,16 @@
 The circular mean of an indicator equals (angular measure of the circle arcs
 inside the support) / (2*pi).  For boxes it is closed form: the arcs inside
 the band x_lo <= x <= x_hi (arccos of the clipped edge offsets) overlap the
-arcs inside y_lo <= y <= y_hi (arcsin likewise).  Ellipse crossing angles
-are the real roots of a quartic in the tangent half-angle, solved row by row
-in closed form (Ferrari, Cardano) and polished by Newton steps.  A weighted
-sum has no table of its own: the forward evaluates it term by term, so
-linear combinations of phantoms produce linear wave data.
+arcs inside y_lo <= y <= y_hi (arcsin likewise).  For ellipses everything
+happens in the ellipse's own frame, where the measure is the same as in the
+world: a point at angle beta on the circle is inside where a function
+g(beta) of cos(beta) and sin(beta) is negative.  With beta = k pi/2 +
+2 arctan(t), the tangent half-angle t turns g = 0 into a quartic with real
+coefficients, solved row by row in real arithmetic (Ferrari, Cardano) and
+polished by Newton steps.  The crossings are sorted, and each arc between
+two of them counts where g < 0 at its midpoint.  A weighted sum has no table
+of its own: the forward evaluates it term by term, so linear combinations
+of phantoms produce linear wave data.
 
 A table row is one (center, radius) pair: the center is either one point
 shared by every radius or one point per radius, so the whole boundary of a
@@ -25,43 +30,6 @@ from .phantoms import EllipseIndicator, Phantom, SquareIndicator
 TWO_PI = 2.0 * np.pi
 
 _ELL_SLOTS = 4  # max crossings of a circle with an ellipse
-
-
-def _measures_from_candidates(cand: np.ndarray, el: EllipseIndicator, cx, cy,
-                              radii) -> np.ndarray:
-    """Total arc measure inside the ellipse from per-radius crossing angles.
-
-    cand is (n, slots) with NaN marking unused slots.  Arcs between
-    consecutive crossings are classified by testing their midpoints.  cx and
-    cy are scalars or per-row arrays of shape (n,).
-    """
-    n, slots = cand.shape
-    cnt = np.sum(~np.isnan(cand), axis=1)
-    s = np.sort(np.where(np.isnan(cand), np.inf, cand), axis=1)
-    nxt = np.concatenate([s[:, 1:], np.full((n, 1), np.inf)], axis=1)
-    j = np.arange(slots)[None, :]
-    is_last = j == (cnt[:, None] - 1)
-    nxt = np.where(is_last, s[:, :1] + TWO_PI, nxt)
-    valid = j < cnt[:, None]
-    s = np.where(valid, s, 0.0)
-    nxt = np.where(valid, nxt, 0.0)
-    gaps = nxt - s
-    mids = s + 0.5 * gaps
-
-    pts = np.empty((n, slots, 2))
-    pts[..., 0] = np.reshape(cx, (-1, 1)) + radii[:, None] * np.cos(mids)
-    pts[..., 1] = np.reshape(cy, (-1, 1)) + radii[:, None] * np.sin(mids)
-    inside = (el.evaluate(pts) > 0.0) & valid
-    measure = np.sum(np.where(inside, gaps, 0.0), axis=1)
-
-    # radii with no crossings: the whole circle is inside or outside
-    none = cnt == 0
-    if np.any(none):
-        probe = np.empty((int(none.sum()), 2))
-        probe[:, 0] = np.broadcast_to(cx, radii.shape)[none] + radii[none]
-        probe[:, 1] = np.broadcast_to(cy, radii.shape)[none]
-        measure[none] = np.where(el.evaluate(probe) > 0.0, TWO_PI, 0.0)
-    return measure
 
 
 def _box_arc_measures(edges, cx, cy, radii: np.ndarray) -> np.ndarray:
@@ -90,72 +58,171 @@ def _box_arc_measures(edges, cx, cy, radii: np.ndarray) -> np.ndarray:
     return np.where(r > 0, measure, TWO_PI * inside)
 
 
-_CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi / 3 * np.arange(3))
-_QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])  # exp(i*phi), phi = k*pi/2
+# A complex root pair x +- iy of the half-angle quartic with
+# 2|y| < _PAIR_TOL * (1 + x^2) lies within _PAIR_TOL of the unit circle in
+# exp(i*beta): a tangency, kept as the double real root x
+_PAIR_TOL = 1e-6
+
+
+def _largest_resolvent_root(p, e1, e0):
+    """Largest real root of m^3 + p m^2 + e1 m + e0, row by row.
+
+    With m = t - p/3 the cubic is t^3 + P t + Q.  Where its discriminant
+    Q^2/4 + P^3/27 is positive it has one real root, found by Cardano with
+    the cube u^3 = -Q/2 - sign(Q) sqrt(disc) of larger modulus, so that the
+    two terms do not cancel.  Otherwise all three roots are real and the
+    largest is 2 rho cos(theta/3), rho = sqrt(-P/3),
+    cos(theta) = -Q / (2 rho^3).  One Newton step refines the root where it
+    lowers |f|.
+    """
+    P = e1 - p * p / 3.0
+    Q = (2.0 * p * p - 9.0 * e1) * p / 27.0 + e0
+    disc = 0.25 * Q * Q + P * P * P / 27.0
+    rho = np.sqrt(np.maximum(-P / 3.0, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.cbrt(-0.5 * Q - np.copysign(np.sqrt(np.maximum(disc, 0.0)), Q))
+        cardano = np.where(u != 0.0, u - P / (3.0 * u), 0.0)
+        theta = np.arccos(np.clip(-0.5 * Q / (rho * rho * rho), -1.0, 1.0))
+        trig = np.where(rho > 0.0, 2.0 * rho * np.cos(theta / 3.0), 0.0)
+        m = np.where(disc > 0.0, cardano, trig) - p / 3.0
+        f = ((m + p) * m + e1) * m + e0
+        mn = m - f / ((3.0 * m + 2.0 * p) * m + e1)
+        # the step counts where it lowers |f|: at a double root f and f' are
+        # both rounding
+        fn = ((mn + p) * mn + e1) * mn + e0
+        return np.where(np.abs(fn) < np.abs(f), mn, m)
 
 
 def _monic_quartic_roots(a, b, c, d) -> np.ndarray:
-    """All roots of z^4 + a z^3 + b z^2 + c z + d, shape (n, 4), row by row.
+    """Real roots of t^4 + a t^3 + b t^2 + c t + d, shape (n, 4), row by row.
 
-    Ferrari's method.  With z = y - a/4 the quartic is y^4 + p y^2 + q y + r,
-    which factors as (y^2 - s y + k + q/(2s)) (y^2 + s y + k - q/(2s)) with
-    k = p/2 + m and s^2 = 2m for any root m of the resolvent cubic
-    m^3 + p m^2 + (p^2/4 - r) m - q^2/8.  Cardano solves the cubic; its root
-    of largest modulus, refined by one Newton step, keeps s away from 0 (s = 0
-    needs p = q = r = 0, a fourfold root, where q/(2s) is taken as 0).  The
-    quadratics are solved without cancellation, and two Newton steps on the
-    quartic remove the rounding of the closed form.
+    Ferrari's method in real arithmetic; NaN fills the slots of complex
+    roots.  With t = y - a/4 the quartic is y^4 + p y^2 + q y + r =
+    (y^2 - s y + k + g) (y^2 + s y + k - g) for a root m of the resolvent
+    cubic m^3 + p m^2 + (p^2/4 - r) m - q^2/8, with s^2 = 2m, k = p/2 + m,
+    g = q/(2s) and g^2 = k^2 - r.  The cubic is -q^2/8 <= 0 at m = 0, so its
+    largest real root is >= 0 and s is real.  Where q = 0 and p^2/4 >= r the
+    quartic is biquadratic in y, split exactly by m = 0.  Where m is small
+    (q near 0) g comes from k^2 - r, since q/(2s) would divide two rounded
+    small numbers.  The quadratics are solved without cancellation.  A
+    complex pair x +- iy with 2|y| < 1e-6 (1 + x^2) is kept as the double
+    root x.  Two Newton steps on the quartic remove the rounding of the
+    closed form from the other roots; a step counts where it lowers |f|.
     """
     h = 0.25 * a
     p = b - 6.0 * h * h
     q = c - (2.0 * b - 8.0 * h * h) * h
     r = d - (c - (b - 3.0 * h * h) * h) * h
-    e1, e0 = 0.25 * p * p - r, -0.125 * q * q
-    # Cardano on t^3 + P t + Q with m = t - p/3; of the two cubes u^3 pick the
-    # larger, so that -Q/2 and the square root do not cancel
-    P = e1 - p * p / 3.0
-    Q = (2.0 * p * p - 9.0 * e1) * p / 27.0 + e0
-    root = np.sqrt(0.25 * Q * Q + P * P * P / 27.0)
-    u3 = np.where(np.abs(root - 0.5 * Q) >= np.abs(root + 0.5 * Q),
-                  root - 0.5 * Q, -root - 0.5 * Q)
-    u = (np.cbrt(np.abs(u3)) * np.exp(1j / 3.0 * np.angle(u3)))[:, None] \
-        * _CUBE_ROOTS_OF_UNITY
+    e1 = 0.25 * p * p - r
+    m = _largest_resolvent_root(p, e1, -0.125 * q * q)
+    m = np.where((q == 0.0) & (e1 >= 0.0) | (m < 0.0), 0.0, m)
+    s = np.sqrt(2.0 * m)
+    k = 0.5 * p + m
+    # k^2 - r has the better digits where g^2 >= m (|p| + m), m = 0 included
+    gk = np.copysign(np.sqrt(np.maximum(k * k - r, 0.0)), q)
     with np.errstate(divide="ignore", invalid="ignore"):
-        m = np.where(u != 0, u - P[:, None] / (3.0 * u), 0.0) - p[:, None] / 3.0
-        m = np.take_along_axis(m, np.argmax(np.abs(m), axis=1)[:, None], axis=1)[:, 0]
-        f = ((m + p) * m + e1) * m + e0
-        fp = (3.0 * m + 2.0 * p) * m + e1
-        m = m - np.where(fp != 0, f / fp, 0.0)
-        s = np.sqrt(2.0 * m)
-        k = 0.5 * p + m
-        g = np.where(s != 0, q / (2.0 * s), 0.0)
-        # y^2 + B y + C: the root -(B +- sqrt(B^2 - 4C))/2 of larger modulus,
-        # then C over it
-        qb = np.stack([-s, s], axis=1)
-        qc = np.stack([k + g, k - g], axis=1)
-        sq = np.sqrt(qb * qb - 4.0 * qc)
-        big = -0.5 * np.where(np.abs(qb + sq) >= np.abs(qb - sq), qb + sq, qb - sq)
-        z = np.concatenate([big, np.where(big != 0, qc / big, 0.0)], axis=1) \
-            - h[:, None]
-        a, b, c, d = (np.reshape(x, (-1, 1)) for x in (a, b, c, d))
+        g = np.where(gk * gk >= m * (np.abs(p) + m), gk, q / (2.0 * s))
+    # y^2 + B y + C, one per column; B^2 < 4C gives -B/2 +- i sqrt(4C - B^2)/2
+    qb = np.stack([-s, s], axis=1)
+    qc = np.stack([k + g, k - g], axis=1)
+    disc = qb * qb - 4.0 * qc
+    sq = np.sqrt(np.abs(disc))
+    x = -0.5 * qb - h[:, None]
+    pair = (disc < 0.0) & (sq < _PAIR_TOL * (1.0 + x * x))
+    # real roots: -(B + sign(B) sqrt)/2, of larger modulus, then C over it,
+    # in slots j and j + 2 of quadratic j
+    i, j = np.nonzero(disc >= 0.0)
+    big = -0.5 * (qb[i, j] + np.copysign(sq[i, j], qb[i, j]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        small = np.where(big != 0.0, qc[i, j] / big, 0.0)
+    i, j = np.concatenate([i, i]), np.concatenate([j, j + 2])
+    z = np.concatenate([big, small]) - h[i]
+    a, b, c, d = a[i], b[i], c[i], d[i]
+    f = (((z + a) * z + b) * z + c) * z + d
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(2):
-            f = (((z + a) * z + b) * z + c) * z + d
             fp = ((4.0 * z + 3.0 * a) * z + 2.0 * b) * z + c
-            z = z - np.where(fp != 0, f / fp, 0.0)
-    return z
+            zn = z - f / fp
+            fn = (((zn + a) * zn + b) * zn + c) * zn + d
+            # a step counts where it lowers |f|: at a double root f and f'
+            # are both rounding, and their ratio is no step
+            better = np.abs(fn) < np.abs(f)
+            z, f = np.where(better, zn, z), np.where(better, fn, f)
+    t = np.full((len(h), 4), np.nan)
+    t[i, j] = z
+    t[:, :2][pair] = t[:, 2:][pair] = x[pair]
+    return t
+
+
+def _ellipse_crossings(A, B, C, D) -> np.ndarray:
+    """Zeros of g(beta) = A cos^2(beta) + B cos(beta) + C sin(beta) + D.
+
+    Shape (n, 4), NaN in unused slots, angles not reduced to [0, 2 pi).
+    With beta = phi + 2 arctan(t) for a quarter turn phi = k pi/2,
+    g (1 + t^2)^2 is the real quartic
+    g(phi + pi) t^4 + 2C' t^3 + 2(D' - A') t^2 + 2C' t + g(phi) in the
+    coefficients A', B', C', D' of beta - phi.  Of the four phi the one with
+    the largest |g(phi + pi)| >= scale/2 bounds every root by |t| < 7.  The
+    real roots of that quartic (`_monic_quartic_roots`) are polished by
+    Newton steps on g(beta).  Where |A| is negligible against the largest
+    coefficient (nearly circular ellipses, small circles) g is
+    B cos + C sin + D, solved directly.
+    """
+    beta = np.full((len(A), _ELL_SLOTS), np.nan)
+    scale = np.maximum(np.maximum(np.abs(A), np.abs(B)),
+                       np.maximum(np.abs(C), np.abs(D)))
+    quartic = np.abs(A) > 1e-12 * scale
+
+    if np.any(quartic):
+        idx = np.flatnonzero(quartic)
+        Aq, Bq, Cq, Dq = A[idx], B[idx], C[idx], D[idx]
+        # g(phi + pi) for phi = 0, pi/2, pi, 3pi/2; g(phi) is two turns on
+        leads = np.stack([Aq - Bq + Dq, Dq - Cq, Aq + Bq + Dq, Dq + Cq])
+        k = np.argmax(np.abs(leads), axis=0)
+        n = np.arange(len(idx))
+        lead = leads[k, n]
+        c13 = 2.0 * np.choose(k, (Cq, -Bq, -Cq, Bq)) / lead
+        c2 = 2.0 * np.where(k % 2 == 0, Dq - Aq, Dq + Aq + Aq) / lead
+        t = _monic_quartic_roots(c13, c2, c13, leads[(k + 2) % 4, n] / lead)
+        live = np.nonzero(~np.isnan(t))
+        rows = idx[live[0]]
+        b = 0.5 * np.pi * k[live[0]] + 2.0 * np.arctan(t[live])
+        # Newton polish on g(beta) to remove the closed form's rounding
+        An, Bn, Cn, Dn = A[rows], B[rows], C[rows], D[rows]
+        for _ in range(3):
+            cb, sb = np.cos(b), np.sin(b)
+            gb = (An * cb + Bn) * cb + Cn * sb + Dn
+            gp = Cn * cb - (2.0 * An * cb + Bn) * sb
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.where(np.abs(gp) > 1e-300, gb / gp, 0.0)
+            b = b - np.clip(step, -0.1, 0.1)
+        beta[rows, live[1]] = b
+
+    if not np.all(quartic):
+        # B cos + C sin + D = 0; B = C = 0 (r = 0, concentric circles) has
+        # no crossing
+        idx = np.flatnonzero(~quartic)
+        amp = np.hypot(B[idx], C[idx])
+        gamma = np.arctan2(C[idx], B[idx])
+        ratio = np.where(amp > 0, -D[idx] / np.where(amp > 0, amp, 1.0), 2.0)
+        ok = np.abs(ratio) <= 1.0
+        delta = np.arccos(np.clip(ratio, -1.0, 1.0))
+        beta[idx, 0] = np.where(ok, gamma + delta, np.nan)
+        beta[idx, 1] = np.where(ok, gamma - delta, np.nan)
+    return beta
 
 
 def _ellipse_arc_measures(el: EllipseIndicator, cx, cy,
                           radii: np.ndarray) -> np.ndarray:
-    """Crossings of circles with the ellipse via the unit-circle quartic.
+    """Arc measure inside the ellipse, classified in the ellipse's frame.
 
-    In the ellipse frame (offset v, semi-axes a, b) the crossing condition is
-    g(beta) = A cos^2(beta) + B cos(beta) + C sin(beta) + D = 0; with
-    z = exp(i*beta) this becomes
-    A z^4 + (2B - 2iC) z^3 + (2A + 4D) z^2 + (2B + 2iC) z + A = 0, whose
-    unit-modulus roots are the crossing angles.  They are found as the real
-    roots t of the same quartic after the change z = exp(i*phi)(1 + it)/(1 - it),
-    by `_monic_quartic_roots`, and polished on g(beta).
+    In the ellipse frame (offset v, semi-axes a, b) the point at angle beta
+    on the circle lies inside exactly where
+    g(beta) = A cos^2(beta) + B cos(beta) + C sin(beta) + D < 0.  The
+    measure does not depend on the rotation, so the crossings
+    (`_ellipse_crossings`) are sorted in this frame and each arc between
+    two of them counts where g < 0 at its midpoint.  A circle without
+    crossings is inside where g(0) = A + B + D < 0.
     """
     ca, sa = np.cos(el.rotation), np.sin(el.rotation)
     dx, dy = cx - el.center[0], cy - el.center[1]
@@ -168,64 +235,23 @@ def _ellipse_arc_measures(el: EllipseIndicator, cx, cy,
     B = 2.0 * v1 * r * ia2
     C = 2.0 * v2 * r * ib2
     D = v1 * v1 * ia2 + v2 * v2 * ib2 + r * r * ib2 - 1.0
+    beta = _ellipse_crossings(A, B, C, D)
 
-    cand = np.full((len(r), _ELL_SLOTS), np.nan)
-    scale = np.maximum.reduce([np.abs(A), np.abs(B), np.abs(C), np.abs(D), np.full_like(A, 1e-300)])
-    quartic = np.abs(A) > 1e-12 * scale
-
-    if np.any(quartic):
-        idx = np.flatnonzero(quartic)
-        # In z the roots spread from |z| ~ |A|/scale to its inverse, and the
-        # closed form loses the unit-modulus ones to cancellation once |A|
-        # falls below about 1e-4 * scale (nearly circular ellipses, small
-        # circles).  In t = tan((beta - phi)/2) the unit circle is the real
-        # line, and g is g(phi + pi) t^4 + 2C t^3 + 2(D - A) t^2 + 2C t + g(phi)
-        # in the coefficients A, B, C, D of beta - phi.  Of phi = 0, pi/2, pi,
-        # 3pi/2 the one with the largest |g(phi + pi)| >= scale/2 bounds every
-        # root by |t| < 7.
-        Aq, Bq, Cq, Dq = A[idx], B[idx], C[idx], D[idx]
-        turns = np.stack([(Aq, Bq, Cq, Dq), (-Aq, Cq, -Bq, Aq + Dq),
-                          (Aq, -Bq, -Cq, Dq), (-Aq, -Cq, Bq, Aq + Dq)])
-        k = np.argmax(np.abs(turns[:, 0] - turns[:, 1] + turns[:, 3]), axis=0)
-        Ak, Bk, Ck, Dk = np.take_along_axis(turns, k[None, None], axis=0)[0]
-        lead = (Ak - Bk + Dk).astype(complex)
-        t = _monic_quartic_roots(2.0 * Ck / lead, 2.0 * (Dk - Ak) / lead,
-                                 2.0 * Ck / lead, (Ak + Bk + Dk) / lead)
-        # t = +-i maps to z = 0 or infinity; an exact double root gives 0/0
-        # in the polish; np.where discards both
-        with np.errstate(divide="ignore", invalid="ignore"):
-            roots = _QUARTER_TURNS[k, None] * (1.0 + 1.0j * t) / (1.0 - 1.0j * t)
-            on_circle = np.abs(np.abs(roots) - 1.0) < 1e-6
-            beta = np.full(roots.shape, np.nan)
-            # Newton polish on g(beta) to remove the closed form's rounding,
-            # on the slots of roots on the circle only
-            live = np.nonzero(on_circle)
-            b = np.angle(roots[live])
-            rows = idx[live[0]]
-            An, Bn, Cn, Dn = A[rows], B[rows], C[rows], D[rows]
-            for _ in range(3):
-                cb, sb = np.cos(b), np.sin(b)
-                g = An * cb * cb + Bn * cb + Cn * sb + Dn
-                gp = -2.0 * An * cb * sb - Bn * sb + Cn * cb
-                step = np.where(np.abs(gp) > 1e-300, g / gp, 0.0)
-                b = b - np.clip(step, -0.1, 0.1)
-            beta[live] = b
-        # beta is the angle in the ellipse frame; world angle adds the rotation
-        cand[idx] = (beta + el.rotation) % TWO_PI
-
-    lin = ~quartic & (r > 0)
-    if np.any(lin):
-        # nearly circular support: B cos + C sin + D = 0
-        idx = np.flatnonzero(lin)
-        amp = np.hypot(B[idx], C[idx])
-        gamma = np.arctan2(C[idx], B[idx])
-        ratio = np.where(amp > 0, -D[idx] / np.where(amp > 0, amp, 1.0), 2.0)
-        ok = np.abs(ratio) <= 1.0
-        delta = np.arccos(np.clip(ratio, -1.0, 1.0))
-        cand[idx, 0] = np.where(ok, (gamma + delta + el.rotation) % TWO_PI, np.nan)
-        cand[idx, 1] = np.where(ok, (gamma - delta + el.rotation) % TWO_PI, np.nan)
-
-    return _measures_from_candidates(cand, el, cx, cy, radii)
+    # arcs between consecutive crossings (np.sort puts NaN last), the last
+    # one wrapping around to the first crossing: s[j + 1] <= s[0] + 2 pi,
+    # so fmin picks the wrap where the next slot is NaN
+    s = np.sort(beta - TWO_PI * np.floor(beta / TWO_PI), axis=1)
+    wrap = s[:, :1] + TWO_PI
+    gaps = np.fmin(np.concatenate([s[:, 1:], wrap], axis=1), wrap) - s
+    i, j = np.nonzero(gaps >= 0.0)
+    mid = s[i, j] + 0.5 * gaps[i, j]
+    cm = np.cos(mid)
+    inside = (A[i] * cm + B[i]) * cm + C[i] * np.sin(mid) + D[i] < 0.0
+    # a circle without crossings is inside where g(0) = A + B + D < 0; the
+    # gaps of the others add up to 2 pi up to rounding
+    measure = np.where(np.isnan(s[:, 0]), TWO_PI * (A + B + D < 0.0),
+                       np.bincount(i, gaps[i, j] * inside, len(r)))
+    return np.minimum(measure, TWO_PI)
 
 
 def exact_mean_table(p: Phantom, center, radii: np.ndarray) -> np.ndarray:

@@ -367,38 +367,55 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_command(args, cfg: ExperimentConfig) -> int:
+    with serial_blas():  # see run_experiment
+        if args.command == "simulate":
+            return cmd_simulate(cfg, args.phantom, Part(args.part))
+        if args.command == "train":
+            return cmd_train(cfg)
+        if args.command == "extend":
+            return cmd_extend(cfg, args.model, args.data)
+        if args.command == "reconstruct":
+            return cmd_reconstruct(cfg, args.data)
+        if args.command == "evaluate":
+            return cmd_evaluate(cfg, args.data, args.phantom)
+        if args.command == "experiment":
+            run_experiment(cfg)
+            return 0
+    raise ParameterError(f"unknown command {args.command}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    created, code = [], None
     try:
         cfg = ExperimentConfig.from_json(args.config)
         cfg = replace(
             cfg, out_dir=Path(args.out).resolve() if args.out else cfg.out_dir,
             threads=cfg.threads if args.threads is None else
             _thread_count(args.threads, "--threads"))
+        # the directories this call makes, deepest first
+        created = [d for d in (cfg.out_dir, *cfg.out_dir.parents)
+                   if not d.exists()]
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        with serial_blas():  # see run_experiment
-            if args.command == "simulate":
-                return cmd_simulate(cfg, args.phantom, Part(args.part))
-            if args.command == "train":
-                return cmd_train(cfg)
-            if args.command == "extend":
-                return cmd_extend(cfg, args.model, args.data)
-            if args.command == "reconstruct":
-                return cmd_reconstruct(cfg, args.data)
-            if args.command == "evaluate":
-                return cmd_evaluate(cfg, args.data, args.phantom)
-            if args.command == "experiment":
-                run_experiment(cfg)
-                return 0
-        raise ParameterError(f"unknown command {args.command}")
+        code = _run_command(args, cfg)
     except (ParameterError, DataMismatchError, ContainerFormatError,
             FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR_EXIT
+        code = CONFIG_ERROR_EXIT
     except (SingularTrainingSetError, np.linalg.LinAlgError,
             FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
-        return NUMERIC_ERROR_EXIT
+        code = NUMERIC_ERROR_EXIT
+    finally:
+        # a failed call leaves no empty output directory of its own behind
+        if code != 0:
+            for d in created:
+                try:
+                    d.rmdir()
+                except OSError:  # not empty
+                    break
+    return code
 
 
 if __name__ == "__main__":

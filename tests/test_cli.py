@@ -172,6 +172,35 @@ class TestSubcommands:
         monkeypatch.setattr(cli, "run_experiment", boom)
         assert main(["experiment", "--config", str(smoke_config)]) == 3
 
+    def test_failed_command_removes_only_its_empty_out_dir(
+            self, tmp_path, smoke_config, monkeypatch):
+        import lvpat.cli as cli
+        from lvpat.errors import SingularTrainingSetError
+        missing = ["--model", str(tmp_path / "no_model.patb"),
+                   "--data", str(tmp_path / "no_data.patb")]
+        # the call made out and its parent, and wrote nothing: both go
+        out = tmp_path / "new" / "out"
+        assert main(["extend", "--config", str(smoke_config), *missing,
+                     "--out", str(out)]) == 2
+        assert not (tmp_path / "new").exists()
+        # a directory that was there before the call stays
+        before = tmp_path / "before"
+        before.mkdir()
+        assert main(["extend", "--config", str(smoke_config), *missing,
+                     "--out", str(before)]) == 2
+        assert before.is_dir()
+
+        # so does one the failed call wrote into
+        def partial(cfg, threads=None):
+            (cfg.out_dir / "partial.txt").write_text("x")
+            raise SingularTrainingSetError(minor_index=3, ridge=1e-9)
+
+        monkeypatch.setattr(cli, "run_experiment", partial)
+        out = tmp_path / "written"
+        assert main(["experiment", "--config", str(smoke_config),
+                     "--out", str(out)]) == 3
+        assert (out / "partial.txt").is_file()
+
     def test_extend_with_wrong_geometry_is_config_error(self, tmp_path,
                                                         smoke_config):
         out = tmp_path / "out"
