@@ -101,13 +101,14 @@ def _monic_quartic_roots(a, b, c, d) -> np.ndarray:
     (y^2 - s y + k + g) (y^2 + s y + k - g) for a root m of the resolvent
     cubic m^3 + p m^2 + (p^2/4 - r) m - q^2/8, with s^2 = 2m, k = p/2 + m,
     g = q/(2s) and g^2 = k^2 - r.  The cubic is -q^2/8 <= 0 at m = 0, so its
-    largest real root is >= 0 and s is real.  Where q = 0 and p^2/4 >= r the
-    quartic is biquadratic in y, split exactly by m = 0.  Where m is small
-    (q near 0) g comes from k^2 - r, since q/(2s) would divide two rounded
-    small numbers.  The quadratics are solved without cancellation.  A
-    complex pair x +- iy with 2|y| < 1e-6 (1 + x^2) is kept as the double
-    root x.  Two Newton steps on the quartic remove the rounding of the
-    closed form from the other roots; a step counts where it lowers |f|.
+    largest real root is >= 0 and s is real.  Where m is small (q near 0) g
+    comes from k^2 - r, since q/(2s) would divide two rounded small numbers;
+    at m = 0 (q = 0 and no positive root) this is the biquadratic split
+    y^2 = -p/2 -+ sqrt(p^2/4 - r).  The quadratics are solved without
+    cancellation.  A complex pair x +- iy with 2|y| < 1e-6 (1 + x^2) is kept
+    as the double root x.  Two Newton steps on the quartic remove the
+    rounding of the closed form from the other roots; a step counts where it
+    lowers |f|.
     """
     h = 0.25 * a
     p = b - 6.0 * h * h
@@ -115,7 +116,7 @@ def _monic_quartic_roots(a, b, c, d) -> np.ndarray:
     r = d - (c - (b - 3.0 * h * h) * h) * h
     e1 = 0.25 * p * p - r
     m = _largest_resolvent_root(p, e1, -0.125 * q * q)
-    m = np.where((q == 0.0) & (e1 >= 0.0) | (m < 0.0), 0.0, m)
+    m = np.maximum(m, 0.0)
     s = np.sqrt(2.0 * m)
     k = 0.5 * p + m
     # k^2 - r has the better digits where g^2 >= m (|p| + m), m = 0 included

@@ -635,6 +635,23 @@ class TestCircularMean:
         # small circles about the interior center lie inside
         assert np.all(got[-4:] == 1.0)
 
+    def test_inside_tangent_circles_hold_at_most_one(self):
+        # circles inside the ellipse that touch it at one point: all arcs
+        # are inside, and their gaps add up to 2 pi only up to rounding
+        for el in (TEST_PHANTOM, AXIS_ELLIPSE):
+            a, b = el.semi_a, el.semi_b
+            theta = np.random.default_rng(35).uniform(0, 2 * np.pi, 5000)
+            point = np.stack([a * np.cos(theta), b * np.sin(theta)])
+            normal = point / np.array([[a * a], [b * b]])
+            normal /= np.hypot(*normal)
+            rho = 0.5 * b * b / a  # below the least radius of curvature
+            c, s = np.cos(el.rotation), np.sin(el.rotation)
+            centers = (np.array([[c, -s], [s, c]]) @ (point - rho * normal)).T \
+                + np.array(el.center)
+            got = exact_mean_table(el, centers, np.full(len(theta), rho))
+            # tangency costs sqrt(eps) at the double root
+            assert np.all((got >= 1.0 - 1e-6) & (got <= 1.0))
+
     def test_mismatched_center_shape_rejected(self):
         with pytest.raises(ParameterError):
             exact_mean_table(TEST_PHANTOM, np.zeros((3, 2)), np.ones(4))
