@@ -190,13 +190,13 @@ def _ellipse_crossings(A, B, C, D) -> np.ndarray:
         b = 0.5 * np.pi * k[live[0]] + 2.0 * np.arctan(t[live])
         # Newton polish on g(beta) to remove the closed form's rounding
         An, Bn, Cn, Dn = A[rows], B[rows], C[rows], D[rows]
-        for _ in range(3):
-            cb, sb = np.cos(b), np.sin(b)
-            gb = (An * cb + Bn) * cb + Cn * sb + Dn
-            gp = Cn * cb - (2.0 * An * cb + Bn) * sb
-            with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(3):
+                cb, sb = np.cos(b), np.sin(b)
+                gb = (An * cb + Bn) * cb + Cn * sb + Dn
+                gp = Cn * cb - (2.0 * An * cb + Bn) * sb
                 step = np.where(np.abs(gp) > 1e-300, gb / gp, 0.0)
-            b = b - np.clip(step, -0.1, 0.1)
+                b = b - np.clip(step, -0.1, 0.1)
         beta[rows, live[1]] = b
 
     if not np.all(quartic):
