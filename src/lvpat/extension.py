@@ -111,13 +111,15 @@ def build_training_set(phantoms, geom: BoundaryGeometry, split: BoundarySplit,
                        threads: int = 1) -> TrainingSet:
     """Simulate every phantom's traces at the gamma1 and the gamma2 nodes.
 
-    All phantoms go through one forward pass per boundary part, straight
-    into the U1 and U2 tensors.  A trace depends only on its phantom and its
-    node, so u1_i and u2_i stitched together are exactly the phantom's
-    full-boundary data.  `threads` spreads the forward's blocks of
-    (phantom, node) rows.  Every support must lie inside the domain;
-    phantoms with support outside the detection region are recorded on the
-    set and reported with a single warning.
+    All phantoms go through one forward pass over the two boundary parts,
+    which returns the U1 and U2 tensors.  The forward cuts each (part,
+    phantom) into the same tiles of nodes as `simulate_wave_data` does, and
+    a trace depends only on its tile, so u1_i and u2_i are byte for byte the
+    phantom's simulated gamma1 and gamma2 data, and stitched together its
+    full-boundary data.  `threads` spreads the forward's blocks of tiles.
+    Every support must lie inside the domain; phantoms with support outside
+    the detection region are recorded on the set and reported with a single
+    warning.
     """
     phantoms = list(phantoms)
     if not phantoms:
@@ -130,10 +132,10 @@ def build_training_set(phantoms, geom: BoundaryGeometry, split: BoundarySplit,
                       stacklevel=2)
 
     i1, i2 = split.gamma1_idx, split.gamma2_idx
-    wm = _wave_map(geom.dt, geom.n_time)
+    u1, u2 = _traces(phantoms, [geom.positions[i1], geom.positions[i2]],
+                     _wave_map(geom.dt, geom.n_time), threads)
     return TrainingSet(phantoms=phantoms, u1_idx=i1, u2_idx=i2,
-                       u1_samples=_traces(phantoms, geom.positions[i1], wm, threads),
-                       u2_samples=_traces(phantoms, geom.positions[i2], wm, threads),
+                       u1_samples=u1, u2_samples=u2,
                        dt=geom.dt, fingerprint=split.fingerprint(),
                        outside_detection=outside)
 

@@ -4,30 +4,40 @@ With initial pressure f and zero initial velocity, the solution satisfies
 u(x, t) = d/dt [ w(x, t) ],   w(x, t) = int_0^t M_r(x) r / sqrt(t^2 - r^2) dr,
 where M_r(x) is the circular mean of f over the circle of radius r about x.
 
-For a sequence of phantoms (one for `simulate_wave_data`, a whole training
-set for `extension.build_training_set`) the implementation tabulates M_r
-once for every (phantom, observation point) row and every term of the
-phantom (a square or an ellipse is one term, a weighted sum has one per
-nonzero coefficient).  Each (row, term) pair gets a window of a uniform
-radius grid that covers the term's support annulus (see
-`phantoms.radial_extent`: exact for boxes, a rigorous enclosure for
-ellipses), and the means come from the exact arc measures (see `arcmeans`),
-scaled by the term's coefficient: the rows of all box terms of a block in
-one evaluation with the edges gathered per row, each ellipse term's rows in
-one mean-table call.  The nonzero means form a sparse matrix, a row holding
-the windows of all its phantom's terms (where windows overlap, a row holds
-several entries of one column); a mean of exactly 0.0 is not stored, since
-it adds exactly +0.0 to every sum of the product.  A sparse product with a
-cached linear map then gives u at every sample time:
-the map is the closed-form integral of the piecewise-linear interpolant
-against the Abel weight at staggered half-step times, centrally differenced
-in time and divided by dt once when it is built.  The time derivative
-therefore sees an exact integral of the tabulated means, which keeps the
-differencing stable.  `threads` spreads blocks of whole rows over
-workers; each block builds its own rows of the table and their product.
-The block bounds come from the windows' entry counts alone, and rows never
-interact, so the output bytes depend neither on the thread count nor on
-which other phantoms and points share the pass.
+One forward pass takes a sequence of phantoms (one for `simulate_wave_data`,
+a whole training set for `extension.build_training_set`) and a sequence of
+parts, each an array of observation points (the split's gamma1 and gamma2
+nodes, or the one point of `wave_trace`), and returns the traces of every
+phantom at every point of each part.  It tabulates M_r once for every
+(part, phantom, point) row and every term of the phantom (a square or an
+ellipse is one term, a weighted sum has one per nonzero coefficient).  Each
+(row, term) pair gets a window of a uniform radius grid that covers the
+term's support annulus (see `phantoms.radial_extent`: exact for boxes, a
+rigorous enclosure for ellipses), and the means come from the exact arc
+measures (see `arcmeans`), scaled by the term's coefficient: the rows of all
+box terms of a block in one evaluation with the edges gathered per row, each
+ellipse term's rows in one mean-table call.
+
+The rows of one (part, phantom) are cut into tiles of _TILE consecutive
+points.  A tile is a dense (rows, radius nodes) matrix over its span, the
+columns from its first to its last nonzero mean, in which overlapping
+windows of a row's terms are summed.  One GEMM of the tile with the cached
+linear map then gives u at every sample time: the map is the closed-form
+integral of the piecewise-linear interpolant against the Abel weight at
+staggered half-step times, centrally differenced in time and divided by dt
+once when it is built.  The time derivative therefore sees an exact integral
+of the tabulated means, which keeps the differencing stable.  The map is
+exactly zero before the wave from a tile's nearest radius arrives, so those
+time columns are skipped and stay +0.0.
+
+`threads` spreads blocks of whole tiles of one part over workers, with
+OpenBLAS on one thread; each block builds its own tiles and their products.
+The block bounds come from the windows' entry counts alone, and a GEMM's
+output bytes depend only on its tile, which is fixed by its part and
+phantom: the output bytes depend neither on the thread count nor on the
+BLAS thread count nor on which other phantoms share the pass.  They do
+depend on the tile's shape, so a caller that wants one part's traces runs
+the same parts as a caller that wants another (see `simulate_wave_data`).
 
 The radius grid and the mean values depend on the phantom only through
 pointwise evaluation, so simulated data is linear in the phantom to rounding
@@ -42,10 +52,8 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse._sparsetools import csr_matvecs
 
-from ._util import parallel_map
+from ._util import parallel_map, serial_blas
 from .arcmeans import TWO_PI, _box_arc_measures, exact_mean_table
 from .errors import DataMismatchError, ParameterError
 from .geometry import BoundaryGeometry, BoundarySplit, detection_region_contains
@@ -56,14 +64,20 @@ from .phantoms import (EllipseIndicator, Phantom, SquareIndicator, WeightedSum,
 # error of the square-root onset of circular means well under the data scale
 _DR_FACTOR = 0.25
 
-# table entries per block of rows: the (phantom, point) rows are cut into
-# ceil(entries / _CHUNK_ROWS) blocks of whole rows with about equal entry
+# points per tile: the rows of one (part, phantom) are cut into tiles of this
+# many consecutive points, and each tile's product is one dense GEMM.  A
+# boundary node's neighbours see a phantom at nearly the same distances, so
+# their windows share most columns: on one forward-mix pass (one thread, 2-core
+# x86-64) the GEMMs of 32-point tiles took 0.07 s and building the tiles
+# 0.02 s, against 0.30 s for the sparse product they replace.
+_TILE = 32
+
+# table entries per block of tiles: each part's tiles are cut into
+# ceil(entries / _CHUNK_ROWS) blocks of whole tiles with about equal entry
 # counts, and blocks are what `threads` spreads over workers.  Their bounds
 # depend only on the windows, so the output bytes do not depend on the thread
-# count.  Smaller pieces cost more than they save: a training cell's product
-# at step 0.04 (about 5k entries, 1.5 ms whole) took 2.2 ms in blocks of 64
-# rows on one thread, 4.0 ms on two, and mean-table chunks of 2^12 rows made
-# a 16x8 training partition about 1.5x slower at threads=2.
+# count.  Smaller pieces cost more than they save: mean-table chunks of 2^12
+# rows made a 16x8 training partition about 1.5x slower at threads=2.
 _CHUNK_ROWS = 2 ** 14
 
 # map entries per block of sample times in the wave-map build, so that each
@@ -116,6 +130,11 @@ class _WaveMap:
         int r^2 / sqrt(tau^2-r^2) dr = tau^2/2 asin(r/tau) - r/2 sqrt(tau^2-r^2).
     `diff_t` holds these integrals differenced between consecutive half-step
     times and divided by dt, transposed: (radius nodes, n_time).
+
+    Where (j - 1) dr >= tau_{k+1}, hat j lies beyond both half-step times of
+    column k: its integrals there are the same expressions of tau alone, so
+    diff_t[j, k] is exactly 0.0.  `first_k[j]` counts those columns; it does
+    not decrease with j, so no row from j on has a nonzero entry before it.
     """
 
     def __init__(self, dt: float, n_time: int, dr: float):
@@ -127,6 +146,9 @@ class _WaveMap:
         self.r_grid = dr * np.arange(n_r + 1)
         self.diff_t = self._build()
         self.diff_t.flags.writeable = False
+        self.first_k = np.searchsorted(
+            self.taus[1:], np.concatenate([[-np.inf], self.r_grid[:-1]]),
+            side="right")
 
     def _build(self) -> np.ndarray:
         """The differenced map, built in blocks of sample times.
@@ -162,24 +184,55 @@ def _wave_map(dt: float, n_time: int) -> _WaveMap:
     return _WaveMap(dt, n_time, _DR_FACTOR * dt)
 
 
-def _traces(phantoms, points: np.ndarray, wm: _WaveMap,
-            threads: int = 1) -> np.ndarray:
-    """Traces u(x, k*dt), k = 1..n_time, of each phantom at each row x of
-    points (m, 2), as (phantoms, m, n_time).
+def _dense_tiles(bounds, row, col, value) -> list:
+    """The dense tiles of one block's table entries.
 
-    A table row is one (phantom, point) pair, phantom-major.  For every
-    nonzero term of the phantom, the point's radius window [j_lo, j_hi]
-    covers the term's `radial_extent` about the point (exact for boxes; for
-    ellipses from boundary samples widened by their spacing), with two grid
-    steps of margin on each side, and the row holds its windows in term
-    order.  The rows are split into blocks of whole rows with about
-    _CHUNK_ROWS entries each, cut from the window counts alone.  Per block,
-    the rows of all box terms go through one box mean evaluation with the
-    edges gathered per entry, and each ellipse term's rows through one
-    mean-table call; each mean is scaled by its term's coefficient.  Entries
-    equal to 0.0 leave the block's sparse (rows, radius nodes) table (each
-    would add exactly +0.0), and its product with the differenced wave map
-    gives the block's traces.
+    bounds are the row bounds of the block's tiles; row, col and value list
+    the entries, sorted by row.  Returns (lo, hi, j0, tile) for each tile of
+    rows [lo, hi) that holds a nonzero value: tile is (hi - lo, j1 - j0 + 1),
+    over the span [j0, j1] of its nonzero columns, with the entries of each
+    cell summed in their order.  All tiles of the block are views of one
+    bincount.  A value of exactly 0.0 is left out (it would add exactly
+    +0.0), so a tile without a nonzero value has no span and is not listed.
+    """
+    nz = value != 0.0
+    row, col, value = row[nz], col[nz], value[nz]
+    at = np.searchsorted(row, bounds)  # each tile's entries are consecutive
+    keep = np.flatnonzero(at[1:] > at[:-1])
+    if not len(keep):
+        return []
+    j0 = np.minimum.reduceat(col, at[keep])
+    width = np.maximum.reduceat(col, at[keep]) - j0 + 1
+    lo, hi = bounds[keep], bounds[keep + 1]
+    off = np.concatenate([[0], np.cumsum((hi - lo) * width)])
+    tile = np.repeat(np.arange(len(keep)), at[keep + 1] - at[keep])
+    dense = np.bincount(off[tile] + (row - lo[tile]) * width[tile]
+                        + col - j0[tile], value, off[-1])
+    return [(lo[t], hi[t], j0[t],
+             dense[off[t]:off[t + 1]].reshape(hi[t] - lo[t], width[t]))
+            for t in range(len(keep))]
+
+
+def _traces(phantoms, parts, wm: _WaveMap, threads: int = 1) -> list:
+    """Traces u(x, k*dt), k = 1..n_time, of each phantom at each point x of
+    each part (an (m_p, 2) array), as one (phantoms, m_p, n_time) array per
+    part.
+
+    A table row is one (part, phantom, point) triple, numbered part by part
+    and phantom-major within a part.  For every nonzero term of the phantom,
+    the point's radius window [j_lo, j_hi] covers the term's `radial_extent`
+    about the point (exact for boxes; for ellipses from boundary samples
+    widened by their spacing), with two grid steps of margin on each side,
+    and the row holds its windows in term order.  The rows of each (part,
+    phantom) are cut into tiles of _TILE points, and each part's tiles into
+    blocks of whole tiles with about _CHUNK_ROWS entries each, cut from the
+    window counts alone.  Per block, the rows of all box terms go through
+    one box mean evaluation with the edges gathered per entry, and each
+    ellipse term's rows through one mean-table call; each mean is scaled by
+    its term's coefficient.  `_dense_tiles` lays the means out as dense
+    tiles, and each tile's GEMM with the differenced wave map, from the
+    first time column its span can reach (`_WaveMap.first_k`), writes its
+    rows of the zeroed output.  The pass runs inside `serial_blas`.
     """
     # the nonzero terms of all phantoms, phantom by phantom in term order
     terms, owner = [], []
@@ -188,7 +241,15 @@ def _traces(phantoms, points: np.ndarray, wm: _WaveMap,
             if coef != 0.0:
                 terms.append((coef, q))
                 owner.append(k)
-    n_rows, m, n_col = len(phantoms) * len(points), len(points), len(wm.r_grid)
+    n_ph, n_col, n_time = len(phantoms), len(wm.r_grid), wm.n_time
+    points = np.concatenate(parts)
+    m = len(points)
+    sizes = np.array([len(x) for x in parts], dtype=int)
+    row0 = np.concatenate([[0], np.cumsum(n_ph * sizes)])
+    # per point: the row of phantom 0 at it and its part's point count
+    point_row = np.arange(m) + np.repeat(row0[:-1] - np.cumsum(sizes) + sizes,
+                                         sizes)
+    m_of = np.repeat(sizes, sizes)
     j_lo = np.zeros((len(terms), m), dtype=int)
     counts = np.zeros((len(terms), m), dtype=int)
     for t, (_, q) in enumerate(terms):
@@ -199,28 +260,40 @@ def _traces(phantoms, points: np.ndarray, wm: _WaveMap,
         counts[t] = np.where(j_lo[t] < n_col - 1, j_hi - j_lo[t] + 1, 0)
     # one window per (term, point), ordered by row, then by term
     seg_t, seg_i = np.divmod(np.arange(counts.size), m)
-    seg_row = np.asarray(owner, dtype=int)[seg_t] * m + seg_i
+    seg_row = (point_row[seg_i]
+               + np.asarray(owner, dtype=int)[seg_t] * m_of[seg_i])
     order = np.argsort(seg_row, kind="stable")
     seg_t, seg_i, seg_row = seg_t[order], seg_i[order], seg_row[order]
     seg_count, seg_jlo = counts[seg_t, seg_i], j_lo[seg_t, seg_i]
-    row_count = np.bincount(seg_row, seg_count, n_rows).astype(int)
-    ends = np.cumsum(row_count)
-    total = int(row_count.sum())
-    n_blocks = max(1, -(-total // _CHUNK_ROWS))
-    # a block ends with the row that reaches its share of the entries
-    cuts = np.searchsorted(ends, total * np.arange(1, n_blocks) // n_blocks) + 1
-    bounds = np.unique(np.concatenate([[0], cuts, [n_rows]]))
-    seg_bounds = np.searchsorted(seg_row, bounds)
+    row_ends = np.concatenate([[0], np.cumsum(np.bincount(
+        seg_row, seg_count, row0[-1]).astype(int))])
+    # tiles restart at each (part, phantom); a block ends with the tile that
+    # reaches its share of its part's entries
+    tiles, tasks = [], []
+    for p, m_p in enumerate(sizes):
+        lo = (row0[p] + m_p * np.arange(n_ph)[:, None]
+              + np.arange(0, m_p, _TILE)).ravel()
+        if not len(lo):
+            continue
+        tiles.append(lo)
+        bounds = np.append(lo, row0[p + 1])
+        ends = row_ends[bounds[1:]] - row_ends[row0[p]]
+        total = int(ends[-1])
+        n_blocks = max(1, -(-total // _CHUNK_ROWS))
+        cuts = np.searchsorted(ends, total * np.arange(1, n_blocks) // n_blocks)
+        cuts = bounds[np.unique(np.concatenate([[0], cuts + 1, [len(lo)]]))]
+        tasks += [(p, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+    tile_bounds = np.concatenate([*tiles, [row0[-1]]])
     coefs = np.array([coef for coef, _ in terms])
     is_box = np.array([isinstance(q, SquareIndicator) for _, q in terms], dtype=bool)
     edges = np.array([q.bounding_box() if isinstance(q, SquareIndicator)
                       else (np.nan,) * 4 for _, q in terms]).reshape(-1, 4).T
     px, py = np.array(points.T)
-    out = np.zeros((len(phantoms), m, wm.n_time))
-    rows_out = out.reshape(n_rows, wm.n_time)
+    outs = [np.zeros((n_ph, m_p, n_time)) for m_p in sizes]
 
     def block(task) -> None:
-        (lo, hi), (s0, s1) = task
+        p, r0, r1 = task
+        s0, s1 = np.searchsorted(seg_row, (r0, r1))
         c = seg_count[s0:s1]
         cols = np.arange(c.sum()) + np.repeat(seg_jlo[s0:s1] - (np.cumsum(c) - c), c)
         term = np.repeat(seg_t[s0:s1], c)
@@ -239,28 +312,29 @@ def _traces(phantoms, points: np.ndarray, wm: _WaveMap,
             at = ell[term[ell] == t]
             data[at] = coefs[t] * exact_mean_table(
                 terms[t][1], points[point[at]], radii[at])
-        indptr = np.concatenate([[0], np.cumsum(row_count[lo:hi])])
-        table = csr_array((data, cols, indptr), shape=(hi - lo, n_col))
-        table.eliminate_zeros()
-        # table @ diff_t by the kernel scipy runs for it, adding straight
-        # into this block's rows of the zeroed output (C-contiguous, so the
-        # ravel is a view): no block-sized temporary is left behind in a
-        # worker's malloc arena
-        csr_matvecs(hi - lo, n_col, wm.n_time, table.indptr, table.indices,
-                    table.data, wm.diff_t.ravel(), rows_out[lo:hi].ravel())
+        t0, t1 = np.searchsorted(tile_bounds, (r0, r1))
+        rows_out = outs[p].reshape(-1, n_time)
+        for lo, hi, j0, tile in _dense_tiles(tile_bounds[t0:t1 + 1],
+                                              np.repeat(seg_row[s0:s1], c),
+                                              cols, data):
+            k0 = wm.first_k[j0]
+            np.matmul(tile, wm.diff_t[j0:j0 + tile.shape[1], k0:],
+                      out=rows_out[lo - row0[p]:hi - row0[p], k0:])
 
-    parallel_map(block, zip(zip(bounds[:-1], bounds[1:]),
-                            zip(seg_bounds[:-1], seg_bounds[1:])), threads)
-    return out
+    with serial_blas():
+        parallel_map(block, tasks, threads)
+    return outs
 
 
 def wave_trace(p: Phantom, x, geom: BoundaryGeometry) -> np.ndarray:
     """Time series u(x, k*dt), k = 1..n_time, for one observation point.
 
-    x does not have to be a boundary node.
+    x does not have to be a boundary node.  It is a part of one point, so
+    its bytes may differ in the last digits from the same point's row in a
+    larger part (a GEMM's bytes depend on its tile's shape).
     """
     point = np.asarray(x, dtype=float).reshape(1, 2)
-    return _traces([p], point, _wave_map(geom.dt, geom.n_time))[0, 0]
+    return _traces([p], [point], _wave_map(geom.dt, geom.n_time))[0][0, 0]
 
 
 def _support_sample_points(p: Phantom) -> np.ndarray:
@@ -297,23 +371,29 @@ def simulate_wave_data(p: Phantom, geom: BoundaryGeometry, split: BoundarySplit,
                        part: Part = Part.FULL, threads: int = 1) -> WaveData:
     """Wave traces at every node of the requested boundary part.
 
-    The phantom support must lie inside the domain; for partial-boundary
-    simulations a support outside the detection region only triggers a
-    warning (the extension problem is then unstable, not undefined).
+    The forward always runs the split's two parts, gamma1 and gamma2, and
+    scatters them into the full boundary or returns the requested one, so
+    partial data is exactly the restriction of full data (the module
+    docstring says why the parts must be the same).  The phantom support
+    must lie inside the domain; for partial-boundary simulations a support
+    outside the detection region only triggers a warning (the extension
+    problem is then unstable, not undefined).
     """
     if _check_supports([p], geom, None if part is Part.FULL else split):
         warnings.warn("phantom support is not inside the detection region",
                       stacklevel=2)
 
+    i1, i2 = split.gamma1_idx, split.gamma2_idx
+    u1, u2 = _traces([p], [geom.positions[i1], geom.positions[i2]],
+                     _wave_map(geom.dt, geom.n_time), threads)
     if part is Part.FULL:
         node_idx = np.arange(geom.n_nodes)
+        samples = np.empty((geom.n_nodes, geom.n_time))
+        samples[i1], samples[i2] = u1[0], u2[0]
     elif part is Part.GAMMA1:
-        node_idx = split.gamma1_idx
+        node_idx, samples = i1, u1[0]
     else:
-        node_idx = split.gamma2_idx
-
-    samples = _traces([p], geom.positions[node_idx],
-                      _wave_map(geom.dt, geom.n_time), threads)[0]
+        node_idx, samples = i2, u2[0]
     return WaveData(part=part, node_idx=node_idx, dt=geom.dt,
                     n_time=geom.n_time, samples=samples,
                     fingerprint=split.fingerprint())

@@ -86,3 +86,19 @@ def random_disjoint_mix(rng, n_terms=3):
     mags = rng.uniform(0.5, 1.5, size=n_terms)
     return WeightedSum(tuple((s * m, cells[k])
                              for s, m, k in zip(signs, mags, picks)))
+
+
+@pytest.fixture()
+def blas_threads():
+    """Every OpenBLAS numpy and scipy loaded set to 2 threads for the test;
+    yields a function that reads their counts."""
+    from lvpat import _util
+    libs = _util._openblas()
+    if not libs:
+        pytest.skip("numpy and scipy do not use their bundled OpenBLAS")
+    saved = [get() for get, _ in libs]
+    for _, set_ in libs:
+        set_(2)
+    yield lambda: [get() for get, _ in libs]
+    for (_, set_), n in zip(libs, saved):
+        set_(n)

@@ -366,22 +366,6 @@ class TestExperiment:
         assert summary["e2"]["4x2"] < summary["e2"]["zero"]
 
 
-@pytest.fixture()
-def blas_threads():
-    """Every OpenBLAS numpy and scipy loaded set to 2 threads for the test;
-    yields a function that reads their counts."""
-    from lvpat import _util
-    libs = _util._openblas()
-    if not libs:
-        pytest.skip("numpy and scipy do not use their bundled OpenBLAS")
-    saved = [get() for get, _ in libs]
-    for _, set_ in libs:
-        set_(2)
-    yield lambda: [get() for get, _ in libs]
-    for (_, set_), n in zip(libs, saved):
-        set_(n)
-
-
 class TestSerialBlas:
 
     def test_run_experiment_restores_thread_counts(self, smoke_config,

@@ -1,17 +1,24 @@
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 import lvpat.forward as forward
 import lvpat.arcmeans as arcmeans
+from lvpat._util import serial_blas
 from lvpat.arcmeans import (_ellipse_crossings, _monic_quartic_roots,
                             exact_mean_table)
 from lvpat.errors import ParameterError
-from lvpat.forward import (_CHUNK_ROWS, Part, _wave_map, restrict_wave_data,
-                           simulate_wave_data, wave_trace)
+from lvpat.extension import build_training_set
+from lvpat.forward import (_CHUNK_ROWS, _TILE, Part, _wave_map,
+                           restrict_wave_data, simulate_wave_data, wave_trace)
 from lvpat.geometry import build_boundary, split_boundary
 from lvpat.oracle import (_term_critical_radii, exact_circular_mean,
                           oracle_wave_field, phantom_mean_table)
@@ -19,7 +26,10 @@ from lvpat.phantoms import (EllipseIndicator, SquareIndicator, WeightedSum,
                             bounding_circle, distance_to_support,
                             ellipse_boundary_points, training_partition)
 
-from conftest import GAMMA2_INTERVAL, TEST_PHANTOM, random_mix, random_square
+from conftest import (BOX, GAMMA2_INTERVAL, TEST_PHANTOM, random_mix,
+                      random_square)
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 UNIT_DISC = EllipseIndicator((0.0, 0.0), 1.0, 1.0, 0.0)
 
@@ -326,29 +336,40 @@ def draw_checkpoints(p, x, geom, rng, count):
 
 
 # One mean evaluation of the forward for one term: call numbers the
-# evaluations, rows are (phantom, point) rows k * len(points) + i.
+# evaluations, rows are rows of the pass (see `record_forward`).
 Eval = namedtuple("Eval", "call term rows radii means")
 
+# One dense tile of a block: rows [lo, hi) of the pass, columns from j0.
+Tile = namedtuple("Tile", "lo hi j0 values")
 
-def record_forward(monkeypatch, phantoms, points):
+
+def record_forward(monkeypatch, phantoms, parts):
     """Patch the forward so that it records what it computes; returns the
     lists the patch fills: the task list of each `parallel_map` call, one
-    Eval per term per mean evaluation, and the sparse tables the blocks
-    build.  A block's one box evaluation takes the rows of all its box
-    terms; it is split here into its boxes by their edges."""
-    tasks, calls, tables = [], [], []
-    run, means, boxes, build = (forward.parallel_map, forward.exact_mean_table,
-                                forward._box_arc_measures, forward.csr_array)
+    Eval per term per mean evaluation, and a copy of every dense tile the
+    blocks build.  The pass numbers its rows part by part, phantom-major
+    within a part; a point names its part, so no point may lie in two parts.
+    A block's one box evaluation takes the rows of all its box terms; it is
+    split here into its boxes by their edges."""
+    tasks, calls, tiles = [], [], []
+    run, means, boxes, dense = (forward.parallel_map, forward.exact_mean_table,
+                                forward._box_arc_measures, forward._dense_tiles)
     owner = {}
     for k, p in enumerate(phantoms):
         for _, q in p.terms if isinstance(p, WeightedSum) else ((1.0, p),):
             owner.setdefault(q, k)
-    index = {x.tobytes(): i for i, x in enumerate(points)}
+    # per point: the row of phantom 0 at it and its part's size
+    index, row0 = {}, 0
+    for x in parts:
+        for i, c in enumerate(x):
+            index[c.tobytes()] = (row0 + i, len(x))
+        row0 += len(phantoms) * len(x)
     numbers = itertools.count()
 
     def rows(q, centers):
-        return owner[q] * len(points) + np.array(
-            [index[c.tobytes()] for c in centers], dtype=int)
+        at = np.array([index[c.tobytes()] for c in centers],
+                      dtype=int).reshape(-1, 2)
+        return at[:, 0] + owner[q] * at[:, 1]
 
     def mapped(fn, items, threads=1):
         tasks.append(list(items))
@@ -370,39 +391,78 @@ def record_forward(monkeypatch, phantoms, points):
                               radii[at], values[at] / (2 * np.pi)))
         return values
 
-    def kept(*args, **kwargs):
-        tables.append(build(*args, **kwargs))
-        return tables[-1]
+    def dense_tiles(*args):
+        made = dense(*args)
+        tiles.extend(Tile(int(lo), int(hi), int(j0), t.copy())
+                     for lo, hi, j0, t in made)
+        return made
 
     monkeypatch.setattr(forward, "parallel_map", mapped)
     monkeypatch.setattr(forward, "exact_mean_table", term_means)
     monkeypatch.setattr(forward, "_box_arc_measures", box_measures)
-    monkeypatch.setattr(forward, "csr_array", kept)
-    return tasks, calls, tables
+    monkeypatch.setattr(forward, "_dense_tiles", dense_tiles)
+    return tasks, calls, tiles
+
+
+def split_parts(geom, split):
+    """The forward's two parts of a simulation, gamma1 and gamma2."""
+    return [geom.positions[split.gamma1_idx], geom.positions[split.gamma2_idx]]
 
 
 def simulate_recorded(p, geom, split, threads, monkeypatch):
-    """Full-boundary data of p and the record of `record_forward`, whose
-    rows are then the nodes."""
-    tasks, calls, tables = record_forward(monkeypatch, [p], geom.positions)
+    """Full-boundary data of p and the record of `record_forward`; row r of
+    the pass is node np.concatenate([gamma1_idx, gamma2_idx])[r]."""
+    tasks, calls, tiles = record_forward(monkeypatch, [p],
+                                         split_parts(geom, split))
     data = simulate_wave_data(p, geom, split, Part.FULL, threads=threads)
     monkeypatch.undo()
-    return data, tasks, calls, tables
+    return data, tasks, calls, tiles
 
 
-def check_point_blocks(tasks, calls, n_rows):
-    """The block rule of `forward._traces`; returns the blocks' row bounds.
+def table_entries(calls, p, wm):
+    """(rows, columns, values) of the table entries the forward evaluated
+    for phantom p: the recorded means scaled by their terms' coefficients."""
+    coef = {q: c for c, q in (p.terms if isinstance(p, WeightedSum)
+                              else ((1.0, p),))}
+    return (np.concatenate([e.rows for e in calls]),
+            np.rint(np.concatenate([e.radii for e in calls]) / wm.dr).astype(int),
+            np.concatenate([coef[e.term] * e.means for e in calls]))
 
-    One parallel pass over consecutive blocks of whole rows; per block one
-    box evaluation for all its box terms and one mean-table call per
-    ellipse term with rows in it; ceil(entries / _CHUNK_ROWS) blocks, each
-    within one row of an equal share of the entries."""
+
+def part_sizes(split):
+    """Point counts of the two parts of a simulation."""
+    return [len(split.gamma1_idx), len(split.gamma2_idx)]
+
+
+def tile_starts(n_phantoms, sizes):
+    """First rows of the forward's tiles: _TILE points of one (part,
+    phantom), for parts of the given point counts."""
+    row0 = np.concatenate([[0], np.cumsum(n_phantoms * np.asarray(sizes))])
+    return np.concatenate([(row0[p] + m * np.arange(n_phantoms)[:, None]
+                            + np.arange(0, m, _TILE)).ravel()
+                           for p, m in enumerate(sizes)])
+
+
+def check_point_blocks(tasks, calls, n_phantoms, sizes):
+    """The block rule of `forward._traces` for parts of the given point
+    counts; returns the blocks as (part, first row, end row).
+
+    One parallel pass over consecutive blocks of whole tiles, each in one
+    part; per block one box evaluation for all its box terms and one
+    mean-table call per ellipse term with rows in it; per part
+    ceil(entries / _CHUNK_ROWS) blocks, each within one tile's entries of an
+    equal share of the part's entries."""
     assert len(tasks) == 1
-    bounds = [rows for rows, _ in tasks[0]]
-    assert bounds[0][0] == 0 and bounds[-1][1] == n_rows
-    assert all(a[1] == b[0] and a[0] < a[1] for a, b in zip(bounds, bounds[1:]))
-    ends = np.array([hi for _, hi in bounds])
-    entries = np.zeros(len(bounds), dtype=int)
+    blocks = [tuple(int(v) for v in task) for task in tasks[0]]
+    row0 = np.concatenate([[0], np.cumsum(n_phantoms * np.asarray(sizes))])
+    starts = tile_starts(n_phantoms, sizes)
+    assert blocks[0][1] == 0 and blocks[-1][2] == row0[-1]
+    assert all(a[2] == b[1] for a, b in zip(blocks, blocks[1:]))
+    for p, lo, hi in blocks:
+        assert row0[p] <= lo < hi <= row0[p + 1]
+        assert lo in starts and (hi in starts or hi == row0[p + 1])
+    ends = np.array([hi for _, _, hi in blocks])
+    entries = np.zeros(len(blocks), dtype=int)
     kinds = {}
     for e in calls:
         block = np.searchsorted(ends, e.rows, side="right")
@@ -413,11 +473,17 @@ def check_point_blocks(tasks, calls, n_rows):
         assert kinds.setdefault(e.call, kind) == kind
         entries[block[0]] += len(e.rows)
     assert len(set(kinds.values())) == len(kinds)
-    row = np.bincount(np.concatenate([e.rows for e in calls]), minlength=n_rows)
-    total = row.sum()
-    assert len(bounds) == -(-total // _CHUNK_ROWS)
-    assert np.all(np.abs(entries - total / len(bounds)) <= row.max())
-    return bounds
+    row = np.bincount(np.concatenate([e.rows for e in calls]),
+                      minlength=row0[-1])
+    tile = np.add.reduceat(row, starts)
+    part = np.array([p for p, _, _ in blocks])
+    for p in range(len(sizes)):
+        total = row[row0[p]:row0[p + 1]].sum()
+        n = np.count_nonzero(part == p)
+        assert n == -(-total // _CHUNK_ROWS)
+        largest = tile[(starts >= row0[p]) & (starts < row0[p + 1])].max()
+        assert np.all(np.abs(entries[part == p] - total / n) <= largest)
+    return blocks
 
 
 class TestCircularMean:
@@ -725,7 +791,7 @@ class TestSimulate:
         # t_max = 1.5 is shorter than the distance from the phantoms to the
         # far side of the boundary, so some rows are exactly zero.  The
         # reference takes one window per node, about the whole phantom's
-        # bounding circle, and the undifferenced map; the sparse product
+        # bounding circle, and the undifferenced map; the tiled product
         # takes term windows, the differenced map and another summation
         # order, so live rows agree to 1e-12 relative, not bit for bit.
         geom = build_boundary(domain, spacing_target=0.1, dt=0.05, t_max=1.5)
@@ -765,7 +831,8 @@ class TestSimulate:
         square = SquareIndicator(-1.5, -1.3, -0.3, -0.1)
         ellipse = EllipseIndicator((1.3, 0.2), 0.2, 0.1, 0.5)
         p = WeightedSum(((0.8, square), (-1.2, ellipse)))
-        _, calls, _ = record_forward(monkeypatch, [p], coarse_geom.positions)
+        _, calls, _ = record_forward(monkeypatch, [p],
+                                     split_parts(coarse_geom, coarse_split))
         simulate_wave_data(p, coarse_geom, coarse_split, Part.FULL)
         wm = _wave_map(coarse_geom.dt, coarse_geom.n_time)
 
@@ -791,8 +858,8 @@ class TestSimulate:
         for threads in (1, 2, 4):
             runs[threads], tasks, calls, _ = simulate_recorded(
                 p, medium_geom, medium_split, threads, monkeypatch)
-            bounds[threads] = check_point_blocks(tasks, calls,
-                                                 medium_geom.n_nodes)
+            bounds[threads] = check_point_blocks(
+                tasks, calls, 1, part_sizes(medium_split))
         assert len(bounds[1]) >= 4
         for threads in (2, 4):
             assert bounds[threads] == bounds[1]
@@ -805,8 +872,8 @@ class TestSimulate:
         for threads in (1, 2, 4):
             runs[threads], tasks, calls, _ = simulate_recorded(
                 p, medium_geom, medium_split, threads, monkeypatch)
-            bounds[threads] = check_point_blocks(tasks, calls,
-                                                 medium_geom.n_nodes)
+            bounds[threads] = check_point_blocks(
+                tasks, calls, 1, part_sizes(medium_split))
             # every block holds rows of both terms
             assert len(calls) == 2 * len(bounds[threads])
         assert len(bounds[1]) >= 2
@@ -825,11 +892,11 @@ class TestSimulate:
         wm = _wave_map(medium_geom.dt, medium_geom.n_time)
         runs, bounds = {}, {}
         for threads in (1, 2):
-            tasks, calls, _ = record_forward(monkeypatch, phantoms, points)
-            runs[threads] = forward._traces(phantoms, points, wm, threads)
+            tasks, calls, _ = record_forward(monkeypatch, phantoms, [points])
+            runs[threads], = forward._traces(phantoms, [points], wm, threads)
             monkeypatch.undo()
-            bounds[threads] = check_point_blocks(tasks, calls,
-                                                 len(phantoms) * len(points))
+            bounds[threads] = check_point_blocks(tasks, calls, len(phantoms),
+                                                 [len(points)])
         assert len(bounds[1]) >= 4 and bounds[2] == bounds[1]
         assert runs[2].tobytes() == runs[1].tobytes()
         # some block's one box evaluation holds the rows of several cells
@@ -839,7 +906,7 @@ class TestSimulate:
                 boxes.setdefault(e.call, set()).add(e.term)
         assert max(len(terms) for terms in boxes.values()) > 2
         for k in (0, 12, 13):
-            one = forward._traces([phantoms[k]], points, wm)[0]
+            one = forward._traces([phantoms[k]], [points], wm)[0][0]
             assert runs[1][k].tobytes() == one.tobytes()
 
     @pytest.mark.parametrize("name", sorted(WINDOW_CASES))
@@ -857,11 +924,11 @@ class TestSimulate:
                   np.stack([rng.uniform(lo[0] - 0.2, lo[1] + 0.2, 40),
                             rng.uniform(hi[0] - 0.2, hi[1] + 0.2, 40)], axis=-1)]
         points = np.concatenate(points + [support_edge_points(q) for _, q in terms])
-        _, evaluated, _ = record_forward(monkeypatch, [p], points)
+        _, evaluated, _ = record_forward(monkeypatch, [p], [points])
         dropped = 0
         for x in points:
             evaluated.clear()
-            forward._traces([p], x[None], wm)
+            forward._traces([p], [x[None]], wm)
             for coef, q in terms:
                 window = radius_window(q, x, wm)
                 if window is None:
@@ -875,31 +942,112 @@ class TestSimulate:
         # a 1e-4 square's bounding circle is as tight as its extent
         assert dropped > 0 or name == "tiny_square"
 
-    def test_table_stores_no_zeros(self, medium_geom, medium_split,
-                                   monkeypatch):
+    def test_tile_spans_are_nonzero_columns(self, medium_geom, medium_split,
+                                            monkeypatch):
+        # the windows' margins hold exact zeros, which no tile keeps: a tile
+        # spans its first to its last nonzero column and holds the sums of
+        # its rows' means, and only tiles with a nonzero mean are built
         p = WINDOW_CASES["nested_sum"]
-        _, tasks, calls, tables = simulate_recorded(p, medium_geom,
-                                                    medium_split, 2, monkeypatch)
-        bounds = check_point_blocks(tasks, calls, medium_geom.n_nodes)
-        assert len(tables) == len(bounds) >= 2
-        values = np.concatenate([e.means for e in calls])
-        # the windows' margins hold exact zeros; no block table stores one
+        wm = _wave_map(medium_geom.dt, medium_geom.n_time)
+        _, tasks, calls, tiles = simulate_recorded(p, medium_geom,
+                                                   medium_split, 2, monkeypatch)
+        sizes = part_sizes(medium_split)
+        assert len(check_point_blocks(tasks, calls, 1, sizes)) >= 2
+        rows, cols, values = table_entries(calls, p, wm)
         assert np.count_nonzero(values == 0.0) > 0
-        assert sum(t.nnz for t in tables) == np.count_nonzero(values)
-        for t in tables:
-            assert np.all(t.data != 0.0)
+        nz = values != 0.0
+        rows, cols, values = rows[nz], cols[nz], values[nz]
+        starts = tile_starts(1, sizes)
+        built = starts[np.unique(np.searchsorted(starts, rows, side="right") - 1)]
+        assert sorted(t.lo for t in tiles) == list(built)
+        for t in tiles:
+            at = (rows >= t.lo) & (rows < t.hi)
+            assert t.values.shape[0] == t.hi - t.lo <= _TILE
+            assert cols[at].min() == t.j0
+            assert cols[at].max() == t.j0 + t.values.shape[1] - 1
+            want = np.zeros_like(t.values)
+            np.add.at(want, (rows[at] - t.lo, cols[at] - t.j0), values[at])
+            assert np.abs(t.values - want).max() <= 1e-15 * np.abs(want).max()
 
     def test_rows_are_the_table_product(self, medium_geom, medium_split,
                                         monkeypatch):
-        # each block adds its product into the output rows; those rows are
-        # exactly scipy's table @ diff_t of the block tables
+        # each tile's GEMM writes its rows from the first time column its
+        # span reaches; the rows are exactly the tiles' products, +0.0
+        # before that column and in rows without a tile, and scipy's sparse
+        # product of the means to 1e-13 relative per row
         p = KERNEL_CASES["sum"]
-        data, _, _, tables = simulate_recorded(p, medium_geom, medium_split, 1,
-                                               monkeypatch)
+        data, _, calls, tiles = simulate_recorded(p, medium_geom, medium_split,
+                                                  1, monkeypatch)
         wm = _wave_map(medium_geom.dt, medium_geom.n_time)
-        assert len(tables) >= 2
-        want = np.concatenate([t @ wm.diff_t for t in tables])
+        node = np.concatenate([medium_split.gamma1_idx, medium_split.gamma2_idx])
+        assert len(tiles) >= 8 and any(wm.first_k[t.j0] > 0 for t in tiles)
+        want = np.zeros_like(data.samples)
+        with serial_blas():
+            for t in tiles:
+                k0 = wm.first_k[t.j0]
+                want[node[t.lo:t.hi], k0:] = t.values @ wm.diff_t[
+                    t.j0:t.j0 + t.values.shape[1], k0:]
         assert data.samples.tobytes() == want.tobytes()
+        rows, cols, values = table_entries(calls, p, wm)
+        table = csr_array((values, (rows, cols)),
+                          shape=(medium_geom.n_nodes, len(wm.r_grid)))
+        ref = table @ wm.diff_t
+        err = np.abs(data.samples[node] - ref).max(axis=1)
+        assert np.all(err <= 1e-13 * np.abs(ref).max(axis=1))
+
+    def test_wave_map_is_zero_before_first_k(self):
+        # the causal skip is exact: every entry before a row's first_k is
+        # +0.0, and first_k is the first nonzero column of its row
+        for dt, n_time in ((0.05, 30), (0.02, 1000)):
+            wm = forward._WaveMap(dt, n_time, forward._DR_FACTOR * dt)
+            before = np.arange(n_time) < wm.first_k[:, None]
+            skipped = wm.diff_t[before]
+            assert np.all(skipped == 0.0) and not np.any(np.signbit(skipped))
+            assert np.all(np.diff(wm.first_k) >= 0)
+            live = np.flatnonzero(wm.first_k < n_time)
+            assert np.all(wm.diff_t[live, wm.first_k[live]] != 0.0)
+        # at step 0.02 about half the map lies before first_k
+        assert 0.4 < before.mean() < 0.6
+
+    def test_unreached_point_gives_zero_row(self, coarse_geom, monkeypatch):
+        # t_max = 12: the wave from the phantom never reaches x = 30, so that
+        # point has no window, no tile and a row of +0.0, alone in its part
+        # and beside reached points in a tile; a part may also be empty (a
+        # split's gamma2 can hold no node)
+        p = KERNEL_CASES["sum"]
+        wm = _wave_map(coarse_geom.dt, coarse_geom.n_time)
+        far = np.array([[30.0, 0.0]])
+        mixed = np.concatenate([coarse_geom.positions[:3], far])
+        _, calls, tiles = record_forward(monkeypatch, [p], [far, mixed])
+        alone, beside, empty = forward._traces([p], [far, mixed, np.zeros((0, 2))],
+                                               wm)
+        assert empty.shape == (1, 0, coarse_geom.n_time)
+        assert alone.tobytes() == np.zeros_like(alone).tobytes()
+        assert all(np.all(e.rows != 0) and np.all(e.rows != 4) for e in calls)
+        assert [(t.lo, t.hi) for t in tiles] == [(1, 5)]
+        assert np.all(beside[0, 3] == 0.0)
+        assert np.all(np.abs(beside[0, :3]).max(axis=1) > 0.0)
+
+    @pytest.mark.parametrize("p", [
+        WeightedSum(()),
+        WeightedSum(((0.0, TEST_PHANTOM), (0.0, KERNEL_CASES["square"])))])
+    def test_all_zero_sum_gives_zero_data(self, coarse_geom, coarse_split, p):
+        for part in Part:
+            data = simulate_wave_data(p, coarse_geom, coarse_split, part)
+            assert data.samples.tobytes() == np.zeros_like(data.samples).tobytes()
+
+    def test_wave_trace_off_node_matches_batch_row(self, coarse_geom):
+        # a point halfway between two nodes, as wave_trace's one point and
+        # inside a tile of nodes: GEMMs of other shapes, one row to rounding
+        p = KERNEL_CASES["sum"]
+        wm = _wave_map(coarse_geom.dt, coarse_geom.n_time)
+        nodes = coarse_geom.positions
+        x = 0.5 * (nodes[10] + nodes[11])
+        batch = np.concatenate([nodes[:10], x[None], nodes[11:40]])
+        row = forward._traces([p], [batch], wm)[0][0, 10]
+        u = wave_trace(p, x, coarse_geom)
+        assert np.abs(row).max() > 0.0
+        assert np.abs(u - row).max() <= 1e-13 * np.abs(row).max()
 
     def test_wave_map_blocks_change_no_bytes(self, monkeypatch):
         # the step-0.02 map of the forward-mix workload: 30.6 MiB
@@ -926,6 +1074,70 @@ class TestSimulate:
         p = SquareIndicator(-0.1, 0.1, 0.8, 0.92)
         with pytest.warns(UserWarning):
             simulate_wave_data(p, coarse_geom, coarse_split, Part.GAMMA1)
+
+
+class TestForwardSerialBlas:
+
+    def test_forward_runs_on_one_blas_thread(self, coarse_geom, coarse_split,
+                                             monkeypatch, blas_threads):
+        real, seen = forward._dense_tiles, []
+
+        def dense_tiles(*args):
+            seen.append(blas_threads())
+            return real(*args)
+
+        monkeypatch.setattr(forward, "_dense_tiles", dense_tiles)
+        simulate_wave_data(TEST_PHANTOM, coarse_geom, coarse_split, threads=2)
+        build_training_set(training_partition(BOX, 4, 2), coarse_geom,
+                           coarse_split, threads=2)
+        assert len(seen) >= 4 and all(c == [1] * len(c) for c in seen)
+        assert blas_threads() == [2] * len(seen[0])
+
+    def test_blas_threads_restored_when_means_raise(
+            self, coarse_geom, coarse_split, monkeypatch, blas_threads):
+        def means(*args):
+            raise RuntimeError("mean kernel failed")
+
+        monkeypatch.setattr(forward, "exact_mean_table", means)
+        with pytest.raises(RuntimeError, match="mean kernel failed"):
+            simulate_wave_data(TEST_PHANTOM, coarse_geom, coarse_split,
+                               threads=2)
+        counts = blas_threads()
+        assert counts == [2] * len(counts)
+
+    def test_outputs_independent_of_openblas_threads(self, tmp_path):
+        # library calls outside the CLI: each tile's GEMM (32 x ~100 x ~500
+        # at step 0.04) is large enough for OpenBLAS to thread it
+        script = (
+            "import sys, numpy as np\n"
+            "from lvpat.extension import build_training_set\n"
+            "from lvpat.forward import simulate_wave_data\n"
+            "from lvpat.geometry import EllipseDomain, build_boundary, "
+            "split_boundary\n"
+            "from lvpat.phantoms import EllipseIndicator, training_partition\n"
+            "geom = build_boundary(EllipseDomain(2.0, 1.0), "
+            "spacing_target=0.04, dt=0.04, t_max=20.0)\n"
+            f"split = split_boundary(geom, {GAMMA2_INTERVAL!r})\n"
+            f"ts = build_training_set(training_partition({BOX!r}, 4, 2), "
+            "geom, split, threads=2)\n"
+            "u = simulate_wave_data(EllipseIndicator(" + ", ".join(map(repr, (
+                TEST_PHANTOM.center, TEST_PHANTOM.semi_a, TEST_PHANTOM.semi_b,
+                TEST_PHANTOM.rotation))) + "), geom, split, threads=2)\n"
+            "np.savez(sys.argv[1], u1=ts.u1_samples, u2=ts.u2_samples, "
+            "u=u.samples)\n")
+        outs = {}
+        for n in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": n,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [
+                       str(SRC_DIR), os.environ.get("PYTHONPATH")]))}
+            path = tmp_path / f"blas{n}.npz"
+            subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                           check=True, capture_output=True)
+            with np.load(path) as f:
+                outs[n] = {k: f[k].tobytes() for k in f.files}
+        assert outs["1"].keys() == outs["2"].keys() == {"u1", "u2", "u"}
+        differ = [k for k in outs["1"] if outs["1"][k] != outs["2"][k]]
+        assert not differ, f"outputs depend on OPENBLAS_NUM_THREADS: {differ}"
 
 
 class TestOracle:
