@@ -165,7 +165,7 @@ def _ellipse_crossings(A, B, C, D) -> np.ndarray:
     coefficients A', B', C', D' of beta - phi.  Of the four phi the one with
     the largest |g(phi + pi)| >= scale/2 bounds every root by |t| < 7.  The
     real roots of that quartic (`_monic_quartic_roots`) are polished by
-    Newton steps on g(beta).  Where |A| is negligible against the largest
+    one Newton step on g(beta).  Where |A| is negligible against the largest
     coefficient (nearly circular ellipses, small circles) g is
     B cos + C sin + D, solved directly.
     """
@@ -188,16 +188,15 @@ def _ellipse_crossings(A, B, C, D) -> np.ndarray:
         live = np.nonzero(~np.isnan(t))
         rows = idx[live[0]]
         b = 0.5 * np.pi * k[live[0]] + 2.0 * np.arctan(t[live])
-        # Newton polish on g(beta) to remove the closed form's rounding
+        # one clipped Newton step on g(beta) removes the closed form's
+        # rounding; further steps move beta by at most ~2e-12 relative
         An, Bn, Cn, Dn = A[rows], B[rows], C[rows], D[rows]
+        cb, sb = np.cos(b), np.sin(b)
+        gb = (An * cb + Bn) * cb + Cn * sb + Dn
+        gp = Cn * cb - (2.0 * An * cb + Bn) * sb
         with np.errstate(divide="ignore", invalid="ignore"):
-            for _ in range(3):
-                cb, sb = np.cos(b), np.sin(b)
-                gb = (An * cb + Bn) * cb + Cn * sb + Dn
-                gp = Cn * cb - (2.0 * An * cb + Bn) * sb
-                step = np.where(np.abs(gp) > 1e-300, gb / gp, 0.0)
-                b = b - np.clip(step, -0.1, 0.1)
-        beta[rows, live[1]] = b
+            step = np.where(np.abs(gp) > 1e-300, gb / gp, 0.0)
+        beta[rows, live[1]] = b - np.clip(step, -0.1, 0.1)
 
     if not np.all(quartic):
         # B cos + C sin + D = 0; B = C = 0 (r = 0, concentric circles) has

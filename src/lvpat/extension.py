@@ -163,12 +163,11 @@ def gram_matrix(ts: TrainingSet, geom: BoundaryGeometry) -> np.ndarray:
     return np.tril(gram) + np.tril(gram, -1).T
 
 
-def factorize(gram: np.ndarray, ridge_start: float = RIDGE_START,
-              ridge_cap: float = RIDGE_CAP):
+def factorize(gram: np.ndarray):
     """Lower Cholesky factor of gram + eps*I with escalating ridge eps.
 
-    eps starts at zero and climbs by decades from ridge_start*trace/n up to
-    ridge_cap*trace/n; the eps that succeeded is returned alongside the
+    eps starts at zero and climbs by decades from RIDGE_START*trace/n up to
+    RIDGE_CAP*trace/n; the eps that succeeded is returned alongside the
     factor.  Numerically rank-deficient matrices (dependent training traces)
     are rejected outright rather than rescued by the ridge, since a ridged
     solve of a singular system would silently return garbage coefficients.
@@ -188,8 +187,8 @@ def factorize(gram: np.ndarray, ridge_start: float = RIDGE_START,
     if lam[0] <= n * np.finfo(float).eps * max(lam[-1], 0.0):
         raise SingularTrainingSetError(minor_index=int(info), ridge=0.0)
 
-    eps = ridge_start * scale
-    while eps <= ridge_cap * scale * (1.0 + 1e-12):
+    eps = RIDGE_START * scale
+    while eps <= RIDGE_CAP * scale * (1.0 + 1e-12):
         c, info = dpotrf(gram + eps * np.eye(n), lower=1)
         if info == 0:
             return np.tril(c), eps

@@ -35,9 +35,9 @@ OpenBLAS on one thread; each block builds its own tiles and their products.
 The block bounds come from the windows' entry counts alone, and a GEMM's
 output bytes depend only on its tile, which is fixed by its part and
 phantom: the output bytes depend neither on the thread count nor on the
-BLAS thread count nor on which other phantoms share the pass.  They do
-depend on the tile's shape, so a caller that wants one part's traces runs
-the same parts as a caller that wants another (see `simulate_wave_data`).
+BLAS thread count nor on which other phantoms or parts share the pass.  So
+one part's traces are the same bytes whether that part runs alone or next
+to the others (see `simulate_wave_data`).
 
 The radius grid and the mean values depend on the phantom only through
 pointwise evaluation, so simulated data is linear in the phantom to rounding
@@ -371,29 +371,29 @@ def simulate_wave_data(p: Phantom, geom: BoundaryGeometry, split: BoundarySplit,
                        part: Part = Part.FULL, threads: int = 1) -> WaveData:
     """Wave traces at every node of the requested boundary part.
 
-    The forward always runs the split's two parts, gamma1 and gamma2, and
-    scatters them into the full boundary or returns the requested one, so
-    partial data is exactly the restriction of full data (the module
-    docstring says why the parts must be the same).  The phantom support
-    must lie inside the domain; for partial-boundary simulations a support
-    outside the detection region only triggers a warning (the extension
-    problem is then unstable, not undefined).
+    FULL runs the split's two parts, gamma1 and gamma2, and scatters them
+    into the full boundary; GAMMA1 or GAMMA2 runs only that part.  Tiles and
+    blocks never cross a part, so partial data is exactly the restriction of
+    full data.  The phantom support must lie inside the domain; for
+    partial-boundary simulations a support outside the detection region only
+    triggers a warning (the extension problem is then unstable, not
+    undefined).
     """
     if _check_supports([p], geom, None if part is Part.FULL else split):
         warnings.warn("phantom support is not inside the detection region",
                       stacklevel=2)
 
-    i1, i2 = split.gamma1_idx, split.gamma2_idx
-    u1, u2 = _traces([p], [geom.positions[i1], geom.positions[i2]],
-                     _wave_map(geom.dt, geom.n_time), threads)
+    wm = _wave_map(geom.dt, geom.n_time)
     if part is Part.FULL:
+        i1, i2 = split.gamma1_idx, split.gamma2_idx
+        u1, u2 = _traces([p], [geom.positions[i1], geom.positions[i2]], wm,
+                         threads)
         node_idx = np.arange(geom.n_nodes)
         samples = np.empty((geom.n_nodes, geom.n_time))
         samples[i1], samples[i2] = u1[0], u2[0]
-    elif part is Part.GAMMA1:
-        node_idx, samples = i1, u1[0]
     else:
-        node_idx, samples = i2, u2[0]
+        node_idx = split.gamma1_idx if part is Part.GAMMA1 else split.gamma2_idx
+        samples = _traces([p], [geom.positions[node_idx]], wm, threads)[0][0]
     return WaveData(part=part, node_idx=node_idx, dt=geom.dt,
                     n_time=geom.n_time, samples=samples,
                     fingerprint=split.fingerprint())

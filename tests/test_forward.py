@@ -204,9 +204,9 @@ def concentric_mean(el, r):
 
 
 def all_slot_crossings(A, B, C, D):
-    """Crossing angles of the quartic rows with the g(beta) polish run over
-    all four slots of `_monic_quartic_roots`, NaN ones included.  NaN marks
-    unused slots and rows that are not quartic rows."""
+    """Crossing angles of the quartic rows with the one-step g(beta) polish
+    run over all four slots of `_monic_quartic_roots`, NaN ones included.
+    NaN marks unused slots and rows that are not quartic rows."""
     scale = np.maximum.reduce([np.abs(A), np.abs(B), np.abs(C), np.abs(D)])
     beta = np.full((len(A), 4), np.nan)
     idx = np.flatnonzero(np.abs(A) > 1e-12 * scale)
@@ -223,14 +223,12 @@ def all_slot_crossings(A, B, C, D):
                              2.0 * Ck / lead, const / lead)
     b = 0.5 * np.pi * k[:, None] + 2.0 * np.arctan(t)
     An, Bn, Cn, Dn = (A[idx, None], B[idx, None], C[idx, None], D[idx, None])
+    cb, sb = np.cos(b), np.sin(b)
+    g = (An * cb + Bn) * cb + Cn * sb + Dn
+    gp = Cn * cb - (2.0 * An * cb + Bn) * sb
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(3):
-            cb, sb = np.cos(b), np.sin(b)
-            g = (An * cb + Bn) * cb + Cn * sb + Dn
-            gp = Cn * cb - (2.0 * An * cb + Bn) * sb
-            step = np.where(np.abs(gp) > 1e-300, g / gp, 0.0)
-            b = b - np.clip(step, -0.1, 0.1)
-    beta[idx] = b
+        step = np.where(np.abs(gp) > 1e-300, g / gp, 0.0)
+    beta[idx] = b - np.clip(step, -0.1, 0.1)
     return beta
 
 
@@ -776,14 +774,32 @@ class TestSimulate:
         scale = np.abs(combined).max()
         assert np.abs(direct.samples - combined).max() <= 1e-10 * scale
 
-    def test_parts_are_restrictions_of_full(self, coarse_geom, coarse_split):
-        p = SquareIndicator(-1.0, -0.6, -0.5, -0.1)
+    @pytest.mark.parametrize("part", [Part.GAMMA1, Part.GAMMA2])
+    @pytest.mark.parametrize("name", ["square", "rotated_ellipse", "sum"])
+    def test_parts_are_restrictions_of_full(self, coarse_geom, coarse_split,
+                                            monkeypatch, name, part):
+        # a partial call runs only its own part's points, and its bytes are
+        # those of the same part run next to the other one
+        p = KERNEL_CASES[name]
         full = simulate_wave_data(p, coarse_geom, coarse_split, Part.FULL)
-        g1 = simulate_wave_data(p, coarse_geom, coarse_split, Part.GAMMA1)
-        assert np.array_equal(full.samples[coarse_split.gamma1_idx], g1.samples)
-        r1 = restrict_wave_data(full, coarse_split, Part.GAMMA1)
-        assert np.array_equal(r1.samples, g1.samples)
-        assert np.array_equal(r1.node_idx, coarse_split.gamma1_idx)
+        seen = []
+
+        def spy(phantoms, parts, *args):
+            seen.append([np.array(x) for x in parts])
+            return traces(phantoms, parts, *args)
+
+        traces = forward._traces
+        monkeypatch.setattr(forward, "_traces", spy)
+        got = simulate_wave_data(p, coarse_geom, coarse_split, part)
+        idx = (coarse_split.gamma1_idx if part is Part.GAMMA1
+               else coarse_split.gamma2_idx)
+        assert len(seen) == 1 and len(seen[0]) == 1
+        assert np.array_equal(seen[0][0], coarse_geom.positions[idx])
+        assert np.array_equal(got.node_idx, idx)
+        assert np.array_equal(full.samples[idx], got.samples)
+        restricted = restrict_wave_data(full, coarse_split, part)
+        assert np.array_equal(restricted.samples, got.samples)
+        assert np.array_equal(restricted.node_idx, idx)
 
     @pytest.mark.parametrize("part", [Part.FULL, Part.GAMMA1])
     @pytest.mark.parametrize("name", ["square", "rotated_ellipse", "sum"])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.spatial import ConvexHull
 from scipy.special import ellipe
 
 from lvpat.errors import ParameterError
@@ -7,6 +9,10 @@ from lvpat.geometry import (EllipseDomain, build_boundary,
                             detection_region_contains, split_boundary)
 
 from conftest import GAMMA2_INTERVAL
+
+# the experiment's missing cap, and one that wraps across theta = +-pi
+INTERVALS = pytest.mark.parametrize(
+    "interval", [GAMMA2_INTERVAL, (2.5, 4.0)], ids=["cap", "wrapping"])
 
 
 def elliptic_perimeter(a1, a2):
@@ -62,6 +68,26 @@ class TestBuildBoundary:
             2 * medium_geom.positions[:, 1] / medium_geom.domain.a2 ** 2,
         ], axis=-1)
         assert np.all(np.sum(medium_geom.normals * grad, axis=1) > 0)
+
+    @pytest.mark.parametrize("a1, a2, spacing",
+                             [(2.0, 1.0, 0.04), (1.0, 2.0, 0.05),
+                              (50.0, 1.0, 1.0)])
+    def test_every_gap_is_ds_by_quadrature(self, a1, a2, spacing):
+        # the arc length between consecutive nodes, the closing gap
+        # included, integrated by adaptive quadrature of the speed
+        geom = build_boundary(EllipseDomain(a1, a2), spacing, 0.1, 1.0)
+
+        def speed(t):
+            return np.hypot(a1 * np.sin(t), a2 * np.cos(t))
+
+        ends = np.append(geom.thetas, geom.thetas[0] + 2 * np.pi)
+        gaps = np.array([quad(speed, lo, hi, epsabs=0.0, epsrel=1e-13)[0]
+                         for lo, hi in zip(ends[:-1], ends[1:])])
+        ds = geom.weights[0]
+        assert np.max(np.abs(gaps - ds)) <= 1e-12 * ds
+        assert geom.thetas[0] == -np.pi
+        assert np.all(np.diff(geom.thetas) > 0)
+        assert geom.thetas[-1] < np.pi
 
     def test_weights_sum_to_perimeter(self, coarse_geom):
         assert abs(coarse_geom.weights.sum() - elliptic_perimeter(2, 1)) <= 1e-6
@@ -127,8 +153,20 @@ class TestDetectionRegion:
     def test_point_far_outside(self, medium_split):
         assert not detection_region_contains(medium_split, (10.0, 0.0))
 
-    def test_against_halfplane_oracle(self, medium_split):
-        gamma1_pts = medium_split.geometry.positions[medium_split.gamma1_idx]
+    @INTERVALS
+    def test_gamma1_nodes_are_hull_vertices_in_order(self, medium_geom,
+                                                     interval):
+        # every gamma1 node is a vertex of their convex hull, and the hull's
+        # counter-clockwise vertex cycle is node order
+        split = split_boundary(medium_geom, interval)
+        v = ConvexHull(medium_geom.positions[split.gamma1_idx]).vertices
+        assert np.array_equal(np.roll(v, -int(np.argmin(v))),
+                              np.arange(len(split.gamma1_idx)))
+
+    @INTERVALS
+    def test_against_halfplane_oracle(self, medium_geom, interval):
+        split = split_boundary(medium_geom, interval)
+        gamma1_pts = medium_geom.positions[split.gamma1_idx]
         rng = np.random.default_rng(5)
         pts = rng.uniform(-2.3, 2.3, size=(200, 2))
         checked = 0
@@ -136,7 +174,7 @@ class TestDetectionRegion:
             margin = hull_margin_oracle(gamma1_pts, p)
             if abs(margin) < 1e-3:
                 continue  # within the oracle's direction-sampling resolution
-            assert detection_region_contains(medium_split, p) == (margin > 0)
+            assert detection_region_contains(split, p) == (margin > 0)
             checked += 1
         assert checked > 150
 
