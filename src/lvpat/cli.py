@@ -168,10 +168,10 @@ def _train(cfg: ExperimentConfig, geom, split, n_w, n_h):
     return model, time.perf_counter() - t0
 
 
-def _extend(model, u1: WaveData, geom, split):
+def _extend(model, u1: WaveData, geom, split, threads: int):
     """(gamma2 extension, stitched full-boundary data, seconds for both)."""
     t0 = time.perf_counter()
-    u2_hat = extend(model, u1)
+    u2_hat = extend(model, u1, threads)
     stitched = stitch(u1, u2_hat, geom, split)
     return u2_hat, stitched, time.perf_counter() - t0
 
@@ -218,7 +218,7 @@ def cmd_extend(cfg: ExperimentConfig, model_path, data_path) -> int:
     geom, split = cfg.build_geometry()
     u1 = read_wave_data(data_path)
     model = load_model(model_path, expected_fingerprint=split.fingerprint())
-    u2_hat, stitched, elapsed = _extend(model, u1, geom, split)
+    u2_hat, stitched, elapsed = _extend(model, u1, geom, split, cfg.threads)
     name = _variant_name(*_partition_shape(model.training.phantoms))
     full_path = cfg.out_dir / f"extended_{name}.patb"
     _write_wave(u2_hat, cfg.out_dir / f"gamma2_hat_{name}.patb")
@@ -259,7 +259,7 @@ def _variants(cfg: ExperimentConfig, geom, split, full: WaveData,
     yield "zero", 0, zero_extend(u1, geom, split), [], {}
     for n_w, n_h in _partitions_ascending(cfg):
         model, train_s = _train(cfg, geom, split, n_w, n_h)
-        _, stitched, extend_s = _extend(model, u1, geom, split)
+        _, stitched, extend_s = _extend(model, u1, geom, split, cfg.threads)
         n, phantoms = model.n, model.training.phantoms
         del model
         yield (_variant_name(n_w, n_h), n, stitched, phantoms,

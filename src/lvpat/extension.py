@@ -8,8 +8,9 @@ c and combine sum_j c_j * u2_j.  The Gram matrix is factorized once
 every extension.
 
 The traces are two contiguous tensors, U1 (n, |gamma1|, T) and U2
-(n, |gamma2|, T): the Gram matrix is a blocked SYRK over gamma1 nodes,
-extension two GEMVs.
+(n, |gamma2|, T).  The nodes are equidistant in arc length, so every sample
+weighs ds * dt: the Gram matrix is one SYRK over U1 as stored, extension two
+GEMVs.
 """
 
 from __future__ import annotations
@@ -23,18 +24,18 @@ from scipy.linalg import cho_solve
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpotrf
 
-from ._util import cholesky_lower
+from ._util import cholesky_lower, parallel_map
 from .errors import (ContainerFormatError, DataMismatchError, ParameterError,
                      SingularTrainingSetError)
 from .forward import Part, WaveData, _check_supports, _traces, _wave_map
 from .geometry import BoundaryGeometry, BoundarySplit
 from .io import (dump_container, finite_section, node_index_section,
-                 read_container, time_axis)
+                 positive_value, read_container, time_axis)
 from .phantoms import phantom_from_dict, phantom_to_dict
 
 RIDGE_START = 1e-12
 RIDGE_CAP = 1e-6
-GRAM_BLOCK_NODES = 16
+PROJECT_BLOCK_ROWS = 16
 
 
 @dataclass
@@ -96,7 +97,7 @@ class ExtensionModel:
     gram: np.ndarray
     chol_lower: np.ndarray
     ridge: float
-    inner_weights: np.ndarray  # per-node weight * dt on gamma1, shape (n_gamma1,)
+    ds: float  # arc weight of every boundary node; a sample weighs ds * dt
 
     @property
     def n(self) -> int:
@@ -140,26 +141,15 @@ def build_training_set(phantoms, geom: BoundaryGeometry, split: BoundarySplit,
                        outside_detection=outside)
 
 
-def _gamma1_inner_weights(ts: TrainingSet, geom: BoundaryGeometry) -> np.ndarray:
-    return geom.weights[ts.u1_idx] * geom.dt
-
-
 def gram_matrix(ts: TrainingSet, geom: BoundaryGeometry) -> np.ndarray:
     """Pairwise discrete inner products of the gamma1 training traces.
 
-    Accumulated over blocks of GRAM_BLOCK_NODES gamma1 nodes in node order:
-    each block, scaled by sqrt(weight), adds its X @ X.T through one SYRK
-    into the lower triangle, which is mirrored at the end.  So the result is
-    exactly symmetric and the only copy of U1 is one block.
+    One SYRK, ds * dt * X @ X.T with X = U1 as (n, |gamma1| * T), fills the
+    lower triangle, which is mirrored, so the result is exactly symmetric.
+    X.T is U1's own buffer in Fortran order, so nothing is copied.
     """
-    root = np.sqrt(_gamma1_inner_weights(ts, geom))
-    gram = np.zeros((ts.n, ts.n), order="F")
-    for lo in range(0, len(root), GRAM_BLOCK_NODES):
-        blk = slice(lo, lo + GRAM_BLOCK_NODES)
-        x = (ts.u1_samples[:, blk] * root[blk, None]).reshape(ts.n, -1)
-        # x.T is x's buffer in Fortran order, so dsyrk makes no copy
-        gram = dsyrk(1.0, x.T, beta=1.0, c=gram, trans=1, lower=1,
-                     overwrite_c=1)
+    x = ts.u1_samples.reshape(ts.n, -1)
+    gram = dsyrk(geom.ds * geom.dt, x.T, trans=1, lower=1)
     return np.tril(gram) + np.tril(gram, -1).T
 
 
@@ -201,11 +191,17 @@ def train_extension_model(ts: TrainingSet, geom: BoundaryGeometry) -> ExtensionM
     gram = gram_matrix(ts, geom)
     chol, ridge = factorize(gram)
     return ExtensionModel(training=ts, gram=gram, chol_lower=chol, ridge=ridge,
-                          inner_weights=_gamma1_inner_weights(ts, geom))
+                          ds=geom.ds)
 
 
-def project_coefficients(model: ExtensionModel, u1: WaveData) -> np.ndarray:
-    """Projection coefficients of u1 onto the span of the training traces."""
+def project_coefficients(model: ExtensionModel, u1: WaveData,
+                         threads: int = 1) -> np.ndarray:
+    """Projection coefficients of u1 onto the span of the training traces.
+
+    The right-hand side ds * dt * U1 @ u1 is one `np.dot` GEMV (which, unlike
+    `@`, releases the GIL) per PROJECT_BLOCK_ROWS phantoms over `threads`;
+    the blocks depend on n alone, so the bytes do not depend on `threads`.
+    """
     if u1.fingerprint != model.fingerprint:
         raise DataMismatchError("limited-view data does not match the model geometry")
     if u1.part is not Part.GAMMA1:
@@ -218,18 +214,21 @@ def project_coefficients(model: ExtensionModel, u1: WaveData) -> np.ndarray:
         raise DataMismatchError(
             f"data sampled at dt={u1.dt!r} over {u1.n_time} steps; the model "
             f"has dt={ts.dt!r} over {ts.u1_samples.shape[2]} steps")
-    weighted = u1.samples * model.inner_weights[:, None]
-    rhs = ts.u1_samples.reshape(model.n, -1) @ weighted.ravel()
+    x, v = ts.u1_samples.reshape(model.n, -1), u1.samples.ravel()
+    rhs = model.ds * ts.dt * np.concatenate(parallel_map(
+        lambda lo: np.dot(x[lo:lo + PROJECT_BLOCK_ROWS], v),
+        range(0, model.n, PROJECT_BLOCK_ROWS), threads))
     coeffs = cho_solve((model.chol_lower, True), rhs)
     if not np.all(np.isfinite(coeffs)):
         raise SingularTrainingSetError(minor_index=0, ridge=model.ridge)
     return coeffs
 
 
-def extend(model: ExtensionModel, u1: WaveData) -> WaveData:
+def extend(model: ExtensionModel, u1: WaveData, threads: int = 1) -> WaveData:
     """Predicted gamma2 data: the coefficient combination of training u2 traces."""
     ts = model.training
-    samples = np.tensordot(project_coefficients(model, u1), ts.u2_samples, axes=1)
+    samples = np.tensordot(project_coefficients(model, u1, threads),
+                           ts.u2_samples, axes=1)
     return WaveData(part=Part.GAMMA2, node_idx=ts.u2_idx, dt=ts.dt,
                     n_time=samples.shape[1], samples=samples,
                     fingerprint=ts.fingerprint)
@@ -269,6 +268,7 @@ def save_model(model: ExtensionModel, path) -> None:
     meta = {
         "fingerprint": model.fingerprint,
         "dt": ts.dt,
+        "ds": model.ds,
         "n_time": ts.u1_samples.shape[2],
         "outside_detection": list(ts.outside_detection),
         "phantoms": [phantom_to_dict(p) for p in ts.phantoms],
@@ -276,7 +276,6 @@ def save_model(model: ExtensionModel, path) -> None:
     sections = [
         ("meta", json.dumps(meta, sort_keys=True)),
         ("gram", model.gram),
-        ("weights", model.inner_weights),
         ("u1_idx", ts.u1_idx.astype(float)),
         ("u2_idx", ts.u2_idx.astype(float)),
         ("u1", ts.u1_samples),
@@ -289,11 +288,11 @@ def save_model(model: ExtensionModel, path) -> None:
 def load_model(path, expected_fingerprint: str | None = None) -> ExtensionModel:
     """Load a model container; optionally verify the geometry fingerprint.
 
-    dt must be finite and positive and n_time a positive whole number;
-    tensors must be finite and sized to the phantom count, node indices and
-    n_time; the node indices of gamma1 and gamma2 must partition
-    0 .. |gamma1| + |gamma2| - 1; the Gram matrix is refactorized, so it must
-    pass `factorize`.
+    dt and the boundary weight ds must be finite and positive, n_time a
+    positive whole number; tensors must be finite and sized to the phantom
+    count, node indices and n_time; the node indices of gamma1 and gamma2
+    must partition 0 .. |gamma1| + |gamma2| - 1; the Gram matrix is
+    refactorized, so it must pass `factorize`.
     """
     with open(path, "rb") as fh:
         sections = dict(read_container(fh))
@@ -311,9 +310,9 @@ def load_model(path, expected_fingerprint: str | None = None) -> ExtensionModel:
                                    f"cover the nodes 0 .. {n_nodes - 1}")
     phantoms = [phantom_from_dict(d) for d in meta["phantoms"]]
     dt, n_time = time_axis(meta)
+    ds = positive_value(meta, "ds", "boundary weight ds")
     n = len(phantoms)
-    for name, shape in (("gram", (n, n)), ("weights", (len(u1_idx),)),
-                        ("u1", (n, len(u1_idx), n_time)),
+    for name, shape in (("gram", (n, n)), ("u1", (n, len(u1_idx), n_time)),
                         ("u2", (n, len(u2_idx), n_time))):
         finite_section(name, sections[name])
         if sections[name].shape != shape:
@@ -325,5 +324,5 @@ def load_model(path, expected_fingerprint: str | None = None) -> ExtensionModel:
                      outside_detection=tuple(meta.get("outside_detection", ())))
     chol, ridge = factorize(sections["gram"])
     return ExtensionModel(training=ts, gram=sections["gram"], chol_lower=chol,
-                          ridge=ridge, inner_weights=sections["weights"])
+                          ridge=ridge, ds=ds)
 

@@ -74,16 +74,16 @@ class EllipseDomain:
 class BoundaryGeometry:
     """Arc-length-equidistant boundary nodes plus the shared time grid.
 
-    positions/normals are (N, 2); thetas/weights are (N,).  Weights are the
-    uniform midpoint-rule arc weights perimeter/N.  Samples of boundary data
-    live on times k*dt for k = 1..n_time, with t_max = n_time*dt.
+    positions/normals are (N, 2), thetas (N,); ds = perimeter/N is every
+    node's midpoint-rule arc weight.  Samples of boundary data live on times
+    k*dt for k = 1..n_time, with t_max = n_time*dt.
     """
 
     domain: EllipseDomain
     thetas: np.ndarray
     positions: np.ndarray
     normals: np.ndarray
-    weights: np.ndarray
+    ds: float
     spacing_target: float
     dt: float
     n_time: int
@@ -126,10 +126,6 @@ class BoundarySplit:
     theta_hi: float
     gamma1_idx: np.ndarray
     gamma2_idx: np.ndarray
-
-    @property
-    def gamma2_node_fraction(self) -> float:
-        return len(self.gamma2_idx) / self.geometry.n_nodes
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()
@@ -177,7 +173,7 @@ def build_boundary(domain: EllipseDomain, spacing_target: float, dt: float,
         thetas=thetas,
         positions=domain.boundary_point(thetas),
         normals=domain.outward_normal(thetas),
-        weights=np.full(n_nodes, ds),
+        ds=ds,
         spacing_target=spacing_target,
         dt=dt,
         n_time=n_time,

@@ -15,7 +15,7 @@ R_j = (j+1)*dt/2 are the same at every node, so the per-node radial tables of
 all nodes are one product Q @ K.T with a fixed Abel matrix K (n_R x n_time),
 cached per (dt, n_time, n_R).  The interpolated boundary sum over the tables
 is linear too: a sparse matrix B (masked pixels x nodes*n_R) holds, per
-(pixel, node) pair, the weight w_i <nu_i, x-x_i> split over the two radius
+(pixel, node) pair, the weight ds <nu_i, x-x_i> split over the two radius
 nodes around |x-x_i|, so the image is B @ tables.ravel().  B is built once
 per grid, node set and radius grid and kept for the next call.
 `oracle.backproject_point` evaluates the quadrature directly at single
@@ -94,22 +94,21 @@ _BLOCK_PIXELS = 256  # bounds the build's temporaries to 256 x nodes per array
 
 @lru_cache(maxsize=1)
 def _boundary_operator(grid: GridSpec, positions: bytes, normals: bytes,
-                       weights: bytes, dt: float, n_r: int) -> csr_array:
+                       ds: float, dt: float, n_r: int) -> csr_array:
     """Read-only B with B @ tables.ravel() the interpolated boundary sum.
 
     Rows are the masked pixels in `grid.points()[mask]` order; column
     i*n_r + j belongs to node i and radius R_j = (j+1)*dt/2.  Each (pixel x,
-    node i) pair has the two entries w_i <nu_i, x-x_i> (1-f) and
-    w_i <nu_i, x-x_i> f at j and j+1, where |x-x_i| lies in [R_j, R_j+1] at
+    node i) pair has the two entries ds <nu_i, x-x_i> (1-f) and
+    ds <nu_i, x-x_i> f at j and j+1, where |x-x_i| lies in [R_j, R_j+1] at
     fraction f, clamped to R_0 below like `np.interp`.  Rows hold their
     entries in node order, so their columns ascend.  The node arrays come as
     bytes so that they can key the cache.
     """
     pos = np.frombuffer(positions).reshape(-1, 2)
     nrm = np.frombuffer(normals).reshape(-1, 2)
-    wts = np.frombuffer(weights)
     pts = grid.points()[grid.mask()]
-    n_pix, n_nodes = len(pts), len(wts)
+    n_pix, n_nodes = len(pts), len(pos)
     nnz = 2 * n_pix * n_nodes
     index = np.int64 if max(nnz, n_nodes * n_r) >= 2 ** 31 else np.int32
     data = np.empty((n_pix, n_nodes, 2))
@@ -120,7 +119,7 @@ def _boundary_operator(grid: GridSpec, positions: bytes, normals: bytes,
         blk = pts[lo:lo + _BLOCK_PIXELS]
         dx = blk[:, 0, None] - pos[:, 0]
         dy = blk[:, 1, None] - pos[:, 1]
-        c = wts * (nrm[:, 0] * dx + nrm[:, 1] * dy)
+        c = ds * (nrm[:, 0] * dx + nrm[:, 1] * dy)
         s = np.hypot(dx, dy) / d_r - 1.0
         j = np.clip(np.floor(s), 0, n_r - 2).astype(index)
         f = np.clip(s - j, 0.0, 1.0)
@@ -178,7 +177,7 @@ def reconstruct(u: WaveData, geom: BoundaryGeometry, grid: GridSpec,
     tables = q.samples @ _abel_matrix(q.dt, q.n_time, n_r).T
     b = _boundary_operator(grid, pos.tobytes(),
                            geom.normals[u.node_idx].tobytes(),
-                           geom.weights[u.node_idx].tobytes(), q.dt, n_r)
+                           geom.ds, q.dt, n_r)
     mask = grid.mask()
     values = np.zeros(mask.shape)
     values[mask] = kappa_even(2) * (b @ tables.reshape(-1))

@@ -163,18 +163,24 @@ def node_index_section(name: str, arr: np.ndarray) -> np.ndarray:
     return arr.astype(int)
 
 
+def positive_value(meta: dict, key: str, what: str) -> float:
+    """meta[key] as a float; it must be a finite number above 0."""
+    value = meta.get(key)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or \
+       not (value > 0 and math.isfinite(value)):
+        raise ContainerFormatError(f"{what} {value!r} is not finite and positive")
+    return float(value)
+
+
 def time_axis(meta: dict) -> tuple:
     """(dt, n_time) of a container's metadata: dt finite and positive,
     n_time a positive whole number."""
-    dt, n_time = meta["dt"], meta["n_time"]
-    if isinstance(dt, bool) or not isinstance(dt, (int, float)) or \
-       not (dt > 0 and math.isfinite(dt)):
-        raise ContainerFormatError(f"time step {dt!r} is not finite and positive")
+    dt, n_time = positive_value(meta, "dt", "time step"), meta["n_time"]
     if isinstance(n_time, bool) or not isinstance(n_time, (int, float)) or \
        not (n_time >= 1 and float(n_time).is_integer()):
         raise ContainerFormatError(f"n_time {n_time!r} is not a positive "
                                    f"whole number")
-    return float(dt), int(n_time)
+    return dt, int(n_time)
 
 
 def write_wave_data(w: WaveData, path) -> None:

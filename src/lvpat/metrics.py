@@ -16,13 +16,12 @@ from .phantoms import GridSpec, ImageField, Phantom, rasterize
 
 
 def boundary_time_inner(u: WaveData, v: WaveData, geom: BoundaryGeometry) -> float:
-    """Discrete L2(boundary x time) inner product: sum w_i * dt * u_i(t) * v_i(t)."""
+    """Discrete L2(boundary x time) inner product: ds * dt * sum u_i(t) * v_i(t)."""
     if u.part is not v.part or u.samples.shape != v.samples.shape:
         raise DataMismatchError("inner product requires matching parts and shapes")
     if u.fingerprint != v.fingerprint:
         raise DataMismatchError("inner product across different geometries")
-    w = geom.weights[u.node_idx] * u.dt
-    return float(np.sum((u.samples * v.samples) * w[:, None]))
+    return float(geom.ds * u.dt * np.sum(u.samples * v.samples))
 
 
 def boundary_time_norm(u: WaveData, geom: BoundaryGeometry) -> float:

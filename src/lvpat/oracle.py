@@ -235,5 +235,5 @@ def backproject_point(q: WaveData, geom: BoundaryGeometry, x0) -> float:
         inner = _abel_inner(q.samples[i], q.times, q.dt, q.t_max,
                             np.array([radii[i]]))[0]
         dot = (geom.normals[q.node_idx[i]] * (x0 - pos[i])).sum()
-        total += geom.weights[q.node_idx[i]] * dot * inner
+        total += geom.ds * dot * inner
     return kappa_even(2) * total

@@ -8,7 +8,7 @@ import pytest
 
 from lvpat.errors import (ContainerFormatError, DataMismatchError,
                           ParameterError, SingularTrainingSetError)
-from lvpat.extension import (GRAM_BLOCK_NODES, TrainingSet,
+from lvpat.extension import (PROJECT_BLOCK_ROWS, TrainingSet,
                              build_training_set, extend, factorize,
                              gram_matrix, load_model, project_coefficients,
                              save_model, stitch, train_extension_model,
@@ -136,12 +136,12 @@ class TestGramAndFactorization:
 
     def test_orthonormal_traces_give_identity(self, coarse_geom, coarse_split):
         idx = coarse_split.gamma1_idx
-        w = coarse_geom.weights[idx] * coarse_geom.dt
+        w = coarse_geom.ds * coarse_geom.dt
         n_time = coarse_geom.n_time
         fp = coarse_split.fingerprint()
         traces = np.zeros((4, len(idx), n_time))
         for k in range(4):
-            traces[k, 3 * k, 5 + k] = 1.0 / np.sqrt(w[3 * k] * 1.0)
+            traces[k, 3 * k, 5 + k] = 1.0 / np.sqrt(w)
         phantoms = [SquareIndicator(k, k + 1, 0, 1) for k in range(4)]
         ts = TrainingSet(phantoms=phantoms, u1_idx=idx, u2_idx=idx,
                          u1_samples=traces, u2_samples=traces,
@@ -151,25 +151,17 @@ class TestGramAndFactorization:
 
     def test_gram_matches_pairwise_inner_products(self, coarse_geom,
                                                   coarse_split):
-        # the boundary's own weights are uniform; uneven ones make a weight
-        # applied along the time axis instead of the node axis show
-        nodes = np.arange(coarse_geom.n_nodes)
-        geom = dataclasses.replace(
-            coarse_geom, weights=coarse_geom.weights * (1.5 + np.sin(nodes)))
         ts = build_training_set(
             [SquareIndicator(-1.0, -0.8, -0.5, -0.3),
              SquareIndicator(-0.9, -0.5, -0.6, -0.2),
              SquareIndicator(0.0, 0.3, -0.4, 0.1),
              SquareIndicator(-0.3, 0.0, -0.1, 0.1)],
             coarse_geom, coarse_split)
-        gram = gram_matrix(ts, geom)
+        gram = gram_matrix(ts, coarse_geom)
         u1 = ts.u1
-        want = np.array([[boundary_time_inner(a, b, geom) for b in u1]
+        want = np.array([[boundary_time_inner(a, b, coarse_geom) for b in u1]
                          for a in u1])
         assert np.abs(gram - want).max() <= 1e-12 * np.abs(want).max()
-        # the gamma1 node count is no multiple of the node block, so the
-        # last block is a partial one
-        assert len(ts.u1_idx) % GRAM_BLOCK_NODES != 0
         assert np.array_equal(gram, gram.T)
 
     def test_identity_factorizes_with_zero_ridge(self):
@@ -284,6 +276,19 @@ class TestExtend:
                / np.linalg.norm(want.samples))
         assert rel <= 1e-6
 
+    def test_threads_give_identical_bytes(self, coarse_geom, coarse_split):
+        # n = 18: one full block of PROJECT_BLOCK_ROWS phantoms and a
+        # partial one, whatever the thread count
+        model = train_extension_model(
+            partition_set((6, 3), coarse_geom, coarse_split), coarse_geom)
+        assert PROJECT_BLOCK_ROWS < model.n < 2 * PROJECT_BLOCK_ROWS
+        u1 = simulate_wave_data(TEST_PHANTOM, coarse_geom, coarse_split,
+                                Part.GAMMA1)
+        want = extend(model, u1).samples
+        for threads in (2, 8):
+            got = extend(model, u1, threads).samples
+            assert got.tobytes() == want.tobytes()
+
     def test_error_nonincreasing_against_truth(self, ts32, coarse_geom,
                                                coarse_split):
         full = simulate_wave_data(TEST_PHANTOM, coarse_geom, coarse_split,
@@ -376,8 +381,8 @@ class TestPersistence:
         path = tmp_path / "model.patb"
         save_model(model8, path)
         sections = dict(read_container(BytesIO(path.read_bytes())))
-        assert list(sections) == ["meta", "gram", "weights", "u1_idx",
-                                  "u2_idx", "u1", "u2"]
+        assert list(sections) == ["meta", "gram", "u1_idx", "u2_idx", "u1",
+                                  "u2"]
         assert "ridge" not in json.loads(sections["meta"])
 
     @staticmethod
@@ -396,7 +401,7 @@ class TestPersistence:
                     sections[k] = (name, replaced)
         path.write_bytes(write_container(sections))
 
-    @pytest.mark.parametrize("section", ["gram", "weights", "u1", "u2"])
+    @pytest.mark.parametrize("section", ["gram", "u1", "u2"])
     def test_non_finite_section_rejected(self, model8, tmp_path, section):
         path = tmp_path / "model.patb"
 
@@ -410,14 +415,13 @@ class TestPersistence:
     @pytest.mark.parametrize("section, corrupt", [
         ("gram", lambda g: g[:-1, :-1]),
         ("gram", lambda g: g[:, :-1]),
-        ("weights", lambda w: w[:-1]),
         ("u1", lambda u: u[:-1]),
         ("u1", lambda u: u[:, :-1]),
         ("u1", lambda u: u[:, :, :-1]),
         ("u2", lambda u: u[:-1]),
         ("u2", lambda u: u[:, :-1]),
         ("u2", lambda u: u[:, :, :-1]),
-    ], ids=["gram-n", "gram-square", "weights-nodes", "u1-n", "u1-nodes",
+    ], ids=["gram-n", "gram-square", "u1-n", "u1-nodes",
             "u1-time", "u2-n", "u2-nodes", "u2-time"])
     def test_count_mismatch_rejected(self, model8, tmp_path, section, corrupt):
         path = tmp_path / "model.patb"
@@ -445,6 +449,25 @@ class TestPersistence:
 
         self.corrupt_section(model8, path, "meta", corrupt)
         with pytest.raises(ContainerFormatError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize("bad", [None, float("nan"), float("inf"), 0.0,
+                                     -0.05],
+                             ids=["missing", "nan", "infinite", "zero",
+                                  "negative"])
+    def test_bad_boundary_weight_rejected(self, model8, tmp_path, bad):
+        path = tmp_path / "model.patb"
+
+        def corrupt(text):
+            meta = json.loads(text)
+            if bad is None:
+                del meta["ds"]
+            else:
+                meta["ds"] = bad
+            return json.dumps(meta, sort_keys=True)
+
+        self.corrupt_section(model8, path, "meta", corrupt)
+        with pytest.raises(ContainerFormatError, match="boundary weight"):
             load_model(path)
 
     def test_non_symmetric_gram_rejected(self, model8, tmp_path):

@@ -36,13 +36,12 @@ def loop_reconstruct(u, geom, grid):
     r_grid = d_r * np.arange(1, n_r + 1)
     tables = q.samples @ _abel_matrix(q.dt, q.n_time, n_r).T
     normals = geom.normals[u.node_idx]
-    weights = geom.weights[u.node_idx]
     acc = np.zeros(len(flat_pts))
     for i in range(len(u.node_idx)):
         dx = flat_pts[:, 0] - pos[i, 0]
         dy = flat_pts[:, 1] - pos[i, 1]
         dot = normals[i, 0] * dx + normals[i, 1] * dy
-        acc += weights[i] * dot * np.interp(np.hypot(dx, dy), r_grid, tables[i])
+        acc += geom.ds * dot * np.interp(np.hypot(dx, dy), r_grid, tables[i])
     values = np.zeros(mask.shape)
     values[mask] = kappa_even(2) * acc
     return values
@@ -328,16 +327,15 @@ class TestBoundaryOperator:
         assert _boundary_operator.cache_info().misses == info.misses
         assert np.array_equal(first.values, again.values)
 
-    @pytest.mark.parametrize("change", ["weights", "normals", "origin"])
+    @pytest.mark.parametrize("change", ["ds", "normals", "origin"])
     def test_inputs_that_differ_get_their_own_operator(
             self, change, medium_geom, medium_split, small_grid):
         full = simulate_wave_data(TEST_PHANTOM, medium_geom, medium_split,
                                   Part.FULL)
         nodes = np.arange(medium_geom.n_nodes)
         geom, grid = medium_geom, small_grid
-        if change == "weights":
-            geom = dataclasses.replace(
-                geom, weights=geom.weights * (1.5 + np.sin(nodes)))
+        if change == "ds":
+            geom = dataclasses.replace(geom, ds=1.5 * geom.ds)
         elif change == "normals":
             a = 0.2 * np.sin(nodes)
             n = geom.normals
@@ -358,7 +356,7 @@ class TestBoundaryOperator:
                                                       small_grid):
         b = _boundary_operator(small_grid, medium_geom.positions.tobytes(),
                                medium_geom.normals.tobytes(),
-                               medium_geom.weights.tobytes(),
+                               medium_geom.ds,
                                medium_geom.dt, 200)
         n_pix = int(small_grid.mask().sum())
         assert b.shape == (n_pix, 200 * medium_geom.n_nodes)
