@@ -164,7 +164,7 @@ def _train(cfg: ExperimentConfig, geom, split, n_w, n_h):
     t0 = time.perf_counter()
     ts = build_training_set(training_partition(cfg.box, n_w, n_h),
                             geom, split, threads=cfg.threads)
-    model = train_extension_model(ts, geom)
+    model = train_extension_model(ts, geom, cfg.threads)
     return model, time.perf_counter() - t0
 
 

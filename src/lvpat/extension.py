@@ -9,8 +9,8 @@ every extension.
 
 The traces are two contiguous tensors, U1 (n, |gamma1|, T) and U2
 (n, |gamma2|, T).  The nodes are equidistant in arc length, so every sample
-weighs ds * dt: the Gram matrix is one SYRK over U1 as stored, extension two
-GEMVs.
+weighs ds * dt: the Gram matrix is a sum of SYRKs over fixed blocks of
+gamma1 nodes of U1 as stored, extension two GEMVs.
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpotrf
 
 from ._util import cholesky_lower, parallel_map
 from .errors import (ContainerFormatError, DataMismatchError, ParameterError,
                      SingularTrainingSetError)
-from .forward import Part, WaveData, _check_supports, _traces, _wave_map
+from .forward import (Part, WaveData, _boundary_wave_map, _check_supports,
+                      _traces)
 from .geometry import BoundaryGeometry, BoundarySplit
 from .io import (dump_container, finite_section, node_index_section,
                  positive_value, read_container, time_axis)
@@ -36,6 +36,7 @@ from .phantoms import phantom_from_dict, phantom_to_dict
 RIDGE_START = 1e-12
 RIDGE_CAP = 1e-6
 PROJECT_BLOCK_ROWS = 16
+GRAM_BLOCKS = 8
 
 
 @dataclass
@@ -134,22 +135,34 @@ def build_training_set(phantoms, geom: BoundaryGeometry, split: BoundarySplit,
 
     i1, i2 = split.gamma1_idx, split.gamma2_idx
     u1, u2 = _traces(phantoms, [geom.positions[i1], geom.positions[i2]],
-                     _wave_map(geom.dt, geom.n_time), threads)
+                     _boundary_wave_map(geom), threads)
     return TrainingSet(phantoms=phantoms, u1_idx=i1, u2_idx=i2,
                        u1_samples=u1, u2_samples=u2,
                        dt=geom.dt, fingerprint=split.fingerprint(),
                        outside_detection=outside)
 
 
-def gram_matrix(ts: TrainingSet, geom: BoundaryGeometry) -> np.ndarray:
+def gram_matrix(ts: TrainingSet, geom: BoundaryGeometry,
+                threads: int = 1) -> np.ndarray:
     """Pairwise discrete inner products of the gamma1 training traces.
 
-    One SYRK, ds * dt * X @ X.T with X = U1 as (n, |gamma1| * T), fills the
-    lower triangle, which is mirrored, so the result is exactly symmetric.
-    X.T is U1's own buffer in Fortran order, so nothing is copied.
+    U1's gamma1 nodes are cut into GRAM_BLOCKS blocks of about equal node
+    counts.  Each block's X_b @ X_b.T, with X_b = U1[:, block] as (n,
+    nodes * T), a view of U1, is one `np.matmul` (which runs SYRK for this
+    form and releases the GIL), and `threads` spreads the blocks.  The
+    partial Grams are added in block order and scaled by ds * dt, and the
+    lower triangle is mirrored, so the result is exactly symmetric and its
+    bytes depend on the layout alone, not on `threads`.
     """
-    x = ts.u1_samples.reshape(ts.n, -1)
-    gram = dsyrk(geom.ds * geom.dt, x.T, trans=1, lower=1)
+    x = ts.u1_samples
+    bounds = x.shape[1] * np.arange(GRAM_BLOCKS + 1) // GRAM_BLOCKS
+
+    def block(b):
+        x_b = x[:, bounds[b]:bounds[b + 1]].reshape(ts.n, -1)
+        return np.matmul(x_b, x_b.T)
+
+    gram = sum(parallel_map(block, range(GRAM_BLOCKS), threads))
+    gram *= geom.ds * geom.dt
     return np.tril(gram) + np.tril(gram, -1).T
 
 
@@ -186,9 +199,11 @@ def factorize(gram: np.ndarray):
     raise SingularTrainingSetError(minor_index=int(info), ridge=eps / 10.0)
 
 
-def train_extension_model(ts: TrainingSet, geom: BoundaryGeometry) -> ExtensionModel:
-    """Assemble and factorize the Gram system for a training set."""
-    gram = gram_matrix(ts, geom)
+def train_extension_model(ts: TrainingSet, geom: BoundaryGeometry,
+                          threads: int = 1) -> ExtensionModel:
+    """Assemble and factorize the Gram system for a training set; `threads`
+    spreads the Gram's node blocks."""
+    gram = gram_matrix(ts, geom, threads)
     chol, ridge = factorize(gram)
     return ExtensionModel(training=ts, gram=gram, chol_lower=chol, ridge=ridge,
                           ds=geom.ds)

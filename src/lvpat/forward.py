@@ -28,7 +28,10 @@ staggered half-step times, centrally differenced in time and divided by dt
 once when it is built.  The time derivative therefore sees an exact integral
 of the tabulated means, which keeps the differencing stable.  The map is
 exactly zero before the wave from a tile's nearest radius arrives, so those
-time columns are skipped and stay +0.0.
+time columns are skipped and stay +0.0.  One map is cached per time grid,
+and it holds only the radius rows that passes read: a pass over a
+geometry's boundary builds them up to the domain's diameter, and a window
+that reaches farther grows the map before the pass's workers start.
 
 `threads` spreads blocks of whole tiles of one part over workers, with
 OpenBLAS on one thread; each block builds its own tiles and their products.
@@ -46,6 +49,7 @@ accuracy.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -135,33 +139,73 @@ class _WaveMap:
     column k: its integrals there are the same expressions of tau alone, so
     diff_t[j, k] is exactly 0.0.  `first_k[j]` counts those columns; it does
     not decrease with j, so no row from j on has a nonzero entry before it.
+
+    The time grid has `n_radii` radius nodes, up to one past the last
+    half-step time, but a pass reads only the rows its windows reach, and
+    no window from a boundary node reaches past the domain's diameter.  So
+    `diff_t` and `first_k` hold the first `rows` nodes (all by default), and
+    `cover` rebuilds them larger when a pass needs more.  Every entry is
+    computed elementwise, so a row's bytes do not depend on how many rows
+    are built.
     """
 
-    def __init__(self, dt: float, n_time: int, dr: float):
+    def __init__(self, dt: float, n_time: int, dr: float, rows: int | None = None):
         self.dt = dt
         self.n_time = n_time
         self.dr = dr
         self.taus = (np.arange(n_time + 1) + 0.5) * dt
-        n_r = int(np.ceil(self.taus[-1] / dr)) + 1
-        self.r_grid = dr * np.arange(n_r + 1)
-        self.diff_t = self._build()
-        self.diff_t.flags.writeable = False
-        self.first_k = np.searchsorted(
-            self.taus[1:], np.concatenate([[-np.inf], self.r_grid[:-1]]),
-            side="right")
+        self.n_radii = int(np.ceil(self.taus[-1] / dr)) + 2
+        self._rows = (np.zeros((0, n_time)), np.zeros(0, dtype=int))
+        self._grow = threading.Lock()
+        self.cover(self.n_radii if rows is None else rows)
 
-    def _build(self) -> np.ndarray:
-        """The differenced map, built in blocks of sample times.
+    @property
+    def diff_t(self) -> np.ndarray:
+        return self._rows[0]
 
-        A block evaluates the integrals at its half-step times plus the next
+    @property
+    def first_k(self) -> np.ndarray:
+        return self._rows[1]
+
+    @property
+    def r_grid(self) -> np.ndarray:
+        """The radii of the rows built so far."""
+        return self.dr * np.arange(len(self.diff_t))
+
+    def cover(self, rows: int) -> tuple:
+        """(diff_t, first_k) with at least `rows` rows (at most n_radii),
+        rebuilt if they hold fewer.  The cached map is shared by every
+        caller in the process, so growing it holds a lock, and the pair is
+        swapped as one: a pass that reads the pair it got never mixes two
+        sizes, and the map never shrinks."""
+        rows = min(rows, self.n_radii)
+        with self._grow:
+            if rows > len(self._rows[0]):
+                diff_t = self._build(rows)
+                diff_t.flags.writeable = False
+                first_k = np.searchsorted(
+                    self.taus[1:],
+                    np.concatenate([[-np.inf], self.dr * np.arange(rows - 1)]),
+                    side="right")
+                self._rows = (diff_t, first_k)
+            return self._rows
+
+    def _build(self, rows: int) -> np.ndarray:
+        """The first `rows` rows of the differenced map, built in blocks of
+        sample times.
+
+        Row j integrates the hats of nodes j - 1, j and j + 1, so the build
+        takes one node past the last row it keeps (none past n_radii).  A
+        block evaluates the integrals at its half-step times plus the next
         one, so no undifferenced matrix of the full size is held, and spans
         about _MAP_BLOCK_ENTRIES map entries, so its temporaries stay near
         1 MiB each.  Every entry is computed elementwise, so the map's bytes
         do not depend on the block size.
         """
-        taus, r, dr = self.taus, self.r_grid[:, None], self.dr
+        taus, dr = self.taus, self.dr
+        r = dr * np.arange(min(rows + 1, self.n_radii))[:, None]
         n_col = len(r)
-        out = np.empty((n_col, self.n_time))
+        out = np.empty((rows, self.n_time))
         chunk = max(1, _MAP_BLOCK_ENTRIES // n_col)
         for lo in range(0, self.n_time, chunk):
             hi = min(lo + chunk, self.n_time)
@@ -175,13 +219,27 @@ class _WaveMap:
             w = np.zeros((n_col, hi + 1 - lo))
             w[:-1] += (r[1:] * d_i0 - d_i1) / dr
             w[1:] += (d_i1 - r[:-1] * d_i0) / dr
-            out[:, lo:hi] = np.diff(w, axis=1) / self.dt
+            out[:, lo:hi] = np.diff(w[:rows], axis=1) / self.dt
         return out
 
 
 @lru_cache(maxsize=4)
 def _wave_map(dt: float, n_time: int) -> _WaveMap:
-    return _WaveMap(dt, n_time, _DR_FACTOR * dt)
+    """The one map of this time grid, built empty; passes grow it."""
+    return _WaveMap(dt, n_time, _DR_FACTOR * dt, rows=0)
+
+
+def _boundary_wave_map(geom: BoundaryGeometry) -> _WaveMap:
+    """The map of geom's time grid, grown to every row that a pass over
+    geom's boundary nodes can read.  A support inside the domain lies within
+    the domain's diameter of every node, so the first pass of a geometry
+    builds all the rows the later ones read; a window past that (a support
+    that pokes out between its samples, or `wave_trace` at a point outside
+    the domain) grows the map in `_traces`."""
+    wm = _wave_map(geom.dt, geom.n_time)
+    reach = 2.0 * max(geom.domain.a1, geom.domain.a2)
+    wm.cover(int(np.ceil(reach / wm.dr)) + 3)
+    return wm
 
 
 def _dense_tiles(bounds, row, col, value) -> list:
@@ -241,7 +299,7 @@ def _traces(phantoms, parts, wm: _WaveMap, threads: int = 1) -> list:
             if coef != 0.0:
                 terms.append((coef, q))
                 owner.append(k)
-    n_ph, n_col, n_time = len(phantoms), len(wm.r_grid), wm.n_time
+    n_ph, n_col, n_time = len(phantoms), wm.n_radii, wm.n_time
     points = np.concatenate(parts)
     m = len(points)
     sizes = np.array([len(x) for x in parts], dtype=int)
@@ -258,6 +316,9 @@ def _traces(phantoms, parts, wm: _WaveMap, threads: int = 1) -> list:
         j_hi = np.minimum(n_col - 1, np.ceil(hi / wm.dr).astype(int) + 2)
         # no rows for a point the wave does not reach by t_max
         counts[t] = np.where(j_lo[t] < n_col - 1, j_hi - j_lo[t] + 1, 0)
+    # the map rows the windows read, built before the workers start
+    diff_t, first_k = wm.cover(
+        int(np.where(counts > 0, j_lo + counts, 0).max(initial=0)))
     # one window per (term, point), ordered by row, then by term
     seg_t, seg_i = np.divmod(np.arange(counts.size), m)
     seg_row = (point_row[seg_i]
@@ -298,7 +359,7 @@ def _traces(phantoms, parts, wm: _WaveMap, threads: int = 1) -> list:
         cols = np.arange(c.sum()) + np.repeat(seg_jlo[s0:s1] - (np.cumsum(c) - c), c)
         term = np.repeat(seg_t[s0:s1], c)
         point = np.repeat(seg_i[s0:s1], c)
-        radii = wm.r_grid[cols]
+        radii = wm.dr * cols
         data = np.empty(len(cols))
         box = is_box[term]
         if box.any():
@@ -317,8 +378,8 @@ def _traces(phantoms, parts, wm: _WaveMap, threads: int = 1) -> list:
         for lo, hi, j0, tile in _dense_tiles(tile_bounds[t0:t1 + 1],
                                               np.repeat(seg_row[s0:s1], c),
                                               cols, data):
-            k0 = wm.first_k[j0]
-            np.matmul(tile, wm.diff_t[j0:j0 + tile.shape[1], k0:],
+            k0 = first_k[j0]
+            np.matmul(tile, diff_t[j0:j0 + tile.shape[1], k0:],
                       out=rows_out[lo - row0[p]:hi - row0[p], k0:])
 
     with serial_blas():
@@ -334,7 +395,7 @@ def wave_trace(p: Phantom, x, geom: BoundaryGeometry) -> np.ndarray:
     larger part (a GEMM's bytes depend on its tile's shape).
     """
     point = np.asarray(x, dtype=float).reshape(1, 2)
-    return _traces([p], [point], _wave_map(geom.dt, geom.n_time))[0][0, 0]
+    return _traces([p], [point], _boundary_wave_map(geom))[0][0, 0]
 
 
 def _support_sample_points(p: Phantom) -> np.ndarray:
@@ -383,7 +444,7 @@ def simulate_wave_data(p: Phantom, geom: BoundaryGeometry, split: BoundarySplit,
         warnings.warn("phantom support is not inside the detection region",
                       stacklevel=2)
 
-    wm = _wave_map(geom.dt, geom.n_time)
+    wm = _boundary_wave_map(geom)
     if part is Part.FULL:
         i1, i2 = split.gamma1_idx, split.gamma2_idx
         u1, u2 = _traces([p], [geom.positions[i1], geom.positions[i2]], wm,

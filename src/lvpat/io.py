@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from io import SEEK_END, BytesIO
+from io import SEEK_END
 
 import numpy as np
 
@@ -56,13 +56,6 @@ def dump_container(sections, fh) -> None:
     for header, payload in parts:
         fh.write(header)
         fh.write(payload)
-
-
-def write_container(sections) -> bytes:
-    """The bytes `dump_container` writes for these sections."""
-    buf = BytesIO()
-    dump_container(sections, buf)
-    return buf.getvalue()
 
 
 class _Reader:

@@ -22,7 +22,6 @@ forward's per-term windows are checked against.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import roots_jacobi, roots_legendre
 
 from .arcmeans import exact_mean_table
@@ -59,7 +58,12 @@ def _square_crossing_angles(sq: SquareIndicator, center, r: float) -> np.ndarray
 
 def _ellipse_crossing_angles(el: EllipseIndicator, center, r: float,
                              grid: int = 4096) -> np.ndarray:
-    """Crossing angles from sign changes of the ellipse quadratic form."""
+    """Crossing angles from sign changes of the ellipse quadratic form.
+
+    scipy.optimize is imported here, its only use, so that importing lvpat
+    does not load it."""
+    from scipy.optimize import brentq
+
     ca, sa = np.cos(el.rotation), np.sin(el.rotation)
     dx, dy = center[0] - el.center[0], center[1] - el.center[1]
     v1 = ca * dx + sa * dy

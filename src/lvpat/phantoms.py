@@ -108,13 +108,6 @@ def eval_phantom(p: Phantom, points) -> np.ndarray:
     return p.evaluate(points)
 
 
-def bounding_circle(p: Phantom):
-    """(center, radius) of a circle containing the support (from the bounding box)."""
-    x_lo, x_hi, y_lo, y_hi = p.bounding_box()
-    cx, cy = 0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi)
-    return np.array([cx, cy]), 0.5 * np.hypot(x_hi - x_lo, y_hi - y_lo)
-
-
 def ellipse_boundary_points(el: EllipseIndicator, n: int) -> np.ndarray:
     """The boundary points at parameters psi = 2*pi*k/n, k = 0..n-1, as (n, 2)."""
     psi = np.linspace(0, 2 * np.pi, n, endpoint=False)

@@ -1,7 +1,10 @@
+from io import BytesIO
+
 import numpy as np
 import pytest
 
 from lvpat.geometry import EllipseDomain, build_boundary, split_boundary
+from lvpat.io import dump_container
 from lvpat.phantoms import (EllipseIndicator, GridSpec, SquareIndicator,
                             WeightedSum, training_partition)
 
@@ -57,6 +60,20 @@ def small_grid(domain):
 @pytest.fixture(scope="session")
 def test_phantom():
     return TEST_PHANTOM
+
+
+def bounding_circle(p):
+    """(center, radius) of a circle containing the support (from the bounding box)."""
+    x_lo, x_hi, y_lo, y_hi = p.bounding_box()
+    cx, cy = 0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi)
+    return np.array([cx, cy]), 0.5 * np.hypot(x_hi - x_lo, y_hi - y_lo)
+
+
+def write_container(sections) -> bytes:
+    """The bytes `io.dump_container` writes for these sections."""
+    buf = BytesIO()
+    dump_container(sections, buf)
+    return buf.getvalue()
 
 
 def random_square(rng, min_side=0.1):

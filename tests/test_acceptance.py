@@ -24,12 +24,11 @@ from lvpat.inversion import reconstruct
 from lvpat.metrics import boundary_time_norm, e2_error, grid_norm, \
     subspace_distance
 from lvpat.oracle import _term_critical_radii, oracle_wave_field
-from lvpat.phantoms import (GridSpec, WeightedSum, bounding_circle,
-                            distance_to_support, rasterize, sup_norm,
-                            training_partition)
+from lvpat.phantoms import (GridSpec, WeightedSum, distance_to_support,
+                            rasterize, sup_norm, training_partition)
 
-from conftest import BOX, GAMMA2_INTERVAL, TEST_PHANTOM, random_disjoint_mix, \
-    random_mix, random_square
+from conftest import BOX, GAMMA2_INTERVAL, TEST_PHANTOM, bounding_circle, \
+    random_disjoint_mix, random_mix, random_square
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

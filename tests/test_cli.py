@@ -13,6 +13,8 @@ import pytest
 from lvpat.cli import ExperimentConfig, main, run_experiment
 from lvpat.io import read_wave_data
 
+from conftest import write_container
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = CONFIG_DIR.parent / "src"
 
@@ -297,7 +299,7 @@ class TestSubcommands:
 
     def test_extend_non_symmetric_gram_is_config_error(self, tmp_path,
                                                        smoke_config, capsys):
-        from lvpat.io import read_container, write_container
+        from lvpat.io import read_container
         out = tmp_path / "out"
         phantom = tmp_path / "phantom_reference.json"
         main(["train", "--config", str(smoke_config), "--out", str(out)])

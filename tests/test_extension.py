@@ -5,10 +5,12 @@ from io import BytesIO
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dsyrk
 
+import lvpat.extension as extension
 from lvpat.errors import (ContainerFormatError, DataMismatchError,
                           ParameterError, SingularTrainingSetError)
-from lvpat.extension import (PROJECT_BLOCK_ROWS, TrainingSet,
+from lvpat.extension import (GRAM_BLOCKS, PROJECT_BLOCK_ROWS, TrainingSet,
                              build_training_set, extend, factorize,
                              gram_matrix, load_model, project_coefficients,
                              save_model, stitch, train_extension_model,
@@ -17,7 +19,7 @@ from lvpat.forward import Part, WaveData, restrict_wave_data, simulate_wave_data
 from lvpat.metrics import boundary_time_inner, boundary_time_norm
 from lvpat.phantoms import SquareIndicator, WeightedSum, training_partition
 
-from conftest import BOX, TEST_PHANTOM
+from conftest import BOX, TEST_PHANTOM, write_container
 
 
 def partition_set(shape, geom, split):
@@ -163,6 +165,35 @@ class TestGramAndFactorization:
                          for a in u1])
         assert np.abs(gram - want).max() <= 1e-12 * np.abs(want).max()
         assert np.array_equal(gram, gram.T)
+
+    def test_gram_blocks_match_one_syrk(self, coarse_geom, monkeypatch):
+        # the node blocks' partial Grams, added in block order, agree with
+        # one SYRK over all of U1 to rounding, are exactly symmetric, and
+        # give the same bytes for every thread count; 45 nodes leave blocks
+        # of unequal size
+        rng = np.random.default_rng(8)
+        n, n_nodes, n_time = 40, 45, 60
+        u1 = rng.standard_normal((n, n_nodes, n_time))
+        idx = np.arange(n_nodes)
+        ts = TrainingSet(phantoms=[SquareIndicator(0, 1, 0, 1)] * n,
+                         u1_idx=idx, u2_idx=idx, u1_samples=u1, u2_samples=u1,
+                         dt=coarse_geom.dt, fingerprint="fp")
+        w = coarse_geom.ds * coarse_geom.dt
+        want = dsyrk(w, u1.reshape(n, -1).T, trans=1, lower=1)
+        want = np.tril(want) + np.tril(want, -1).T
+        blocks, real = [], extension.parallel_map
+
+        def recorded(fn, items, threads):
+            blocks.append(list(items))
+            return real(fn, items, threads)
+
+        monkeypatch.setattr(extension, "parallel_map", recorded)
+        grams = {t: gram_matrix(ts, coarse_geom, threads=t) for t in (1, 2, 4)}
+        assert blocks == [list(range(GRAM_BLOCKS))] * 3
+        gram = grams[1]
+        assert np.abs(gram - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.array_equal(gram, gram.T)
+        assert grams[2].tobytes() == grams[4].tobytes() == gram.tobytes()
 
     def test_identity_factorizes_with_zero_ridge(self):
         chol, ridge = factorize(np.eye(5))
@@ -391,7 +422,7 @@ class TestPersistence:
 
         corrupt edits the array in place, or returns a replacement for it.
         """
-        from lvpat.io import read_container, write_container
+        from lvpat.io import read_container
         save_model(model, path)
         sections = read_container(BytesIO(path.read_bytes()))
         for k, (name, value) in enumerate(sections):

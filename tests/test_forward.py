@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +24,11 @@ from lvpat.geometry import build_boundary, split_boundary
 from lvpat.oracle import (_term_critical_radii, exact_circular_mean,
                           oracle_wave_field, phantom_mean_table)
 from lvpat.phantoms import (EllipseIndicator, SquareIndicator, WeightedSum,
-                            bounding_circle, distance_to_support,
-                            ellipse_boundary_points, training_partition)
+                            distance_to_support, ellipse_boundary_points,
+                            training_partition)
 
-from conftest import (BOX, GAMMA2_INTERVAL, TEST_PHANTOM, random_mix,
-                      random_square)
+from conftest import (BOX, GAMMA2_INTERVAL, TEST_PHANTOM, bounding_circle,
+                      random_mix, random_square)
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -249,9 +250,10 @@ def undifferenced_map(wm):
 
 def radius_window(p, x, wm):
     """(j_lo, j_hi) of the radius grid covering the bounding circle of p as
-    seen from x, with two steps of margin; None past the last radius node."""
+    seen from x, with two steps of margin; None past the last radius node of
+    the time grid."""
     center, rho = bounding_circle(p)
-    n_col = len(wm.r_grid)
+    n_col = wm.n_radii
     d = float(np.hypot(x[0] - center[0], x[1] - center[1]))
     j_lo = max(0, int(np.floor((d - rho) / wm.dr)) - 2)
     j_hi = min(n_col - 1, int(np.ceil((d + rho) / wm.dr)) + 2)
@@ -280,7 +282,7 @@ def extent_window(q, x, wm):
         inside = q.evaluate(np.asarray(x, dtype=float)) > 0.0
         near = 0.0 if inside else max(np.sqrt(d2.min()) - slack, 0.0)
         far = np.sqrt(d2.max()) + slack
-    n_col = len(wm.r_grid)
+    n_col = wm.n_radii
     j_lo = max(0, int(np.floor(near / wm.dr)) - 2)
     j_hi = min(n_col - 1, int(np.ceil(far / wm.dr)) + 2)
     return None if j_lo >= n_col - 1 else (j_lo, j_hi)
@@ -1006,7 +1008,7 @@ class TestSimulate:
         assert data.samples.tobytes() == want.tobytes()
         rows, cols, values = table_entries(calls, p, wm)
         table = csr_array((values, (rows, cols)),
-                          shape=(medium_geom.n_nodes, len(wm.r_grid)))
+                          shape=(medium_geom.n_nodes, len(wm.diff_t)))
         ref = table @ wm.diff_t
         err = np.abs(data.samples[node] - ref).max(axis=1)
         assert np.all(err <= 1e-13 * np.abs(ref).max(axis=1))
@@ -1079,6 +1081,72 @@ class TestSimulate:
         monkeypatch.setattr(forward, "_MAP_BLOCK_ENTRIES", int(4e6))
         wide = forward._WaveMap(dt, n_time, forward._DR_FACTOR * dt)
         assert wide.diff_t.tobytes() == wm.diff_t.tobytes()
+
+    @pytest.mark.parametrize("dt, n_time", [(0.04, 500), (0.02, 1000)])
+    def test_grown_map_matches_full_build(self, dt, n_time):
+        # a map grown step by step holds the same bytes in every row it has
+        # as a build of every radius node of the time grid, and never shrinks
+        full = forward._WaveMap(dt, n_time, forward._DR_FACTOR * dt)
+        assert len(full.diff_t) == len(full.first_k) == full.n_radii
+        wm = forward._WaveMap(dt, n_time, forward._DR_FACTOR * dt, rows=0)
+        assert wm.diff_t.shape == (0, n_time)
+        for rows in (1, 2, 161, 803, full.n_radii - 1, full.n_radii,
+                     full.n_radii + 7):
+            diff_t, first_k = wm.cover(rows)
+            assert len(diff_t) == len(first_k) == min(rows, full.n_radii)
+            assert not diff_t.flags.writeable
+            assert diff_t.tobytes() == full.diff_t[:len(diff_t)].tobytes()
+            assert first_k.tobytes() == full.first_k[:len(diff_t)].tobytes()
+        assert wm.cover(5)[0] is wm.diff_t and len(wm.diff_t) == full.n_radii
+
+    def test_concurrent_growth_keeps_the_largest_map(self):
+        # passes in several threads grow one map at once: every caller gets
+        # at least the rows it asked for, with the full build's bytes, and
+        # the map ends at the largest request.  Without the lock, a smaller
+        # rebuild that finishes last shrinks the map, which most rounds like
+        # these then show
+        dt, n_time = 0.05, 100
+        full = forward._WaveMap(dt, n_time, forward._DR_FACTOR * dt)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(5):
+                wm = forward._WaveMap(dt, n_time, forward._DR_FACTOR * dt,
+                                      rows=0)
+                requests = np.random.default_rng(seed).integers(
+                    1, full.n_radii, 64)
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    got = list(pool.map(lambda rows: wm.cover(int(rows)),
+                                        requests, timeout=60))
+                for rows, (diff_t, first_k) in zip(requests, got):
+                    assert len(diff_t) == len(first_k) >= rows
+                    assert diff_t.tobytes() == full.diff_t[:len(diff_t)].tobytes()
+                assert len(wm.diff_t) == requests.max()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_far_wave_trace_grows_the_map(self, domain):
+        # a boundary pass builds the rows up to the domain's diameter (4);
+        # wave_trace from a point past the domain then needs more rows and
+        # grows the map, and gives the bytes of the full map's product
+        geom = build_boundary(domain, spacing_target=0.1, dt=0.05, t_max=7.5)
+        split = split_boundary(geom, GAMMA2_INTERVAL)
+        p = KERNEL_CASES["sum"]
+        forward._wave_map.cache_clear()
+        wm = _wave_map(geom.dt, geom.n_time)
+        assert len(wm.diff_t) == 0
+        before = simulate_wave_data(p, geom, split, Part.FULL)
+        diameter_rows = int(np.ceil(4.0 / wm.dr)) + 3
+        assert len(wm.diff_t) == diameter_rows < wm.n_radii
+        far = np.array([6.0, 0.5])  # 7.1 from the square's far corner
+        u = wave_trace(p, far, geom)
+        assert diameter_rows < len(wm.diff_t) < wm.n_radii
+        full = forward._WaveMap(geom.dt, geom.n_time, wm.dr)
+        want = forward._traces([p], [far[None]], full)[0][0, 0]
+        assert np.abs(want).max() > 0.0
+        assert u.tobytes() == want.tobytes()
+        after = simulate_wave_data(p, geom, split, Part.FULL)
+        assert after.samples.tobytes() == before.samples.tobytes()
 
     def test_support_outside_domain_rejected(self, coarse_geom, coarse_split):
         huge = SquareIndicator(-3.0, 3.0, -0.5, 0.5)
@@ -1157,6 +1225,17 @@ class TestForwardSerialBlas:
 
 
 class TestOracle:
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # the oracle imports brentq where it calls it, so `import lvpat`
+        # does not load scipy.optimize
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+            str(SRC_DIR), os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, lvpat; print('scipy.optimize' in sys.modules)"],
+            env=env, check=True, capture_output=True, text=True)
+        assert out.stdout.strip() == "False"
 
     def test_zero_phantom(self):
         assert oracle_wave_field(WeightedSum(()), (1.0, 0.0), 2.0) == 0.0

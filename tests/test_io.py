@@ -9,10 +9,12 @@ import pytest
 from lvpat.errors import ContainerFormatError, ParameterError
 from lvpat.forward import Part, WaveData
 from lvpat.io import (dump_container, export_csv, export_pgm, read_container,
-                      read_image_field, read_wave_data, write_container,
-                      write_image_field, write_wave_data)
+                      read_image_field, read_wave_data, write_image_field,
+                      write_wave_data)
 from lvpat.metrics import ErrorReport
 from lvpat.phantoms import ImageField
+
+from conftest import write_container
 
 
 class TestContainer:
