@@ -13,6 +13,8 @@ import numpy as np
 import scipy
 from scipy.linalg.lapack import dpotrf
 
+from .errors import ParameterError
+
 
 @lru_cache(maxsize=None)
 def _pool(threads: int) -> ThreadPoolExecutor:
@@ -97,6 +99,45 @@ def serial_blas():
     finally:
         for (_, set_), n in zip(libs, saved):
             set_(n)
+
+
+def number(value, what: str, error: type = ParameterError,
+           whole: bool = False, positive: bool = False):
+    """A number read from outside the program: a float, or an int when
+    `whole`.
+
+    `error`, naming `what`, is raised for a bool or a non-number, for a
+    fractional value when `whole`, and for a value that is not finite and
+    above 0 when `positive`.  Other ranges are checked by the objects that
+    the number builds.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"{what} must be a number, got {value!r}")
+    if whole and not (isinstance(value, int) or value.is_integer()):
+        raise error(f"{what} must be a whole number, got {value!r}")
+    value = int(value) if whole else float(value)
+    if positive and not 0 < value < np.inf:
+        bound = "at least 1" if whole else "finite and positive"
+        raise error(f"{what} must be {bound}, got {value!r}")
+    return value
+
+
+def numbers(value, count: int | None, what: str,
+            error: type = ParameterError, whole: bool = False,
+            positive: bool = False) -> tuple:
+    """A list of `count` numbers (any count when None), each read by
+    `number`, as a tuple."""
+    if not isinstance(value, (list, tuple)) or count not in (None, len(value)):
+        raise error(f"{what} must be a list of {count or 'any number of'} "
+                    f"numbers, got {value!r}")
+    return tuple(number(v, what, error, whole, positive) for v in value)
+
+
+def json_object(value, what: str, error: type = ParameterError) -> dict:
+    """value itself when it is a JSON object (a dict); else `error`."""
+    if not isinstance(value, dict):
+        raise error(f"{what} must be a JSON object, got {value!r}")
+    return value
 
 
 def cholesky_lower(a: np.ndarray) -> tuple:

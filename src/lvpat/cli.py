@@ -17,13 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import serial_blas
+from ._util import json_object, number, numbers, serial_blas
 from .errors import (ContainerFormatError, DataMismatchError, ParameterError,
                      SingularTrainingSetError)
 from .extension import (build_training_set, extend, load_model, save_model,
                         stitch, train_extension_model, zero_extend)
 from .forward import Part, WaveData, restrict_wave_data, simulate_wave_data
-from .geometry import EllipseDomain, build_boundary, split_boundary
+from .geometry import (BoundaryGeometry, BoundarySplit, EllipseDomain,
+                       build_boundary, split_boundary)
 from .inversion import reconstruct
 from .io import (export_csv, export_pgm, read_image_field, read_wave_data,
                  write_image_field, write_wave_data)
@@ -35,81 +36,73 @@ CONFIG_ERROR_EXIT = 2
 NUMERIC_ERROR_EXIT = 3
 
 
-def _whole(value, name: str) -> int:
-    """A config count as an int; a fractional or non-numeric value is
-    rejected rather than truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or \
-       not float(value).is_integer():
-        raise ParameterError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
-
-
-def _thread_count(value, name: str) -> int:
-    threads = _whole(value, name)
-    if threads < 1:
-        raise ParameterError(f"{name} must be at least 1, got {threads}")
-    return threads
+def _path(value, what: str, base: Path) -> Path:
+    """A config path, resolved relative to the config file's folder."""
+    if not isinstance(value, str):
+        raise ParameterError(f"{what} must be a path string, got {value!r}")
+    return (base / value).resolve()
 
 
 @dataclass
 class ExperimentConfig:
-    domain: EllipseDomain
-    spacing: float
-    dt: float
-    t_max: float
-    gamma2_interval: tuple
+    geometry: BoundaryGeometry
+    split: BoundarySplit
+    grid: GridSpec
     phantom_path: Path
     box: tuple
-    n_list: list  # of (n_w, n_h)
-    grid_origin: tuple
-    grid_h: float
-    grid_nx: int
-    grid_ny: int
+    n_list: list  # of (n_w, n_h), by ascending partition size
     out_dir: Path
     threads: int
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
+        """The config at path, with its boundary, split and grid built.
+
+        Values of the wrong type or shape raise ParameterError; so do
+        values out of range, from the objects they build."""
         path = Path(path)
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json_object(json.load(fh), "config")
         base = path.parent
-        g = raw["geometry"]
-        grid = raw["grid"]
-        n_list = [tuple(_whole(v, "n_list entry") for v in pair)
-                  for pair in raw["n_list"]]
+        g = json_object(raw["geometry"], "geometry")
+        grid = json_object(raw["grid"], "grid")
+        a1, a2, spacing, dt, t_max, theta_lo, theta_hi = (
+            number(g[key], f"geometry.{key}") for key in (
+                "a1", "a2", "spacing", "dt", "t_max", "gamma2_theta_lo",
+                "gamma2_theta_hi"))
+        domain = EllipseDomain(a1, a2)
+        geometry = build_boundary(domain, spacing, dt, t_max)
+        split = split_boundary(geometry, (theta_lo, theta_hi))
+        if not isinstance(raw["n_list"], list):
+            raise ParameterError(f"n_list must be a list of [n_w, n_h] "
+                                 f"pairs, got {raw['n_list']!r}")
+        n_list = sorted((numbers(pair, 2, "n_list entry", whole=True)
+                         for pair in raw["n_list"]), key=lambda p: p[0] * p[1])
         for n_w, n_h in n_list:
             if n_w != 2 * n_h:
                 warnings.warn(f"partition {n_w}x{n_h} does not follow n_w = 2*n_h")
-        phantom_path = (base / raw["phantom"]).resolve()
+        phantom_path = _path(raw["phantom"], "phantom", base)
         if not phantom_path.exists():
             raise ParameterError(f"phantom spec not found: {phantom_path}")
-        threads = _thread_count(raw.get("threads", 1), "threads")
         return cls(
-            domain=EllipseDomain(float(g["a1"]), float(g["a2"])),
-            spacing=float(g["spacing"]),
-            dt=float(g["dt"]),
-            t_max=float(g["t_max"]),
-            gamma2_interval=(float(g["gamma2_theta_lo"]), float(g["gamma2_theta_hi"])),
+            geometry=geometry,
+            split=split,
+            grid=GridSpec(origin=numbers(grid["origin"], 2, "grid.origin"),
+                          h=number(grid["h"], "grid.h"),
+                          nx=number(grid["nx"], "grid.nx", whole=True),
+                          ny=number(grid["ny"], "grid.ny", whole=True),
+                          domain=domain),
             phantom_path=phantom_path,
-            box=tuple(float(v) for v in raw["box"]),
+            box=numbers(raw["box"], 4, "box"),
             n_list=n_list,
-            grid_origin=tuple(float(v) for v in grid["origin"]),
-            grid_h=float(grid["h"]),
-            grid_nx=_whole(grid["nx"], "grid.nx"),
-            grid_ny=_whole(grid["ny"], "grid.ny"),
-            out_dir=(base / raw.get("out_dir", "out")).resolve(),
-            threads=threads,
+            out_dir=_path(raw.get("out_dir", "out"), "out_dir", base),
+            threads=number(raw.get("threads", 1), "threads", whole=True,
+                           positive=True),
         )
 
     def build_geometry(self) -> tuple:
-        geom = build_boundary(self.domain, self.spacing, self.dt, self.t_max)
-        split = split_boundary(geom, self.gamma2_interval)
-        return geom, split
-
-    def build_grid(self) -> GridSpec:
-        return GridSpec(origin=self.grid_origin, h=self.grid_h,
-                        nx=self.grid_nx, ny=self.grid_ny, domain=self.domain)
+        """(geometry, split)."""
+        return self.geometry, self.split
 
     def load_phantom(self, path=None):
         with open(path or self.phantom_path, "r", encoding="utf-8") as fh:
@@ -118,10 +111,6 @@ class ExperimentConfig:
 
 def _variant_name(n_w: int, n_h: int) -> str:
     return f"{n_w}x{n_h}"
-
-
-def _partitions_ascending(cfg: ExperimentConfig):
-    return sorted(cfg.n_list, key=lambda p: p[0] * p[1])
 
 
 def _partition_shape(phantoms) -> tuple:
@@ -155,7 +144,7 @@ def _write_wave(data: WaveData, path: Path, amp: float | None = None) -> None:
         export_pgm(image, -amp, amp, path.with_suffix(".pgm"))
 
 
-def _train(cfg: ExperimentConfig, geom, split, n_w, n_h):
+def _train(cfg: ExperimentConfig, n_w, n_h):
     """One model, simulated from scratch; returns (model, wall seconds).
 
     The timing covers everything a standalone build costs: trace simulation,
@@ -163,26 +152,26 @@ def _train(cfg: ExperimentConfig, geom, split, n_w, n_h):
     """
     t0 = time.perf_counter()
     ts = build_training_set(training_partition(cfg.box, n_w, n_h),
-                            geom, split, threads=cfg.threads)
-    model = train_extension_model(ts, geom, cfg.threads)
+                            cfg.geometry, cfg.split, threads=cfg.threads)
+    model = train_extension_model(ts, cfg.geometry, cfg.threads)
     return model, time.perf_counter() - t0
 
 
-def _extend(model, u1: WaveData, geom, split, threads: int):
+def _extend(cfg: ExperimentConfig, model, u1: WaveData):
     """(gamma2 extension, stitched full-boundary data, seconds for both)."""
     t0 = time.perf_counter()
-    u2_hat = extend(model, u1, threads)
-    stitched = stitch(u1, u2_hat, geom, split)
+    u2_hat = extend(model, u1, cfg.threads)
+    stitched = stitch(u1, u2_hat, cfg.geometry, cfg.split)
     return u2_hat, stitched, time.perf_counter() - t0
 
 
-def _reconstruct(data: WaveData, geom, grid: GridSpec, path: Path,
+def _reconstruct(cfg: ExperimentConfig, data: WaveData, path: Path,
                  gray: tuple | None = None):
     """Back-project, write the image and its PGM beside it (gray range
     `gray`, else the image's own range); returns (image, seconds of the
     back-projection)."""
     t0 = time.perf_counter()
-    image = reconstruct(data, geom, grid)
+    image = reconstruct(data, cfg.geometry, cfg.grid)
     elapsed = time.perf_counter() - t0
     write_image_field(image, path)
     export_pgm(image, *(gray or _gray_range(image, 0.0)),
@@ -192,9 +181,9 @@ def _reconstruct(data: WaveData, geom, grid: GridSpec, path: Path,
 
 def cmd_simulate(cfg: ExperimentConfig, phantom_path, part: Part) -> int:
     phantom = cfg.load_phantom(phantom_path)
-    geom, split = cfg.build_geometry()
     t0 = time.perf_counter()
-    data = simulate_wave_data(phantom, geom, split, part, threads=cfg.threads)
+    data = simulate_wave_data(phantom, cfg.geometry, cfg.split, part,
+                              threads=cfg.threads)
     elapsed = time.perf_counter() - t0
     out = cfg.out_dir / f"data_{part.value}.patb"
     _write_wave(data, out)
@@ -203,9 +192,8 @@ def cmd_simulate(cfg: ExperimentConfig, phantom_path, part: Part) -> int:
 
 
 def cmd_train(cfg: ExperimentConfig) -> int:
-    geom, split = cfg.build_geometry()
-    for n_w, n_h in _partitions_ascending(cfg):
-        model, elapsed = _train(cfg, geom, split, n_w, n_h)
+    for n_w, n_h in cfg.n_list:
+        model, elapsed = _train(cfg, n_w, n_h)
         path = cfg.out_dir / f"model_{_variant_name(n_w, n_h)}.patb"
         save_model(model, path)
         print(f"train: {path} (n={model.n}, ridge={model.ridge:.3e}, "
@@ -215,10 +203,9 @@ def cmd_train(cfg: ExperimentConfig) -> int:
 
 
 def cmd_extend(cfg: ExperimentConfig, model_path, data_path) -> int:
-    geom, split = cfg.build_geometry()
     u1 = read_wave_data(data_path)
-    model = load_model(model_path, expected_fingerprint=split.fingerprint())
-    u2_hat, stitched, elapsed = _extend(model, u1, geom, split, cfg.threads)
+    model = load_model(model_path, expected_fingerprint=cfg.split.fingerprint())
+    u2_hat, stitched, elapsed = _extend(cfg, model, u1)
     name = _variant_name(*_partition_shape(model.training.phantoms))
     full_path = cfg.out_dir / f"extended_{name}.patb"
     _write_wave(u2_hat, cfg.out_dir / f"gamma2_hat_{name}.patb")
@@ -228,16 +215,15 @@ def cmd_extend(cfg: ExperimentConfig, model_path, data_path) -> int:
 
 
 def cmd_reconstruct(cfg: ExperimentConfig, data_path) -> int:
-    geom, _ = cfg.build_geometry()
     data = read_wave_data(data_path)
     path = cfg.out_dir / f"recon_{Path(data_path).stem}.patb"
-    _, elapsed = _reconstruct(data, geom, cfg.build_grid(), path)
+    _, elapsed = _reconstruct(cfg, data, path)
     print(f"reconstruct: {path} ({elapsed:.2f} s)")
     return 0
 
 
 def cmd_evaluate(cfg: ExperimentConfig, recon_paths, phantom_path) -> int:
-    truth = rasterize(cfg.load_phantom(phantom_path), cfg.build_grid())
+    truth = rasterize(cfg.load_phantom(phantom_path), cfg.grid)
     e2 = {}
     for path in recon_paths:
         image = read_image_field(path)
@@ -249,17 +235,16 @@ def cmd_evaluate(cfg: ExperimentConfig, recon_paths, phantom_path) -> int:
     return 0
 
 
-def _variants(cfg: ExperimentConfig, geom, split, full: WaveData,
-              u1: WaveData):
+def _variants(cfg: ExperimentConfig, full: WaveData, u1: WaveData):
     """(name, n, full-boundary data, training phantoms, stage seconds) of
     the full-view reference, the zero extension, then each learned
     extension by ascending partition size.  A model is released before the
     next is trained: the training traces are the largest allocation."""
     yield "full", None, full, None, {}
-    yield "zero", 0, zero_extend(u1, geom, split), [], {}
-    for n_w, n_h in _partitions_ascending(cfg):
-        model, train_s = _train(cfg, geom, split, n_w, n_h)
-        _, stitched, extend_s = _extend(model, u1, geom, split, cfg.threads)
+    yield "zero", 0, zero_extend(u1, cfg.geometry, cfg.split), [], {}
+    for n_w, n_h in cfg.n_list:
+        model, train_s = _train(cfg, n_w, n_h)
+        _, stitched, extend_s = _extend(cfg, model, u1)
         n, phantoms = model.n, model.training.phantoms
         del model
         yield (_variant_name(n_w, n_h), n, stitched, phantoms,
@@ -289,29 +274,27 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> dict:
         cfg = replace(cfg, threads=threads)
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    geom, split = cfg.build_geometry()
-    grid = cfg.build_grid()
     phantom = cfg.load_phantom()
-    truth = rasterize(phantom, grid)
+    truth = rasterize(phantom, cfg.grid)
     gray = _gray_range(truth, 0.2)
 
-    full = simulate_wave_data(phantom, geom, split, Part.FULL,
+    full = simulate_wave_data(phantom, cfg.geometry, cfg.split, Part.FULL,
                               threads=cfg.threads)
-    u1 = restrict_wave_data(full, split, Part.GAMMA1)
+    u1 = restrict_wave_data(full, cfg.split, Part.GAMMA1)
     amp = float(np.abs(full.samples).max()) or 1.0
     _write_wave(full, out / "data_full.patb", amp)
     _write_wave(u1, out / "data_gamma1.patb")
 
     e2, e_n, variant_n, seconds = {}, {}, {}, {}
-    for name, n, data, training, times in _variants(cfg, geom, split, full, u1):
+    for name, n, data, training, times in _variants(cfg, full, u1):
         image, times["reconstruct"] = _reconstruct(
-            data, geom, grid, out / f"recon_{name}.patb", gray)
+            cfg, data, out / f"recon_{name}.patb", gray)
         e2[name] = e2_error(image, truth)
         variant_n[name] = n
         seconds[name] = times
         if training is not None:  # an extension of the gamma1 data
             _write_wave(data, out / f"extended_{name}.patb", amp)
-            e_n[n] = subspace_distance(phantom, training, grid)
+            e_n[n] = subspace_distance(phantom, training, cfg.grid)
 
     export_csv(ErrorReport(e2_per_variant=e2, e_n_factors=e_n,
                            metadata={"variant_n": variant_n}),
@@ -393,7 +376,7 @@ def main(argv=None) -> int:
         cfg = replace(
             cfg, out_dir=Path(args.out).resolve() if args.out else cfg.out_dir,
             threads=cfg.threads if args.threads is None else
-            _thread_count(args.threads, "--threads"))
+            number(args.threads, "--threads", whole=True, positive=True))
         # the directories this call makes, deepest first
         created = [d for d in (cfg.out_dir, *cfg.out_dir.parents)
                    if not d.exists()]

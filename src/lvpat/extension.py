@@ -23,14 +23,14 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf
 
-from ._util import cholesky_lower, parallel_map
+from ._util import cholesky_lower, number, numbers, parallel_map
 from .errors import (ContainerFormatError, DataMismatchError, ParameterError,
                      SingularTrainingSetError)
 from .forward import (Part, WaveData, _boundary_wave_map, _check_supports,
                       _traces)
 from .geometry import BoundaryGeometry, BoundarySplit
 from .io import (dump_container, finite_section, node_index_section,
-                 positive_value, read_container, time_axis)
+                 read_container, read_meta, time_axis)
 from .phantoms import phantom_from_dict, phantom_to_dict
 
 RIDGE_START = 1e-12
@@ -303,6 +303,8 @@ def save_model(model: ExtensionModel, path) -> None:
 def load_model(path, expected_fingerprint: str | None = None) -> ExtensionModel:
     """Load a model container; optionally verify the geometry fingerprint.
 
+    meta must be a JSON object whose phantoms are phantom specs and whose
+    outside_detection indices are distinct and below the phantom count;
     dt and the boundary weight ds must be finite and positive, n_time a
     positive whole number; tensors must be finite and sized to the phantom
     count, node indices and n_time; the node indices of gamma1 and gamma2
@@ -311,7 +313,7 @@ def load_model(path, expected_fingerprint: str | None = None) -> ExtensionModel:
     """
     with open(path, "rb") as fh:
         sections = dict(read_container(fh))
-    meta = json.loads(sections["meta"])
+    meta = read_meta(sections)
     if expected_fingerprint is not None and meta["fingerprint"] != expected_fingerprint:
         raise DataMismatchError("model belongs to a different geometry/split")
     u1_idx = node_index_section("u1_idx", sections["u1_idx"])
@@ -323,10 +325,19 @@ def load_model(path, expected_fingerprint: str | None = None) -> ExtensionModel:
     if np.any(u1_idx >= n_nodes) or np.any(u2_idx >= n_nodes):
         raise ContainerFormatError(f"sections 'u1_idx' and 'u2_idx' do not "
                                    f"cover the nodes 0 .. {n_nodes - 1}")
+    if not isinstance(meta.get("phantoms"), list):
+        raise ContainerFormatError("model meta 'phantoms' is not a list")
     phantoms = [phantom_from_dict(d) for d in meta["phantoms"]]
     dt, n_time = time_axis(meta)
-    ds = positive_value(meta, "ds", "boundary weight ds")
+    ds = number(meta.get("ds"), "boundary weight ds", ContainerFormatError,
+                positive=True)
     n = len(phantoms)
+    outside = numbers(meta.get("outside_detection", []), None,
+                      "outside_detection", ContainerFormatError, whole=True)
+    if len(set(outside)) != len(outside) or \
+       not all(0 <= i < n for i in outside):
+        raise ContainerFormatError(f"outside_detection {list(outside)} is not "
+                                   f"distinct phantom indices in [0, {n})")
     for name, shape in (("gram", (n, n)), ("u1", (n, len(u1_idx), n_time)),
                         ("u2", (n, len(u2_idx), n_time))):
         finite_section(name, sections[name])
@@ -336,7 +347,7 @@ def load_model(path, expected_fingerprint: str | None = None) -> ExtensionModel:
     ts = TrainingSet(phantoms=phantoms, u1_idx=u1_idx, u2_idx=u2_idx,
                      u1_samples=sections["u1"], u2_samples=sections["u2"],
                      dt=dt, fingerprint=meta["fingerprint"],
-                     outside_detection=tuple(meta.get("outside_detection", ())))
+                     outside_detection=outside)
     chol, ridge = factorize(sections["gram"])
     return ExtensionModel(training=ts, gram=sections["gram"], chol_lower=chol,
                           ridge=ridge, ds=ds)

@@ -18,6 +18,7 @@ from io import SEEK_END
 
 import numpy as np
 
+from ._util import number, numbers
 from .errors import ContainerFormatError, ParameterError
 from .forward import Part, WaveData
 from .metrics import ErrorReport
@@ -156,24 +157,25 @@ def node_index_section(name: str, arr: np.ndarray) -> np.ndarray:
     return arr.astype(int)
 
 
-def positive_value(meta: dict, key: str, what: str) -> float:
-    """meta[key] as a float; it must be a finite number above 0."""
-    value = meta.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or \
-       not (value > 0 and math.isfinite(value)):
-        raise ContainerFormatError(f"{what} {value!r} is not finite and positive")
-    return float(value)
+def read_meta(sections: dict) -> dict:
+    """The JSON object that a container's text section 'meta' holds."""
+    try:
+        meta = json.loads(sections.get("meta"))
+    except (TypeError, json.JSONDecodeError):  # not text, or not JSON
+        meta = None
+    if not isinstance(meta, dict):
+        raise ContainerFormatError("section 'meta' is not a text section "
+                                   "holding a JSON object")
+    return meta
 
 
 def time_axis(meta: dict) -> tuple:
     """(dt, n_time) of a container's metadata: dt finite and positive,
     n_time a positive whole number."""
-    dt, n_time = positive_value(meta, "dt", "time step"), meta["n_time"]
-    if isinstance(n_time, bool) or not isinstance(n_time, (int, float)) or \
-       not (n_time >= 1 and float(n_time).is_integer()):
-        raise ContainerFormatError(f"n_time {n_time!r} is not a positive "
-                                   f"whole number")
-    return dt, int(n_time)
+    return (number(meta.get("dt"), "time step", ContainerFormatError,
+                   positive=True),
+            number(meta.get("n_time"), "n_time", ContainerFormatError,
+                   whole=True, positive=True))
 
 
 def write_wave_data(w: WaveData, path) -> None:
@@ -188,9 +190,14 @@ def write_wave_data(w: WaveData, path) -> None:
 def read_wave_data(path) -> WaveData:
     with open(path, "rb") as fh:
         sections = dict(read_container(fh))
-    meta = json.loads(sections["meta"])
+    meta = read_meta(sections)
     dt, n_time = time_axis(meta)
-    return WaveData(part=Part(meta["part"]),
+    try:
+        part = Part(meta.get("part"))
+    except ValueError:
+        raise ContainerFormatError(f"part {meta.get('part')!r} is not one of "
+                                   f"{[p.value for p in Part]}") from None
+    return WaveData(part=part,
                     node_idx=node_index_section("node_idx", sections["node_idx"]),
                     dt=dt, n_time=n_time,
                     samples=finite_section("samples", sections["samples"]),
@@ -208,11 +215,17 @@ def write_image_field(f: ImageField, path) -> None:
 def read_image_field(path) -> ImageField:
     with open(path, "rb") as fh:
         sections = dict(read_container(fh))
-    meta = json.loads(sections["meta"])
+    meta = read_meta(sections)
+    origin = numbers(meta.get("origin"), 2, "image origin",
+                     ContainerFormatError)
+    if not all(map(math.isfinite, origin)):
+        raise ContainerFormatError(f"image origin {origin} is not finite")
+    h = number(meta.get("h"), "image grid step h", ContainerFormatError,
+               positive=True)
     mask = sections["mask"]
     if not np.all((mask == 0.0) | (mask == 1.0)):
         raise ContainerFormatError("section 'mask' holds entries other than 0 and 1")
-    return ImageField(origin=tuple(meta["origin"]), h=float(meta["h"]),
+    return ImageField(origin=origin, h=h,
                       values=finite_section("values", sections["values"]),
                       domain_mask=mask == 1.0)
 

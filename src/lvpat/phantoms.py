@@ -13,6 +13,7 @@ from typing import Union
 
 import numpy as np
 
+from ._util import json_object, number, numbers
 from .errors import ParameterError
 from .geometry import EllipseDomain
 
@@ -333,12 +334,26 @@ def phantom_to_dict(p: Phantom) -> dict:
 
 
 def phantom_from_dict(spec: dict) -> Phantom:
-    kind = spec.get("type")
+    """The phantom a spec (as written by `phantom_to_dict`) describes; a
+    spec that is not an object, with non-number values, a center that is
+    not two numbers or terms that are not [coefficient, spec] pairs raises
+    ParameterError."""
+    kind = json_object(spec, "phantom spec").get("type")
     if kind == "square":
-        return SquareIndicator(spec["x_lo"], spec["x_hi"], spec["y_lo"], spec["y_hi"])
+        return SquareIndicator(*(number(spec[k], f"square {k}")
+                                 for k in ("x_lo", "x_hi", "y_lo", "y_hi")))
     if kind == "ellipse":
-        return EllipseIndicator(tuple(spec["center"]), spec["semi_a"],
-                                spec["semi_b"], spec.get("rotation", 0.0))
+        return EllipseIndicator(numbers(spec["center"], 2, "ellipse center"),
+                                number(spec["semi_a"], "ellipse semi_a"),
+                                number(spec["semi_b"], "ellipse semi_b"),
+                                number(spec.get("rotation", 0.0),
+                                       "ellipse rotation"))
     if kind == "sum":
-        return WeightedSum(tuple((c, phantom_from_dict(q)) for c, q in spec["terms"]))
+        terms = spec["terms"]
+        if not isinstance(terms, list) or \
+           not all(isinstance(t, list) and len(t) == 2 for t in terms):
+            raise ParameterError(f"sum terms must be [coefficient, spec] "
+                                 f"pairs, got {terms!r}")
+        return WeightedSum(tuple((number(c, "sum coefficient"),
+                                  phantom_from_dict(q)) for c, q in terms))
     raise ParameterError(f"unknown phantom spec type {kind!r}")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from lvpat.cli import ExperimentConfig, main, run_experiment
+from lvpat.errors import ParameterError
 from lvpat.io import read_wave_data
 
 from conftest import write_container
@@ -37,8 +38,8 @@ class TestConfig:
         for name in ("experiment_full.json", "experiment_reduced.json",
                      "experiment_smoke.json"):
             cfg = ExperimentConfig.from_json(CONFIG_DIR / name)
-            assert cfg.domain.a1 == 2.0
-            assert cfg.gamma2_interval == (0.97, 2.17)
+            assert cfg.geometry.domain.a1 == 2.0
+            assert (cfg.split.theta_lo, cfg.split.theta_hi) == (0.97, 2.17)
 
     def test_missing_phantom_is_config_error(self, tmp_path, smoke_config):
         raw = json.loads(smoke_config.read_text())
@@ -62,13 +63,27 @@ class TestConfig:
         (None, "threads", 1.7, "threads"),
         ("grid", "nx", 40.5, "grid.nx"),
         ("grid", "ny", 41.2, "grid.ny"),
+        ("geometry", "dt", "fast", "geometry.dt"),
+        ("geometry", "a1", None, "geometry.a1"),
+        (None, "box", [0, 1, 2], "box"),
+        ("grid", "origin", [0.0], "grid.origin"),
+        (None, "n_list", [4, 2], "n_list"),
+        (None, "phantom", 5, "phantom"),
+        (None, "out_dir", 5, "out_dir"),
+        (None, "geometry", [1], "geometry"),
+        (None, None, [], "config"),
     ], ids=["nan-dt", "negative-spacing", "nan-a1", "inf-t_max", "nan-h",
             "zero-threads", "fractional-threads", "fractional-nx",
-            "fractional-ny"])
+            "fractional-ny", "text-dt", "null-a1", "three-box-edges",
+            "one-origin-coordinate", "flat-n_list", "number-phantom",
+            "number-out_dir", "list-geometry", "list-config"])
     def test_bad_value_is_config_error(self, tmp_path, smoke_config, capsys,
                                        section, key, value, message):
         raw = json.loads(smoke_config.read_text())
-        (raw[section] if section else raw)[key] = value
+        if key is None:  # the whole config
+            raw = value
+        else:
+            (raw[section] if section else raw)[key] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
         assert main(["experiment", "--config", str(bad)]) == 2
@@ -101,6 +116,33 @@ class TestConfig:
         odd.write_text(json.dumps(raw))
         with pytest.warns(UserWarning):
             ExperimentConfig.from_json(odd)
+
+    def test_any_replaced_leaf_parses_or_is_config_error(self, smoke_config):
+        # each leaf in turn takes a value of every other JSON type
+        raw = json.loads(smoke_config.read_text())
+
+        def leaves(node, path=()):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for key, value in items:
+                if isinstance(value, (dict, list)):
+                    yield from leaves(value, path + (key,))
+                else:
+                    yield path + (key,)
+
+        rejected = 0
+        for path in leaves(raw):
+            for junk in (None, "x", [], {}, True):
+                bad = json.loads(json.dumps(raw))
+                node = bad
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = junk
+                smoke_config.write_text(json.dumps(bad))
+                try:
+                    ExperimentConfig.from_json(smoke_config)
+                except ParameterError:
+                    rejected += 1
+        assert rejected > 0
 
 
 class TestSubcommands:

@@ -467,8 +467,16 @@ class TestPersistence:
         ("n_time", lambda n: n + 0.5, "n_time"),
         ("n_time", lambda n: 0, "n_time"),
         ("n_time", lambda n: -n, "n_time"),
+        ("outside_detection", lambda idx: [0, 0], "outside_detection"),
+        ("outside_detection", lambda idx: [-1], "outside_detection"),
+        ("outside_detection", lambda idx: [10 ** 6], "outside_detection"),
+        ("outside_detection", lambda idx: [0.5], "outside_detection"),
+        ("outside_detection", lambda idx: "0", "outside_detection"),
+        ("phantoms", lambda specs: 5, "phantoms"),
     ], ids=["nan-dt", "zero-dt", "negative-dt", "fractional-n_time",
-            "zero-n_time", "negative-n_time"])
+            "zero-n_time", "negative-n_time", "repeated-outside",
+            "negative-outside", "outside-beyond-n", "fractional-outside",
+            "text-outside", "number-phantoms"])
     def test_bad_time_axis_rejected(self, model8, tmp_path, key, bad, message):
         # the fractional n_time used to be truncated to the tensors' length
         path = tmp_path / "model.patb"

@@ -260,6 +260,21 @@ class TestContainer:
         with pytest.raises(ContainerFormatError, match=reason):
             read_wave_data(path)
 
+    @pytest.mark.parametrize("meta, message", [
+        ('{"part": "foo", "dt": 0.25, "n_time": 4, "fingerprint": "f"}',
+         "part 'foo'"),
+        (np.ones((1, 1)), "meta"),
+        ("[1, 2]", "meta"),
+        ("{", "meta"),
+    ], ids=["unknown-part", "tensor-meta", "list-meta", "not-json"])
+    def test_wave_data_bad_meta_rejected(self, tmp_path, meta, message):
+        path = tmp_path / "w.patb"
+        path.write_bytes(write_container([
+            ("meta", meta), ("node_idx", np.array([3.0, 5.0, 8.0])),
+            ("samples", np.arange(12.0).reshape(3, 4))]))
+        with pytest.raises(ContainerFormatError, match=message):
+            read_wave_data(path)
+
     def test_image_field_round_trip(self, tmp_path):
         f = ImageField((0.5, -1.0), 0.125, np.arange(20.0).reshape(4, 5),
                        np.arange(20).reshape(4, 5) % 3 == 0)
@@ -271,8 +286,8 @@ class TestContainer:
         assert np.array_equal(back.domain_mask, f.domain_mask)
 
     @staticmethod
-    def write_raw_image_field(path, values, mask):
-        meta = json.dumps({"origin": [0.0, 0.0], "h": 0.5})
+    def write_raw_image_field(path, values, mask,
+                              meta='{"origin": [0.0, 0.0], "h": 0.5}'):
         path.write_bytes(write_container([("meta", meta), ("values", values),
                                           ("mask", mask)]))
 
@@ -292,6 +307,23 @@ class TestContainer:
         path = tmp_path / "f.patb"
         self.write_raw_image_field(path, np.zeros((3, 4)), mask)
         with pytest.raises(ContainerFormatError, match="mask"):
+            read_image_field(path)
+
+    @pytest.mark.parametrize("meta, message", [
+        ({"origin": [0.0, 0.0], "h": float("nan")}, "grid step"),
+        ({"origin": [0.0, 0.0], "h": 0.0}, "grid step"),
+        ({"origin": [0.0, 0.0], "h": "0.5"}, "grid step"),
+        ({"origin": [0.0], "h": 0.5}, "origin"),
+        ({"origin": [float("inf"), 0.0], "h": 0.5}, "origin"),
+        ({"origin": "ab", "h": 0.5}, "origin"),
+        ([0.0, 0.5], "meta"),
+    ], ids=["nan-h", "zero-h", "text-h", "one-coordinate", "infinite-origin",
+            "text-origin", "list-meta"])
+    def test_image_field_bad_meta_rejected(self, tmp_path, meta, message):
+        path = tmp_path / "f.patb"
+        self.write_raw_image_field(path, np.zeros((3, 4)), np.ones((3, 4)),
+                                   json.dumps(meta))
+        with pytest.raises(ContainerFormatError, match=message):
             read_image_field(path)
 
 

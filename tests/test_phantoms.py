@@ -176,3 +176,21 @@ class TestSerialization:
     def test_unknown_type_rejected(self):
         with pytest.raises(ParameterError):
             phantom_from_dict({"type": "blob"})
+
+    @pytest.mark.parametrize("spec", [
+        {"type": "square", "x_lo": "a", "x_hi": 1, "y_lo": 0, "y_hi": 1},
+        {"type": "ellipse", "center": [0, 0], "semi_a": "0.3", "semi_b": 0.2},
+        {"type": "ellipse", "center": [0], "semi_a": 0.3, "semi_b": 0.2},
+        {"type": "ellipse", "center": [0, 0], "semi_a": 0.3, "semi_b": 0.2,
+         "rotation": None},
+        [1],
+        {"type": "sum", "terms": [[1.0]]},
+        {"type": "sum", "terms": [["1", {"type": "square", "x_lo": 0,
+                                         "x_hi": 1, "y_lo": 0, "y_hi": 1}]]},
+        {"type": "sum", "terms": 5},
+    ], ids=["text-edge", "text-semi-axis", "one-center-coordinate",
+            "null-rotation", "list-spec", "term-without-spec",
+            "text-coefficient", "number-terms"])
+    def test_malformed_spec_rejected(self, spec):
+        with pytest.raises(ParameterError):
+            phantom_from_dict(spec)
