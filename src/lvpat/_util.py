@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ctypes
 import glob
+import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -107,14 +108,18 @@ def number(value, what: str, error: type = ParameterError,
     `whole`.
 
     `error`, naming `what`, is raised for a bool or a non-number, for a
-    fractional value when `whole`, and for a value that is not finite and
-    above 0 when `positive`.  Other ranges are checked by the objects that
-    the number builds.
+    fractional value when `whole`, for an int beyond the float range, and
+    for a value that is not finite and above 0 when `positive`.  Other
+    ranges are checked by the objects that the number builds.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise error(f"{what} must be a number, got {value!r}")
     if whole and not (isinstance(value, int) or value.is_integer()):
         raise error(f"{what} must be a whole number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:  # an int literal past 1.8e308; repr is too long
+        raise error(f"{what} lies beyond the float range") from None
     value = int(value) if whole else float(value)
     if positive and not 0 < value < np.inf:
         bound = "at least 1" if whole else "finite and positive"
@@ -131,6 +136,16 @@ def numbers(value, count: int | None, what: str,
         raise error(f"{what} must be a list of {count or 'any number of'} "
                     f"numbers, got {value!r}")
     return tuple(number(v, what, error, whole, positive) for v in value)
+
+
+def load_json(fh, what: str, error: type = ParameterError):
+    """The JSON value in the open text file fh, or `error` naming `what`
+    when it is not JSON or holds an integer literal longer than Python
+    reads (4300 digits)."""
+    try:
+        return json.load(fh)
+    except ValueError as exc:  # json.JSONDecodeError is one
+        raise error(f"{what} is not readable JSON: {exc}") from None
 
 
 def json_object(value, what: str, error: type = ParameterError) -> dict:

@@ -9,8 +9,9 @@ world: a point at angle beta on the circle is inside where a function
 g(beta) of cos(beta) and sin(beta) is negative.  With beta = k pi/2 +
 2 arctan(t), the tangent half-angle t turns g = 0 into a quartic with real
 coefficients, solved row by row in real arithmetic (Ferrari, Cardano) and
-polished by Newton steps.  The crossings are sorted, and each arc between
-two of them counts where g < 0 at its midpoint.  A weighted sum has no table
+polished by a Newton step.  The crossings alternate the sign of g, so the
+measure is the sum of every other arc between the sorted crossings, or its
+complement by the sign of g at t = +-inf.  A weighted sum has no table
 of its own: the forward evaluates it term by term, so linear combinations
 of phantoms produce linear wave data.
 
@@ -28,8 +29,6 @@ from .errors import ParameterError
 from .phantoms import EllipseIndicator, Phantom, SquareIndicator
 
 TWO_PI = 2.0 * np.pi
-
-_ELL_SLOTS = 4  # max crossings of a circle with an ellipse
 
 
 def _box_arc_measures(edges, cx, cy, radii: np.ndarray) -> np.ndarray:
@@ -155,74 +154,75 @@ def _monic_quartic_roots(a, b, c, d) -> np.ndarray:
     return t
 
 
-def _ellipse_crossings(A, B, C, D) -> np.ndarray:
-    """Zeros of g(beta) = A cos^2(beta) + B cos(beta) + C sin(beta) + D.
+def _ellipse_crossings(A, B, C, D) -> tuple:
+    """Zeros of g(beta) = A cos^2(beta) + B cos(beta) + C sin(beta) + D on
+    rows where A is not negligible, relative to a quarter turn of each row.
 
-    Shape (n, 4), NaN in unused slots, angles not reduced to [0, 2 pi).
-    With beta = phi + 2 arctan(t) for a quarter turn phi = k pi/2,
-    g (1 + t^2)^2 is the real quartic
+    Returns (rel, lead).  rel, shape (n, 4), holds beta - phi for the row's
+    quarter turn phi = k pi/2, NaN in unused slots; lead = g(phi + pi).
+    With beta = phi + 2 arctan(t), g (1 + t^2)^2 is the real quartic
     g(phi + pi) t^4 + 2C' t^3 + 2(D' - A') t^2 + 2C' t + g(phi) in the
     coefficients A', B', C', D' of beta - phi.  Of the four phi the one with
     the largest |g(phi + pi)| >= scale/2 bounds every root by |t| < 7.  The
-    real roots of that quartic (`_monic_quartic_roots`) are polished by
-    one Newton step on g(beta).  Where |A| is negligible against the largest
-    coefficient (nearly circular ellipses, small circles) g is
-    B cos + C sin + D, solved directly.
+    real roots of that quartic (`_monic_quartic_roots`) are polished by one
+    Newton step on g(beta), clipped to +-0.1, so every crossing stays in
+    2 arctan(7) + 0.1 < pi of phi: rel lies in (-pi, pi).  The step is
+    dropped where it is not small against |g'/g''|, the distance to a
+    double root, so the two copies of a tangency stay where the solver put
+    them.
     """
-    beta = np.full((len(A), _ELL_SLOTS), np.nan)
-    scale = np.maximum(np.maximum(np.abs(A), np.abs(B)),
-                       np.maximum(np.abs(C), np.abs(D)))
-    quartic = np.abs(A) > 1e-12 * scale
-
-    if np.any(quartic):
-        idx = np.flatnonzero(quartic)
-        Aq, Bq, Cq, Dq = A[idx], B[idx], C[idx], D[idx]
-        # g(phi + pi) for phi = 0, pi/2, pi, 3pi/2; g(phi) is two turns on
-        leads = np.stack([Aq - Bq + Dq, Dq - Cq, Aq + Bq + Dq, Dq + Cq])
-        k = np.argmax(np.abs(leads), axis=0)
-        n = np.arange(len(idx))
-        lead = leads[k, n]
-        c13 = 2.0 * np.choose(k, (Cq, -Bq, -Cq, Bq)) / lead
-        c2 = 2.0 * np.where(k % 2 == 0, Dq - Aq, Dq + Aq + Aq) / lead
-        t = _monic_quartic_roots(c13, c2, c13, leads[(k + 2) % 4, n] / lead)
-        live = np.nonzero(~np.isnan(t))
-        rows = idx[live[0]]
-        b = 0.5 * np.pi * k[live[0]] + 2.0 * np.arctan(t[live])
-        # one clipped Newton step on g(beta) removes the closed form's
-        # rounding; further steps move beta by at most ~2e-12 relative
-        An, Bn, Cn, Dn = A[rows], B[rows], C[rows], D[rows]
-        cb, sb = np.cos(b), np.sin(b)
-        gb = (An * cb + Bn) * cb + Cn * sb + Dn
-        gp = Cn * cb - (2.0 * An * cb + Bn) * sb
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(np.abs(gp) > 1e-300, gb / gp, 0.0)
-        beta[rows, live[1]] = b - np.clip(step, -0.1, 0.1)
-
-    if not np.all(quartic):
-        # B cos + C sin + D = 0; B = C = 0 (r = 0, concentric circles) has
-        # no crossing
-        idx = np.flatnonzero(~quartic)
-        amp = np.hypot(B[idx], C[idx])
-        gamma = np.arctan2(C[idx], B[idx])
-        ratio = np.where(amp > 0, -D[idx] / np.where(amp > 0, amp, 1.0), 2.0)
-        ok = np.abs(ratio) <= 1.0
-        delta = np.arccos(np.clip(ratio, -1.0, 1.0))
-        beta[idx, 0] = np.where(ok, gamma + delta, np.nan)
-        beta[idx, 1] = np.where(ok, gamma - delta, np.nan)
-    return beta
+    # g(phi + pi) for phi = 0, pi/2, pi, 3pi/2; g(phi) is two turns on
+    leads = np.stack([A - B + D, D - C, A + B + D, D + C])
+    k = np.argmax(np.abs(leads), axis=0)
+    n = np.arange(len(A))
+    lead = leads[k, n]
+    c13 = 2.0 * np.choose(k, (C, -B, -C, B)) / lead
+    c2 = 2.0 * np.where(k % 2 == 0, D - A, D + A + A) / lead
+    t = _monic_quartic_roots(c13, c2, c13, leads[(k + 2) % 4, n] / lead)
+    live = np.nonzero(~np.isnan(t))
+    rows = live[0]
+    half = 2.0 * np.arctan(t[live])
+    # one clipped Newton step on g(beta) removes the closed form's
+    # rounding; further steps move beta by at most ~2e-12 relative.  The
+    # step counts where |g'' step| < |g'|/2: near a double root (a
+    # tangency) g and g' are both rounding, and their ratio would push the
+    # two copies apart into an arc that the alternation counts
+    b = 0.5 * np.pi * k[rows] + half
+    An, Bn, Cn, Dn = A[rows], B[rows], C[rows], D[rows]
+    cb, sb = np.cos(b), np.sin(b)
+    gb = (An * cb + Bn) * cb + Cn * sb + Dn
+    gp = Cn * cb - (2.0 * An * cb + Bn) * sb
+    gpp = (2.0 * An * cb + Bn) * cb + Cn * sb - 2.0 * An * sb * sb  # -g''
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = np.where(np.abs(gpp * gb) < 0.5 * gp * gp, gb / gp, 0.0)
+    rel = np.full(t.shape, np.nan)
+    rel[live] = half - np.clip(step, -0.1, 0.1)
+    return rel, lead
 
 
 def _ellipse_arc_measures(el: EllipseIndicator, cx, cy,
                           radii: np.ndarray) -> np.ndarray:
-    """Arc measure inside the ellipse, classified in the ellipse's frame.
+    """Arc measure inside the ellipse, by the alternation of its crossings.
 
     In the ellipse frame (offset v, semi-axes a, b) the point at angle beta
     on the circle lies inside exactly where
-    g(beta) = A cos^2(beta) + B cos(beta) + C sin(beta) + D < 0.  The
-    measure does not depend on the rotation, so the crossings
-    (`_ellipse_crossings`) are sorted in this frame and each arc between
-    two of them counts where g < 0 at its midpoint.  A circle without
-    crossings is inside where g(0) = A + B + D < 0.
+    g(beta) = A cos^2(beta) + B cos(beta) + C sin(beta) + D < 0; the measure
+    does not depend on the rotation.  On a quartic row (|A| > 1e-12 scale)
+    the crossings relative to the row's quarter turn phi
+    (`_ellipse_crossings`) lie in the window (-pi, pi), over which
+    beta - phi = 2 arctan(t) rises with t.  The quartic's real roots come in
+    pairs from its two quadratics, so a row crosses 0, 2 or 4 times, a
+    double root (a tangency) counting as two equal crossings.  Sorted with
+    NaN last, b0 <= b1 <= b2 <= b3, g changes sign at each crossing and
+    keeps it across a double root, so the arcs [b0, b1] and [b2, b3] have
+    the sign opposite to that of the arc through phi + pi, the one at
+    t = +-inf.  With S = (b1 - b0) + (b3 - b2), a missing pair counting 0,
+    the measure is 2 pi - S where lead = g(phi + pi) < 0 and S otherwise;
+    |lead| >= scale/2, so lead is never 0.  On the other rows g is
+    amp cos(beta - gamma) + D, amp = |(B, C)|, inside on an arc of
+    2 pi - 2 arccos(-D/amp) where |D| <= amp, and everywhere or nowhere by
+    the sign of g(0) = A + B + D otherwise (r = 0 and concentric circles
+    have amp = 0).
     """
     ca, sa = np.cos(el.rotation), np.sin(el.rotation)
     dx, dy = cx - el.center[0], cy - el.center[1]
@@ -235,23 +235,29 @@ def _ellipse_arc_measures(el: EllipseIndicator, cx, cy,
     B = 2.0 * v1 * r * ia2
     C = 2.0 * v2 * r * ib2
     D = v1 * v1 * ia2 + v2 * v2 * ib2 + r * r * ib2 - 1.0
-    beta = _ellipse_crossings(A, B, C, D)
+    scale = np.maximum(np.maximum(np.abs(A), np.abs(B)),
+                       np.maximum(np.abs(C), np.abs(D)))
+    quartic = np.abs(A) > 1e-12 * scale
+    measure = np.empty(len(r))
 
-    # arcs between consecutive crossings (np.sort puts NaN last), the last
-    # one wrapping around to the first crossing: s[j + 1] <= s[0] + 2 pi,
-    # so fmin picks the wrap where the next slot is NaN
-    s = np.sort(beta - TWO_PI * np.floor(beta / TWO_PI), axis=1)
-    wrap = s[:, :1] + TWO_PI
-    gaps = np.fmin(np.concatenate([s[:, 1:], wrap], axis=1), wrap) - s
-    i, j = np.nonzero(gaps >= 0.0)
-    mid = s[i, j] + 0.5 * gaps[i, j]
-    cm = np.cos(mid)
-    inside = (A[i] * cm + B[i]) * cm + C[i] * np.sin(mid) + D[i] < 0.0
-    # a circle without crossings is inside where g(0) = A + B + D < 0; the
-    # gaps of the others add up to 2 pi up to rounding
-    measure = np.where(np.isnan(s[:, 0]), TWO_PI * (A + B + D < 0.0),
-                       np.bincount(i, gaps[i, j] * inside, len(r)))
-    return np.minimum(measure, TWO_PI)
+    if np.any(quartic):
+        idx = np.flatnonzero(quartic)
+        rel, lead = _ellipse_crossings(A[idx], B[idx], C[idx], D[idx])
+        s = np.sort(rel, axis=1)
+        # fmax turns the NaN of a missing pair into 0
+        S = np.fmax(s[:, 1::2] - s[:, ::2], 0.0).sum(axis=1)
+        measure[idx] = np.where(lead < 0.0, TWO_PI - S, S)
+
+    if not np.all(quartic):
+        idx = np.flatnonzero(~quartic)
+        Bl, Cl, Dl = B[idx], C[idx], D[idx]
+        amp = np.hypot(Bl, Cl)
+        ratio = np.where(amp > 0, -Dl / np.where(amp > 0, amp, 1.0), 2.0)
+        measure[idx] = np.where(
+            np.abs(ratio) <= 1.0,
+            TWO_PI - 2.0 * np.arccos(np.clip(ratio, -1.0, 1.0)),
+            TWO_PI * (A[idx] + Bl + Dl < 0.0))
+    return measure
 
 
 def exact_mean_table(p: Phantom, center, radii: np.ndarray) -> np.ndarray:

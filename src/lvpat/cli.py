@@ -8,7 +8,6 @@ file.  Exit codes: 0 success, 2 configuration/usage error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 import warnings
@@ -17,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import json_object, number, numbers, serial_blas
+from ._util import json_object, load_json, number, numbers, serial_blas
 from .errors import (ContainerFormatError, DataMismatchError, ParameterError,
                      SingularTrainingSetError)
 from .extension import (build_training_set, extend, load_model, save_model,
@@ -62,7 +61,7 @@ class ExperimentConfig:
         values out of range, from the objects they build."""
         path = Path(path)
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json_object(json.load(fh), "config")
+            raw = json_object(load_json(fh, f"config {path}"), "config")
         base = path.parent
         g = json_object(raw["geometry"], "geometry")
         grid = json_object(raw["grid"], "grid")
@@ -105,8 +104,9 @@ class ExperimentConfig:
         return self.geometry, self.split
 
     def load_phantom(self, path=None):
-        with open(path or self.phantom_path, "r", encoding="utf-8") as fh:
-            return phantom_from_dict(json.load(fh))
+        path = path or self.phantom_path
+        with open(path, "r", encoding="utf-8") as fh:
+            return phantom_from_dict(load_json(fh, f"phantom spec {path}"))
 
 
 def _variant_name(n_w: int, n_h: int) -> str:
@@ -383,7 +383,7 @@ def main(argv=None) -> int:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         code = _run_command(args, cfg)
     except (ParameterError, DataMismatchError, ContainerFormatError,
-            FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+            FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = CONFIG_ERROR_EXIT
     except (SingularTrainingSetError, np.linalg.LinAlgError,

@@ -161,7 +161,8 @@ def read_meta(sections: dict) -> dict:
     """The JSON object that a container's text section 'meta' holds."""
     try:
         meta = json.loads(sections.get("meta"))
-    except (TypeError, json.JSONDecodeError):  # not text, or not JSON
+    # not text, not JSON, or an int literal of more than 4300 digits
+    except (TypeError, ValueError):
         meta = None
     if not isinstance(meta, dict):
         raise ContainerFormatError("section 'meta' is not a text section "

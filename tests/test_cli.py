@@ -89,6 +89,38 @@ class TestConfig:
         assert main(["experiment", "--config", str(bad)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("digits, message", [
+        ("1" + "0" * 400, "beyond the float range"),
+        ("1" * 5000, "not readable JSON"),
+    ], ids=["beyond-float", "beyond-digit-limit"])
+    def test_huge_integer_literal_is_config_error(self, tmp_path, smoke_config,
+                                                  capsys, digits, message):
+        # json.dumps cannot write a 5000-digit int, so the literal goes in
+        # as text
+        raw = json.loads(smoke_config.read_text())
+        raw["geometry"]["a1"] = "A1"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw).replace('"A1"', digits))
+        assert main(["train", "--config", str(bad),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        with pytest.raises(ParameterError):
+            ExperimentConfig.from_json(bad)
+
+    @pytest.mark.parametrize("digits, message", [
+        ("1" + "0" * 400, "beyond the float range"),
+        ("1" * 5000, "not readable JSON"),
+    ], ids=["beyond-float", "beyond-digit-limit"])
+    def test_huge_integer_in_phantom_spec_is_config_error(
+            self, tmp_path, smoke_config, capsys, digits, message):
+        phantom = tmp_path / "huge.json"
+        phantom.write_text('{"type": "ellipse", "center": [0.0, 0.0], '
+                           f'"semi_a": {digits}, "semi_b": 0.1}}')
+        assert main(["simulate", "--config", str(smoke_config),
+                     "--phantom", str(phantom),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_bad_threads_flag_is_config_error(self, tmp_path, smoke_config,
                                               capsys, threads):
@@ -317,6 +349,23 @@ class TestSubcommands:
         write_wave_data(dataclasses.replace(data, dt=dt), data_path)
         rc = main(["reconstruct", "--config", str(smoke_config),
                    "--data", str(data_path), "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("digits, message", [
+        ("1" + "0" * 400, "beyond the float range"),
+        ("1" * 5000, "not a text section holding a JSON object"),
+    ], ids=["beyond-float", "beyond-digit-limit"])
+    def test_reconstruct_huge_time_step_is_config_error(
+            self, tmp_path, smoke_config, capsys, digits, message):
+        meta = ('{"dt": ' + digits + ', "fingerprint": "cafef00d", '
+                '"n_time": 4, "part": "full"}')
+        data_path = tmp_path / "data.patb"
+        data_path.write_bytes(write_container([
+            ("meta", meta), ("node_idx", np.arange(3.0)),
+            ("samples", np.zeros((3, 4)))]))
+        rc = main(["reconstruct", "--config", str(smoke_config),
+                   "--data", str(data_path), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert message in capsys.readouterr().err
 

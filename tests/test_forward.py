@@ -204,33 +204,79 @@ def concentric_mean(el, r):
     return 4.0 * np.arcsin(np.sqrt(np.clip(s0, 0.0, 1.0))) / (2 * np.pi)
 
 
-def all_slot_crossings(A, B, C, D):
-    """Crossing angles of the quartic rows with the one-step g(beta) polish
-    run over all four slots of `_monic_quartic_roots`, NaN ones included.
-    NaN marks unused slots and rows that are not quartic rows."""
-    scale = np.maximum.reduce([np.abs(A), np.abs(B), np.abs(C), np.abs(D)])
-    beta = np.full((len(A), 4), np.nan)
-    idx = np.flatnonzero(np.abs(A) > 1e-12 * scale)
-    Aq, Bq, Cq, Dq = A[idx], B[idx], C[idx], D[idx]
+def all_slot_polish(A, B, C, D, trusted=True):
+    """(phi, half, step) of quartic rows with the one-step g(beta) polish run
+    over all four slots of `_monic_quartic_roots`, NaN ones included: the
+    quarter turn phi (n,), the unpolished crossings half = 2 arctan(t)
+    relative to it and the unclipped Newton steps (n, 4).  With trusted, a
+    step counts only where |g'' step| < |g'|/2, as in the kernel; without,
+    wherever |g'| > 1e-300, as before the alternation rule."""
     # the kernel's quartic: g(phi + pi) and g(phi) for the quarter turns
     # phi = k pi/2, and C' and D' - A' turned by phi
-    g_turn = np.stack([Aq - Bq + Dq, Dq - Cq, Aq + Bq + Dq, Dq + Cq])
+    g_turn = np.stack([A - B + D, D - C, A + B + D, D + C])
     k = np.argmax(np.abs(g_turn), axis=0)
-    cols = np.arange(len(idx))
+    cols = np.arange(len(A))
     lead, const = g_turn[k, cols], g_turn[(k + 2) % 4, cols]
-    Ck = np.stack([Cq, -Bq, -Cq, Bq])[k, cols]
-    DmA = np.where(k % 2 == 0, Dq - Aq, Dq + Aq + Aq)
+    Ck = np.stack([C, -B, -C, B])[k, cols]
+    DmA = np.where(k % 2 == 0, D - A, D + A + A)
     t = _monic_quartic_roots(2.0 * Ck / lead, 2.0 * DmA / lead,
                              2.0 * Ck / lead, const / lead)
-    b = 0.5 * np.pi * k[:, None] + 2.0 * np.arctan(t)
-    An, Bn, Cn, Dn = (A[idx, None], B[idx, None], C[idx, None], D[idx, None])
+    phi = 0.5 * np.pi * k
+    half = 2.0 * np.arctan(t)
+    b = phi[:, None] + half
+    An, Bn, Cn, Dn = A[:, None], B[:, None], C[:, None], D[:, None]
     cb, sb = np.cos(b), np.sin(b)
     g = (An * cb + Bn) * cb + Cn * sb + Dn
     gp = Cn * cb - (2.0 * An * cb + Bn) * sb
+    minus_gpp = (2.0 * An * cb + Bn) * cb + Cn * sb - 2.0 * An * sb * sb
     with np.errstate(divide="ignore", invalid="ignore"):
-        step = np.where(np.abs(gp) > 1e-300, g / gp, 0.0)
-    beta[idx] = b - np.clip(step, -0.1, 0.1)
-    return beta
+        if trusted:
+            step = np.where(np.abs(minus_gpp * g) < 0.5 * gp * gp, g / gp, 0.0)
+        else:
+            step = np.where(np.abs(gp) > 1e-300, g / gp, 0.0)
+    return phi, half, step
+
+
+def all_slot_crossings(A, B, C, D):
+    """Crossings of quartic rows relative to their quarter turn, polished
+    over all four slots; NaN marks unused slots."""
+    _, half, step = all_slot_polish(A, B, C, D)
+    return half - np.clip(step, -0.1, 0.1)
+
+
+def midpoint_arc_measures(A, B, C, D):
+    """The ellipse arc measure as classified before the alternation rule:
+    absolute crossing angles reduced to [0, 2 pi) and sorted, each arc
+    between consecutive crossings counted where g < 0 at its midpoint, the
+    last one wrapping around to the first, and a circle without crossings
+    counted by g(0) = A + B + D."""
+    TWO_PI = 2.0 * np.pi
+    scale = np.maximum.reduce([np.abs(A), np.abs(B), np.abs(C), np.abs(D)])
+    quartic = np.abs(A) > 1e-12 * scale
+    beta = np.full((len(A), 4), np.nan)
+    phi, half, step = all_slot_polish(A[quartic], B[quartic], C[quartic],
+                                      D[quartic], trusted=False)
+    beta[quartic] = phi[:, None] + half - np.clip(step, -0.1, 0.1)
+    idx = np.flatnonzero(~quartic)
+    amp = np.hypot(B[idx], C[idx])
+    gamma = np.arctan2(C[idx], B[idx])
+    ratio = np.where(amp > 0, -D[idx] / np.where(amp > 0, amp, 1.0), 2.0)
+    ok = np.abs(ratio) <= 1.0
+    delta = np.arccos(np.clip(ratio, -1.0, 1.0))
+    beta[idx, 0] = np.where(ok, gamma + delta, np.nan)
+    beta[idx, 1] = np.where(ok, gamma - delta, np.nan)
+    # np.sort puts NaN last: s[j + 1] <= s[0] + 2 pi, so fmin picks the
+    # wrap where the next slot is NaN
+    s = np.sort(beta - TWO_PI * np.floor(beta / TWO_PI), axis=1)
+    wrap = s[:, :1] + TWO_PI
+    gaps = np.fmin(np.concatenate([s[:, 1:], wrap], axis=1), wrap) - s
+    i, j = np.nonzero(gaps >= 0.0)
+    mid = s[i, j] + 0.5 * gaps[i, j]
+    cm = np.cos(mid)
+    inside = (A[i] * cm + B[i]) * cm + C[i] * np.sin(mid) + D[i] < 0.0
+    measure = np.where(np.isnan(s[:, 0]), TWO_PI * (A + B + D < 0.0),
+                       np.bincount(i, gaps[i, j] * inside, len(A)))
+    return np.minimum(measure, TWO_PI)
 
 
 def undifferenced_map(wm):
@@ -676,11 +722,90 @@ class TestCircularMean:
         A, B, C, D, scale = crossing_coefficients(el, centers[:, 0],
                                                   centers[:, 1], radii)
         quartic = np.abs(A) > 1e-12 * scale
-        got = _ellipse_crossings(A, B, C, D)[quartic]
-        want = all_slot_crossings(A, B, C, D)[quartic]
+        rows = [x[quartic] for x in (A, B, C, D)]
+        got, _ = _ellipse_crossings(*rows)
+        want = all_slot_crossings(*rows)
         assert np.array_equal(got, want, equal_nan=True)
         crossings = np.sum(~np.isnan(want), axis=1)
         assert {0, 2, 4} <= set(crossings.tolist())
+
+    def test_alternation_matches_midpoint_classifier(self):
+        # cases are (ellipse, centers, radii, name, measure of a tangency
+        # or None)
+        rng = np.random.default_rng(36)
+        el = EllipseIndicator((0.1, -0.2), 0.6, 0.15, 0.7)
+        # random rows, radii between the semi-axes about the center, which
+        # cross four times, and r = 0
+        n = 20000
+        centers = np.array(el.center) + rng.uniform(-1.0, 1.0, (n, 2))
+        radii = rng.uniform(0.0, 1.5, n)
+        centers[:2000] = el.center
+        radii[:2000] = rng.uniform(0.16, 0.59, 2000)
+        radii[2000:2500] = 0.0
+        cases = [(el, centers, radii, "random", None)]
+        # circles touching the ellipse from inside and from outside, at
+        # radii below its least radius of curvature
+        for tangent in (TEST_PHANTOM, el):
+            a, b = tangent.semi_a, tangent.semi_b
+            theta = rng.uniform(0, 2 * np.pi, 2000)
+            point = np.stack([a * np.cos(theta), b * np.sin(theta)])
+            normal = point / np.array([[a * a], [b * b]])
+            normal /= np.hypot(*normal)
+            rho = 0.5 * b * b / a
+            c, s = np.cos(tangent.rotation), np.sin(tangent.rotation)
+            turn = np.array([[c, -s], [s, c]])
+            for side, name, truth in ((-1.0, "inside tangent", 2 * np.pi),
+                                      (1.0, "outside tangent", 0.0)):
+                at = (turn @ (point + side * rho * normal)).T \
+                    + np.array(tangent.center)
+                cases.append((tangent, at, np.full(len(theta), rho), name,
+                              truth))
+        # centers on an axis of a rotated ellipse, where B or C is 0 or
+        # rounding, and the degenerate rows of AXIS_ELLIPSE, whose tangencies
+        # are exact double roots
+        c, s = np.cos(el.rotation), np.sin(el.rotation)
+        turn = np.array([[c, s], [-s, c]])
+        side = rng.integers(0, 2, 4000)
+        at = (np.array(el.center) + rng.uniform(-2.0, 2.0, (4000, 1)) * turn[side]
+              + rng.choice([0.0, 1e-15, 1e-12], (4000, 1)) * turn[1 - side])
+        cases.append((el, at, rng.uniform(0.0, 3.0, 4000), "on axis", None))
+        rows = axis_ellipse_rows()
+        cases.append((AXIS_ELLIPSE, np.array([c for c, _, _ in rows]),
+                      np.array([r for _, r, _ in rows]), "axis ellipse", None))
+        # nearly circular ellipses, with quartic and linear rows, and a
+        # circle
+        for near in (EllipseIndicator((-0.3, 0.25), 0.3, 0.3 / (1 + 1e-7), 0.9),
+                     EllipseIndicator((-0.3, 0.25), 0.3, 0.3 / (1 + 1e-13), 0.9),
+                     KERNEL_CASES["circular_ellipse"]):
+            at = np.array(near.center) + rng.uniform(-0.8, 0.8, (4000, 2))
+            r = rng.uniform(0.0, 1.2, 4000)
+            at[:500] = near.center
+            r[:50] = 0.0
+            cases.append((near, at, r, "nearly circular", None))
+        counts, linear = set(), 0
+        for ell, at, r, name, truth in cases:
+            A, B, C, D, scale = crossing_coefficients(ell, at[:, 0], at[:, 1], r)
+            got = arcmeans._ellipse_arc_measures(ell, at[:, 0], at[:, 1], r)
+            want = midpoint_arc_measures(A, B, C, D)
+            if truth is None:
+                assert np.abs(got - want).max() <= 1e-12, name
+            else:
+                # a tangency costs sqrt(eps) at the double root in either
+                # rule; the alternation is no further from the truth
+                err = np.abs(got - truth).max()
+                assert err <= 1e-6 and err <= np.abs(want - truth).max(), name
+            quartic = np.abs(A) > 1e-12 * scale
+            linear += int(np.sum(~quartic))
+            rel, lead = _ellipse_crossings(A[quartic], B[quartic], C[quartic],
+                                           D[quartic])
+            live = rel[~np.isnan(rel)]
+            assert np.all((live > -np.pi) & (live < np.pi)), name
+            count = np.sum(~np.isnan(rel), axis=1)
+            assert np.all(count % 2 == 0), name
+            assert not np.any(lead == 0.0), name
+            counts |= set(count.tolist())
+        assert counts == {0, 2, 4}
+        assert linear > 0
 
     def test_degenerate_ellipse_rows(self):
         rows = axis_ellipse_rows()
