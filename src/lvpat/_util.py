@@ -148,10 +148,15 @@ def load_json(fh, what: str, error: type = ParameterError):
         raise error(f"{what} is not readable JSON: {exc}") from None
 
 
-def json_object(value, what: str, error: type = ParameterError) -> dict:
-    """value itself when it is a JSON object (a dict); else `error`."""
+def json_object(value, what: str, error: type = ParameterError,
+                keys: tuple | None = None) -> dict:
+    """value itself when it is a JSON object (a dict) with no key outside
+    `keys` (any keys when None); else `error`."""
     if not isinstance(value, dict):
         raise error(f"{what} must be a JSON object, got {value!r}")
+    unknown = sorted(set(value) - set(value if keys is None else keys))
+    if unknown:
+        raise error(f"{what} has unknown key {unknown[0]!r}; known: {keys}")
     return value
 
 

@@ -42,6 +42,13 @@ def _path(value, what: str, base: Path) -> Path:
     return (base / value).resolve()
 
 
+# the keys a config and its geometry may hold; any other key is an error
+_CONFIG_KEYS = ("geometry", "phantom", "box", "n_list", "grid", "out_dir",
+                "threads")
+_GEOMETRY_KEYS = ("a1", "a2", "spacing", "dt", "t_max", "gamma2_theta_lo",
+                  "gamma2_theta_hi")
+
+
 @dataclass
 class ExperimentConfig:
     geometry: BoundaryGeometry
@@ -57,18 +64,18 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         """The config at path, with its boundary, split and grid built.
 
-        Values of the wrong type or shape raise ParameterError; so do
-        values out of range, from the objects they build."""
+        Values of the wrong type or shape and keys that the config, its
+        geometry or its grid do not have raise ParameterError; so do values
+        out of range, from the objects they build."""
         path = Path(path)
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json_object(load_json(fh, f"config {path}"), "config")
+            raw = json_object(load_json(fh, f"config {path}"), "config",
+                              keys=_CONFIG_KEYS)
         base = path.parent
-        g = json_object(raw["geometry"], "geometry")
-        grid = json_object(raw["grid"], "grid")
+        g = json_object(raw["geometry"], "geometry", keys=_GEOMETRY_KEYS)
+        grid = json_object(raw["grid"], "grid", keys=("origin", "h", "nx", "ny"))
         a1, a2, spacing, dt, t_max, theta_lo, theta_hi = (
-            number(g[key], f"geometry.{key}") for key in (
-                "a1", "a2", "spacing", "dt", "t_max", "gamma2_theta_lo",
-                "gamma2_theta_hi"))
+            number(g[key], f"geometry.{key}") for key in _GEOMETRY_KEYS)
         domain = EllipseDomain(a1, a2)
         geometry = build_boundary(domain, spacing, dt, t_max)
         split = split_boundary(geometry, (theta_lo, theta_hi))

@@ -28,10 +28,10 @@ staggered half-step times, centrally differenced in time and divided by dt
 once when it is built.  The time derivative therefore sees an exact integral
 of the tabulated means, which keeps the differencing stable.  The map is
 exactly zero before the wave from a tile's nearest radius arrives, so those
-time columns are skipped and stay +0.0.  One map is cached per time grid,
-and it holds only the radius rows that passes read: a pass over a
-geometry's boundary builds them up to the domain's diameter, and a window
-that reaches farther grows the map before the pass's workers start.
+time columns are skipped and stay +0.0.  Maps are cached per time grid and
+never change: a pass over a geometry's boundary reads the map of the rows
+up to the domain's diameter, and a pass with a window that reaches farther
+reads the map of all the time grid's rows.
 
 `threads` spreads blocks of whole tiles of one part over workers, with
 OpenBLAS on one thread; each block builds its own tiles and their products.
@@ -49,7 +49,6 @@ accuracy.
 
 from __future__ import annotations
 
-import threading
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -141,10 +140,8 @@ class _WaveMap:
     not decrease with j, so no row from j on has a nonzero entry before it.
 
     The time grid has `n_radii` radius nodes, up to one past the last
-    half-step time, but a pass reads only the rows its windows reach, and
-    no window from a boundary node reaches past the domain's diameter.  So
-    `diff_t` and `first_k` hold the first `rows` nodes (all by default), and
-    `cover` rebuilds them larger when a pass needs more.  Every entry is
+    half-step time.  `diff_t` and `first_k` hold the first `rows` of them
+    (all by default), and a built map never changes.  Every entry is
     computed elementwise, so a row's bytes do not depend on how many rows
     are built.
     """
@@ -155,40 +152,12 @@ class _WaveMap:
         self.dr = dr
         self.taus = (np.arange(n_time + 1) + 0.5) * dt
         self.n_radii = int(np.ceil(self.taus[-1] / dr)) + 2
-        self._rows = (np.zeros((0, n_time)), np.zeros(0, dtype=int))
-        self._grow = threading.Lock()
-        self.cover(self.n_radii if rows is None else rows)
-
-    @property
-    def diff_t(self) -> np.ndarray:
-        return self._rows[0]
-
-    @property
-    def first_k(self) -> np.ndarray:
-        return self._rows[1]
-
-    @property
-    def r_grid(self) -> np.ndarray:
-        """The radii of the rows built so far."""
-        return self.dr * np.arange(len(self.diff_t))
-
-    def cover(self, rows: int) -> tuple:
-        """(diff_t, first_k) with at least `rows` rows (at most n_radii),
-        rebuilt if they hold fewer.  The cached map is shared by every
-        caller in the process, so growing it holds a lock, and the pair is
-        swapped as one: a pass that reads the pair it got never mixes two
-        sizes, and the map never shrinks."""
-        rows = min(rows, self.n_radii)
-        with self._grow:
-            if rows > len(self._rows[0]):
-                diff_t = self._build(rows)
-                diff_t.flags.writeable = False
-                first_k = np.searchsorted(
-                    self.taus[1:],
-                    np.concatenate([[-np.inf], self.dr * np.arange(rows - 1)]),
-                    side="right")
-                self._rows = (diff_t, first_k)
-            return self._rows
+        rows = self.n_radii if rows is None else min(rows, self.n_radii)
+        self.diff_t = self._build(rows)
+        self.diff_t.flags.writeable = False
+        self.first_k = np.searchsorted(self.taus[1:], dr * (np.arange(rows) - 1),
+                                       side="right")
+        self.first_k.flags.writeable = False
 
     def _build(self, rows: int) -> np.ndarray:
         """The first `rows` rows of the differenced map, built in blocks of
@@ -224,22 +193,21 @@ class _WaveMap:
 
 
 @lru_cache(maxsize=4)
-def _wave_map(dt: float, n_time: int) -> _WaveMap:
-    """The one map of this time grid, built empty; passes grow it."""
-    return _WaveMap(dt, n_time, _DR_FACTOR * dt, rows=0)
+def _wave_map(dt: float, n_time: int, rows: int | None = None) -> _WaveMap:
+    """The map of this time grid with its first `rows` radius rows (all by
+    default), built once."""
+    return _WaveMap(dt, n_time, _DR_FACTOR * dt, rows)
 
 
 def _boundary_wave_map(geom: BoundaryGeometry) -> _WaveMap:
-    """The map of geom's time grid, grown to every row that a pass over
-    geom's boundary nodes can read.  A support inside the domain lies within
-    the domain's diameter of every node, so the first pass of a geometry
-    builds all the rows the later ones read; a window past that (a support
-    that pokes out between its samples, or `wave_trace` at a point outside
-    the domain) grows the map in `_traces`."""
-    wm = _wave_map(geom.dt, geom.n_time)
+    """The map of geom's time grid with every row that a pass over geom's
+    boundary nodes reads: a support inside the domain lies within the
+    domain's diameter of every node.  A window past that (a support that
+    pokes out between its samples, or `wave_trace` at a point outside the
+    domain) makes `_traces` take the full map instead."""
     reach = 2.0 * max(geom.domain.a1, geom.domain.a2)
-    wm.cover(int(np.ceil(reach / wm.dr)) + 3)
-    return wm
+    return _wave_map(geom.dt, geom.n_time,
+                     int(np.ceil(reach / (_DR_FACTOR * geom.dt))) + 3)
 
 
 def _dense_tiles(bounds, row, col, value) -> list:
@@ -316,9 +284,9 @@ def _traces(phantoms, parts, wm: _WaveMap, threads: int = 1) -> list:
         j_hi = np.minimum(n_col - 1, np.ceil(hi / wm.dr).astype(int) + 2)
         # no rows for a point the wave does not reach by t_max
         counts[t] = np.where(j_lo[t] < n_col - 1, j_hi - j_lo[t] + 1, 0)
-    # the map rows the windows read, built before the workers start
-    diff_t, first_k = wm.cover(
-        int(np.where(counts > 0, j_lo + counts, 0).max(initial=0)))
+    # a window past the map's rows reads the full map of its time grid
+    if np.where(counts > 0, j_lo + counts, 0).max(initial=0) > len(wm.diff_t):
+        wm = _wave_map(wm.dt, wm.n_time)
     # one window per (term, point), ordered by row, then by term
     seg_t, seg_i = np.divmod(np.arange(counts.size), m)
     seg_row = (point_row[seg_i]
@@ -378,8 +346,8 @@ def _traces(phantoms, parts, wm: _WaveMap, threads: int = 1) -> list:
         for lo, hi, j0, tile in _dense_tiles(tile_bounds[t0:t1 + 1],
                                               np.repeat(seg_row[s0:s1], c),
                                               cols, data):
-            k0 = first_k[j0]
-            np.matmul(tile, diff_t[j0:j0 + tile.shape[1], k0:],
+            k0 = wm.first_k[j0]
+            np.matmul(tile, wm.diff_t[j0:j0 + tile.shape[1], k0:],
                       out=rows_out[lo - row0[p]:hi - row0[p], k0:])
 
     with serial_blas():

@@ -7,6 +7,7 @@ exactly once.  The ellipse indicator uses the strict interior.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -26,8 +27,10 @@ class SquareIndicator:
     y_hi: float
 
     def __post_init__(self):
+        box = tuple(float(v) for v in self.bounding_box())
+        if not all(map(math.isfinite, box)):
+            raise ParameterError(f"box {box} needs finite edges")
         if not (self.x_lo < self.x_hi and self.y_lo < self.y_hi):
-            box = tuple(float(v) for v in self.bounding_box())
             raise ParameterError(f"box {box} needs x_lo < x_hi and y_lo < y_hi")
 
     def evaluate(self, points):
@@ -48,9 +51,13 @@ class EllipseIndicator:
     rotation: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
+        values = (*self.center, self.semi_a, self.semi_b, self.rotation)
+        if not all(map(math.isfinite, values)):
+            raise ParameterError(f"ellipse center, semi-axes and rotation "
+                                 f"must be finite, got {values}")
         if self.semi_a <= 0 or self.semi_b <= 0:
             raise ParameterError("ellipse semi-axes must be positive")
-        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
 
     def evaluate(self, points):
         pts = np.asarray(points, dtype=float)
@@ -84,6 +91,9 @@ class WeightedSum:
                 flat.extend((coef * c2, p2) for c2, p2 in p.terms)
             else:
                 flat.append((float(coef), p))
+        if not all(math.isfinite(coef) for coef, _ in flat):
+            raise ParameterError(f"sum coefficients must be finite, got "
+                                 f"{[coef for coef, _ in flat]}")
         object.__setattr__(self, "terms", tuple(flat))
 
     def evaluate(self, points):
@@ -333,12 +343,20 @@ def phantom_to_dict(p: Phantom) -> dict:
     raise ParameterError(f"unknown phantom type {type(p)!r}")
 
 
+# the keys of each phantom spec type, as `phantom_to_dict` writes them
+_SPEC_KEYS = {"square": ("type", "x_lo", "x_hi", "y_lo", "y_hi"),
+              "ellipse": ("type", "center", "semi_a", "semi_b", "rotation"),
+              "sum": ("type", "terms")}
+
+
 def phantom_from_dict(spec: dict) -> Phantom:
     """The phantom a spec (as written by `phantom_to_dict`) describes; a
-    spec that is not an object, with non-number values, a center that is
-    not two numbers or terms that are not [coefficient, spec] pairs raises
-    ParameterError."""
+    spec that is not an object, with a key its type does not have,
+    non-number values, a center that is not two numbers or terms that are
+    not [coefficient, spec] pairs raises ParameterError."""
     kind = json_object(spec, "phantom spec").get("type")
+    if isinstance(kind, str) and kind in _SPEC_KEYS:
+        json_object(spec, f"{kind} spec", keys=_SPEC_KEYS[kind])
     if kind == "square":
         return SquareIndicator(*(number(spec[k], f"square {k}")
                                  for k in ("x_lo", "x_hi", "y_lo", "y_hi")))

@@ -141,6 +141,46 @@ class TestConfig:
                      "--out", str(tmp_path / "out")]) == 2
         assert "degenerate box" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key", [
+        (None, "thread"), (None, "outdir"), ("geometry", "t_maxx"),
+        ("grid", "hx")], ids=["thread", "outdir", "geometry", "grid"])
+    def test_unknown_config_key_is_config_error(self, tmp_path, smoke_config,
+                                                capsys, section, key):
+        # a misspelled optional key would otherwise fall back to its default
+        raw = json.loads(smoke_config.read_text())
+        (raw[section] if section else raw)[key] = "elsewhere"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        before = sorted(tmp_path.iterdir())
+        assert main(["experiment", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert repr(key) in err[0]
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["simulate", "experiment"])
+    @pytest.mark.parametrize("spec, message", [
+        ('{"type": "sum", "terms": [[NaN, %s]]}', "finite"),
+        ('{"type": "sum", "terms": [[1.0, %s], [Infinity, %s]]}', "finite"),
+        ('{"type": "ellipse", "center": [-0.5, -0.2], "semi_a": 0.3, '
+         '"semi_b": 0.2, "rotaton": 0.4}', "'rotaton'"),
+    ], ids=["nan-coefficient", "infinity-coefficient", "misspelled-key"])
+    def test_bad_phantom_spec_is_config_error(self, tmp_path, smoke_config,
+                                              capsys, command, spec, message):
+        # the phantom the config names, read by both commands before they
+        # write anything
+        square = ('{"type": "square", "x_lo": -0.5, "x_hi": 0.0, '
+                  '"y_lo": -0.5, "y_hi": 0.0}')
+        phantom = tmp_path / "phantom_reference.json"
+        phantom.write_text(spec.replace("%s", square))
+        before = sorted(tmp_path.iterdir())
+        extra = ["--phantom", str(phantom)] if command == "simulate" else []
+        assert main([command, "--config", str(smoke_config), *extra]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert message in err[0]
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_off_rule_partition_warns(self, tmp_path, smoke_config):
         raw = json.loads(smoke_config.read_text())
         raw["n_list"] = [[3, 2]]

@@ -4,15 +4,15 @@ import subprocess
 import sys
 import tracemalloc
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_array
 
-import lvpat.forward as forward
 import lvpat.arcmeans as arcmeans
+import lvpat.extension as extension
+import lvpat.forward as forward
 from lvpat._util import serial_blas
 from lvpat.arcmeans import (_ellipse_crossings, _monic_quartic_roots,
                             exact_mean_table)
@@ -279,16 +279,21 @@ def midpoint_arc_measures(A, B, C, D):
     return np.minimum(measure, TWO_PI)
 
 
+def r_grid(wm):
+    """The radii of the wave map's rows."""
+    return wm.dr * np.arange(len(wm.diff_t))
+
+
 def undifferenced_map(wm):
     """The hat integrals of the wave map at every half-step time, not
     differenced: (radius nodes, n_time + 1), from the formula of _WaveMap."""
-    t, r, dr = wm.taus[None, :], wm.r_grid[:, None], wm.dr
+    t, r, dr = wm.taus[None, :], r_grid(wm)[:, None], wm.dr
     rc = np.minimum(r, t)
     s = np.sqrt(np.maximum(t * t - rc * rc, 0.0))
     a = 0.5 * t * t * np.arcsin(rc / t) - 0.5 * rc * s
     d_i0 = s[:-1] - s[1:]
     d_i1 = a[1:] - a[:-1]
-    w = np.zeros((len(wm.r_grid), len(wm.taus)))
+    w = np.zeros((len(r_grid(wm)), len(wm.taus)))
     w[:-1] += (r[1:] * d_i0 - d_i1) / dr
     w[1:] += (d_i1 - r[:-1] * d_i0) / dr
     return w
@@ -952,7 +957,7 @@ class TestSimulate:
                 zero_rows += 1
             else:
                 j_lo, j_hi = window
-                means = phantom_mean_table(p, x, wm.r_grid[j_lo:j_hi + 1])
+                means = phantom_mean_table(p, x, r_grid(wm)[j_lo:j_hi + 1])
                 want = np.diff(means @ w_t[j_lo:j_hi + 1]) / geom.dt
             assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max()
         assert 0 < zero_rows < len(data.node_idx)
@@ -962,7 +967,7 @@ class TestSimulate:
         for dt, n_time in ((0.05, 30), (0.05, 1100)):
             wm = forward._WaveMap(dt, n_time, forward._DR_FACTOR * dt)
             want = np.diff(undifferenced_map(wm), axis=1) / dt
-            assert wm.diff_t.shape == want.shape == (len(wm.r_grid), n_time)
+            assert wm.diff_t.shape == want.shape == (len(r_grid(wm)), n_time)
             assert not wm.diff_t.flags.writeable
             err = np.abs(wm.diff_t - want).max()
             assert err <= 1e-12 * np.abs(want).max()
@@ -1076,7 +1081,7 @@ class TestSimulate:
                 window = radius_window(q, x, wm)
                 if window is None:
                     continue
-                radii = wm.r_grid[window[0]:window[1] + 1]
+                radii = r_grid(wm)[window[0]:window[1] + 1]
                 kept = np.concatenate([e.radii for e in evaluated if e.term == q]
                                       or [[]])
                 gone = radii[~np.isin(radii, kept)]
@@ -1208,70 +1213,70 @@ class TestSimulate:
         assert wide.diff_t.tobytes() == wm.diff_t.tobytes()
 
     @pytest.mark.parametrize("dt, n_time", [(0.04, 500), (0.02, 1000)])
-    def test_grown_map_matches_full_build(self, dt, n_time):
-        # a map grown step by step holds the same bytes in every row it has
-        # as a build of every radius node of the time grid, and never shrinks
+    def test_partial_map_matches_full_build(self, dt, n_time):
+        # a map of the first rows holds the same bytes in every row it has
+        # as a build of every radius node of the time grid; a request past
+        # the last node builds them all
         full = forward._WaveMap(dt, n_time, forward._DR_FACTOR * dt)
         assert len(full.diff_t) == len(full.first_k) == full.n_radii
-        wm = forward._WaveMap(dt, n_time, forward._DR_FACTOR * dt, rows=0)
-        assert wm.diff_t.shape == (0, n_time)
         for rows in (1, 2, 161, 803, full.n_radii - 1, full.n_radii,
                      full.n_radii + 7):
-            diff_t, first_k = wm.cover(rows)
-            assert len(diff_t) == len(first_k) == min(rows, full.n_radii)
-            assert not diff_t.flags.writeable
-            assert diff_t.tobytes() == full.diff_t[:len(diff_t)].tobytes()
-            assert first_k.tobytes() == full.first_k[:len(diff_t)].tobytes()
-        assert wm.cover(5)[0] is wm.diff_t and len(wm.diff_t) == full.n_radii
+            wm = forward._WaveMap(dt, n_time, forward._DR_FACTOR * dt, rows)
+            n = min(rows, full.n_radii)
+            assert len(wm.diff_t) == len(wm.first_k) == n
+            assert not wm.diff_t.flags.writeable
+            assert not wm.first_k.flags.writeable
+            assert wm.diff_t.tobytes() == full.diff_t[:n].tobytes()
+            assert wm.first_k.tobytes() == full.first_k[:n].tobytes()
 
-    def test_concurrent_growth_keeps_the_largest_map(self):
-        # passes in several threads grow one map at once: every caller gets
-        # at least the rows it asked for, with the full build's bytes, and
-        # the map ends at the largest request.  Without the lock, a smaller
-        # rebuild that finishes last shrinks the map, which most rounds like
-        # these then show
-        dt, n_time = 0.05, 100
-        full = forward._WaveMap(dt, n_time, forward._DR_FACTOR * dt)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for seed in range(5):
-                wm = forward._WaveMap(dt, n_time, forward._DR_FACTOR * dt,
-                                      rows=0)
-                requests = np.random.default_rng(seed).integers(
-                    1, full.n_radii, 64)
-                with ThreadPoolExecutor(max_workers=8) as pool:
-                    got = list(pool.map(lambda rows: wm.cover(int(rows)),
-                                        requests, timeout=60))
-                for rows, (diff_t, first_k) in zip(requests, got):
-                    assert len(diff_t) == len(first_k) >= rows
-                    assert diff_t.tobytes() == full.diff_t[:len(diff_t)].tobytes()
-                assert len(wm.diff_t) == requests.max()
-        finally:
-            sys.setswitchinterval(interval)
-
-    def test_far_wave_trace_grows_the_map(self, domain):
-        # a boundary pass builds the rows up to the domain's diameter (4);
-        # wave_trace from a point past the domain then needs more rows and
-        # grows the map, and gives the bytes of the full map's product
+    def test_far_wave_trace_reads_the_full_map(self, domain):
+        # a boundary pass reads the map of the rows up to the domain's
+        # diameter (4); wave_trace from a point past the domain reads the
+        # full map instead and leaves the boundary map as it was
         geom = build_boundary(domain, spacing_target=0.1, dt=0.05, t_max=7.5)
         split = split_boundary(geom, GAMMA2_INTERVAL)
         p = KERNEL_CASES["sum"]
-        forward._wave_map.cache_clear()
-        wm = _wave_map(geom.dt, geom.n_time)
-        assert len(wm.diff_t) == 0
         before = simulate_wave_data(p, geom, split, Part.FULL)
+        wm = forward._boundary_wave_map(geom)
         diameter_rows = int(np.ceil(4.0 / wm.dr)) + 3
         assert len(wm.diff_t) == diameter_rows < wm.n_radii
         far = np.array([6.0, 0.5])  # 7.1 from the square's far corner
         u = wave_trace(p, far, geom)
-        assert diameter_rows < len(wm.diff_t) < wm.n_radii
-        full = forward._WaveMap(geom.dt, geom.n_time, wm.dr)
+        full = _wave_map(geom.dt, geom.n_time)
+        assert len(full.diff_t) == full.n_radii
         want = forward._traces([p], [far[None]], full)[0][0, 0]
         assert np.abs(want).max() > 0.0
         assert u.tobytes() == want.tobytes()
+        assert forward._boundary_wave_map(geom) is wm
+        assert len(wm.diff_t) == diameter_rows
         after = simulate_wave_data(p, geom, split, Part.FULL)
         assert after.samples.tobytes() == before.samples.tobytes()
+
+    @pytest.mark.parametrize("step, rows", [(0.04, 403), (0.02, 803)])
+    def test_boundary_passes_share_one_map(self, domain, step, rows,
+                                           monkeypatch):
+        # every stage that runs over the boundary reads the same map object,
+        # built with the rows up to the domain's diameter, not all of the
+        # time grid's radius nodes
+        geom = build_boundary(domain, spacing_target=step, dt=step, t_max=20.0)
+        split = split_boundary(geom, GAMMA2_INTERVAL)
+        real, seen = forward._traces, []
+
+        def traces(phantoms, parts, wm, threads=1):
+            seen.append(wm)
+            return real(phantoms, parts, wm, threads)
+
+        monkeypatch.setattr(forward, "_traces", traces)
+        monkeypatch.setattr(extension, "_traces", traces)
+        p = KERNEL_CASES["sum"]
+        simulate_wave_data(p, geom, split, Part.FULL)
+        simulate_wave_data(p, geom, split, Part.GAMMA1)
+        build_training_set(training_partition(BOX, 2, 1), geom, split)
+        wave_trace(p, geom.positions[7], geom)
+        assert len(seen) == 4
+        assert all(wm is seen[0] for wm in seen)
+        assert len(seen[0].diff_t) == rows
+        assert seen[0].n_radii == {0.04: 2004, 0.02: 4005}[step]
 
     def test_support_outside_domain_rejected(self, coarse_geom, coarse_split):
         huge = SquareIndicator(-3.0, 3.0, -0.5, 0.5)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -193,4 +195,61 @@ class TestSerialization:
             "text-coefficient", "number-terms"])
     def test_malformed_spec_rejected(self, spec):
         with pytest.raises(ParameterError):
+            phantom_from_dict(spec)
+
+    @pytest.mark.parametrize("spec, key", [
+        ({"type": "square", "x_lo": 0, "x_hi": 1, "y_lo": 0, "y_hi": 1,
+          "y_high": 2}, "y_high"),
+        ({"type": "ellipse", "center": [0, 0], "semi_a": 0.3, "semi_b": 0.2,
+          "rotaton": 0.4}, "rotaton"),
+        ({"type": "sum", "terms": [], "weights": [1.0]}, "weights"),
+        ({"type": "sum", "terms": [[1.0, {"type": "square", "x_lo": 0,
+                                          "x_hi": 1, "y_lo": 0, "y_hi": 1,
+                                          "note": "cell"}]]}, "note"),
+    ], ids=["square", "ellipse", "sum", "sum-term"])
+    def test_unknown_spec_key_rejected(self, spec, key):
+        # a misspelled optional key would otherwise fall back to its default
+        with pytest.raises(ParameterError, match=repr(key)):
+            phantom_from_dict(spec)
+
+
+class TestNonFinite:
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("edge", range(4))
+    def test_square_edges(self, edge, bad):
+        edges = [-0.5, 0.5, -0.25, 0.75]
+        edges[edge] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            SquareIndicator(*edges)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["center_x", "center_y", "semi_a",
+                                       "semi_b", "rotation"])
+    def test_ellipse_values(self, field, bad):
+        values = {"center_x": 0.1, "center_y": -0.2, "semi_a": 0.3,
+                  "semi_b": 0.2, "rotation": 0.4}
+        values[field] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            EllipseIndicator((values["center_x"], values["center_y"]),
+                             values["semi_a"], values["semi_b"],
+                             values["rotation"])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_sum_coefficients(self, bad):
+        with pytest.raises(ParameterError, match="finite"):
+            WeightedSum(((1.0, TEST_PHANTOM), (bad, SquareIndicator(0, 1, 0, 1))))
+
+    def test_nested_sum_coefficient_overflow(self):
+        # finite factors whose product is not: the flat coefficient is inf
+        inner = WeightedSum(((1e200, TEST_PHANTOM),))
+        with pytest.raises(ParameterError, match="finite"):
+            WeightedSum(((1e200, inner),))
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_spec_coefficient(self, literal):
+        spec = json.loads('{"type": "sum", "terms": [[%s, {"type": "square", '
+                          '"x_lo": 0, "x_hi": 1, "y_lo": 0, "y_hi": 1}]]}'
+                          % literal)
+        with pytest.raises(ParameterError, match="finite"):
             phantom_from_dict(spec)
