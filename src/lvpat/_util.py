@@ -160,6 +160,16 @@ def json_object(value, what: str, error: type = ParameterError,
     return value
 
 
+def required(mapping: dict, key: str, what: str,
+             error: type = ParameterError, kind: str = "key"):
+    """mapping[key], or `error` saying that `what` has no such key (or
+    section, by `kind`)."""
+    try:
+        return mapping[key]
+    except KeyError:
+        raise error(f"{what} has no {kind} {key!r}") from None
+
+
 def cholesky_lower(a: np.ndarray) -> tuple:
     """Lower Cholesky factor of a symmetric matrix and LAPACK-style info.
 

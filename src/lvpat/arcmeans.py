@@ -10,10 +10,10 @@ g(beta) of cos(beta) and sin(beta) is negative.  With beta = k pi/2 +
 2 arctan(t), the tangent half-angle t turns g = 0 into a quartic with real
 coefficients, solved row by row in real arithmetic (Ferrari, Cardano) and
 polished by a Newton step.  The crossings alternate the sign of g, so the
-measure is the sum of every other arc between the sorted crossings, or its
-complement by the sign of g at t = +-inf.  A weighted sum has no table
-of its own: the forward evaluates it term by term, so linear combinations
-of phantoms produce linear wave data.
+measure is the sum of every other arc between the crossings in angular
+order, or its complement by the sign of g at t = +-inf.  A weighted sum has
+no table of its own: the forward evaluates it term by term, so linear
+combinations of phantoms produce linear wave data.
 
 A table row is one (center, radius) pair: the center is either one point
 shared by every radius or one point per radius, so the whole boundary of a
@@ -200,6 +200,30 @@ def _ellipse_crossings(A, B, C, D) -> tuple:
     return rel, lead
 
 
+def _alternate_arcs(rel: np.ndarray) -> np.ndarray:
+    """S = (b1 - b0) + (b3 - b2) of each row's crossings b0 <= ... <= b3,
+    without a sort.
+
+    Quadratic j of the quartic fills slots j and j + 2, so the row's
+    crossings are the ends of two intervals I0 and I1, each real or NaN as
+    a pair, and S = |I0| + |I1| - 2 |I0 & I1|.  With both pairs real, b0
+    and b3 are the least low end and the greatest high end, and b1 <= b2
+    are the greater low end and the lesser high end, in order; S is summed
+    from these exactly as from the sorted crossings, so its bytes are the
+    same.  With one pair missing S is that pair's length plus 0.0, with
+    none 0.0, as the sorted sum counts a missing pair.
+    """
+    l0, h0 = np.fmin(rel[:, 0], rel[:, 2]), np.fmax(rel[:, 0], rel[:, 2])
+    l1, h1 = np.fmin(rel[:, 1], rel[:, 3]), np.fmax(rel[:, 1], rel[:, 3])
+    # NaN unless both pairs are real
+    m0, m1 = np.maximum(l0, l1), np.minimum(h0, h1)
+    both = ((np.minimum(m0, m1) - np.minimum(l0, l1))
+            + (np.maximum(h0, h1) - np.maximum(m0, m1)))
+    # fmax turns the NaN of a missing pair into 0
+    one = np.fmax(h0 - l0, 0.0) + np.fmax(h1 - l1, 0.0)
+    return np.where(np.isnan(both), one, both)
+
+
 def _ellipse_arc_measures(el: EllipseIndicator, cx, cy,
                           radii: np.ndarray) -> np.ndarray:
     """Arc measure inside the ellipse, by the alternation of its crossings.
@@ -212,12 +236,13 @@ def _ellipse_arc_measures(el: EllipseIndicator, cx, cy,
     (`_ellipse_crossings`) lie in the window (-pi, pi), over which
     beta - phi = 2 arctan(t) rises with t.  The quartic's real roots come in
     pairs from its two quadratics, so a row crosses 0, 2 or 4 times, a
-    double root (a tangency) counting as two equal crossings.  Sorted with
-    NaN last, b0 <= b1 <= b2 <= b3, g changes sign at each crossing and
-    keeps it across a double root, so the arcs [b0, b1] and [b2, b3] have
-    the sign opposite to that of the arc through phi + pi, the one at
-    t = +-inf.  With S = (b1 - b0) + (b3 - b2), a missing pair counting 0,
-    the measure is 2 pi - S where lead = g(phi + pi) < 0 and S otherwise;
+    double root (a tangency) counting as two equal crossings.  In order,
+    b0 <= b1 <= b2 <= b3, g changes sign at each crossing and keeps it
+    across a double root, so the arcs [b0, b1] and [b2, b3] have the sign
+    opposite to that of the arc through phi + pi, the one at t = +-inf.
+    With S = (b1 - b0) + (b3 - b2), a missing pair counting 0
+    (`_alternate_arcs`, which needs no sort), the measure is 2 pi - S where
+    lead = g(phi + pi) < 0 and S otherwise;
     |lead| >= scale/2, so lead is never 0.  On the other rows g is
     amp cos(beta - gamma) + D, amp = |(B, C)|, inside on an arc of
     2 pi - 2 arccos(-D/amp) where |D| <= amp, and everywhere or nowhere by
@@ -243,9 +268,7 @@ def _ellipse_arc_measures(el: EllipseIndicator, cx, cy,
     if np.any(quartic):
         idx = np.flatnonzero(quartic)
         rel, lead = _ellipse_crossings(A[idx], B[idx], C[idx], D[idx])
-        s = np.sort(rel, axis=1)
-        # fmax turns the NaN of a missing pair into 0
-        S = np.fmax(s[:, 1::2] - s[:, ::2], 0.0).sum(axis=1)
+        S = _alternate_arcs(rel)
         measure[idx] = np.where(lead < 0.0, TWO_PI - S, S)
 
     if not np.all(quartic):

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import json_object, load_json, number, numbers, serial_blas
+from ._util import (json_object, load_json, number, numbers, required,
+                    serial_blas)
 from .errors import (ContainerFormatError, DataMismatchError, ParameterError,
                      SingularTrainingSetError)
 from .extension import (build_training_set, extend, load_model, save_model,
@@ -47,6 +48,7 @@ _CONFIG_KEYS = ("geometry", "phantom", "box", "n_list", "grid", "out_dir",
                 "threads")
 _GEOMETRY_KEYS = ("a1", "a2", "spacing", "dt", "t_max", "gamma2_theta_lo",
                   "gamma2_theta_hi")
+_GRID_KEYS = ("origin", "h", "nx", "ny")
 
 
 @dataclass
@@ -64,42 +66,48 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         """The config at path, with its boundary, split and grid built.
 
-        Values of the wrong type or shape and keys that the config, its
-        geometry or its grid do not have raise ParameterError; so do values
-        out of range, from the objects they build."""
+        Missing keys, values of the wrong type or shape and keys that the
+        config, its geometry or its grid do not have raise ParameterError;
+        so do values out of range, from the objects they build."""
         path = Path(path)
         with open(path, "r", encoding="utf-8") as fh:
             raw = json_object(load_json(fh, f"config {path}"), "config",
                               keys=_CONFIG_KEYS)
         base = path.parent
-        g = json_object(raw["geometry"], "geometry", keys=_GEOMETRY_KEYS)
-        grid = json_object(raw["grid"], "grid", keys=("origin", "h", "nx", "ny"))
+        g = json_object(required(raw, "geometry", "config"), "geometry",
+                        keys=_GEOMETRY_KEYS)
+        grid = json_object(required(raw, "grid", "config"), "grid",
+                           keys=_GRID_KEYS)
         a1, a2, spacing, dt, t_max, theta_lo, theta_hi = (
-            number(g[key], f"geometry.{key}") for key in _GEOMETRY_KEYS)
+            number(required(g, key, "geometry"), f"geometry.{key}")
+            for key in _GEOMETRY_KEYS)
         domain = EllipseDomain(a1, a2)
         geometry = build_boundary(domain, spacing, dt, t_max)
         split = split_boundary(geometry, (theta_lo, theta_hi))
-        if not isinstance(raw["n_list"], list):
+        n_list = required(raw, "n_list", "config")
+        if not isinstance(n_list, list):
             raise ParameterError(f"n_list must be a list of [n_w, n_h] "
-                                 f"pairs, got {raw['n_list']!r}")
+                                 f"pairs, got {n_list!r}")
         n_list = sorted((numbers(pair, 2, "n_list entry", whole=True)
-                         for pair in raw["n_list"]), key=lambda p: p[0] * p[1])
+                         for pair in n_list), key=lambda p: p[0] * p[1])
         for n_w, n_h in n_list:
             if n_w != 2 * n_h:
                 warnings.warn(f"partition {n_w}x{n_h} does not follow n_w = 2*n_h")
-        phantom_path = _path(raw["phantom"], "phantom", base)
+        phantom_path = _path(required(raw, "phantom", "config"), "phantom",
+                             base)
         if not phantom_path.exists():
             raise ParameterError(f"phantom spec not found: {phantom_path}")
+        origin, h, nx, ny = (required(grid, key, "grid") for key in _GRID_KEYS)
         return cls(
             geometry=geometry,
             split=split,
-            grid=GridSpec(origin=numbers(grid["origin"], 2, "grid.origin"),
-                          h=number(grid["h"], "grid.h"),
-                          nx=number(grid["nx"], "grid.nx", whole=True),
-                          ny=number(grid["ny"], "grid.ny", whole=True),
+            grid=GridSpec(origin=numbers(origin, 2, "grid.origin"),
+                          h=number(h, "grid.h"),
+                          nx=number(nx, "grid.nx", whole=True),
+                          ny=number(ny, "grid.ny", whole=True),
                           domain=domain),
             phantom_path=phantom_path,
-            box=numbers(raw["box"], 4, "box"),
+            box=numbers(required(raw, "box", "config"), 4, "box"),
             n_list=n_list,
             out_dir=_path(raw.get("out_dir", "out"), "out_dir", base),
             threads=number(raw.get("threads", 1), "threads", whole=True,
@@ -390,7 +398,7 @@ def main(argv=None) -> int:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         code = _run_command(args, cfg)
     except (ParameterError, DataMismatchError, ContainerFormatError,
-            FileNotFoundError, KeyError) as exc:
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = CONFIG_ERROR_EXIT
     except (SingularTrainingSetError, np.linalg.LinAlgError,

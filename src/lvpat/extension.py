@@ -23,14 +23,14 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf
 
-from ._util import cholesky_lower, number, numbers, parallel_map
+from ._util import cholesky_lower, number, numbers, parallel_map, required
 from .errors import (ContainerFormatError, DataMismatchError, ParameterError,
                      SingularTrainingSetError)
 from .forward import (Part, WaveData, _boundary_wave_map, _check_supports,
                       _traces)
 from .geometry import BoundaryGeometry, BoundarySplit
 from .io import (dump_container, finite_section, node_index_section,
-                 read_container, read_meta, time_axis)
+                 read_container, read_meta, section, time_axis)
 from .phantoms import phantom_from_dict, phantom_to_dict
 
 RIDGE_START = 1e-12
@@ -314,10 +314,12 @@ def load_model(path, expected_fingerprint: str | None = None) -> ExtensionModel:
     with open(path, "rb") as fh:
         sections = dict(read_container(fh))
     meta = read_meta(sections)
-    if expected_fingerprint is not None and meta["fingerprint"] != expected_fingerprint:
+    fingerprint = required(meta, "fingerprint", "model meta",
+                           ContainerFormatError)
+    if expected_fingerprint is not None and fingerprint != expected_fingerprint:
         raise DataMismatchError("model belongs to a different geometry/split")
-    u1_idx = node_index_section("u1_idx", sections["u1_idx"])
-    u2_idx = node_index_section("u2_idx", sections["u2_idx"])
+    u1_idx = node_index_section("u1_idx", section(sections, "u1_idx", "model"))
+    u2_idx = node_index_section("u2_idx", section(sections, "u2_idx", "model"))
     if np.intersect1d(u1_idx, u2_idx).size:
         raise ContainerFormatError("sections 'u1_idx' and 'u2_idx' share node indices")
     # distinct indices, all below their count: exactly 0 .. n_nodes - 1
@@ -340,13 +342,13 @@ def load_model(path, expected_fingerprint: str | None = None) -> ExtensionModel:
                                    f"distinct phantom indices in [0, {n})")
     for name, shape in (("gram", (n, n)), ("u1", (n, len(u1_idx), n_time)),
                         ("u2", (n, len(u2_idx), n_time))):
-        finite_section(name, sections[name])
+        finite_section(name, section(sections, name, "model"))
         if sections[name].shape != shape:
             raise ContainerFormatError(f"section {name!r} has shape "
                                        f"{sections[name].shape}, expected {shape}")
     ts = TrainingSet(phantoms=phantoms, u1_idx=u1_idx, u2_idx=u2_idx,
                      u1_samples=sections["u1"], u2_samples=sections["u2"],
-                     dt=dt, fingerprint=meta["fingerprint"],
+                     dt=dt, fingerprint=fingerprint,
                      outside_detection=outside)
     chol, ridge = factorize(sections["gram"])
     return ExtensionModel(training=ts, gram=sections["gram"], chol_lower=chol,

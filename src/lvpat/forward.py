@@ -11,12 +11,13 @@ nodes, or the one point of `wave_trace`), and returns the traces of every
 phantom at every point of each part.  It tabulates M_r once for every
 (part, phantom, point) row and every term of the phantom (a square or an
 ellipse is one term, a weighted sum has one per nonzero coefficient).  Each
-(row, term) pair gets a window of a uniform radius grid that covers the
-term's support annulus (see `phantoms.radial_extent`: exact for boxes, a
-rigorous enclosure for ellipses), and the means come from the exact arc
-measures (see `arcmeans`), scaled by the term's coefficient: the rows of all
-box terms of a block in one evaluation with the edges gathered per row, each
-ellipse term's rows in one mean-table call.
+(row, term) pair gets the window of a uniform radius grid that covers the
+term's support annulus lo <= r <= hi and ends there, floor(lo/dr) to
+ceil(hi/dr) (see `phantoms.radial_extent`: exact for boxes, a rigorous
+enclosure for ellipses); the means beyond it are exactly 0.0.  The means
+come from the exact arc measures (see `arcmeans`), scaled by the term's
+coefficient: the rows of all box terms of a block in one evaluation with the
+edges gathered per row, each ellipse term's rows in one mean-table call.
 
 The rows of one (part, phantom) are cut into tiles of _TILE consecutive
 points.  A tile is a dense (rows, radius nodes) matrix over its span, the
@@ -68,12 +69,14 @@ from .phantoms import (EllipseIndicator, Phantom, SquareIndicator, WeightedSum,
 _DR_FACTOR = 0.25
 
 # points per tile: the rows of one (part, phantom) are cut into tiles of this
-# many consecutive points, and each tile's product is one dense GEMM.  A
-# boundary node's neighbours see a phantom at nearly the same distances, so
-# their windows share most columns: on one forward-mix pass (one thread, 2-core
-# x86-64) the GEMMs of 32-point tiles took 0.07 s and building the tiles
-# 0.02 s, against 0.30 s for the sparse product they replace.
-_TILE = 32
+# many consecutive points, and each tile's product is one dense GEMM over the
+# tile's nonzero columns.  Narrow windows that shift from node to node, as a
+# training cell's do, leave a long tile mostly zeros: over the three training
+# sets of the benchmark's pipeline (step 0.04, threads 2, 2-core x86-64),
+# 16-point tiles are 37 % nonzero against 23 % at 32 points, and the sets
+# build in 75-77 ms against 80 ms.  Large phantoms lose a little: one
+# forward-mix pass took 174 ms against 168-170 ms.
+_TILE = 16
 
 # table entries per block of tiles: each part's tiles are cut into
 # ceil(entries / _CHUNK_ROWS) blocks of whole tiles with about equal entry
@@ -248,17 +251,18 @@ def _traces(phantoms, parts, wm: _WaveMap, threads: int = 1) -> list:
     and phantom-major within a part.  For every nonzero term of the phantom,
     the point's radius window [j_lo, j_hi] covers the term's `radial_extent`
     about the point (exact for boxes; for ellipses from boundary samples
-    widened by their spacing), with two grid steps of margin on each side,
-    and the row holds its windows in term order.  The rows of each (part,
-    phantom) are cut into tiles of _TILE points, and each part's tiles into
-    blocks of whole tiles with about _CHUNK_ROWS entries each, cut from the
-    window counts alone.  Per block, the rows of all box terms go through
-    one box mean evaluation with the edges gathered per entry, and each
-    ellipse term's rows through one mean-table call; each mean is scaled by
-    its term's coefficient.  `_dense_tiles` lays the means out as dense
-    tiles, and each tile's GEMM with the differenced wave map, from the
-    first time column its span can reach (`_WaveMap.first_k`), writes its
-    rows of the zeroed output.  The pass runs inside `serial_blas`.
+    widened by their spacing): j_lo = floor(lo / dr), j_hi = ceil(hi / dr).
+    The means beyond it are exactly 0.0.  The row holds its windows in term
+    order.  The rows of each (part, phantom) are cut into tiles of _TILE
+    points, and each part's tiles into blocks of whole tiles with about
+    _CHUNK_ROWS entries each, cut from the window counts alone.  Per block,
+    the rows of all box terms go through one box mean evaluation with the
+    edges gathered per entry, and each ellipse term's rows through one
+    mean-table call; each mean is scaled by its term's coefficient.
+    `_dense_tiles` lays the means out as dense tiles, and each tile's GEMM
+    with the differenced wave map, from the first time column its span can
+    reach (`_WaveMap.first_k`), writes its rows of the zeroed output.  The
+    pass runs inside `serial_blas`.
     """
     # the nonzero terms of all phantoms, phantom by phantom in term order
     terms, owner = [], []
@@ -280,8 +284,8 @@ def _traces(phantoms, parts, wm: _WaveMap, threads: int = 1) -> list:
     counts = np.zeros((len(terms), m), dtype=int)
     for t, (_, q) in enumerate(terms):
         lo, hi = radial_extent(q, points)
-        j_lo[t] = np.maximum(0, np.floor(lo / wm.dr).astype(int) - 2)
-        j_hi = np.minimum(n_col - 1, np.ceil(hi / wm.dr).astype(int) + 2)
+        j_lo[t] = np.floor(lo / wm.dr).astype(int)
+        j_hi = np.minimum(n_col - 1, np.ceil(hi / wm.dr).astype(int))
         # no rows for a point the wave does not reach by t_max
         counts[t] = np.where(j_lo[t] < n_col - 1, j_hi - j_lo[t] + 1, 0)
     # a window past the map's rows reads the full map of its time grid

@@ -18,7 +18,7 @@ from io import SEEK_END
 
 import numpy as np
 
-from ._util import number, numbers
+from ._util import number, numbers, required
 from .errors import ContainerFormatError, ParameterError
 from .forward import Part, WaveData
 from .metrics import ErrorReport
@@ -135,6 +135,12 @@ def read_container(fh):
     return sections
 
 
+def section(sections: dict, name: str, what: str) -> np.ndarray:
+    """The section `name` of a container, or ContainerFormatError naming
+    the container, `what`."""
+    return required(sections, name, what, ContainerFormatError, "section")
+
+
 def finite_section(name: str, arr: np.ndarray) -> np.ndarray:
     """arr itself; ContainerFormatError if it holds NaN or infinity.
 
@@ -193,16 +199,21 @@ def read_wave_data(path) -> WaveData:
         sections = dict(read_container(fh))
     meta = read_meta(sections)
     dt, n_time = time_axis(meta)
+    part = required(meta, "part", "wave-data meta", ContainerFormatError)
     try:
-        part = Part(meta.get("part"))
+        part = Part(part)
     except ValueError:
-        raise ContainerFormatError(f"part {meta.get('part')!r} is not one of "
+        raise ContainerFormatError(f"part {part!r} is not one of "
                                    f"{[p.value for p in Part]}") from None
-    return WaveData(part=part,
-                    node_idx=node_index_section("node_idx", sections["node_idx"]),
-                    dt=dt, n_time=n_time,
-                    samples=finite_section("samples", sections["samples"]),
-                    fingerprint=meta["fingerprint"])
+    return WaveData(
+        part=part,
+        node_idx=node_index_section(
+            "node_idx", section(sections, "node_idx", "wave data")),
+        dt=dt, n_time=n_time,
+        samples=finite_section("samples",
+                               section(sections, "samples", "wave data")),
+        fingerprint=required(meta, "fingerprint", "wave-data meta",
+                             ContainerFormatError))
 
 
 def write_image_field(f: ImageField, path) -> None:
@@ -223,11 +234,12 @@ def read_image_field(path) -> ImageField:
         raise ContainerFormatError(f"image origin {origin} is not finite")
     h = number(meta.get("h"), "image grid step h", ContainerFormatError,
                positive=True)
-    mask = sections["mask"]
+    mask = section(sections, "mask", "image field")
     if not np.all((mask == 0.0) | (mask == 1.0)):
         raise ContainerFormatError("section 'mask' holds entries other than 0 and 1")
     return ImageField(origin=origin, h=h,
-                      values=finite_section("values", sections["values"]),
+                      values=finite_section(
+                          "values", section(sections, "values", "image field")),
                       domain_mask=mask == 1.0)
 
 

@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from ._util import json_object, number, numbers
+from ._util import json_object, number, numbers, required
 from .errors import ParameterError
 from .geometry import EllipseDomain
 
@@ -351,23 +351,28 @@ _SPEC_KEYS = {"square": ("type", "x_lo", "x_hi", "y_lo", "y_hi"),
 
 def phantom_from_dict(spec: dict) -> Phantom:
     """The phantom a spec (as written by `phantom_to_dict`) describes; a
-    spec that is not an object, with a key its type does not have,
-    non-number values, a center that is not two numbers or terms that are
-    not [coefficient, spec] pairs raises ParameterError."""
-    kind = json_object(spec, "phantom spec").get("type")
+    spec that is not an object, without a key its type needs (all but an
+    ellipse's rotation), with a key its type does not have, non-number
+    values, a center that is not two numbers or terms that are not
+    [coefficient, spec] pairs raises ParameterError."""
+    kind = required(json_object(spec, "phantom spec"), "type", "phantom spec")
     if isinstance(kind, str) and kind in _SPEC_KEYS:
         json_object(spec, f"{kind} spec", keys=_SPEC_KEYS[kind])
+
+    def value(key):
+        return required(spec, key, f"{kind} spec")
+
     if kind == "square":
-        return SquareIndicator(*(number(spec[k], f"square {k}")
+        return SquareIndicator(*(number(value(k), f"square {k}")
                                  for k in ("x_lo", "x_hi", "y_lo", "y_hi")))
     if kind == "ellipse":
-        return EllipseIndicator(numbers(spec["center"], 2, "ellipse center"),
-                                number(spec["semi_a"], "ellipse semi_a"),
-                                number(spec["semi_b"], "ellipse semi_b"),
+        return EllipseIndicator(numbers(value("center"), 2, "ellipse center"),
+                                number(value("semi_a"), "ellipse semi_a"),
+                                number(value("semi_b"), "ellipse semi_b"),
                                 number(spec.get("rotation", 0.0),
                                        "ellipse rotation"))
     if kind == "sum":
-        terms = spec["terms"]
+        terms = value("terms")
         if not isinstance(terms, list) or \
            not all(isinstance(t, list) and len(t) == 2 for t in terms):
             raise ParameterError(f"sum terms must be [coefficient, spec] "

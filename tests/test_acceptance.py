@@ -302,8 +302,10 @@ def test_c7_timing_structure(reduced_experiment):
             f"{name}: extend {t['extend']:.3f}s > 10% of train {t['train']:.3f}s")
     big = timings["32x16"]
     assert big["extend"] <= 10.0 * big["reconstruct"]
-    pretty = ", ".join(f"{k}: train {v['train']:.1f}s extend {v['extend']:.3f}s "
-                       f"recon {v['reconstruct']:.1f}s" for k, v in timings.items())
+    pretty = ", ".join(
+        f"{k}: train {1e3 * v['train']:.1f} ms extend {1e3 * v['extend']:.1f} ms "
+        f"({100 * v['extend'] / v['train']:.1f} %) recon "
+        f"{1e3 * v['reconstruct']:.1f} ms" for k, v in timings.items())
     print(f"\n[criterion 7] timings: {pretty} -> PASS")
 
 

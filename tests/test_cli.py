@@ -181,6 +181,46 @@ class TestConfig:
         assert message in err[0]
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("section, key", [
+        *((None, key) for key in ("geometry", "phantom", "box", "n_list",
+                                  "grid")),
+        *(("geometry", key) for key in ("a1", "a2", "spacing", "dt", "t_max",
+                                        "gamma2_theta_lo", "gamma2_theta_hi")),
+        *(("grid", key) for key in ("origin", "h", "nx", "ny"))])
+    def test_missing_config_key_is_config_error(self, tmp_path, smoke_config,
+                                                capsys, section, key):
+        raw = json.loads(smoke_config.read_text())
+        del (raw[section] if section else raw)[key]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        before = sorted(tmp_path.iterdir())
+        assert main(["train", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {section or 'config'} has no key {key!r}"]
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("kind, key", [
+        *(("square", key) for key in ("type", "x_lo", "x_hi", "y_lo", "y_hi")),
+        *(("ellipse", key) for key in ("center", "semi_a", "semi_b")),
+        ("sum", "terms")])
+    def test_missing_phantom_key_is_config_error(self, tmp_path, smoke_config,
+                                                 capsys, kind, key):
+        square = {"type": "square", "x_lo": -0.5, "x_hi": 0.0,
+                  "y_lo": -0.5, "y_hi": 0.0}
+        spec = {"square": square,
+                "ellipse": {"type": "ellipse", "center": [-0.5, -0.2],
+                            "semi_a": 0.3, "semi_b": 0.2, "rotation": 0.4},
+                "sum": {"type": "sum", "terms": [[1.0, square]]}}[kind]
+        del spec[key]
+        phantom = tmp_path / "phantom.json"
+        phantom.write_text(json.dumps(spec))
+        assert main(["simulate", "--config", str(smoke_config), "--phantom",
+                     str(phantom), "--out", str(tmp_path / "out")]) == 2
+        what = "phantom spec" if key == "type" else f"{kind} spec"
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {what} has no key {key!r}"]
+        assert not (tmp_path / "out").exists()
+
     def test_off_rule_partition_warns(self, tmp_path, smoke_config):
         raw = json.loads(smoke_config.read_text())
         raw["n_list"] = [[3, 2]]
@@ -408,6 +448,54 @@ class TestSubcommands:
                    "--data", str(data_path), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("drop, message", [
+        ("fingerprint", "wave-data meta has no key 'fingerprint'"),
+        ("part", "wave-data meta has no key 'part'"),
+        ("node_idx", "wave data has no section 'node_idx'"),
+        ("samples", "wave data has no section 'samples'"),
+    ])
+    def test_reconstruct_data_without_key_is_config_error(
+            self, tmp_path, smoke_config, capsys, drop, message):
+        meta = {"dt": 0.1, "fingerprint": "cafef00d", "n_time": 4,
+                "part": "full"}
+        meta.pop(drop, None)
+        sections = [("meta", json.dumps(meta)), ("node_idx", np.arange(3.0)),
+                    ("samples", np.zeros((3, 4)))]
+        data_path = tmp_path / "data.patb"
+        data_path.write_bytes(write_container(
+            [(name, value) for name, value in sections if name != drop]))
+        rc = main(["reconstruct", "--config", str(smoke_config),
+                   "--data", str(data_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("drop, message", [
+        ("fingerprint", "model meta has no key 'fingerprint'"),
+        ("gram", "model has no section 'gram'"),
+    ])
+    def test_extend_model_without_key_is_config_error(
+            self, tmp_path, smoke_config, capsys, drop, message):
+        from lvpat.io import read_container
+        out = tmp_path / "out"
+        main(["train", "--config", str(smoke_config), "--out", str(out)])
+        main(["simulate", "--config", str(smoke_config), "--phantom",
+              str(tmp_path / "phantom_reference.json"), "--part", "gamma1",
+              "--out", str(out)])
+        model_path = out / "model_4x2.patb"
+        sections = dict(read_container(BytesIO(model_path.read_bytes())))
+        meta = json.loads(sections["meta"])
+        meta.pop(drop, None)
+        sections["meta"] = json.dumps(meta)
+        sections.pop(drop, None)
+        model_path.write_bytes(write_container(list(sections.items())))
+        capsys.readouterr()
+        rc = main(["extend", "--config", str(smoke_config),
+                   "--model", str(model_path),
+                   "--data", str(out / "data_gamma1.patb"), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (out / "extended_4x2.patb").exists()
 
     def test_extend_names_output_by_partition_shape(self, tmp_path,
                                                     smoke_config):

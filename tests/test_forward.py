@@ -313,8 +313,8 @@ def radius_window(p, x, wm):
 
 def extent_window(q, x, wm):
     """(j_lo, j_hi) of the radius grid covering the support of the box or
-    ellipse q as seen from x, with two steps of margin; None past the last
-    radius node.  A box's support lies between its distance from x (0
+    ellipse q as seen from x, floor(near / dr) to ceil(far / dr); None past
+    the last radius node.  A box's support lies between its distance from x (0
     inside) and its farthest corner; an ellipse's between the nearest and
     farthest of 256 parametric boundary samples, each widened by
     max(semi_a, semi_b) * pi / 256, and from 0 when x is inside."""
@@ -334,8 +334,8 @@ def extent_window(q, x, wm):
         near = 0.0 if inside else max(np.sqrt(d2.min()) - slack, 0.0)
         far = np.sqrt(d2.max()) + slack
     n_col = wm.n_radii
-    j_lo = max(0, int(np.floor(near / wm.dr)) - 2)
-    j_hi = min(n_col - 1, int(np.ceil(far / wm.dr)) + 2)
+    j_lo = int(np.floor(near / wm.dr))
+    j_hi = min(n_col - 1, int(np.ceil(far / wm.dr)))
     return None if j_lo >= n_col - 1 else (j_lo, j_hi)
 
 
@@ -364,6 +364,20 @@ WINDOW_CASES = {
         (0.5, WeightedSum(((1.0, SquareIndicator(-1.0, -0.4, -0.6, 0.1)),
                            (-2.0, TEST_PHANTOM)))),
         (1.5, EllipseIndicator((0.9, 0.1), 0.15, 0.4, 2.0)))),
+}
+
+
+# Terms for the window edges on coarse_geom (dr = 0.0125): a box, a
+# rotated ellipse, an ellipse smaller than dr, an ellipse that ends 2 dr
+# from the node at (-2, 0), and a sum of a box, an ellipse and a tiny box.
+WINDOW_EDGE_CASES = {
+    "square": SquareIndicator(-1.0, -0.4, -0.6, 0.1),
+    "rotated_ellipse": TEST_PHANTOM,
+    "tiny_ellipse": EllipseIndicator((0.3, -0.2), 0.004, 0.002, 1.0),
+    "ellipse_near_node": EllipseIndicator((-1.86, 0.0), 0.12, 0.06, 0.2),
+    "sum": WeightedSum(((0.7, SquareIndicator(-1.0, -0.4, -0.6, 0.1)),
+                        (-1.3, TEST_PHANTOM),
+                        (0.5, SquareIndicator(0.3, 0.3001, -0.2, -0.1999)))),
 }
 
 
@@ -812,6 +826,61 @@ class TestCircularMean:
         assert counts == {0, 2, 4}
         assert linear > 0
 
+    def test_alternation_without_sort_matches_sorted_crossings(self):
+        # quadratic j fills slots j and j + 2, so a row's crossings are the
+        # ends of two intervals, each real or NaN as a pair; the sum of
+        # every other arc between them in order, without a sort, has the
+        # bytes of the sorted sum (NaN last, a missing pair counting 0)
+        rng = np.random.default_rng(53)
+        n = 5000
+
+        def sorted_alternation(rel):
+            s = np.sort(rel, axis=1)
+            return np.fmax(s[:, 1::2] - s[:, ::2], 0.0).sum(axis=1)
+
+        def rows(lo0, hi0, lo1, hi1):
+            # either interval as I0, and each one's ends in either slot
+            pairs = np.stack([np.stack([lo0, hi0], -1),
+                              np.stack([lo1, hi1], -1)], 1)
+            pairs = np.take_along_axis(
+                pairs, rng.permuted(np.tile([0, 1], (n, 1)), axis=1)[..., None],
+                axis=1)
+            pairs = np.take_along_axis(
+                pairs, rng.permuted(np.tile([0, 1], (n, 2, 1)), axis=2), axis=2)
+            return pairs.transpose(0, 2, 1).reshape(n, 4)
+
+        b = np.sort(rng.uniform(-np.pi, np.pi, (n, 4)), axis=1)
+        # ties among crossings on a coarse grid
+        b[: n // 2] = np.sort(np.round(b[: n // 2], 1), axis=1)
+        nan = np.full(n, np.nan)
+        b0, b1, b2, b3 = b.T
+        cases = {
+            "disjoint": rows(b0, b1, b2, b3),
+            "nested": rows(b0, b3, b1, b2),
+            "overlapping": rows(b0, b2, b1, b3),
+            "touching": rows(b0, b1, b1, b3),
+            "one pair": rows(b0, b3, nan, nan),
+            "no pair": rows(nan, nan, nan, nan),
+            "tangency": rows(b1, b1, b0, b3),
+            "tangency outside": rows(b0, b1, b3, b3),
+            "tangency alone": rows(b2, b2, nan, nan),
+        }
+        # and the crossings of quartic rows of a rotated ellipse
+        el = EllipseIndicator((0.1, -0.2), 0.6, 0.15, 0.7)
+        centers = np.array(el.center) + rng.uniform(-1.0, 1.0, (n, 2))
+        radii = rng.uniform(0.0, 1.5, n)
+        centers[: n // 4] = el.center
+        radii[: n // 4] = rng.uniform(0.16, 0.59, n // 4)
+        A, B, C, D, scale = crossing_coefficients(el, centers[:, 0],
+                                                  centers[:, 1], radii)
+        quartic = np.abs(A) > 1e-12 * scale
+        cases["ellipse"], _ = _ellipse_crossings(A[quartic], B[quartic],
+                                                 C[quartic], D[quartic])
+        for name, rel in cases.items():
+            got = arcmeans._alternate_arcs(rel)
+            assert got.tobytes() == sorted_alternation(rel).tobytes(), name
+        assert {0, 2, 4} <= set(np.sum(~np.isnan(cases["ellipse"]), 1).tolist())
+
     def test_degenerate_ellipse_rows(self):
         rows = axis_ellipse_rows()
         centers = np.array([c for c, _, _ in rows])
@@ -1090,9 +1159,42 @@ class TestSimulate:
         # a 1e-4 square's bounding circle is as tight as its extent
         assert dropped > 0 or name == "tiny_square"
 
+    @pytest.mark.parametrize("name", sorted(WINDOW_EDGE_CASES))
+    def test_means_beside_windows_are_zero(self, coarse_geom, coarse_split,
+                                           name, monkeypatch):
+        # each (term, node) window runs from floor(lo / dr) to
+        # ceil(hi / dr) of the term's extent, with no margin: the means one
+        # grid step before and after it, where those radii exist, are
+        # exactly 0.0, so the windows leave out only zeros
+        p = WINDOW_EDGE_CASES[name]
+        _, _, calls, _ = simulate_recorded(p, coarse_geom, coarse_split, 1,
+                                           monkeypatch)
+        wm = _wave_map(coarse_geom.dt, coarse_geom.n_time)
+        node = np.concatenate([coarse_split.gamma1_idx, coarse_split.gamma2_idx])
+        checked = {"before": 0, "after": 0}
+        for e in calls:
+            j = np.rint(e.radii / wm.dr).astype(int)
+            order = np.lexsort((j, e.rows))
+            rows, j = e.rows[order], j[order]
+            first = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+            j_lo = np.minimum.reduceat(j, first)
+            j_hi = np.maximum.reduceat(j, first)
+            # one window per (term, row), every radius in it evaluated once
+            assert np.array_equal(np.diff(np.r_[first, len(j)]),
+                                  j_hi - j_lo + 1)
+            x = coarse_geom.positions[node[rows[first]]]
+            for side, beside, exists in (
+                    ("before", j_lo - 1, j_lo >= 1),
+                    ("after", j_hi + 1, j_hi + 1 < wm.n_radii)):
+                means = exact_mean_table(e.term, x[exists],
+                                         wm.dr * beside[exists])
+                assert np.all(means == 0.0), (name, side)
+                checked[side] += int(np.count_nonzero(exists))
+        assert checked["before"] > 0 and checked["after"] > 0
+
     def test_tile_spans_are_nonzero_columns(self, medium_geom, medium_split,
                                             monkeypatch):
-        # the windows' margins hold exact zeros, which no tile keeps: a tile
+        # the windows' edges can hold exact zeros, which no tile keeps: a tile
         # spans its first to its last nonzero column and holds the sums of
         # its rows' means, and only tiles with a nonzero mean are built
         p = WINDOW_CASES["nested_sum"]
