@@ -23,14 +23,13 @@ from .errors import (ContainerFormatError, DataMismatchError, ParameterError,
 from .extension import (build_training_set, extend, load_model, save_model,
                         stitch, train_extension_model, zero_extend)
 from .forward import Part, WaveData, restrict_wave_data, simulate_wave_data
-from .geometry import (BoundaryGeometry, BoundarySplit, EllipseDomain,
-                       build_boundary, split_boundary)
+from .geometry import BoundaryGeometry, BoundarySplit, read_geometry
 from .inversion import reconstruct
 from .io import (export_csv, export_pgm, read_image_field, read_wave_data,
                  write_image_field, write_wave_data)
 from .metrics import ErrorReport, e2_error, subspace_distance
-from .phantoms import (GridSpec, ImageField, SquareIndicator,
-                       phantom_from_dict, rasterize, training_partition)
+from .phantoms import (GridSpec, ImageField, phantom_from_dict, rasterize,
+                       training_partition)
 
 CONFIG_ERROR_EXIT = 2
 NUMERIC_ERROR_EXIT = 3
@@ -43,11 +42,9 @@ def _path(value, what: str, base: Path) -> Path:
     return (base / value).resolve()
 
 
-# the keys a config and its geometry may hold; any other key is an error
+# the keys a config and its grid may hold; any other key is an error
 _CONFIG_KEYS = ("geometry", "phantom", "box", "n_list", "grid", "out_dir",
                 "threads")
-_GEOMETRY_KEYS = ("a1", "a2", "spacing", "dt", "t_max", "gamma2_theta_lo",
-                  "gamma2_theta_hi")
 _GRID_KEYS = ("origin", "h", "nx", "ny")
 
 
@@ -74,16 +71,10 @@ class ExperimentConfig:
             raw = json_object(load_json(fh, f"config {path}"), "config",
                               keys=_CONFIG_KEYS)
         base = path.parent
-        g = json_object(required(raw, "geometry", "config"), "geometry",
-                        keys=_GEOMETRY_KEYS)
+        geometry, split = read_geometry(required(raw, "geometry", "config"),
+                                        "geometry")
         grid = json_object(required(raw, "grid", "config"), "grid",
                            keys=_GRID_KEYS)
-        a1, a2, spacing, dt, t_max, theta_lo, theta_hi = (
-            number(required(g, key, "geometry"), f"geometry.{key}")
-            for key in _GEOMETRY_KEYS)
-        domain = EllipseDomain(a1, a2)
-        geometry = build_boundary(domain, spacing, dt, t_max)
-        split = split_boundary(geometry, (theta_lo, theta_hi))
         n_list = required(raw, "n_list", "config")
         if not isinstance(n_list, list):
             raise ParameterError(f"n_list must be a list of [n_w, n_h] "
@@ -105,7 +96,7 @@ class ExperimentConfig:
                           h=number(h, "grid.h"),
                           nx=number(nx, "grid.nx", whole=True),
                           ny=number(ny, "grid.ny", whole=True),
-                          domain=domain),
+                          domain=geometry.domain),
             phantom_path=phantom_path,
             box=numbers(required(raw, "box", "config"), 4, "box"),
             n_list=n_list,
@@ -126,16 +117,6 @@ class ExperimentConfig:
 
 def _variant_name(n_w: int, n_h: int) -> str:
     return f"{n_w}x{n_h}"
-
-
-def _partition_shape(phantoms) -> tuple:
-    """(n_w, n_h) of a square training partition, read off its cell corners."""
-    if not all(isinstance(p, SquareIndicator) for p in phantoms):
-        raise ParameterError("model phantoms are not a square partition")
-    n_w, n_h = len({p.x_lo for p in phantoms}), len({p.y_lo for p in phantoms})
-    if n_w * n_h != len(phantoms):
-        raise ParameterError(f"model phantoms do not tile {n_w}x{n_h} cells")
-    return n_w, n_h
 
 
 def _gray_range(field: ImageField, pad: float) -> tuple:
@@ -169,7 +150,8 @@ def _train(cfg: ExperimentConfig, n_w, n_h):
     ts = build_training_set(training_partition(cfg.box, n_w, n_h),
                             cfg.geometry, cfg.split, threads=cfg.threads)
     model = train_extension_model(ts, cfg.geometry, cfg.threads)
-    return model, time.perf_counter() - t0
+    return (replace(model, partition=(n_w, n_h, cfg.box)),
+            time.perf_counter() - t0)
 
 
 def _extend(cfg: ExperimentConfig, model, u1: WaveData):
@@ -219,9 +201,12 @@ def cmd_train(cfg: ExperimentConfig) -> int:
 
 def cmd_extend(cfg: ExperimentConfig, model_path, data_path) -> int:
     u1 = read_wave_data(data_path)
-    model = load_model(model_path, expected_fingerprint=cfg.split.fingerprint())
+    model = load_model(model_path, expected_fingerprint=cfg.split.fingerprint(),
+                       threads=cfg.threads)
+    if model.partition is None:
+        raise ParameterError("model holds no square partition shape")
     u2_hat, stitched, elapsed = _extend(cfg, model, u1)
-    name = _variant_name(*_partition_shape(model.training.phantoms))
+    name = _variant_name(*model.partition[:2])
     full_path = cfg.out_dir / f"extended_{name}.patb"
     _write_wave(u2_hat, cfg.out_dir / f"gamma2_hat_{name}.patb")
     _write_wave(stitched, full_path)

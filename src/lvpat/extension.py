@@ -11,6 +11,9 @@ The traces are two contiguous tensors, U1 (n, |gamma1|, T) and U2
 (n, |gamma2|, T).  The nodes are equidistant in arc length, so every sample
 weighs ds * dt: the Gram matrix is a sum of SYRKs over fixed blocks of
 gamma1 nodes of U1 as stored, extension two GEMVs.
+
+A saved model holds its recipe, not its traces: the forward is deterministic,
+so loading simulates the traces again from the stored geometry and phantoms.
 """
 
 from __future__ import annotations
@@ -20,21 +23,24 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf
 
-from ._util import cholesky_lower, number, numbers, parallel_map, required
+from ._util import cholesky_lower, numbers, parallel_map, required
 from .errors import (ContainerFormatError, DataMismatchError, ParameterError,
                      SingularTrainingSetError)
 from .forward import (Part, WaveData, _boundary_wave_map, _check_supports,
                       _traces)
-from .geometry import BoundaryGeometry, BoundarySplit
-from .io import (dump_container, finite_section, node_index_section,
-                 read_container, read_meta, section, time_axis)
-from .phantoms import phantom_from_dict, phantom_to_dict
+from .geometry import (BoundaryGeometry, BoundarySplit, geometry_object,
+                       read_geometry)
+from .io import (dump_container, finite_section, read_container, read_meta,
+                 section)
+from .phantoms import phantom_from_dict, phantom_to_dict, training_partition
 
 RIDGE_START = 1e-12
 RIDGE_CAP = 1e-6
+GRAM_CHECK_RTOL = 1e-12  # a loaded Gram's diagonal against its traces
 PROJECT_BLOCK_ROWS = 16
 GRAM_BLOCKS = 8
 
@@ -43,30 +49,27 @@ GRAM_BLOCKS = 8
 class TrainingSet:
     """Simulated limited-view/missing-part trace pairs for training phantoms.
 
-    u1_samples[k] holds phantom k's traces at the gamma1 nodes u1_idx and
-    u2_samples[k] those at the gamma2 nodes u2_idx, each with T samples at
-    step dt.  outside_detection lists indices of phantoms whose support
-    pokes out of the detection region; their extension problem is unstable,
-    which is worth knowing but not fatal.
+    u1_samples[k] holds phantom k's traces at the gamma1 nodes of split and
+    u2_samples[k] those at its gamma2 nodes, over the geometry's time grid.
+    outside_detection lists indices of phantoms whose support pokes out of
+    the detection region; their extension problem is unstable, which is
+    worth knowing but not fatal.
     """
 
     phantoms: list
-    u1_idx: np.ndarray
-    u2_idx: np.ndarray
+    split: BoundarySplit
     u1_samples: np.ndarray  # (n, |gamma1|, T)
     u2_samples: np.ndarray  # (n, |gamma2|, T)
-    dt: float
-    fingerprint: str
     outside_detection: tuple = ()
 
     def __post_init__(self):
-        n, t = len(self.phantoms), self.u1_samples.shape[-1:]
+        n, s, t = len(self.phantoms), self.split, self.split.geometry.n_time
         if n < 1:
             raise ParameterError("training set must not be empty")
-        if self.u1_samples.shape != (n, len(self.u1_idx), *t) or \
-           self.u2_samples.shape != (n, len(self.u2_idx), *t):
+        if self.u1_samples.shape != (n, len(s.gamma1_idx), t) or \
+           self.u2_samples.shape != (n, len(s.gamma2_idx), t):
             raise ParameterError("training tensors disagree with the phantom "
-                                 "count, node indices or time steps")
+                                 "count or the split's nodes and time steps")
 
     @property
     def n(self) -> int:
@@ -75,30 +78,34 @@ class TrainingSet:
     def _views(self, part: Part, idx, samples) -> list:
         read_only = samples.view()
         read_only.flags.writeable = False
-        return [WaveData(part, idx, self.dt, samples.shape[2], s,
-                         self.fingerprint) for s in read_only]
+        dt, fp = self.split.geometry.dt, self.split.fingerprint()
+        return [WaveData(part, idx, dt, samples.shape[2], s, fp)
+                for s in read_only]
 
     @property
     def u1(self) -> list:
         """Per-phantom gamma1 WaveData, read-only views of u1_samples (no copy);
         u1/u2 serve callers outside lvpat, such as `perfbench/spans.py`."""
-        return self._views(Part.GAMMA1, self.u1_idx, self.u1_samples)
+        return self._views(Part.GAMMA1, self.split.gamma1_idx, self.u1_samples)
 
     @property
     def u2(self) -> list:
         """Per-phantom gamma2 WaveData: read-only views of u2_samples, no copy."""
-        return self._views(Part.GAMMA2, self.u2_idx, self.u2_samples)
+        return self._views(Part.GAMMA2, self.split.gamma2_idx, self.u2_samples)
 
 
 @dataclass
 class ExtensionModel:
-    """Trained extension operator: Gram factorization plus the gamma2 traces."""
+    """Trained extension operator: the training set (split, phantoms and
+    traces) and the Gram matrix with its factorization; partition is
+    (n_w, n_h, box) when the phantoms are `training_partition(box, n_w, n_h)`.
+    """
 
     training: TrainingSet
     gram: np.ndarray
     chol_lower: np.ndarray
     ridge: float
-    ds: float  # arc weight of every boundary node; a sample weighs ds * dt
+    partition: tuple | None = None
 
     @property
     def n(self) -> int:
@@ -106,7 +113,7 @@ class ExtensionModel:
 
     @property
     def fingerprint(self) -> str:
-        return self.training.fingerprint
+        return self.training.split.fingerprint()
 
 
 def build_training_set(phantoms, geom: BoundaryGeometry, split: BoundarySplit,
@@ -133,13 +140,11 @@ def build_training_set(phantoms, geom: BoundaryGeometry, split: BoundarySplit,
                       "detection region; their extension is unstable",
                       stacklevel=2)
 
-    i1, i2 = split.gamma1_idx, split.gamma2_idx
-    u1, u2 = _traces(phantoms, [geom.positions[i1], geom.positions[i2]],
+    u1, u2 = _traces(phantoms, [geom.positions[split.gamma1_idx],
+                                geom.positions[split.gamma2_idx]],
                      _boundary_wave_map(geom), threads)
-    return TrainingSet(phantoms=phantoms, u1_idx=i1, u2_idx=i2,
-                       u1_samples=u1, u2_samples=u2,
-                       dt=geom.dt, fingerprint=split.fingerprint(),
-                       outside_detection=outside)
+    return TrainingSet(phantoms=phantoms, split=split, u1_samples=u1,
+                       u2_samples=u2, outside_detection=outside)
 
 
 def gram_matrix(ts: TrainingSet, geom: BoundaryGeometry,
@@ -205,8 +210,7 @@ def train_extension_model(ts: TrainingSet, geom: BoundaryGeometry,
     spreads the Gram's node blocks."""
     gram = gram_matrix(ts, geom, threads)
     chol, ridge = factorize(gram)
-    return ExtensionModel(training=ts, gram=gram, chol_lower=chol, ridge=ridge,
-                          ds=geom.ds)
+    return ExtensionModel(training=ts, gram=gram, chol_lower=chol, ridge=ridge)
 
 
 def project_coefficients(model: ExtensionModel, u1: WaveData,
@@ -221,16 +225,16 @@ def project_coefficients(model: ExtensionModel, u1: WaveData,
         raise DataMismatchError("limited-view data does not match the model geometry")
     if u1.part is not Part.GAMMA1:
         raise DataMismatchError("extension input must live on gamma1")
-    ts = model.training
-    if not np.array_equal(u1.node_idx, ts.u1_idx):
+    ts, geom = model.training, model.training.split.geometry
+    if not np.array_equal(u1.node_idx, ts.split.gamma1_idx):
         raise DataMismatchError("limited-view data is not on the model's "
                                 "gamma1 nodes in node order")
-    if u1.dt != ts.dt or u1.n_time != ts.u1_samples.shape[2]:
+    if u1.dt != geom.dt or u1.n_time != geom.n_time:
         raise DataMismatchError(
             f"data sampled at dt={u1.dt!r} over {u1.n_time} steps; the model "
-            f"has dt={ts.dt!r} over {ts.u1_samples.shape[2]} steps")
+            f"has dt={geom.dt!r} over {geom.n_time} steps")
     x, v = ts.u1_samples.reshape(model.n, -1), u1.samples.ravel()
-    rhs = model.ds * ts.dt * np.concatenate(parallel_map(
+    rhs = geom.ds * geom.dt * np.concatenate(parallel_map(
         lambda lo: np.dot(x[lo:lo + PROJECT_BLOCK_ROWS], v),
         range(0, model.n, PROJECT_BLOCK_ROWS), threads))
     coeffs = cho_solve((model.chol_lower, True), rhs)
@@ -244,9 +248,9 @@ def extend(model: ExtensionModel, u1: WaveData, threads: int = 1) -> WaveData:
     ts = model.training
     samples = np.tensordot(project_coefficients(model, u1, threads),
                            ts.u2_samples, axes=1)
-    return WaveData(part=Part.GAMMA2, node_idx=ts.u2_idx, dt=ts.dt,
-                    n_time=samples.shape[1], samples=samples,
-                    fingerprint=ts.fingerprint)
+    return WaveData(part=Part.GAMMA2, node_idx=ts.split.gamma2_idx,
+                    dt=ts.split.geometry.dt, n_time=samples.shape[1],
+                    samples=samples, fingerprint=model.fingerprint)
 
 
 def stitch(u1: WaveData, u2: WaveData, geom: BoundaryGeometry,
@@ -277,39 +281,34 @@ def zero_extend(u1: WaveData, geom: BoundaryGeometry, split: BoundarySplit) -> W
 
 
 def save_model(model: ExtensionModel, path) -> None:
-    """Persist the model in one container file (bit-exact round trip); the
-    Cholesky factor is not stored, as `load_model` recomputes it exactly."""
+    """Persist the model's recipe: section `meta` holds the fingerprint, the
+    geometry object, the phantom specs, the numpy and scipy versions and any
+    partition with its box; section `gram` the Gram matrix."""
     ts = model.training
     meta = {
         "fingerprint": model.fingerprint,
-        "dt": ts.dt,
-        "ds": model.ds,
-        "n_time": ts.u1_samples.shape[2],
-        "outside_detection": list(ts.outside_detection),
+        "geometry": geometry_object(ts.split),
         "phantoms": [phantom_to_dict(p) for p in ts.phantoms],
+        "versions": {"numpy": np.__version__, "scipy": scipy.__version__},
     }
-    sections = [
-        ("meta", json.dumps(meta, sort_keys=True)),
-        ("gram", model.gram),
-        ("u1_idx", ts.u1_idx.astype(float)),
-        ("u2_idx", ts.u2_idx.astype(float)),
-        ("u1", ts.u1_samples),
-        ("u2", ts.u2_samples),
-    ]
+    if model.partition is not None:
+        n_w, n_h, box = model.partition
+        meta["partition"], meta["box"] = [n_w, n_h], list(box)
     with open(path, "wb") as fh:
-        dump_container(sections, fh)
+        dump_container([("meta", json.dumps(meta, sort_keys=True)),
+                        ("gram", model.gram)], fh)
 
 
-def load_model(path, expected_fingerprint: str | None = None) -> ExtensionModel:
-    """Load a model container; optionally verify the geometry fingerprint.
+def load_model(path, expected_fingerprint: str | None = None,
+               threads: int = 1) -> ExtensionModel:
+    """Load a model container and simulate its traces again.
 
-    meta must be a JSON object whose phantoms are phantom specs and whose
-    outside_detection indices are distinct and below the phantom count;
-    dt and the boundary weight ds must be finite and positive, n_time a
-    positive whole number; tensors must be finite and sized to the phantom
-    count, node indices and n_time; the node indices of gamma1 and gamma2
-    must partition 0 .. |gamma1| + |gamma2| - 1; the Gram matrix is
-    refactorized, so it must pass `factorize`.
+    The stored fingerprint is checked against expected_fingerprint
+    (DataMismatchError) and against the geometry built from meta before
+    `build_training_set` simulates the phantoms over `threads`.  The Gram
+    matrix is refactorized, and its diagonal must equal ds*dt*||u1_k||^2 of
+    the traces within GRAM_CHECK_RTOL.  A stored partition must tile its box
+    into exactly the phantoms.  Format failures raise ContainerFormatError.
     """
     with open(path, "rb") as fh:
         sections = dict(read_container(fh))
@@ -318,39 +317,38 @@ def load_model(path, expected_fingerprint: str | None = None) -> ExtensionModel:
                            ContainerFormatError)
     if expected_fingerprint is not None and fingerprint != expected_fingerprint:
         raise DataMismatchError("model belongs to a different geometry/split")
-    u1_idx = node_index_section("u1_idx", section(sections, "u1_idx", "model"))
-    u2_idx = node_index_section("u2_idx", section(sections, "u2_idx", "model"))
-    if np.intersect1d(u1_idx, u2_idx).size:
-        raise ContainerFormatError("sections 'u1_idx' and 'u2_idx' share node indices")
-    # distinct indices, all below their count: exactly 0 .. n_nodes - 1
-    n_nodes = len(u1_idx) + len(u2_idx)
-    if np.any(u1_idx >= n_nodes) or np.any(u2_idx >= n_nodes):
-        raise ContainerFormatError(f"sections 'u1_idx' and 'u2_idx' do not "
-                                   f"cover the nodes 0 .. {n_nodes - 1}")
-    if not isinstance(meta.get("phantoms"), list):
+    geom, split = read_geometry(
+        required(meta, "geometry", "model meta", ContainerFormatError),
+        "model geometry", ContainerFormatError)
+    if split.fingerprint() != fingerprint:
+        raise ContainerFormatError("model geometry does not have the "
+                                   f"stored fingerprint {fingerprint!r}")
+    specs = required(meta, "phantoms", "model meta", ContainerFormatError)
+    if not isinstance(specs, list):
         raise ContainerFormatError("model meta 'phantoms' is not a list")
-    phantoms = [phantom_from_dict(d) for d in meta["phantoms"]]
-    dt, n_time = time_axis(meta)
-    ds = number(meta.get("ds"), "boundary weight ds", ContainerFormatError,
-                positive=True)
+    phantoms = [phantom_from_dict(d) for d in specs]
     n = len(phantoms)
-    outside = numbers(meta.get("outside_detection", []), None,
-                      "outside_detection", ContainerFormatError, whole=True)
-    if len(set(outside)) != len(outside) or \
-       not all(0 <= i < n for i in outside):
-        raise ContainerFormatError(f"outside_detection {list(outside)} is not "
-                                   f"distinct phantom indices in [0, {n})")
-    for name, shape in (("gram", (n, n)), ("u1", (n, len(u1_idx), n_time)),
-                        ("u2", (n, len(u2_idx), n_time))):
-        finite_section(name, section(sections, name, "model"))
-        if sections[name].shape != shape:
-            raise ContainerFormatError(f"section {name!r} has shape "
-                                       f"{sections[name].shape}, expected {shape}")
-    ts = TrainingSet(phantoms=phantoms, u1_idx=u1_idx, u2_idx=u2_idx,
-                     u1_samples=sections["u1"], u2_samples=sections["u2"],
-                     dt=dt, fingerprint=fingerprint,
-                     outside_detection=outside)
-    chol, ridge = factorize(sections["gram"])
-    return ExtensionModel(training=ts, gram=sections["gram"], chol_lower=chol,
-                          ridge=ridge, ds=ds)
+    gram = finite_section("gram", section(sections, "gram", "model"))
+    if gram.shape != (n, n):
+        raise ContainerFormatError(f"section 'gram' has shape {gram.shape}, "
+                                   f"expected {(n, n)}")
+    partition = None
+    if "partition" in meta:
+        n_w, n_h = numbers(meta["partition"], 2, "model partition",
+                           ContainerFormatError, whole=True, positive=True)
+        box = numbers(required(meta, "box", "model meta", ContainerFormatError),
+                      4, "model box", ContainerFormatError)
+        if n_w * n_h != n or training_partition(box, n_w, n_h) != phantoms:
+            raise ContainerFormatError(f"model phantoms are not the {n_w}x{n_h}"
+                                       f" partition of the box {list(box)}")
+        partition = (n_w, n_h, box)
 
+    ts = build_training_set(phantoms, geom, split, threads)
+    chol, ridge = factorize(gram)
+    x = ts.u1_samples.reshape(n, -1)
+    norms = geom.ds * geom.dt * np.einsum("ij,ij->i", x, x)
+    if not np.all(np.abs(np.diagonal(gram) - norms) <= GRAM_CHECK_RTOL * norms):
+        raise ContainerFormatError("section 'gram' is not the Gram matrix "
+                                   "of the model's phantoms")
+    return ExtensionModel(training=ts, gram=gram, chol_lower=chol,
+                          ridge=ridge, partition=partition)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ellipeinc
 
+from ._util import json_object, number, required
 from .errors import ParameterError
 
 TWO_PI = 2.0 * np.pi
@@ -207,6 +208,34 @@ def split_boundary(geom: BoundaryGeometry, theta_interval) -> BoundarySplit:
         gamma1_idx=gamma1_idx,
         gamma2_idx=gamma2_idx,
     )
+
+
+# the keys of a geometry object, in a config and in a model's meta
+GEOMETRY_KEYS = ("a1", "a2", "spacing", "dt", "t_max", "gamma2_theta_lo",
+                 "gamma2_theta_hi")
+
+
+def geometry_object(split: BoundarySplit) -> dict:
+    """The geometry object that `read_geometry` builds split back from."""
+    geom = split.geometry
+    return dict(zip(GEOMETRY_KEYS, (
+        geom.domain.a1, geom.domain.a2, geom.spacing_target, geom.dt,
+        geom.t_max, split.theta_lo, split.theta_hi)))
+
+
+def read_geometry(obj, what: str, error: type = ParameterError) -> tuple:
+    """(geometry, split) built from obj, a geometry object read from outside
+    the program: a JSON object of GEOMETRY_KEYS, each a number.  Any key or
+    value that is missing, unknown or rejected raises `error`, naming `what`."""
+    g = json_object(obj, what, error, keys=GEOMETRY_KEYS)
+    a1, a2, spacing, dt, t_max, theta_lo, theta_hi = (
+        number(required(g, key, what, error), f"{what}.{key}", error)
+        for key in GEOMETRY_KEYS)
+    try:
+        geom = build_boundary(EllipseDomain(a1, a2), spacing, dt, t_max)
+        return geom, split_boundary(geom, (theta_lo, theta_hi))
+    except ParameterError as exc:
+        raise error(f"{what}: {exc}") from None
 
 
 def detection_region_contains(split: BoundarySplit, points):

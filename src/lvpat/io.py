@@ -151,18 +151,6 @@ def finite_section(name: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def node_index_section(name: str, arr: np.ndarray) -> np.ndarray:
-    """Node indices stored as float64, as distinct non-negative integers."""
-    if arr.ndim != 1 or not np.all(np.isfinite(arr)) or \
-       np.any(arr != np.floor(arr)):
-        raise ContainerFormatError(f"section {name!r} is not a list of integers")
-    if np.any(arr < 0):
-        raise ContainerFormatError(f"section {name!r} holds negative node indices")
-    if len(np.unique(arr)) != len(arr):
-        raise ContainerFormatError(f"section {name!r} repeats a node index")
-    return arr.astype(int)
-
-
 def read_meta(sections: dict) -> dict:
     """The JSON object that a container's text section 'meta' holds."""
     try:
@@ -174,15 +162,6 @@ def read_meta(sections: dict) -> dict:
         raise ContainerFormatError("section 'meta' is not a text section "
                                    "holding a JSON object")
     return meta
-
-
-def time_axis(meta: dict) -> tuple:
-    """(dt, n_time) of a container's metadata: dt finite and positive,
-    n_time a positive whole number."""
-    return (number(meta.get("dt"), "time step", ContainerFormatError,
-                   positive=True),
-            number(meta.get("n_time"), "n_time", ContainerFormatError,
-                   whole=True, positive=True))
 
 
 def write_wave_data(w: WaveData, path) -> None:
@@ -198,18 +177,26 @@ def read_wave_data(path) -> WaveData:
     with open(path, "rb") as fh:
         sections = dict(read_container(fh))
     meta = read_meta(sections)
-    dt, n_time = time_axis(meta)
     part = required(meta, "part", "wave-data meta", ContainerFormatError)
     try:
         part = Part(part)
     except ValueError:
         raise ContainerFormatError(f"part {part!r} is not one of "
                                    f"{[p.value for p in Part]}") from None
+    idx = section(sections, "node_idx", "wave data")
+    if idx.ndim != 1 or not np.all(np.isfinite(idx)) or \
+       np.any(idx != np.floor(idx)):
+        raise ContainerFormatError("section 'node_idx' is not a list of integers")
+    if np.any(idx < 0):
+        raise ContainerFormatError("section 'node_idx' holds negative node indices")
+    if len(np.unique(idx)) != len(idx):
+        raise ContainerFormatError("section 'node_idx' repeats a node index")
     return WaveData(
-        part=part,
-        node_idx=node_index_section(
-            "node_idx", section(sections, "node_idx", "wave data")),
-        dt=dt, n_time=n_time,
+        part=part, node_idx=idx.astype(int),
+        dt=number(meta.get("dt"), "time step", ContainerFormatError,
+                  positive=True),
+        n_time=number(meta.get("n_time"), "n_time", ContainerFormatError,
+                      whole=True, positive=True),
         samples=finite_section("samples",
                                section(sections, "samples", "wave data")),
         fingerprint=required(meta, "fingerprint", "wave-data meta",

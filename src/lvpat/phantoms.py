@@ -226,9 +226,9 @@ def training_partition(box, n_w: int, n_h: int):
     x_lo, x_hi, y_lo, y_hi = (float(v) for v in box)
     if n_w < 1 or n_h < 1:
         raise ParameterError("partition counts must be >= 1")
-    if not (x_lo < x_hi and y_lo < y_hi):
+    if not (-np.inf < x_lo < x_hi < np.inf and -np.inf < y_lo < y_hi < np.inf):
         raise ParameterError(f"degenerate box {(x_lo, x_hi, y_lo, y_hi)}: "
-                             "needs x_lo < x_hi and y_lo < y_hi")
+                             "needs finite x_lo < x_hi and y_lo < y_hi")
     x_edges = x_lo + (x_hi - x_lo) * np.arange(n_w + 1) / n_w
     y_edges = y_lo + (y_hi - y_lo) * np.arange(n_h + 1) / n_h
     x_edges[0], x_edges[-1] = x_lo, x_hi

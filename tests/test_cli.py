@@ -133,13 +133,15 @@ class TestConfig:
                              ids=["x_lo", "x_hi", "y_lo", "y_hi"])
     def test_nan_box_edge_is_config_error(self, tmp_path, smoke_config, capsys,
                                           edge):
-        raw = json.loads(smoke_config.read_text())
-        raw["box"][edge] = float("nan")
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(raw))
-        assert main(["train", "--config", str(bad),
-                     "--out", str(tmp_path / "out")]) == 2
-        assert "degenerate box" in capsys.readouterr().err
+        # an infinite edge fails the same way, before any NaN cell edge
+        for value in (float("nan"), (-1) ** (edge + 1) * float("inf")):
+            raw = json.loads(smoke_config.read_text())
+            raw["box"][edge] = value
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(raw))
+            assert main(["train", "--config", str(bad),
+                         "--out", str(tmp_path / "out")]) == 2
+            assert "degenerate box" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, key", [
         (None, "thread"), (None, "outdir"), ("geometry", "t_maxx"),
@@ -473,6 +475,8 @@ class TestSubcommands:
     @pytest.mark.parametrize("drop, message", [
         ("fingerprint", "model meta has no key 'fingerprint'"),
         ("gram", "model has no section 'gram'"),
+        ("geometry", "model meta has no key 'geometry'"),
+        ("partition", "model holds no square partition shape"),
     ])
     def test_extend_model_without_key_is_config_error(
             self, tmp_path, smoke_config, capsys, drop, message):
@@ -495,6 +499,40 @@ class TestSubcommands:
                    "--data", str(out / "data_gamma1.patb"), "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (out / "extended_4x2.patb").exists()
+
+    def test_extend_old_layout_model_is_config_error(self, tmp_path,
+                                                     smoke_config, capsys):
+        # a model written before models stored their recipe: dense traces
+        # and node indices as sections, the time axis and ds in meta
+        from lvpat.io import read_container
+        out = tmp_path / "out"
+        main(["train", "--config", str(smoke_config), "--out", str(out)])
+        main(["simulate", "--config", str(smoke_config), "--phantom",
+              str(tmp_path / "phantom_reference.json"), "--part", "gamma1",
+              "--out", str(out)])
+        split = ExperimentConfig.from_json(smoke_config).split
+        geom, i1, i2 = split.geometry, split.gamma1_idx, split.gamma2_idx
+        model_path = out / "model_4x2.patb"
+        sections = dict(read_container(BytesIO(model_path.read_bytes())))
+        meta = json.loads(sections["meta"])
+        n = len(meta["phantoms"])
+        old_meta = {"fingerprint": meta["fingerprint"], "dt": geom.dt,
+                    "ds": geom.ds, "n_time": geom.n_time,
+                    "outside_detection": [], "phantoms": meta["phantoms"]}
+        model_path.write_bytes(write_container([
+            ("meta", json.dumps(old_meta, sort_keys=True)),
+            ("gram", sections["gram"]),
+            ("u1_idx", i1.astype(float)), ("u2_idx", i2.astype(float)),
+            ("u1", np.zeros((n, len(i1), geom.n_time))),
+            ("u2", np.zeros((n, len(i2), geom.n_time)))]))
+        capsys.readouterr()
+        rc = main(["extend", "--config", str(smoke_config),
+                   "--model", str(model_path),
+                   "--data", str(out / "data_gamma1.patb"), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: model meta has no key 'geometry'"]
         assert not (out / "extended_4x2.patb").exists()
 
     def test_extend_names_output_by_partition_shape(self, tmp_path,

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import tracemalloc
 from io import BytesIO
 
 import numpy as np
@@ -118,18 +117,21 @@ class TestTrainingSet:
 
     @pytest.mark.parametrize("bad", ["phantoms", "u1_idx", "u2_idx", "n_time"])
     def test_constructor_rejects_mismatched_tensors(self, coarse_split, bad):
+        # the tensors must match the phantom count, the split's gamma1 and
+        # gamma2 node counts and its geometry's n_time
         i1, i2 = coarse_split.gamma1_idx, coarse_split.gamma2_idx
+        t = coarse_split.geometry.n_time
         args = dict(phantoms=[SquareIndicator(k, k + 1, 0, 1) for k in range(3)],
-                    u1_idx=i1, u2_idx=i2, u1_samples=np.zeros((3, len(i1), 6)),
-                    u2_samples=np.zeros((3, len(i2), 6)), dt=0.1,
-                    fingerprint=coarse_split.fingerprint())
+                    split=coarse_split, u1_samples=np.zeros((3, len(i1), t)),
+                    u2_samples=np.zeros((3, len(i2), t)))
         TrainingSet(**args)
         if bad == "phantoms":
             args["phantoms"] = args["phantoms"][:2]
         elif bad == "n_time":
-            args["u2_samples"] = np.zeros((3, len(i2), 5))
+            args["u2_samples"] = np.zeros((3, len(i2), t - 1))
         else:
-            args[bad] = args[bad][1:]
+            key = "u1_samples" if bad == "u1_idx" else "u2_samples"
+            args[key] = args[key][:, 1:]
         with pytest.raises(ParameterError):
             TrainingSet(**args)
 
@@ -137,17 +139,16 @@ class TestTrainingSet:
 class TestGramAndFactorization:
 
     def test_orthonormal_traces_give_identity(self, coarse_geom, coarse_split):
-        idx = coarse_split.gamma1_idx
         w = coarse_geom.ds * coarse_geom.dt
         n_time = coarse_geom.n_time
-        fp = coarse_split.fingerprint()
-        traces = np.zeros((4, len(idx), n_time))
+        traces = np.zeros((4, len(coarse_split.gamma1_idx), n_time))
         for k in range(4):
             traces[k, 3 * k, 5 + k] = 1.0 / np.sqrt(w)
         phantoms = [SquareIndicator(k, k + 1, 0, 1) for k in range(4)]
-        ts = TrainingSet(phantoms=phantoms, u1_idx=idx, u2_idx=idx,
-                         u1_samples=traces, u2_samples=traces,
-                         dt=coarse_geom.dt, fingerprint=fp)
+        ts = TrainingSet(phantoms=phantoms, split=coarse_split,
+                         u1_samples=traces,
+                         u2_samples=np.zeros((4, len(coarse_split.gamma2_idx),
+                                              n_time)))
         gram = gram_matrix(ts, coarse_geom)
         assert np.abs(gram - np.eye(4)).max() <= 1e-12
 
@@ -166,18 +167,21 @@ class TestGramAndFactorization:
         assert np.abs(gram - want).max() <= 1e-12 * np.abs(want).max()
         assert np.array_equal(gram, gram.T)
 
-    def test_gram_blocks_match_one_syrk(self, coarse_geom, monkeypatch):
+    def test_gram_blocks_match_one_syrk(self, coarse_geom, coarse_split,
+                                        monkeypatch):
         # the node blocks' partial Grams, added in block order, agree with
         # one SYRK over all of U1 to rounding, are exactly symmetric, and
-        # give the same bytes for every thread count; 45 nodes leave blocks
-        # of unequal size
+        # give the same bytes for every thread count; the gamma1 node count
+        # is not a multiple of GRAM_BLOCKS, so the blocks differ in size
         rng = np.random.default_rng(8)
-        n, n_nodes, n_time = 40, 45, 60
+        n, n_time = 40, coarse_geom.n_time
+        n_nodes = len(coarse_split.gamma1_idx)
+        assert n_nodes % GRAM_BLOCKS
         u1 = rng.standard_normal((n, n_nodes, n_time))
-        idx = np.arange(n_nodes)
         ts = TrainingSet(phantoms=[SquareIndicator(0, 1, 0, 1)] * n,
-                         u1_idx=idx, u2_idx=idx, u1_samples=u1, u2_samples=u1,
-                         dt=coarse_geom.dt, fingerprint="fp")
+                         split=coarse_split, u1_samples=u1,
+                         u2_samples=np.zeros((n, len(coarse_split.gamma2_idx),
+                                              n_time)))
         w = coarse_geom.ds * coarse_geom.dt
         want = dsyrk(w, u1.reshape(n, -1).T, trans=1, lower=1)
         want = np.tril(want) + np.tril(want, -1).T
@@ -371,35 +375,50 @@ class TestStitch:
             stitch(u1, u1, coarse_geom, coarse_split)
 
 
+# bad values of a number in a model's meta; MISSING drops the key
+MISSING = object()
+BAD_NUMBERS = {"missing": MISSING, "nan": float("nan"),
+               "infinite": float("inf"), "zero": 0.0, "negative": -0.1,
+               "text": "0.1"}
+
+
+def bad_geometry(*keys):
+    """(path into meta, bad value) cases for geometry keys, with ids
+    "<bad>-<key>"."""
+    return [pytest.param(("geometry", key), bad, id=f"{name}-{key}")
+            for key in keys for name, bad in BAD_NUMBERS.items()]
+
+
 class TestPersistence:
 
     def test_round_trip_bit_exact(self, model8, tmp_path):
+        # the load simulates the traces again on one thread (model8 was
+        # trained on two) and refactorizes the stored Gram matrix
         path = tmp_path / "model.patb"
         save_model(model8, path)
         again = load_model(path, expected_fingerprint=model8.fingerprint)
         assert np.array_equal(again.gram, model8.gram)
         assert np.array_equal(again.chol_lower, model8.chol_lower)
         assert again.ridge == model8.ridge
-        assert np.array_equal(again.training.u1_samples,
-                              model8.training.u1_samples)
-        assert np.array_equal(again.training.u2_samples,
-                              model8.training.u2_samples)
+        assert again.training.phantoms == model8.training.phantoms
+        assert again.fingerprint == model8.fingerprint
+        assert again.training.u1_samples.tobytes() == \
+            model8.training.u1_samples.tobytes()
+        assert again.training.u2_samples.tobytes() == \
+            model8.training.u2_samples.tobytes()
+        assert again.partition is None
         # saving the reloaded model reproduces the same bytes
         path2 = tmp_path / "model2.patb"
         save_model(again, path2)
         assert path.read_bytes() == path2.read_bytes()
 
-    def test_load_reads_payloads_in_place(self, model8, tmp_path):
-        # each tensor is read straight into its array: no copy of the file
+    def test_partition_round_trip(self, model8, tmp_path):
         path = tmp_path / "model.patb"
-        save_model(model8, path)
-        tracemalloc.start()
-        try:
-            load_model(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * path.stat().st_size
+        save_model(dataclasses.replace(model8, partition=(8, 4, BOX)), path)
+        again = load_model(path, threads=2)
+        assert again.partition == (8, 4, BOX)
+        assert again.training.u1_samples.tobytes() == \
+            model8.training.u1_samples.tobytes()
 
     def test_fingerprint_checked_on_load(self, model8, tmp_path):
         path = tmp_path / "model.patb"
@@ -407,14 +426,31 @@ class TestPersistence:
         with pytest.raises(DataMismatchError):
             load_model(path, expected_fingerprint="0123456789abcdef")
 
+    def test_no_trace_is_simulated_for_a_foreign_model(self, model8, tmp_path,
+                                                       monkeypatch):
+        # the expected and the rebuilt fingerprints are checked before the
+        # forward runs
+        def forbidden(*args, **kwargs):
+            raise AssertionError("traces simulated")
+
+        path = tmp_path / "model.patb"
+        self.corrupt_meta(model8, path, ("fingerprint",), "0123456789abcdef")
+        monkeypatch.setattr(extension, "build_training_set", forbidden)
+        with pytest.raises(DataMismatchError):
+            load_model(path, expected_fingerprint=model8.fingerprint)
+        with pytest.raises(ContainerFormatError, match="fingerprint"):
+            load_model(path)
+
     def test_no_cholesky_section_stored(self, model8, tmp_path):
         from lvpat.io import read_container
         path = tmp_path / "model.patb"
         save_model(model8, path)
         sections = dict(read_container(BytesIO(path.read_bytes())))
-        assert list(sections) == ["meta", "gram", "u1_idx", "u2_idx", "u1",
-                                  "u2"]
-        assert "ridge" not in json.loads(sections["meta"])
+        assert list(sections) == ["meta", "gram"]
+        meta = json.loads(sections["meta"])
+        assert sorted(meta) == ["fingerprint", "geometry", "phantoms",
+                                "versions"]
+        assert sorted(meta["versions"]) == ["numpy", "scipy"]
 
     @staticmethod
     def corrupt_section(model, path, section, corrupt):
@@ -432,7 +468,29 @@ class TestPersistence:
                     sections[k] = (name, replaced)
         path.write_bytes(write_container(sections))
 
-    @pytest.mark.parametrize("section", ["gram", "u1", "u2"])
+    def corrupt_meta(self, model, path, keys, bad):
+        """Save model to path with meta[keys[0]][keys[1]]... set to bad,
+        or dropped when bad is MISSING."""
+        def corrupt(text):
+            meta = json.loads(text)
+            node = meta
+            for key in keys[:-1]:
+                node = node[key]
+            if bad is MISSING:
+                del node[keys[-1]]
+            else:
+                node[keys[-1]] = bad
+            return json.dumps(meta, sort_keys=True)
+
+        self.corrupt_section(model, path, "meta", corrupt)
+
+    def bad_meta_rejected(self, model, tmp_path, keys, bad):
+        path = tmp_path / "model.patb"
+        self.corrupt_meta(model, path, keys, bad)
+        with pytest.raises(ContainerFormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize("section", ["gram"])
     def test_non_finite_section_rejected(self, model8, tmp_path, section):
         path = tmp_path / "model.patb"
 
@@ -446,67 +504,57 @@ class TestPersistence:
     @pytest.mark.parametrize("section, corrupt", [
         ("gram", lambda g: g[:-1, :-1]),
         ("gram", lambda g: g[:, :-1]),
-        ("u1", lambda u: u[:-1]),
-        ("u1", lambda u: u[:, :-1]),
-        ("u1", lambda u: u[:, :, :-1]),
-        ("u2", lambda u: u[:-1]),
-        ("u2", lambda u: u[:, :-1]),
-        ("u2", lambda u: u[:, :, :-1]),
-    ], ids=["gram-n", "gram-square", "u1-n", "u1-nodes",
-            "u1-time", "u2-n", "u2-nodes", "u2-time"])
+    ], ids=["gram-n", "gram-square"])
     def test_count_mismatch_rejected(self, model8, tmp_path, section, corrupt):
         path = tmp_path / "model.patb"
         self.corrupt_section(model8, path, section, corrupt)
         with pytest.raises(ContainerFormatError, match=f"{section}.*shape"):
             load_model(path)
 
-    @pytest.mark.parametrize("key, bad, message", [
-        ("dt", lambda dt: float("nan"), "time step"),
-        ("dt", lambda dt: 0.0, "time step"),
-        ("dt", lambda dt: -0.1, "time step"),
-        ("n_time", lambda n: n + 0.5, "n_time"),
-        ("n_time", lambda n: 0, "n_time"),
-        ("n_time", lambda n: -n, "n_time"),
-        ("outside_detection", lambda idx: [0, 0], "outside_detection"),
-        ("outside_detection", lambda idx: [-1], "outside_detection"),
-        ("outside_detection", lambda idx: [10 ** 6], "outside_detection"),
-        ("outside_detection", lambda idx: [0.5], "outside_detection"),
-        ("outside_detection", lambda idx: "0", "outside_detection"),
-        ("phantoms", lambda specs: 5, "phantoms"),
-    ], ids=["nan-dt", "zero-dt", "negative-dt", "fractional-n_time",
-            "zero-n_time", "negative-n_time", "repeated-outside",
-            "negative-outside", "outside-beyond-n", "fractional-outside",
-            "text-outside", "number-phantoms"])
-    def test_bad_time_axis_rejected(self, model8, tmp_path, key, bad, message):
-        # the fractional n_time used to be truncated to the tensors' length
-        path = tmp_path / "model.patb"
+    @pytest.mark.parametrize("keys, bad", [
+        *bad_geometry("dt", "t_max"),
+        pytest.param(("phantoms",), 5, id="number-phantoms"),
+    ])
+    def test_bad_time_axis_rejected(self, model8, tmp_path, keys, bad):
+        self.bad_meta_rejected(model8, tmp_path, keys, bad)
 
-        def corrupt(text):
-            meta = json.loads(text)
-            meta[key] = bad(meta[key])
-            return json.dumps(meta, sort_keys=True)
-
-        self.corrupt_section(model8, path, "meta", corrupt)
-        with pytest.raises(ContainerFormatError, match=message):
-            load_model(path)
-
-    @pytest.mark.parametrize("bad", [None, float("nan"), float("inf"), 0.0,
-                                     -0.05],
-                             ids=["missing", "nan", "infinite", "zero",
-                                  "negative"])
+    @pytest.mark.parametrize("bad", BAD_NUMBERS.values(), ids=BAD_NUMBERS)
     def test_bad_boundary_weight_rejected(self, model8, tmp_path, bad):
+        # the spacing sets the boundary weight ds
+        self.bad_meta_rejected(model8, tmp_path, ("geometry", "spacing"), bad)
+
+    @pytest.mark.parametrize("keys, bad", [
+        *bad_geometry("a1", "a2", "gamma2_theta_lo", "gamma2_theta_hi"),
+        pytest.param(("geometry",), [1.0], id="list-geometry"),
+        pytest.param(("geometry", "t_maxx"), 20.0, id="unknown-key"),
+    ])
+    def test_bad_geometry_rejected(self, model8, tmp_path, keys, bad):
+        # a value that builds some other geometry fails the fingerprint
+        self.bad_meta_rejected(model8, tmp_path, keys, bad)
+
+    @pytest.mark.parametrize("keys, bad, error", [
+        (("partition",), [8, 0], ContainerFormatError),
+        (("partition",), [-8, 4], ContainerFormatError),
+        (("partition",), [8.5, 4], ContainerFormatError),
+        (("partition",), ["8", 4], ContainerFormatError),
+        (("partition",), [4, 4], ContainerFormatError),
+        (("partition",), [4, 8], ContainerFormatError),
+        (("box",), MISSING, ContainerFormatError),
+        (("box",), [BOX[0], 0.6, *BOX[2:]], ContainerFormatError),
+        (("box",), "box", ContainerFormatError),
+        # a degenerate box fails as in a config
+        (("box",), [BOX[0], float("nan"), *BOX[2:]], ParameterError),
+        (("box",), [BOX[0], float("inf"), *BOX[2:]], ParameterError),
+        (("box",), [BOX[1], BOX[0], *BOX[2:]], ParameterError),
+    ], ids=["zero-shape", "negative-shape", "fractional-shape", "text-shape",
+            "other-count", "transposed", "missing-box", "other-box",
+            "text-box", "nan-box", "infinite-box", "degenerate-box"])
+    def test_bad_partition_rejected(self, model8, tmp_path, keys, bad, error):
+        # a stored shape and box must tile the box into exactly the phantoms
         path = tmp_path / "model.patb"
-
-        def corrupt(text):
-            meta = json.loads(text)
-            if bad is None:
-                del meta["ds"]
-            else:
-                meta["ds"] = bad
-            return json.dumps(meta, sort_keys=True)
-
-        self.corrupt_section(model8, path, "meta", corrupt)
-        with pytest.raises(ContainerFormatError, match="boundary weight"):
+        self.corrupt_meta(dataclasses.replace(model8, partition=(8, 4, BOX)),
+                          path, keys, bad)
+        with pytest.raises(error):
             load_model(path)
 
     def test_non_symmetric_gram_rejected(self, model8, tmp_path):
@@ -519,43 +567,13 @@ class TestPersistence:
         with pytest.raises(ParameterError, match="symmetric"):
             load_model(path)
 
-    @pytest.mark.parametrize("section", ["u1_idx", "u2_idx"])
-    @pytest.mark.parametrize("bad, reason", [
-        (lambda idx: idx[1] + 0.5, "integers"),
-        (lambda idx: -1.0, "negative"),
-        (lambda idx: idx[0], "repeats"),
-    ], ids=["fractional", "negative", "duplicate"])
-    def test_bad_node_index_rejected(self, model8, tmp_path, section, bad, reason):
+    def test_gram_of_other_phantoms_rejected(self, model8, tmp_path):
+        # symmetric and positive definite, but 1e-9 away from the Gram
+        # matrix of the model's traces
         path = tmp_path / "model.patb"
-
-        def corrupt(value):
-            value[1] = bad(value)
-
-        self.corrupt_section(model8, path, section, corrupt)
-        with pytest.raises(ContainerFormatError, match=f"{section}.*{reason}"):
-            load_model(path)
-
-    def test_overlapping_node_indices_rejected(self, model8, tmp_path):
-        path = tmp_path / "model.patb"
-        u1_idx = model8.training.u1_idx
-
-        def corrupt(value):
-            value[0] = u1_idx[0]
-
-        self.corrupt_section(model8, path, "u2_idx", corrupt)
-        with pytest.raises(ContainerFormatError, match="share node indices"):
-            load_model(path)
-
-    def test_node_index_gap_rejected(self, model8, tmp_path):
-        path = tmp_path / "model.patb"
-        ts = model8.training
-        n_nodes = len(ts.u1_idx) + len(ts.u2_idx)
-
-        def corrupt(value):
-            value[-1] = n_nodes
-
-        self.corrupt_section(model8, path, "u1_idx", corrupt)
-        with pytest.raises(ContainerFormatError, match="do not cover"):
+        self.corrupt_section(model8, path, "gram",
+                             lambda gram: gram * (1.0 + 1e-9))
+        with pytest.raises(ContainerFormatError, match="not the Gram matrix"):
             load_model(path)
 
     def test_truncated_file_rejected(self, model8, tmp_path):

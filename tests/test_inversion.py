@@ -1,20 +1,27 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lvpat.cli import ExperimentConfig
 from lvpat.errors import DataMismatchError, ParameterError
-from lvpat.extension import zero_extend
-from lvpat.forward import Part, WaveData, simulate_wave_data
+from lvpat.extension import (build_training_set, extend, stitch,
+                             train_extension_model, zero_extend)
+from lvpat.forward import (Part, WaveData, restrict_wave_data,
+                           simulate_wave_data)
 from lvpat.geometry import EllipseDomain, build_boundary, split_boundary
 from lvpat.inversion import (_abel_matrix, _boundary_operator, kappa_even,
                              reconstruct, ubp_filter)
 from lvpat.metrics import e2_error
 from lvpat.oracle import _abel_inner, backproject_point
 from lvpat.phantoms import (EllipseIndicator, GridSpec, SquareIndicator,
-                            rasterize)
+                            rasterize, training_partition)
 
 from conftest import TEST_PHANTOM
+
+SMOKE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / \
+    "experiment_smoke.json"
 
 
 def loop_reconstruct(u, geom, grid):
@@ -192,6 +199,28 @@ class TestReconstruct:
                              medium_geom, small_grid)
         scale = np.abs(base.values).max()
         assert np.abs(scaled.values - 0.37 * base.values).max() <= 1e-10 * scale
+
+    def test_extension_error_reconstructs_alone(self):
+        # the image error of a learned extension, f_n - f_full, is the
+        # reconstruction of its gamma2 error alone (0 on gamma1); this
+        # holds only if stitch puts every row at its node
+        cfg = ExperimentConfig.from_json(SMOKE_CONFIG)
+        geom, split, grid = cfg.geometry, cfg.split, cfg.grid
+        model = train_extension_model(build_training_set(
+            training_partition(cfg.box, 4, 2), geom, split), geom)
+        full = simulate_wave_data(cfg.load_phantom(), geom, split, Part.FULL)
+        u1 = restrict_wave_data(full, split, Part.GAMMA1)
+        u2 = restrict_wave_data(full, split, Part.GAMMA2)
+        u2_hat = extend(model, u1)
+        error = stitch(u1.copy_with(np.zeros_like(u1.samples)),
+                       u2_hat.copy_with(u2_hat.samples - u2.samples),
+                       geom, split)
+        f_full = reconstruct(full, geom, grid).values
+        f_n = reconstruct(stitch(u1, u2_hat, geom, split), geom, grid).values
+        f_error = reconstruct(error, geom, grid).values
+        scale = np.abs(f_full).max()
+        assert np.abs(f_error).max() > 1e-3 * scale
+        assert np.abs(f_n - f_full - f_error).max() <= 1e-13 * scale
 
     def test_matches_direct_backprojection(self, medium_geom, medium_split,
                                            small_grid):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 from io import BytesIO
 
 import numpy as np
@@ -212,6 +213,24 @@ class TestContainer:
         assert back.dt == w.dt
         assert np.array_equal(back.samples, w.samples)
         assert back.fingerprint == w.fingerprint
+
+    def test_wave_data_read_in_place(self, tmp_path):
+        # read_container reads each tensor straight into its array, so
+        # reading 8 MB of wave data makes no copy of the file
+        n_nodes, n_time = 500, 2000
+        w = WaveData(Part.FULL, np.arange(n_nodes), 0.01, n_time,
+                     np.random.default_rng(3).standard_normal(
+                         (n_nodes, n_time)), "cafef00d")
+        path = tmp_path / "w.patb"
+        write_wave_data(w, path)
+        tracemalloc.start()
+        try:
+            back = read_wave_data(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * path.stat().st_size
+        assert np.array_equal(back.samples, w.samples)
 
     def write_raw_wave_data(self, path, node_idx, samples, n_time=4):
         meta = json.dumps({"part": "gamma1", "dt": 0.25, "n_time": n_time,
