@@ -14,8 +14,8 @@ from .geometry import (BoundaryGeometry, BoundarySplit, EllipseDomain,
                        build_boundary, detection_region_contains,
                        split_boundary)
 from .inversion import kappa_even, reconstruct, ubp_filter
-from .metrics import (ErrorReport, boundary_time_inner, boundary_time_norm,
-                      e2_error, grid_norm, subspace_distance)
+from .metrics import (boundary_time_inner, boundary_time_norm, e2_error,
+                      grid_norm, subspace_distance)
 from .oracle import backproject_point, exact_circular_mean, oracle_wave_field
 from .phantoms import (EllipseIndicator, GridSpec, ImageField, Phantom,
                        SquareIndicator, WeightedSum, distance_to_support,

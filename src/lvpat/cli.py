@@ -11,6 +11,7 @@ import argparse
 import sys
 import time
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .geometry import BoundaryGeometry, BoundarySplit, read_geometry
 from .inversion import reconstruct
 from .io import (export_csv, export_pgm, read_image_field, read_wave_data,
                  write_image_field, write_wave_data)
-from .metrics import ErrorReport, e2_error, subspace_distance
+from .metrics import boundary_time_norm, e2_error, subspace_distance
 from .phantoms import (GridSpec, ImageField, phantom_from_dict, rasterize,
                        training_partition)
 
@@ -81,7 +82,9 @@ class ExperimentConfig:
                                  f"pairs, got {n_list!r}")
         n_list = sorted((numbers(pair, 2, "n_list entry", whole=True)
                          for pair in n_list), key=lambda p: p[0] * p[1])
-        for n_w, n_h in n_list:
+        for i, (n_w, n_h) in enumerate(n_list):
+            if (n_w, n_h) in n_list[:i]:
+                raise ParameterError(f"n_list repeats partition {n_w}x{n_h}")
             if n_w != 2 * n_h:
                 warnings.warn(f"partition {n_w}x{n_h} does not follow n_w = 2*n_h")
         phantom_path = _path(required(raw, "phantom", "config"), "phantom",
@@ -113,10 +116,6 @@ class ExperimentConfig:
         path = path or self.phantom_path
         with open(path, "r", encoding="utf-8") as fh:
             return phantom_from_dict(load_json(fh, f"phantom spec {path}"))
-
-
-def _variant_name(n_w: int, n_h: int) -> str:
-    return f"{n_w}x{n_h}"
 
 
 def _gray_range(field: ImageField, pad: float) -> tuple:
@@ -191,7 +190,7 @@ def cmd_simulate(cfg: ExperimentConfig, phantom_path, part: Part) -> int:
 def cmd_train(cfg: ExperimentConfig) -> int:
     for n_w, n_h in cfg.n_list:
         model, elapsed = _train(cfg, n_w, n_h)
-        path = cfg.out_dir / f"model_{_variant_name(n_w, n_h)}.patb"
+        path = cfg.out_dir / f"model_{n_w}x{n_h}.patb"
         save_model(model, path)
         print(f"train: {path} (n={model.n}, ridge={model.ridge:.3e}, "
               f"{elapsed:.2f} s)")
@@ -206,7 +205,8 @@ def cmd_extend(cfg: ExperimentConfig, model_path, data_path) -> int:
     if model.partition is None:
         raise ParameterError("model holds no square partition shape")
     u2_hat, stitched, elapsed = _extend(cfg, model, u1)
-    name = _variant_name(*model.partition[:2])
+    n_w, n_h, _ = model.partition
+    name = f"{n_w}x{n_h}"
     full_path = cfg.out_dir / f"extended_{name}.patb"
     _write_wave(u2_hat, cfg.out_dir / f"gamma2_hat_{name}.patb")
     _write_wave(stitched, full_path)
@@ -223,31 +223,34 @@ def cmd_reconstruct(cfg: ExperimentConfig, data_path) -> int:
 
 
 def cmd_evaluate(cfg: ExperimentConfig, recon_paths, phantom_path) -> int:
+    stems = [Path(path).stem for path in recon_paths]  # the rows' names
+    for stem in stems:
+        if stems.count(stem) > 1:
+            raise ParameterError(f"--data repeats the stem {stem!r}")
     truth = rasterize(cfg.load_phantom(phantom_path), cfg.grid)
-    e2 = {}
-    for path in recon_paths:
-        image = read_image_field(path)
-        e2[Path(path).stem] = e2_error(image, truth)
-    report = ErrorReport(e2_per_variant=e2, e_n_factors={},
-                         metadata={"variant_n": {}})
-    export_csv(report, cfg.out_dir / "errors.csv")
+    export_csv(sorted((stem, None, e2_error(read_image_field(path), truth),
+                       None) for stem, path in zip(stems, recon_paths)),
+               cfg.out_dir / "errors.csv")
     print(f"evaluate: {cfg.out_dir / 'errors.csv'}")
     return 0
 
 
-def _variants(cfg: ExperimentConfig, full: WaveData, u1: WaveData):
-    """(name, n, full-boundary data, training phantoms, stage seconds) of
-    the full-view reference, the zero extension, then each learned
-    extension by ascending partition size.  A model is released before the
-    next is trained: the training traces are the largest allocation."""
-    yield "full", None, full, None, {}
+# one variant, r[:4] its errors.csv row; the full view has only name, e2, seconds
+_Row = namedtuple("_Row", "name n e2 e_n image_error gamma2_error seconds")
+
+
+def _extensions(cfg: ExperimentConfig, u1: WaveData):
+    """(name, n, stitched full-boundary data, training phantoms, stage
+    seconds) of the zero extension, then of each learned extension by
+    ascending partition size.  A model is released before the next is
+    trained: the training traces are the largest allocation."""
     yield "zero", 0, zero_extend(u1, cfg.geometry, cfg.split), [], {}
     for n_w, n_h in cfg.n_list:
         model, train_s = _train(cfg, n_w, n_h)
         _, stitched, extend_s = _extend(cfg, model, u1)
         n, phantoms = model.n, model.training.phantoms
         del model
-        yield (_variant_name(n_w, n_h), n, stitched, phantoms,
+        yield (f"{n_w}x{n_h}", n, stitched, phantoms,
                {"train": train_s, "extend": extend_s})
 
 
@@ -261,6 +264,10 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> dict:
     timing CSV.  `threads`, when given, overrides cfg.threads.  Each stage
     runs the same helper as its subcommand, so the outputs other than
     timings.csv equal those of the simulate/train/extend/reconstruct chain.
+
+    The summary holds "e2" by variant, "e_n" by n, "image_error" (distance
+    to the full-view image) and "gamma2_error" (||u2_hat - u2|| / ||u2||, NaN
+    for u2 = 0) by extension, and "timings" by learned variant.
 
     The whole run is inside `_util.serial_blas`: its BLAS calls use one
     thread, so OpenBLAS's idle workers do not spin against the forward's
@@ -285,33 +292,39 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> dict:
     _write_wave(full, out / "data_full.patb", amp)
     _write_wave(u1, out / "data_gamma1.patb")
 
-    e2, e_n, variant_n, seconds = {}, {}, {}, {}
-    for name, n, data, training, times in _variants(cfg, full, u1):
-        image, times["reconstruct"] = _reconstruct(
+    u2 = restrict_wave_data(full, cfg.split, Part.GAMMA2)
+    u2_norm = boundary_time_norm(u2, cfg.geometry) or float("nan")
+    full_image, full_s = _reconstruct(cfg, full, out / "recon_full.patb", gray)
+    rows = [_Row("full", None, e2_error(full_image, truth), None, None, None,
+                 {"reconstruct": full_s})]
+    for name, n, data, training, seconds in _extensions(cfg, u1):
+        image, seconds["reconstruct"] = _reconstruct(
             cfg, data, out / f"recon_{name}.patb", gray)
-        e2[name] = e2_error(image, truth)
-        variant_n[name] = n
-        seconds[name] = times
-        if training is not None:  # an extension of the gamma1 data
-            _write_wave(data, out / f"extended_{name}.patb", amp)
-            e_n[n] = subspace_distance(phantom, training, cfg.grid)
+        _write_wave(data, out / f"extended_{name}.patb", amp)
+        u2_err = u2.copy_with(data.samples[cfg.split.gamma2_idx] - u2.samples)
+        rows.append(_Row(name, n, e2_error(image, truth),
+                         subspace_distance(phantom, training, cfg.grid),
+                         e2_error(image, full_image),
+                         boundary_time_norm(u2_err, cfg.geometry) / u2_norm,
+                         seconds))
 
-    export_csv(ErrorReport(e2_per_variant=e2, e_n_factors=e_n,
-                           metadata={"variant_n": variant_n}),
-               out / "errors.csv")
-
-    learned = [name for name, times in seconds.items() if "train" in times]
+    full_row, *extensions = rows
+    zero, *learned = extensions
+    by_size = sorted(learned, key=lambda r: (r.n, r.name))
+    export_csv([r[:4] for r in [zero, *by_size, full_row]], out / "errors.csv")
     with open(out / "timings.csv", "w", encoding="utf-8") as fh:
         fh.write("variant,n,train_s,extend_s,reconstruct_s\n")
-        for name in learned + ["full", "zero"]:
-            n, times = variant_n[name], seconds[name]
-            fh.write(",".join([name, "" if n is None else str(n)] + [
-                f"{times[k]:.6f}" if k in times else ""
+        for r in [*learned, full_row, zero]:
+            fh.write(",".join([r.name, "" if r.n is None else str(r.n)] + [
+                f"{r.seconds[k]:.6f}" if k in r.seconds else ""
                 for k in ("train", "extend", "reconstruct")]) + "\n")
 
-    print("experiment: E2 " + ", ".join(f"{k}={v:.5f}" for k, v in e2.items()))
-    return {"e2": e2, "e_n": e_n,
-            "timings": {name: seconds[name] for name in learned}}
+    print("experiment: E2 " + ", ".join(f"{r.name}={r.e2:.5f}" for r in rows))
+    return {"e2": {r.name: r.e2 for r in rows},
+            "e_n": {r.n: r.e_n for r in extensions},
+            "image_error": {r.name: r.image_error for r in extensions},
+            "gamma2_error": {r.name: r.gamma2_error for r in extensions},
+            "timings": {r.name: r.seconds for r in learned}}
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -21,7 +21,6 @@ import numpy as np
 from ._util import number, numbers, required
 from .errors import ContainerFormatError, ParameterError
 from .forward import Part, WaveData
-from .metrics import ErrorReport
 from .phantoms import ImageField
 
 MAGIC = b"PATB"
@@ -247,20 +246,16 @@ def export_pgm(field: ImageField, lo: float, hi: float, path) -> None:
         fh.write(header + img.tobytes())
 
 
-def export_csv(report: ErrorReport, path) -> None:
-    """Write "variant,n,E2,E_n" rows: zero extension first, then learned
-    variants by ascending n, the full-view reference last."""
-    variant_n = report.metadata.get("variant_n", {})
-    rows = []
-    for variant, e2 in report.e2_per_variant.items():
-        n = variant_n.get(variant)
-        rows.append((variant, n, e2))
-    rows.sort(key=lambda r: (r[1] is None, r[1] if r[1] is not None else 0, r[0]))
+def export_csv(rows, path) -> None:
+    """Write "variant,n,E2,E_n" rows from (variant, n, E2, E_n) tuples, in
+    the order given; a None n or E_n is left empty.  Every error must be
+    finite and >= 0, else ParameterError and nothing is written."""
     lines = ["variant,n,E2,E_n"]
-    for variant, n, e2 in rows:
-        e_n = report.e_n_factors.get(n)
-        n_txt = "" if n is None else str(n)
-        e_n_txt = "" if e_n is None else repr(float(e_n))
-        lines.append(f"{variant},{n_txt},{repr(float(e2))},{e_n_txt}")
+    for variant, n, e2, e_n in rows:
+        if not all(e is None or (math.isfinite(e) and e >= 0) for e in (e2, e_n)):
+            raise ParameterError(f"errors {e2!r}, {e_n!r} of {variant!r} must "
+                                 f"be finite and >= 0")
+        lines.append(",".join([variant, "" if n is None else str(n)] + [
+            "" if e is None else repr(float(e)) for e in (e2, e_n)]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -3,13 +3,11 @@ L2 reconstruction error, and distances to training-function spans."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from scipy.linalg import cho_solve
 
 from ._util import cholesky_lower
-from .errors import DataMismatchError, ParameterError, SingularTrainingSetError
+from .errors import DataMismatchError, SingularTrainingSetError
 from .forward import WaveData
 from .geometry import BoundaryGeometry
 from .phantoms import GridSpec, ImageField, Phantom, rasterize
@@ -73,23 +71,3 @@ def subspace_distance(f: Phantom, training, grid: GridSpec) -> float:
     coeffs = cho_solve((c, True), rhs)
     residual = rf - coeffs @ basis
     return float(np.sqrt(np.sum(residual * residual) * h2))
-
-
-@dataclass
-class ErrorReport:
-    """Per-variant reconstruction errors and span-distance factors.
-
-    e2_per_variant maps variant name (e.g. "full", "zero", "8x4") to its grid
-    error; e_n_factors maps training-set size n to the distance from the test
-    phantom to that training span (n = 0 meaning the norm of the phantom).
-    metadata carries the variant -> n association and run parameters.
-    """
-
-    e2_per_variant: dict
-    e_n_factors: dict
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for label, val in {**self.e2_per_variant, **self.e_n_factors}.items():
-            if not np.isfinite(val) or val < 0:
-                raise ParameterError(f"error value for {label!r} must be finite and >= 0")

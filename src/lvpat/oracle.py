@@ -30,7 +30,7 @@ from .forward import Part, WaveData
 from .geometry import BoundaryGeometry
 from .inversion import kappa_even
 from .phantoms import (EllipseIndicator, Phantom, SquareIndicator, WeightedSum,
-                       eval_phantom)
+                       ellipse_boundary_points, eval_phantom)
 
 TWO_PI = 2.0 * np.pi
 
@@ -143,11 +143,7 @@ def _term_critical_radii(p, x) -> list:
             out += [abs(x[0] - p.x_lo), abs(x[0] - p.x_hi)]
         return out
     if isinstance(p, EllipseIndicator):
-        psi = np.linspace(0.0, TWO_PI, 8192, endpoint=False)
-        ca, sa = np.cos(p.rotation), np.sin(p.rotation)
-        bx = p.center[0] + p.semi_a * np.cos(psi) * ca - p.semi_b * np.sin(psi) * sa
-        by = p.center[1] + p.semi_a * np.cos(psi) * sa + p.semi_b * np.sin(psi) * ca
-        d = np.hypot(bx - x[0], by - x[1])
+        d = np.hypot(*(ellipse_boundary_points(p, 8192) - x).T)
         grad = np.roll(d, -1) - d
         crit = np.flatnonzero(np.signbit(grad) != np.signbit(np.roll(grad, 1)))
         return [float(d[k]) for k in crit]

@@ -119,13 +119,17 @@ def eval_phantom(p: Phantom, points) -> np.ndarray:
     return p.evaluate(points)
 
 
-def ellipse_boundary_points(el: EllipseIndicator, n: int) -> np.ndarray:
-    """The boundary points at parameters psi = 2*pi*k/n, k = 0..n-1, as (n, 2)."""
-    psi = np.linspace(0, 2 * np.pi, n, endpoint=False)
+def _ellipse_points(el: EllipseIndicator, psi) -> np.ndarray:
+    """The boundary points at parameters psi, as psi's shape + (2,)."""
     c, s = np.cos(el.rotation), np.sin(el.rotation)
     bx = el.center[0] + el.semi_a * np.cos(psi) * c - el.semi_b * np.sin(psi) * s
     by = el.center[1] + el.semi_a * np.cos(psi) * s + el.semi_b * np.sin(psi) * c
     return np.stack([bx, by], axis=-1)
+
+
+def ellipse_boundary_points(el: EllipseIndicator, n: int) -> np.ndarray:
+    """The boundary points at parameters psi = 2*pi*k/n, k = 0..n-1, as (n, 2)."""
+    return _ellipse_points(el, np.linspace(0, 2 * np.pi, n, endpoint=False))
 
 
 _EXTENT_SAMPLES = 256
@@ -182,21 +186,15 @@ def distance_to_support(p: Phantom, point) -> float:
         if p.evaluate(pt) > 0:
             return 0.0
         psi = np.linspace(0.0, 2.0 * np.pi, 8192, endpoint=False)
-        c, s = np.cos(p.rotation), np.sin(p.rotation)
-        bx = p.center[0] + p.semi_a * np.cos(psi) * c - p.semi_b * np.sin(psi) * s
-        by = p.center[1] + p.semi_a * np.cos(psi) * s + p.semi_b * np.sin(psi) * c
-        d = np.hypot(bx - pt[0], by - pt[1])
+        d = np.hypot(*(_ellipse_points(p, psi) - pt).T)
         # refine around the discrete minimum with a parabolic step
         k = int(np.argmin(d))
         dk = d[(k - 1) % len(d)], d[k], d[(k + 1) % len(d)]
         denom = dk[0] - 2 * dk[1] + dk[2]
         if denom > 0:
             shift = 0.5 * (dk[0] - dk[2]) / denom
-            dpsi = psi[1] - psi[0]
-            p_ref = psi[k] + shift * dpsi
-            bxr = p.center[0] + p.semi_a * np.cos(p_ref) * c - p.semi_b * np.sin(p_ref) * s
-            byr = p.center[1] + p.semi_a * np.cos(p_ref) * s + p.semi_b * np.sin(p_ref) * c
-            return float(min(dk[1], np.hypot(bxr - pt[0], byr - pt[1])))
+            p_ref = psi[k] + shift * (psi[1] - psi[0])
+            return float(min(dk[1], np.hypot(*(_ellipse_points(p, p_ref) - pt))))
         return float(dk[1])
     if isinstance(p, WeightedSum):
         dists = [distance_to_support(q, pt) for coef, q in p.terms if coef != 0.0]

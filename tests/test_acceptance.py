@@ -42,8 +42,9 @@ PINNED_SPAN_DISTANCES = {
     512: 0.16586236,
 }
 
-# the reduced experiment's E2 chain and span-distance factors, pinned so
-# that a change to the numerics that keeps the chain's order still shows.
+# the reduced experiment's E2 chain, span-distance factors, image distances
+# to the full-view image and relative gamma2 errors, pinned so that a change
+# to the numerics that keeps the chain's order still shows.
 # Every Gram solve there has cond(G) <= 4.6, so rounding differences in the
 # traces reach the errors almost unamplified and 1e-12 relative holds them.
 PINNED_REDUCED = {
@@ -60,6 +61,20 @@ PINNED_REDUCED = {
         32: 0.35497284875890023,
         128: 0.23314669784504644,
         512: 0.14593149077563758,
+    },
+    "image_error": {
+        "zero": 0.2442847772186586,
+        "4x2": 0.17095173735662367,
+        "8x4": 0.12003054450504116,
+        "16x8": 0.058380788350644156,
+        "32x16": 0.024116999182097056,
+    },
+    "gamma2_error": {
+        "zero": 1.0,
+        "4x2": 0.6673447800486201,
+        "8x4": 0.49307799262771146,
+        "16x8": 0.29365701670222505,
+        "32x16": 0.18479630466040334,
     },
 }
 PINNED_REDUCED_REL = 1e-12
@@ -283,6 +298,14 @@ def test_c6_reduced_experiment_trend(reduced_experiment):
     learned_n = [8, 32, 128, 512]
     factors = [e_n[n] for n in learned_n]
     assert all(b < a for a, b in zip(factors, factors[1:]))
+    # so do the extension's own errors: the image's distance to the full-view
+    # image and the relative error of the gamma2 data
+    for key in ("image_error", "gamma2_error"):
+        errs = [reduced_experiment[key][name] for name in chain]
+        print(f"[criterion 6] {key}: "
+              + " > ".join(f"{name}={val:.5f}" for name, val in zip(chain, errs)))
+        assert all(b < a for a, b in zip(errs, errs[1:])), \
+            f"{key} not strictly decreasing: {list(zip(chain, errs))}"
     # error CSV: header plus six data rows (zero, four learned, full view)
     lines = (reduced_experiment["out_dir"] / "errors.csv").read_text() \
         .strip().split("\n")

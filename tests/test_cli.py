@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+from contextlib import nullcontext
 from io import BytesIO
 from pathlib import Path
 
@@ -230,6 +231,24 @@ class TestConfig:
         odd.write_text(json.dumps(raw))
         with pytest.warns(UserWarning):
             ExperimentConfig.from_json(odd)
+
+    @pytest.mark.parametrize("n_list", [[[4, 2], [4, 2]],
+                                        [[4, 2], [2, 4], [2, 1], [4, 2]]],
+                             ids=["adjacent", "apart"])
+    def test_repeated_partition_is_config_error(self, tmp_path, smoke_config,
+                                                capsys, n_list):
+        # a repeated partition would overwrite its own row in the summary
+        raw = json.loads(smoke_config.read_text())
+        raw["n_list"] = n_list
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        with pytest.warns(UserWarning) if [2, 4] in n_list else nullcontext():
+            rc = main(["train", "--config", str(bad),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: n_list repeats partition 4x2"]
+        assert not (tmp_path / "out").exists()
 
     def test_any_replaced_leaf_parses_or_is_config_error(self, smoke_config):
         # each leaf in turn takes a value of every other JSON type
@@ -573,6 +592,46 @@ class TestSubcommands:
         assert rc == 2
         assert "symmetric" in capsys.readouterr().err
 
+    def test_evaluate_repeated_stem_is_config_error(self, tmp_path,
+                                                    smoke_config, capsys):
+        # two images of one stem would share one row of errors.csv
+        from lvpat.io import write_image_field
+        from lvpat.phantoms import ImageField
+        paths = [tmp_path / sub / "recon_x.patb" for sub in ("a", "b")]
+        for path in paths:
+            path.parent.mkdir()
+            write_image_field(ImageField((-2.2, -2.2), 0.11, np.zeros((41, 41)),
+                                         np.ones((41, 41), dtype=bool)), path)
+        rc = main(["evaluate", "--config", str(smoke_config),
+                   "--phantom", str(tmp_path / "phantom_reference.json"),
+                   "--data", *map(str, paths), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "'recon_x'" in err[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_evaluate_rows_by_stem(self, tmp_path, smoke_config):
+        from lvpat.io import write_image_field
+        from lvpat.phantoms import rasterize
+        cfg = ExperimentConfig.from_json(smoke_config)
+        truth = rasterize(cfg.load_phantom(), cfg.grid)
+        paths = []
+        for stem, shift in [("recon_b", 1.0), ("recon_c", 2.0), ("recon_a", 0.0)]:
+            paths.append(tmp_path / f"{stem}.patb")
+            write_image_field(dataclasses.replace(
+                truth, values=truth.values + shift), paths[-1])
+        assert main(["evaluate", "--config", str(smoke_config),
+                     "--phantom", str(tmp_path / "phantom_reference.json"),
+                     "--data", *map(str, paths),
+                     "--out", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / "errors.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines] == [
+            "variant", "recon_a", "recon_b", "recon_c"]
+        assert all(line.endswith(",") and line.split(",")[1] == ""
+                   for line in lines[1:])
+        assert lines[1] == "recon_a,,0.0,"
+
     def test_evaluate_non_finite_image_is_config_error(self, tmp_path,
                                                        smoke_config, capsys):
         from lvpat.io import write_image_field
@@ -623,6 +682,43 @@ class TestExperiment:
         assert len(lines) == 5  # header + zero + 2 learned + full
         # even at smoke resolution the learned extension beats zero padding
         assert summary["e2"]["4x2"] < summary["e2"]["zero"]
+        for key in ("image_error", "gamma2_error"):
+            assert list(summary[key]) == ["zero", "2x1", "4x2"]
+        assert summary["gamma2_error"]["zero"] == 1.0
+
+    def test_equal_sizes_keep_their_own_rows(self, tmp_path, smoke_config):
+        # 4x2 and 2x4 both have n = 8: each row holds its own E_n
+        from lvpat.metrics import subspace_distance
+        from lvpat.phantoms import training_partition
+        raw = json.loads(smoke_config.read_text())
+        raw["n_list"] = [[4, 2], [2, 4]]
+        smoke_config.write_text(json.dumps(raw))
+        with pytest.warns(UserWarning, match="2x4"):
+            cfg = ExperimentConfig.from_json(smoke_config)
+        summary = run_experiment(cfg, threads=1)
+        rows = [line.split(",") for line in
+                (cfg.out_dir / "errors.csv").read_text().splitlines()[1:]]
+        assert [(name, n) for name, n, _, _ in rows] == [
+            ("zero", "0"), ("2x4", "8"), ("4x2", "8"), ("full", "")]
+        phantom = cfg.load_phantom()
+        for name, _, e2, e_n in rows[1:3]:
+            n_w, n_h = map(int, name.split("x"))
+            want = subspace_distance(
+                phantom, training_partition(cfg.box, n_w, n_h), cfg.grid)
+            assert float(e_n) == pytest.approx(want, rel=1e-12, abs=0.0), name
+            assert float(e2) == summary["e2"][name]
+        assert float(rows[1][3]) != float(rows[2][3])
+
+    def test_zero_phantom_has_no_relative_gamma2_error(self, tmp_path,
+                                                       smoke_config):
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps({"type": "sum", "terms": []}))
+        raw = json.loads(smoke_config.read_text())
+        raw["phantom"] = "zero.json"
+        smoke_config.write_text(json.dumps(raw))
+        summary = run_experiment(ExperimentConfig.from_json(smoke_config))
+        assert all(np.isnan(v) for v in summary["gamma2_error"].values())
+        assert set(summary["image_error"].values()) == {0.0}
 
 
 class TestSerialBlas:

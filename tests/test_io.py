@@ -12,7 +12,6 @@ from lvpat.forward import Part, WaveData
 from lvpat.io import (dump_container, export_csv, export_pgm, read_container,
                       read_image_field, read_wave_data, write_image_field,
                       write_wave_data)
-from lvpat.metrics import ErrorReport
 from lvpat.phantoms import ImageField
 
 from conftest import write_container
@@ -394,25 +393,34 @@ class TestPgm:
 class TestCsv:
 
     def test_empty_report(self, tmp_path):
-        export_csv(ErrorReport({}, {}), tmp_path / "e.csv")
+        export_csv([], tmp_path / "e.csv")
         assert (tmp_path / "e.csv").read_text() == "variant,n,E2,E_n\n"
 
     def test_single_variant(self, tmp_path):
-        report = ErrorReport({"zero": 0.5}, {0: 0.25},
-                             metadata={"variant_n": {"zero": 0}})
-        export_csv(report, tmp_path / "e.csv")
+        export_csv([("zero", 0, 0.5, 0.25)], tmp_path / "e.csv")
         lines = (tmp_path / "e.csv").read_text().strip().split("\n")
         assert lines[0] == "variant,n,E2,E_n"
         assert lines[1] == "zero,0,0.5,0.25"
 
     def test_row_order(self, tmp_path):
-        report = ErrorReport(
-            {"full": 0.1, "8x4": 0.3, "4x2": 0.4, "zero": 0.5},
-            {0: 1.0, 8: 0.6, 32: 0.4},
-            metadata={"variant_n": {"full": None, "8x4": 32, "4x2": 8,
-                                    "zero": 0}})
-        export_csv(report, tmp_path / "e.csv")
+        # rows keep the order given; None leaves a cell empty
+        rows = [("zero", 0, 0.5, 1.0), ("8x4", 32, 0.3, 0.4),
+                ("4x2", 8, 0.4, 0.6), ("full", None, 0.1, None)]
+        export_csv(rows, tmp_path / "e.csv")
         lines = (tmp_path / "e.csv").read_text().strip().split("\n")
-        variants = [l.split(",")[0] for l in lines[1:]]
-        assert variants == ["zero", "4x2", "8x4", "full"]
-        assert lines[-1].split(",")[1] == ""  # full has no n
+        assert lines[1:] == ["zero,0,0.5,1.0", "8x4,32,0.3,0.4",
+                             "4x2,8,0.4,0.6", "full,,0.1,"]
+
+    def test_rejects_negative_values(self, tmp_path):
+        for e2, e_n in [(-1.0, None), (0.5, -1e-300)]:
+            with pytest.raises(ParameterError, match="'4x2'"):
+                export_csv([("zero", 0, 0.5, 0.5), ("4x2", 8, e2, e_n)],
+                           tmp_path / "e.csv")
+        assert not (tmp_path / "e.csv").exists()
+
+    def test_rejects_non_finite(self, tmp_path):
+        for e2, e_n in [(np.nan, None), (np.inf, 0.5), (0.5, np.inf),
+                        (0.5, -np.inf)]:
+            with pytest.raises(ParameterError, match="finite"):
+                export_csv([("8x4", 32, e2, e_n)], tmp_path / "e.csv")
+        assert not (tmp_path / "e.csv").exists()

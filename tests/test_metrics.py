@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from lvpat.errors import DataMismatchError, ParameterError
+from lvpat.errors import DataMismatchError
 from lvpat.forward import Part, WaveData
-from lvpat.metrics import (ErrorReport, boundary_time_inner, e2_error,
-                           grid_norm, subspace_distance)
+from lvpat.metrics import (boundary_time_inner, e2_error, grid_norm,
+                           subspace_distance)
 from lvpat.phantoms import (ImageField, SquareIndicator, WeightedSum, rasterize,
                             training_partition)
 
@@ -131,13 +131,3 @@ class TestSubspaceDistance:
         with pytest.raises(SingularTrainingSetError):
             subspace_distance(TEST_PHANTOM, [sq, sq], small_grid)
 
-
-class TestErrorReport:
-
-    def test_rejects_negative_values(self):
-        with pytest.raises(ParameterError):
-            ErrorReport(e2_per_variant={"full": -1.0}, e_n_factors={})
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ParameterError):
-            ErrorReport(e2_per_variant={}, e_n_factors={8: np.inf})
