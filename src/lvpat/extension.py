@@ -5,33 +5,52 @@ new data u1 amounts to orthogonal projection onto span{u1_i} in the discrete
 L2 inner product over gamma1 x time: solve the Gram system for coefficients
 c and combine sum_j c_j * u2_j.  The Gram matrix is factorized once
 (Cholesky, with an escalating diagonal ridge as a safety net) and reused for
-every extension.
+every extension.  The nodes are equidistant in arc length, so every sample
+weighs ds * dt.
 
-The traces are two contiguous tensors, U1 (n, |gamma1|, T) and U2
-(n, |gamma2|, T).  The nodes are equidistant in arc length, so every sample
-weighs ds * dt: the Gram matrix is a sum of SYRKs over fixed blocks of
-gamma1 nodes of U1 as stored, extension two GEMVs.
+A training set holds the forward's mean tables S1 and S2 (see
+`forward.MeanTables`): a trace is a table row times the wave map D, and only
+the first C rows of D, the rows that the set's windows reach, matter.  Below
+a fixed size crossover, DENSE_RATIO * n <= C, the set also holds its traces
+as two contiguous tensors, U1 (n, |gamma1|, T) and U2 (n, |gamma2|, T).
+The crossover depends on sizes alone, so the path, and every byte, depends
+neither on `threads` nor on the machine.
+
+- Gram: a sum of SYRKs over blocks of whole tiles of gamma1 nodes, in block
+  order.  A dense set slices U1; a table set builds each U1 block from S1
+  in a reused buffer.  A built block is byte for byte the dense slice, so
+  both representations give the same matrix.
+- Projection: a dense set runs the GEMV U1 u1; a table set forms
+  Y = u1 D[:C]^T and takes one sparse product of S1 with Y.  Y costs
+  |gamma1| * T * C whatever n is, which the dense GEMV undercuts while n is
+  small against C.
+- Extension: a dense set combines U2 with the coefficients; a table set
+  forms (S2^T c reshaped to |gamma2| x C) D[:C].
 
 A saved model holds its recipe, not its traces: the forward is deterministic,
-so loading simulates the traces again from the stored geometry and phantoms.
+so loading tabulates the stored phantoms again on the stored geometry.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from queue import SimpleQueue
 
 import numpy as np
 import scipy
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf
+from scipy.sparse import csr_array
 
-from ._util import cholesky_lower, numbers, parallel_map, required
+from ._util import cholesky_lower, numbers, parallel_map, required, serial_blas
 from .errors import (ContainerFormatError, DataMismatchError, ParameterError,
                      SingularTrainingSetError)
-from .forward import (Part, WaveData, _boundary_wave_map, _check_supports,
-                      _traces)
+from .forward import (_TILE, MeanTables, Part, WaveData, _boundary_wave_map,
+                      _check_supports, apply_rows, mean_tables, plan_pass,
+                      tables_and_traces)
 from .geometry import (BoundaryGeometry, BoundarySplit, geometry_object,
                        read_geometry)
 from .io import (dump_container, finite_section, read_container, read_meta,
@@ -42,63 +61,137 @@ RIDGE_START = 1e-12
 RIDGE_CAP = 1e-6
 GRAM_CHECK_RTOL = 1e-12  # a loaded Gram's diagonal against its traces
 PROJECT_BLOCK_ROWS = 16
-GRAM_BLOCKS = 8
+# bytes of U1 per Gram block: a block holds as many whole tiles of gamma1
+# nodes as fit, and at least one
+GRAM_BLOCK_BYTES = 2 ** 23
+# a training set keeps dense traces while DENSE_RATIO * n <= C, the wave-map
+# rows its windows reach (C is 335, 669 and 1337 at steps 0.04, 0.02 and
+# 0.01 on the reduced geometry).  The table projection costs about the same
+# at every n, the dense GEMV grows with n.  Medians on one BLAS thread of a
+# 2-core x86-64 machine: at step 0.04, 1.2-1.6 ms for the table projection
+# (Y plus the sparse product) against 0.24, 1.06, 2.3 and 6.0 ms for the
+# GEMV at n = 8, 32, 72 and 128, so the two cross near n = 40 (C/n = 8); at
+# step 0.02, 7.5-8.3 ms against 1.1, 5.9, 14.9 and 28.9 ms, crossing near
+# n = 40 (C/n = 17).
+DENSE_RATIO = 10
+
+
+class _PartTraces(Sequence):
+    """Phantom k's WaveData on one boundary part, read-only: a view of the
+    dense tensor, or built from the tables when indexed."""
+
+    def __init__(self, ts: "TrainingSet", part: Part):
+        self._ts, self._part = ts, part
+
+    def __len__(self) -> int:
+        return self._ts.n
+
+    def __getitem__(self, k) -> WaveData:
+        ts, one = self._ts, self._part is Part.GAMMA1
+        k = range(ts.n)[k]  # IndexError past the end
+        split, geom = ts.split, ts.split.geometry
+        idx = split.gamma1_idx if one else split.gamma2_idx
+        dense = ts.u1_samples if one else ts.u2_samples
+        if dense is not None:
+            samples = dense[k].view()
+        else:
+            samples = np.zeros((len(idx), geom.n_time))
+            with serial_blas():
+                apply_rows(ts.tables, [ts.tables.row0[0 if one else 1]
+                                       + k * len(idx)], len(idx), samples)
+        samples.flags.writeable = False
+        return WaveData(self._part, idx, geom.dt, geom.n_time, samples,
+                        split.fingerprint())
 
 
 @dataclass
 class TrainingSet:
     """Simulated limited-view/missing-part trace pairs for training phantoms.
 
-    u1_samples[k] holds phantom k's traces at the gamma1 nodes of split and
-    u2_samples[k] those at its gamma2 nodes, over the geometry's time grid.
-    outside_detection lists indices of phantoms whose support pokes out of
-    the detection region; their extension problem is unstable, which is
-    worth knowing but not fatal.
+    tables holds the mean tables of the phantoms at the gamma1 nodes of
+    split (part 0) and at its gamma2 nodes (part 1).  Below the crossover
+    (`_keeps_dense`) u1_samples[k] and u2_samples[k] hold phantom k's traces
+    there over the geometry's time grid; above it both are None.  u1[k] and
+    u2[k] give the traces either way.  outside_detection lists indices of
+    phantoms whose support pokes out of the detection region; their
+    extension problem is unstable, which is worth knowing but not fatal.
     """
 
     phantoms: list
     split: BoundarySplit
-    u1_samples: np.ndarray  # (n, |gamma1|, T)
-    u2_samples: np.ndarray  # (n, |gamma2|, T)
+    tables: MeanTables
+    u1_samples: np.ndarray | None = None  # (n, |gamma1|, T)
+    u2_samples: np.ndarray | None = None  # (n, |gamma2|, T)
     outside_detection: tuple = ()
+    # a table set's parts as (n, |gamma_p| * C) CSR matrices: row k holds
+    # phantom k's entries at column point * C + radius node
+    _sparse: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         n, s, t = len(self.phantoms), self.split, self.split.geometry.n_time
         if n < 1:
             raise ParameterError("training set must not be empty")
-        if self.u1_samples.shape != (n, len(s.gamma1_idx), t) or \
-           self.u2_samples.shape != (n, len(s.gamma2_idx), t):
+        sizes = (len(s.gamma1_idx), len(s.gamma2_idx))
+        if (self.tables.n_phantoms, self.tables.sizes) != (n, sizes) or \
+           self.tables.wm.n_time != t:
+            raise ParameterError("mean tables disagree with the phantom count "
+                                 "or the split's nodes and time steps")
+        dense = (self.u1_samples, self.u2_samples)
+        if any(u is None for u in dense):
+            if any(u is not None for u in dense):
+                raise ParameterError("a training set holds both dense "
+                                     "tensors or neither")
+            self._sparse = tuple(self._part_matrix(p) for p in (0, 1))
+        elif any(u.shape != (n, m, t) for u, m in zip(dense, sizes)):
             raise ParameterError("training tensors disagree with the phantom "
                                  "count or the split's nodes and time steps")
+
+    def _part_matrix(self, part: int) -> csr_array:
+        tab = self.tables
+        c = tab.reach
+        r0, r1 = tab.row0[part:part + 2]
+        m = tab.sizes[part]
+        if not m:
+            return csr_array((self.n, 0))
+        ip = tab.indptr[r0:r1 + 1]
+        flat = np.repeat(np.arange(r1 - r0, dtype=np.int32) % m, np.diff(ip))
+        flat *= c
+        flat += tab.cols[ip[0]:ip[-1]]
+        return csr_array((tab.values[ip[0]:ip[-1]], flat, ip[::m] - ip[0]),
+                         shape=(self.n, m * c))
 
     @property
     def n(self) -> int:
         return len(self.phantoms)
 
-    def _views(self, part: Part, idx, samples) -> list:
-        read_only = samples.view()
-        read_only.flags.writeable = False
-        dt, fp = self.split.geometry.dt, self.split.fingerprint()
-        return [WaveData(part, idx, dt, samples.shape[2], s, fp)
-                for s in read_only]
+    @property
+    def dense(self) -> bool:
+        return self.u1_samples is not None
 
     @property
-    def u1(self) -> list:
-        """Per-phantom gamma1 WaveData, read-only views of u1_samples (no copy);
-        u1/u2 serve callers outside lvpat, such as `perfbench/spans.py`."""
-        return self._views(Part.GAMMA1, self.split.gamma1_idx, self.u1_samples)
+    def u1(self) -> Sequence:
+        """Per-phantom gamma1 WaveData, read-only; u1/u2 also serve callers
+        outside lvpat, such as `perfbench/spans.py`."""
+        return _PartTraces(self, Part.GAMMA1)
 
     @property
-    def u2(self) -> list:
-        """Per-phantom gamma2 WaveData: read-only views of u2_samples, no copy."""
-        return self._views(Part.GAMMA2, self.split.gamma2_idx, self.u2_samples)
+    def u2(self) -> Sequence:
+        """Per-phantom gamma2 WaveData, read-only."""
+        return _PartTraces(self, Part.GAMMA2)
+
+
+def _keeps_dense(n: int, reach: int) -> bool:
+    """Whether a set of n phantoms whose windows reach `reach` wave-map rows
+    holds dense traces."""
+    return DENSE_RATIO * n <= reach
 
 
 @dataclass
 class ExtensionModel:
-    """Trained extension operator: the training set (split, phantoms and
-    traces) and the Gram matrix with its factorization; partition is
-    (n_w, n_h, box) when the phantoms are `training_partition(box, n_w, n_h)`.
+    """Trained extension operator: the training set (split, phantoms, mean
+    tables and, below the crossover, traces) and the Gram matrix with its
+    factorization; partition is (n_w, n_h, box) when the phantoms are
+    `training_partition(box, n_w, n_h)`.
     """
 
     training: TrainingSet
@@ -118,12 +211,14 @@ class ExtensionModel:
 
 def build_training_set(phantoms, geom: BoundaryGeometry, split: BoundarySplit,
                        threads: int = 1) -> TrainingSet:
-    """Simulate every phantom's traces at the gamma1 and the gamma2 nodes.
+    """Tabulate every phantom's means at the gamma1 and the gamma2 nodes,
+    and below the crossover (`_keeps_dense`) simulate U1 and U2 too.
 
     All phantoms go through one forward pass over the two boundary parts,
-    which returns the U1 and U2 tensors.  The forward cuts each (part,
-    phantom) into the same tiles of nodes as `simulate_wave_data` does, and
-    a trace depends only on its tile, so u1_i and u2_i are byte for byte the
+    which keeps the tables and, below the crossover, the traces.  The
+    forward cuts each (part, phantom) into the same tiles of nodes as
+    `simulate_wave_data` does, and a trace depends only on its tile, so
+    u1_i and u2_i (dense, or built from the tables) are byte for byte the
     phantom's simulated gamma1 and gamma2 data, and stitched together its
     full-boundary data.  `threads` spreads the forward's blocks of tiles.
     Every support must lie inside the domain; phantoms with support outside
@@ -140,33 +235,66 @@ def build_training_set(phantoms, geom: BoundaryGeometry, split: BoundarySplit,
                       "detection region; their extension is unstable",
                       stacklevel=2)
 
-    u1, u2 = _traces(phantoms, [geom.positions[split.gamma1_idx],
+    plan = plan_pass(phantoms, [geom.positions[split.gamma1_idx],
                                 geom.positions[split.gamma2_idx]],
-                     _boundary_wave_map(geom), threads)
-    return TrainingSet(phantoms=phantoms, split=split, u1_samples=u1,
-                       u2_samples=u2, outside_detection=outside)
+                     _boundary_wave_map(geom))
+    if _keeps_dense(len(phantoms), plan.reach):
+        tables, dense = tables_and_traces(plan, threads)
+    else:
+        tables, dense = mean_tables(plan, threads), (None, None)
+    return TrainingSet(phantoms=phantoms, split=split, tables=tables,
+                       u1_samples=dense[0], u2_samples=dense[1],
+                       outside_detection=outside)
+
+
+def _u1_blocks(ts: TrainingSet, fn, threads: int = 1) -> list:
+    """fn of each gamma1 node block of U1 as (n, nodes * T), in block order.
+
+    The blocks are runs of whole tiles of nodes, with at most
+    GRAM_BLOCK_BYTES of U1 each (at least one tile), cut from the sizes
+    alone.  A dense set passes views of U1; a table set builds each block
+    from its tables, byte for byte the dense slice, in one of `threads`
+    reused buffers.  `threads` spreads the blocks, on one BLAS thread.
+    """
+    n, m = ts.n, len(ts.split.gamma1_idx)
+    n_time = ts.split.geometry.n_time
+    step = _TILE * max(1, GRAM_BLOCK_BYTES // (n * _TILE * n_time * 8))
+    bounds = np.append(np.arange(0, m, step), m)
+    # one buffer per worker, allocated in this thread: memory that a worker
+    # allocates stays in its malloc arena after use, which cost about 10 MB
+    # of peak RSS over repeated pipeline runs at step 0.04
+    free = SimpleQueue()
+    for _ in range(0 if ts.dense else min(threads, len(bounds) - 1)):
+        free.put(np.empty(n * step * n_time))
+
+    def block(b):
+        lo, hi = bounds[b], bounds[b + 1]
+        if ts.dense:
+            return fn(ts.u1_samples[:, lo:hi].reshape(n, -1))
+        buf = free.get()
+        x = buf[:n * (hi - lo) * n_time].reshape(n * (hi - lo), n_time)
+        x.fill(0.0)
+        apply_rows(ts.tables, m * np.arange(n) + lo, hi - lo, x)
+        result = fn(x.reshape(n, -1))
+        free.put(buf)
+        return result
+
+    with serial_blas():
+        return parallel_map(block, range(len(bounds) - 1), threads)
 
 
 def gram_matrix(ts: TrainingSet, geom: BoundaryGeometry,
                 threads: int = 1) -> np.ndarray:
     """Pairwise discrete inner products of the gamma1 training traces.
 
-    U1's gamma1 nodes are cut into GRAM_BLOCKS blocks of about equal node
-    counts.  Each block's X_b @ X_b.T, with X_b = U1[:, block] as (n,
-    nodes * T), a view of U1, is one `np.matmul` (which runs SYRK for this
-    form and releases the GIL), and `threads` spreads the blocks.  The
+    Each gamma1 node block's X_b @ X_b.T (see `_u1_blocks`) is one
+    `np.matmul`, which runs SYRK for this form and releases the GIL.  The
     partial Grams are added in block order and scaled by ds * dt, and the
     lower triangle is mirrored, so the result is exactly symmetric and its
-    bytes depend on the layout alone, not on `threads`.
+    bytes depend on the sizes alone: not on `threads`, and not on whether
+    the set is dense.
     """
-    x = ts.u1_samples
-    bounds = x.shape[1] * np.arange(GRAM_BLOCKS + 1) // GRAM_BLOCKS
-
-    def block(b):
-        x_b = x[:, bounds[b]:bounds[b + 1]].reshape(ts.n, -1)
-        return np.matmul(x_b, x_b.T)
-
-    gram = sum(parallel_map(block, range(GRAM_BLOCKS), threads))
+    gram = sum(_u1_blocks(ts, lambda x: np.matmul(x, x.T), threads))
     gram *= geom.ds * geom.dt
     return np.tril(gram) + np.tril(gram, -1).T
 
@@ -217,9 +345,11 @@ def project_coefficients(model: ExtensionModel, u1: WaveData,
                          threads: int = 1) -> np.ndarray:
     """Projection coefficients of u1 onto the span of the training traces.
 
-    The right-hand side ds * dt * U1 @ u1 is one `np.dot` GEMV (which, unlike
-    `@`, releases the GIL) per PROJECT_BLOCK_ROWS phantoms over `threads`;
-    the blocks depend on n alone, so the bytes do not depend on `threads`.
+    For a dense set the right-hand side ds * dt * U1 @ u1 is one `np.dot`
+    GEMV (which, unlike `@`, releases the GIL) per PROJECT_BLOCK_ROWS
+    phantoms over `threads`; the blocks depend on n alone, so the bytes do
+    not depend on `threads`.  For a table set it is ds * dt * S1 @ vec(Y),
+    with Y = u1 D[:C]^T on one BLAS thread.
     """
     if u1.fingerprint != model.fingerprint:
         raise DataMismatchError("limited-view data does not match the model geometry")
@@ -233,10 +363,16 @@ def project_coefficients(model: ExtensionModel, u1: WaveData,
         raise DataMismatchError(
             f"data sampled at dt={u1.dt!r} over {u1.n_time} steps; the model "
             f"has dt={geom.dt!r} over {geom.n_time} steps")
-    x, v = ts.u1_samples.reshape(model.n, -1), u1.samples.ravel()
-    rhs = geom.ds * geom.dt * np.concatenate(parallel_map(
-        lambda lo: np.dot(x[lo:lo + PROJECT_BLOCK_ROWS], v),
-        range(0, model.n, PROJECT_BLOCK_ROWS), threads))
+    if ts.dense:
+        x, v = ts.u1_samples.reshape(model.n, -1), u1.samples.ravel()
+        rhs = np.concatenate(parallel_map(
+            lambda lo: np.dot(x[lo:lo + PROJECT_BLOCK_ROWS], v),
+            range(0, model.n, PROJECT_BLOCK_ROWS), threads))
+    else:
+        with serial_blas():
+            y = u1.samples @ ts.tables.wm.diff_t[:ts.tables.reach].T
+        rhs = ts._sparse[0] @ y.ravel()
+    rhs *= geom.ds * geom.dt
     coeffs = cho_solve((model.chol_lower, True), rhs)
     if not np.all(np.isfinite(coeffs)):
         raise SingularTrainingSetError(minor_index=0, ridge=model.ridge)
@@ -244,10 +380,18 @@ def project_coefficients(model: ExtensionModel, u1: WaveData,
 
 
 def extend(model: ExtensionModel, u1: WaveData, threads: int = 1) -> WaveData:
-    """Predicted gamma2 data: the coefficient combination of training u2 traces."""
+    """Predicted gamma2 data: the coefficient combination of training u2
+    traces, sum_k c_k U2_k for a dense set and (S2^T c) D[:C] for a table
+    set, with S2^T c laid out as (|gamma2|, C)."""
     ts = model.training
-    samples = np.tensordot(project_coefficients(model, u1, threads),
-                           ts.u2_samples, axes=1)
+    coeffs = project_coefficients(model, u1, threads)
+    if ts.dense:
+        samples = np.tensordot(coeffs, ts.u2_samples, axes=1)
+    else:
+        m2 = len(ts.split.gamma2_idx)
+        means = (ts._sparse[1].T @ coeffs).reshape(m2, -1)
+        with serial_blas():
+            samples = means @ ts.tables.wm.diff_t[:ts.tables.reach]
     return WaveData(part=Part.GAMMA2, node_idx=ts.split.gamma2_idx,
                     dt=ts.split.geometry.dt, n_time=samples.shape[1],
                     samples=samples, fingerprint=model.fingerprint)
@@ -255,7 +399,8 @@ def extend(model: ExtensionModel, u1: WaveData, threads: int = 1) -> WaveData:
 
 def stitch(u1: WaveData, u2: WaveData, geom: BoundaryGeometry,
            split: BoundarySplit) -> WaveData:
-    """Merge gamma1 and gamma2 data into full-boundary data in node order."""
+    """Merge gamma1 and gamma2 data into full-boundary data in node order;
+    both parts must be on geom's time grid."""
     fp = split.fingerprint()
     if u1.fingerprint != fp or u2.fingerprint != fp:
         raise DataMismatchError("parts do not belong to this boundary split")
@@ -264,6 +409,12 @@ def stitch(u1: WaveData, u2: WaveData, geom: BoundaryGeometry,
     if not np.array_equal(u1.node_idx, split.gamma1_idx) or \
        not np.array_equal(u2.node_idx, split.gamma2_idx):
         raise DataMismatchError("node indices do not partition the boundary")
+    for u in (u1, u2):
+        if u.dt != geom.dt or u.n_time != geom.n_time:
+            raise DataMismatchError(
+                f"{u.part.value} data sampled at dt={u.dt!r} over {u.n_time} "
+                f"steps; the geometry has dt={geom.dt!r} over {geom.n_time} "
+                "steps")
     samples = np.empty((geom.n_nodes, u1.n_time))
     samples[split.gamma1_idx] = u1.samples
     samples[split.gamma2_idx] = u2.samples
@@ -301,14 +452,15 @@ def save_model(model: ExtensionModel, path) -> None:
 
 def load_model(path, expected_fingerprint: str | None = None,
                threads: int = 1) -> ExtensionModel:
-    """Load a model container and simulate its traces again.
+    """Load a model container and tabulate its training set again.
 
     The stored fingerprint is checked against expected_fingerprint
     (DataMismatchError) and against the geometry built from meta before
-    `build_training_set` simulates the phantoms over `threads`.  The Gram
+    `build_training_set` tabulates the phantoms over `threads`.  The Gram
     matrix is refactorized, and its diagonal must equal ds*dt*||u1_k||^2 of
-    the traces within GRAM_CHECK_RTOL.  A stored partition must tile its box
-    into exactly the phantoms.  Format failures raise ContainerFormatError.
+    the traces, summed over the Gram's node blocks (`_u1_blocks`), within
+    GRAM_CHECK_RTOL.  A stored partition must tile its box into exactly the
+    phantoms.  Format failures raise ContainerFormatError.
     """
     with open(path, "rb") as fh:
         sections = dict(read_container(fh))
@@ -345,8 +497,8 @@ def load_model(path, expected_fingerprint: str | None = None,
 
     ts = build_training_set(phantoms, geom, split, threads)
     chol, ridge = factorize(gram)
-    x = ts.u1_samples.reshape(n, -1)
-    norms = geom.ds * geom.dt * np.einsum("ij,ij->i", x, x)
+    norms = geom.ds * geom.dt * sum(_u1_blocks(
+        ts, lambda x: np.einsum("ij,ij->i", x, x), threads))
     if not np.all(np.abs(np.diagonal(gram) - norms) <= GRAM_CHECK_RTOL * norms):
         raise ContainerFormatError("section 'gram' is not the Gram matrix "
                                    "of the model's phantoms")

@@ -34,6 +34,16 @@ never change: a pass over a geometry's boundary reads the map of the rows
 up to the domain's diameter, and a pass with a window that reaches farther
 reads the map of all the time grid's rows.
 
+A pass has two halves.  `plan_pass` cuts it into blocks and counts the
+wave-map rows its windows reach; `mean_tables` tabulates the blocks' means,
+without their exact zeros, as a `MeanTables` value, which the training sets
+of `extension` keep in place of their traces.  `apply_tables` lays the
+tables out as tiles and runs the GEMMs; `apply_rows` does so for chosen
+runs of rows, so a caller can build some traces from a table and free them
+after use.  `simulate_wave_data` and `wave_trace` run both halves block by
+block in one parallel pass, so their tables never exist whole;
+`tables_and_traces` does the same and keeps the tables.
+
 `threads` spreads blocks of whole tiles of one part over workers, with
 OpenBLAS on one thread; each block builds its own tiles and their products.
 The block bounds come from the windows' entry counts alone, and a GEMM's
@@ -50,10 +60,12 @@ accuracy.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -214,18 +226,15 @@ def _boundary_wave_map(geom: BoundaryGeometry) -> _WaveMap:
 
 
 def _dense_tiles(bounds, row, col, value) -> list:
-    """The dense tiles of one block's table entries.
+    """The dense tiles of some table entries.
 
-    bounds are the row bounds of the block's tiles; row, col and value list
-    the entries, sorted by row.  Returns (lo, hi, j0, tile) for each tile of
-    rows [lo, hi) that holds a nonzero value: tile is (hi - lo, j1 - j0 + 1),
-    over the span [j0, j1] of its nonzero columns, with the entries of each
-    cell summed in their order.  All tiles of the block are views of one
-    bincount.  A value of exactly 0.0 is left out (it would add exactly
-    +0.0), so a tile without a nonzero value has no span and is not listed.
+    bounds are consecutive tile bounds; row, col and value list the entries
+    of the rows in [bounds[0], bounds[-1]), sorted by row, none of them
+    exactly 0.0.  Returns (lo, hi, j0, tile) for each tile of rows [lo, hi)
+    that holds an entry: tile is (hi - lo, j1 - j0 + 1), over the span
+    [j0, j1] of its columns, with the entries of each cell summed in their
+    order.  All tiles are views of one bincount.
     """
-    nz = value != 0.0
-    row, col, value = row[nz], col[nz], value[nz]
     at = np.searchsorted(row, bounds)  # each tile's entries are consecutive
     keep = np.flatnonzero(at[1:] > at[:-1])
     if not len(keep):
@@ -237,32 +246,78 @@ def _dense_tiles(bounds, row, col, value) -> list:
     tile = np.repeat(np.arange(len(keep)), at[keep + 1] - at[keep])
     dense = np.bincount(off[tile] + (row - lo[tile]) * width[tile]
                         + col - j0[tile], value, off[-1])
-    return [(lo[t], hi[t], j0[t],
-             dense[off[t]:off[t + 1]].reshape(hi[t] - lo[t], width[t]))
-            for t in range(len(keep))]
+    return [(a, b, j, dense[o:o + (b - a) * w].reshape(b - a, w))
+            for a, b, j, w, o in zip(lo.tolist(), hi.tolist(), j0.tolist(),
+                                     width.tolist(), off.tolist())]
 
 
-def _traces(phantoms, parts, wm: _WaveMap, threads: int = 1) -> list:
-    """Traces u(x, k*dt), k = 1..n_time, of each phantom at each point x of
-    each part (an (m_p, 2) array), as one (phantoms, m_p, n_time) array per
-    part.
+def _row0(n_phantoms: int, sizes) -> np.ndarray:
+    """First row of each part of a pass, and the row count at the end."""
+    sizes = np.array(sizes, dtype=int)
+    return np.concatenate([[0], np.cumsum(n_phantoms * sizes)])
 
-    A table row is one (part, phantom, point) triple, numbered part by part
-    and phantom-major within a part.  For every nonzero term of the phantom,
-    the point's radius window [j_lo, j_hi] covers the term's `radial_extent`
-    about the point (exact for boxes; for ellipses from boundary samples
-    widened by their spacing): j_lo = floor(lo / dr), j_hi = ceil(hi / dr).
-    The means beyond it are exactly 0.0.  The row holds its windows in term
-    order.  The rows of each (part, phantom) are cut into tiles of _TILE
-    points, and each part's tiles into blocks of whole tiles with about
-    _CHUNK_ROWS entries each, cut from the window counts alone.  Per block,
-    the rows of all box terms go through one box mean evaluation with the
-    edges gathered per entry, and each ellipse term's rows through one
-    mean-table call; each mean is scaled by its term's coefficient.
-    `_dense_tiles` lays the means out as dense tiles, and each tile's GEMM
-    with the differenced wave map, from the first time column its span can
-    reach (`_WaveMap.first_k`), writes its rows of the zeroed output.  The
-    pass runs inside `serial_blas`.
+
+@dataclass(frozen=True)
+class MeanTables:
+    """The mean tables of one forward pass, or of one block of it.
+
+    A row is one (part, phantom, point) triple, numbered part by part and
+    phantom-major within a part.  The tables hold the rows from first_row
+    on: row first_row + r holds its entries indptr[r]:indptr[r + 1] of cols
+    (radius nodes) and values (means scaled by their term's coefficient),
+    its terms' windows in term order, without the exact zeros.  The trace
+    of a row is its entries times the wave map: u(k*dt) = sum of
+    value * wm.diff_t[col, k].  Tiles are _TILE consecutive points of one
+    (part, phantom); blocks are the pass's (part, first row, end row) runs
+    of whole tiles.  reach is the number of wave-map rows the pass's
+    windows reach: no column is reach or beyond.
+    """
+
+    n_phantoms: int
+    sizes: tuple
+    indptr: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    blocks: tuple
+    wm: _WaveMap
+    reach: int
+    first_row: int = 0
+
+    @property
+    def row0(self) -> np.ndarray:
+        """First row of each part, and the row count at the end."""
+        return _row0(self.n_phantoms, self.sizes)
+
+
+class ForwardPlan(NamedTuple):
+    """The blocks of one forward pass (see `plan_pass`): tabulate(block)
+    gives the MeanTables of one block's rows."""
+
+    n_phantoms: int
+    sizes: tuple
+    blocks: tuple
+    wm: _WaveMap
+    reach: int
+    tabulate: Callable
+
+
+def plan_pass(phantoms, parts, wm: _WaveMap) -> ForwardPlan:
+    """The blocks of a forward pass of each phantom at each point of each
+    part (an (m_p, 2) array), the wave-map rows its windows reach, and the
+    function that tabulates one block.
+
+    For every nonzero term of the phantom, a row's radius window
+    [j_lo, j_hi] covers the term's `radial_extent` about the point (exact
+    for boxes; for ellipses from boundary samples widened by their spacing):
+    j_lo = floor(lo / dr), j_hi = ceil(hi / dr).  The means beyond it are
+    exactly 0.0.  The row holds its windows in term order.  The rows of each
+    (part, phantom) are cut into tiles of _TILE points, and each part's
+    tiles into blocks of whole tiles with about _CHUNK_ROWS entries each,
+    cut from the window counts alone.  Per block, the rows of all box terms
+    go through one box mean evaluation with the edges gathered per entry,
+    and each ellipse term's rows through one mean-table call; each mean is
+    scaled by its term's coefficient, and the exact zeros are dropped.  A window past the rows of wm makes the
+    tables refer to the full map of wm's time grid.
     """
     # the nonzero terms of all phantoms, phantom by phantom in term order
     terms, owner = [], []
@@ -271,11 +326,11 @@ def _traces(phantoms, parts, wm: _WaveMap, threads: int = 1) -> list:
             if coef != 0.0:
                 terms.append((coef, q))
                 owner.append(k)
-    n_ph, n_col, n_time = len(phantoms), wm.n_radii, wm.n_time
+    n_ph, n_col = len(phantoms), wm.n_radii
     points = np.concatenate(parts)
     m = len(points)
     sizes = np.array([len(x) for x in parts], dtype=int)
-    row0 = np.concatenate([[0], np.cumsum(n_ph * sizes)])
+    row0 = _row0(n_ph, sizes)
     # per point: the row of phantom 0 at it and its part's point count
     point_row = np.arange(m) + np.repeat(row0[:-1] - np.cumsum(sizes) + sizes,
                                          sizes)
@@ -288,8 +343,9 @@ def _traces(phantoms, parts, wm: _WaveMap, threads: int = 1) -> list:
         j_hi = np.minimum(n_col - 1, np.ceil(hi / wm.dr).astype(int))
         # no rows for a point the wave does not reach by t_max
         counts[t] = np.where(j_lo[t] < n_col - 1, j_hi - j_lo[t] + 1, 0)
+    reach = int(np.where(counts > 0, j_lo + counts, 0).max(initial=0))
     # a window past the map's rows reads the full map of its time grid
-    if np.where(counts > 0, j_lo + counts, 0).max(initial=0) > len(wm.diff_t):
+    if reach > len(wm.diff_t):
         wm = _wave_map(wm.dt, wm.n_time)
     # one window per (term, point), ordered by row, then by term
     seg_t, seg_i = np.divmod(np.arange(counts.size), m)
@@ -302,13 +358,12 @@ def _traces(phantoms, parts, wm: _WaveMap, threads: int = 1) -> list:
         seg_row, seg_count, row0[-1]).astype(int))])
     # tiles restart at each (part, phantom); a block ends with the tile that
     # reaches its share of its part's entries
-    tiles, tasks = [], []
+    tasks = []
     for p, m_p in enumerate(sizes):
         lo = (row0[p] + m_p * np.arange(n_ph)[:, None]
               + np.arange(0, m_p, _TILE)).ravel()
         if not len(lo):
             continue
-        tiles.append(lo)
         bounds = np.append(lo, row0[p + 1])
         ends = row_ends[bounds[1:]] - row_ends[row0[p]]
         total = int(ends[-1])
@@ -316,16 +371,18 @@ def _traces(phantoms, parts, wm: _WaveMap, threads: int = 1) -> list:
         cuts = np.searchsorted(ends, total * np.arange(1, n_blocks) // n_blocks)
         cuts = bounds[np.unique(np.concatenate([[0], cuts + 1, [len(lo)]]))]
         tasks += [(p, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
-    tile_bounds = np.concatenate([*tiles, [row0[-1]]])
     coefs = np.array([coef for coef, _ in terms])
     is_box = np.array([isinstance(q, SquareIndicator) for _, q in terms], dtype=bool)
     edges = np.array([q.bounding_box() if isinstance(q, SquareIndicator)
                       else (np.nan,) * 4 for _, q in terms]).reshape(-1, 4).T
     px, py = np.array(points.T)
-    outs = [np.zeros((n_ph, m_p, n_time)) for m_p in sizes]
 
-    def block(task) -> None:
-        p, r0, r1 = task
+    shape = dict(n_phantoms=n_ph, sizes=tuple(int(s) for s in sizes),
+                 blocks=tuple((p, int(a), int(b)) for p, a, b in tasks),
+                 wm=wm, reach=reach)
+
+    def tabulate(task) -> MeanTables:
+        _, r0, r1 = task
         s0, s1 = np.searchsorted(seg_row, (r0, r1))
         c = seg_count[s0:s1]
         cols = np.arange(c.sum()) + np.repeat(seg_jlo[s0:s1] - (np.cumsum(c) - c), c)
@@ -345,18 +402,118 @@ def _traces(phantoms, parts, wm: _WaveMap, threads: int = 1) -> list:
             at = ell[term[ell] == t]
             data[at] = coefs[t] * exact_mean_table(
                 terms[t][1], points[point[at]], radii[at])
-        t0, t1 = np.searchsorted(tile_bounds, (r0, r1))
+        nz = data != 0.0
+        kept = np.concatenate([[0], np.cumsum(nz)])
+        return MeanTables(indptr=kept[row_ends[r0:r1 + 1] - row_ends[r0]],
+                          cols=cols[nz].astype(np.int32), values=data[nz],
+                          first_row=r0, **shape)
+
+    return ForwardPlan(tabulate=tabulate, **shape)
+
+
+def _joined(plan: ForwardPlan, done: list) -> MeanTables:
+    """The tables of the plan's blocks, joined in row order."""
+    if not done:  # no points: the tables of no rows
+        return plan.tabulate((0, 0, 0))
+    return dataclasses.replace(
+        done[0], first_row=0,
+        indptr=np.concatenate([[0], np.cumsum(np.concatenate(
+            [np.diff(t.indptr) for t in done]))]),
+        cols=np.concatenate([t.cols for t in done]),
+        values=np.concatenate([t.values for t in done]))
+
+
+def mean_tables(plan: ForwardPlan, threads: int = 1) -> MeanTables:
+    """The mean tables of a planned pass: its first half.  `threads`
+    spreads the blocks."""
+    return _joined(plan, parallel_map(plan.tabulate, plan.blocks, threads))
+
+
+def apply_rows(tables: MeanTables, starts, length: int, out: np.ndarray) -> None:
+    """Write the traces of the table rows [s, s + length), for each s in
+    starts, into the zeroed (len(starts) * length, n_time) array out, range
+    after range.
+
+    The ranges lie in one part, in row order, and each starts at a tile's
+    first row and ends at a tile's end.  `_dense_tiles` lays each tile's
+    entries out densely, and the tile's GEMM with the wave map, from the
+    first time column its span can reach (`_WaveMap.first_k`), writes its
+    rows; a row without entries stays +0.0.  A trace depends only on its tile, so its
+    bytes do not depend on the ranges it is written with.  Run it inside
+    `serial_blas`.
+    """
+    starts = np.asarray(starts, dtype=int)
+    ends = starts + length
+    wm, f, ip = tables.wm, tables.first_row, tables.indptr
+    e0, e1 = ip[starts - f], ip[ends - f]
+    if len(starts) == 1:
+        at = slice(e0[0], e1[0])
+    else:
+        n_e = e1 - e0
+        at = np.arange(n_e.sum()) + np.repeat(e0 - (np.cumsum(n_e) - n_e), n_e)
+    rows = (starts[:, None] + np.arange(length)).ravel()
+    # a tile starts at every _TILE-th point of its (part, phantom)
+    row0 = tables.row0
+    p = np.searchsorted(row0, starts[0], side="right") - 1
+    first = (rows - row0[p]) % tables.sizes[p] % _TILE == 0
+    bounds = np.union1d(rows[first], ends)
+    rows = np.repeat(rows, ip[rows - f + 1] - ip[rows - f])
+    tiles = _dense_tiles(bounds, rows, tables.cols[at], tables.values[at])
+    # each tile's first row in out, and the first time column it reaches
+    lo = np.array([t[0] for t in tiles], dtype=int)
+    r = np.searchsorted(starts, lo, side="right") - 1
+    at_out = (r * length + lo - starts[r]).tolist()
+    k0s = wm.first_k[np.array([t[2] for t in tiles], dtype=int)].tolist()
+    for (lo, hi, j0, tile), o, k0 in zip(tiles, at_out, k0s):
+        np.matmul(tile, wm.diff_t[j0:j0 + tile.shape[1], k0:],
+                  out=out[o:o + hi - lo, k0:])
+
+
+def _apply_blocks(shape, table_of, threads: int) -> list:
+    """One (phantoms, m_p, n_time) array per part of shape (a ForwardPlan or
+    MeanTables), each block's rows written by `apply_rows` from
+    table_of(block), the blocks spread over `threads` inside `serial_blas`."""
+    row0, n_time = _row0(shape.n_phantoms, shape.sizes), shape.wm.n_time
+    outs = [np.zeros((shape.n_phantoms, m_p, n_time)) for m_p in shape.sizes]
+
+    def block(task) -> None:
+        p, r0, r1 = task
         rows_out = outs[p].reshape(-1, n_time)
-        for lo, hi, j0, tile in _dense_tiles(tile_bounds[t0:t1 + 1],
-                                              np.repeat(seg_row[s0:s1], c),
-                                              cols, data):
-            k0 = wm.first_k[j0]
-            np.matmul(tile, wm.diff_t[j0:j0 + tile.shape[1], k0:],
-                      out=rows_out[lo - row0[p]:hi - row0[p], k0:])
+        apply_rows(table_of(task), [r0], r1 - r0,
+                   rows_out[r0 - row0[p]:r1 - row0[p]])
 
     with serial_blas():
-        parallel_map(block, tasks, threads)
+        parallel_map(block, shape.blocks, threads)
     return outs
+
+
+def apply_tables(tables: MeanTables, threads: int = 1) -> list:
+    """Traces u(x, k*dt), k = 1..n_time, of the tables' rows, as one
+    (phantoms, m_p, n_time) array per part: the second half of a forward
+    pass.  `threads` spreads the tables' blocks."""
+    return _apply_blocks(tables, lambda block: tables, threads)
+
+
+def tables_and_traces(plan: ForwardPlan, threads: int = 1) -> tuple:
+    """(MeanTables, traces) of a planned pass: both halves block by block
+    in one parallel pass, the blocks' tables kept and joined."""
+    done = {}
+
+    def table_of(block) -> MeanTables:
+        done[block] = plan.tabulate(block)
+        return done[block]
+
+    traces = _apply_blocks(plan, table_of, threads)
+    return _joined(plan, [done[b] for b in plan.blocks]), traces
+
+
+def _traces(phantoms, parts, wm: _WaveMap, threads: int = 1) -> list:
+    """Traces u(x, k*dt), k = 1..n_time, of each phantom at each point x of
+    each part (an (m_p, 2) array), as one (phantoms, m_p, n_time) array per
+    part: both halves block by block in one parallel pass, so no block's
+    table outlives its products."""
+    plan = plan_pass(phantoms, parts, wm)
+    return _apply_blocks(plan, plan.tabulate, threads)
 
 
 def wave_trace(p: Phantom, x, geom: BoundaryGeometry) -> np.ndarray:

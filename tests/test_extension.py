@@ -1,24 +1,31 @@
 import dataclasses
 import json
 from io import BytesIO
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg.blas import dsyrk
 
 import lvpat.extension as extension
+from lvpat.cli import ExperimentConfig
 from lvpat.errors import (ContainerFormatError, DataMismatchError,
                           ParameterError, SingularTrainingSetError)
-from lvpat.extension import (GRAM_BLOCKS, PROJECT_BLOCK_ROWS, TrainingSet,
+from lvpat.extension import (PROJECT_BLOCK_ROWS, TrainingSet,
                              build_training_set, extend, factorize,
                              gram_matrix, load_model, project_coefficients,
                              save_model, stitch, train_extension_model,
                              zero_extend)
-from lvpat.forward import Part, WaveData, restrict_wave_data, simulate_wave_data
+from lvpat.forward import (_TILE, MeanTables, Part, WaveData,
+                           _boundary_wave_map, apply_tables, mean_tables,
+                           plan_pass, restrict_wave_data, simulate_wave_data)
+from lvpat.geometry import read_geometry
 from lvpat.metrics import boundary_time_inner, boundary_time_norm
 from lvpat.phantoms import SquareIndicator, WeightedSum, training_partition
 
 from conftest import BOX, TEST_PHANTOM, write_container
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def partition_set(shape, geom, split):
@@ -37,6 +44,55 @@ def ts32(coarse_geom, coarse_split):
 def model8(coarse_geom, coarse_split):
     return train_extension_model(partition_set((8, 4), coarse_geom,
                                                coarse_split), coarse_geom)
+
+
+def split_tables(phantoms, geom, split):
+    """The mean tables of phantoms at the split's gamma1 and gamma2 nodes."""
+    return mean_tables(plan_pass(phantoms, [geom.positions[split.gamma1_idx],
+                                            geom.positions[split.gamma2_idx]],
+                                 _boundary_wave_map(geom)))
+
+
+def random_tables(rng, n, geom, split, width=12):
+    """Mean tables of n made-up phantoms: every row a window of up to
+    `width` random nonzero values at a random radius node."""
+    wm = _boundary_wave_map(geom)
+    sizes = (len(split.gamma1_idx), len(split.gamma2_idx))
+    rows = n * sum(sizes)
+    counts = rng.integers(1, width + 1, rows)
+    first = rng.integers(0, len(wm.diff_t) - width, rows)
+    cols = (np.arange(counts.sum())
+            + np.repeat(first - (np.cumsum(counts) - counts), counts))
+    row0 = n * sizes[0]
+    return MeanTables(
+        n_phantoms=n, sizes=sizes,
+        indptr=np.concatenate([[0], np.cumsum(counts)]),
+        cols=cols.astype(np.int32), values=rng.uniform(0.5, 1.5, len(cols)),
+        blocks=((0, 0, row0), (1, row0, rows)), wm=wm,
+        reach=int(cols.max()) + 1)
+
+
+def as_dense(ts):
+    """The same training set holding its dense traces."""
+    u1, u2 = apply_tables(ts.tables)
+    return dataclasses.replace(ts, u1_samples=u1, u2_samples=u2)
+
+
+def as_tables(ts):
+    """The same training set without its dense traces."""
+    return dataclasses.replace(ts, u1_samples=None, u2_samples=None)
+
+
+def held_bytes(ts):
+    """Bytes of the arrays a training set holds: its tables, its tensors,
+    and the index arrays of a table set's sparse parts (whose values are
+    the tables')."""
+    tab = ts.tables
+    held = [tab.indptr, tab.cols, tab.values]
+    if ts.dense:
+        held += [ts.u1_samples, ts.u2_samples]
+    held += [a for s in ts._sparse for a in (s.indices, s.indptr)]
+    return sum(a.nbytes for a in held)
 
 
 def mixture_data(model, coefs, split):
@@ -71,12 +127,23 @@ class TestTrainingSet:
         assert info.value.minor_index == 2
 
     def test_views_share_the_tensors(self, ts32, coarse_geom, coarse_split):
+        # a dense set's traces are read-only views of its tensors; a table
+        # set (32x16 here) has no tensors and builds read-only traces
         n_time = coarse_geom.n_time
-        assert ts32.u1_samples.shape == (512, len(coarse_split.gamma1_idx), n_time)
-        assert ts32.u2_samples.shape == (512, len(coarse_split.gamma2_idx), n_time)
-        view = ts32.u2[7].samples
-        assert np.shares_memory(view, ts32.u2_samples)
+        ts = partition_set((4, 2), coarse_geom, coarse_split)
+        assert ts.dense and not ts32.dense
+        assert ts.u1_samples.shape == (8, len(coarse_split.gamma1_idx), n_time)
+        assert ts.u2_samples.shape == (8, len(coarse_split.gamma2_idx), n_time)
+        view = ts.u2[7].samples
+        assert np.shares_memory(view, ts.u2_samples)
         assert not view.flags.writeable
+        assert ts32.u1_samples is None and ts32.u2_samples is None
+        built = ts32.u2[7].samples
+        assert built.shape == (len(coarse_split.gamma2_idx), n_time)
+        assert not built.flags.writeable
+        assert len(ts32.u1) == 512
+        with pytest.raises(IndexError):
+            ts32.u1[512]
 
     def test_tensors_are_restrictions_of_full_simulations(self, coarse_geom,
                                                           coarse_split):
@@ -96,8 +163,13 @@ class TestTrainingSet:
         for threads in (1, 2, 4):
             ts = build_training_set(phantoms, coarse_geom, coarse_split,
                                     threads=threads)
+            assert ts.dense
             assert ts.u1_samples.tobytes() == u1.tobytes()
             assert ts.u2_samples.tobytes() == u2.tobytes()
+            tables = as_tables(ts)
+            for k in range(len(phantoms)):
+                assert tables.u1[k].samples.tobytes() == u1[k].tobytes()
+                assert tables.u2[k].samples.tobytes() == u2[k].tobytes()
 
     def test_support_outside_domain_rejected(self, coarse_geom, coarse_split):
         cells = training_partition(BOX, 2, 1)
@@ -115,42 +187,75 @@ class TestTrainingSet:
         assert len(seen) == 1
         assert ts.outside_detection == (0, 2)
 
-    @pytest.mark.parametrize("bad", ["phantoms", "u1_idx", "u2_idx", "n_time"])
-    def test_constructor_rejects_mismatched_tensors(self, coarse_split, bad):
-        # the tensors must match the phantom count, the split's gamma1 and
-        # gamma2 node counts and its geometry's n_time
+    @pytest.mark.parametrize("bad", ["phantoms", "u1_idx", "u2_idx", "n_time",
+                                     "one-tensor", "tables"])
+    def test_constructor_rejects_mismatched_tensors(self, coarse_geom,
+                                                    coarse_split, medium_geom,
+                                                    medium_split, bad):
+        # the tables and the tensors must match the phantom count, the
+        # split's gamma1 and gamma2 node counts and its geometry's n_time,
+        # and a set holds both tensors or neither
+        cells = training_partition(BOX, 3, 1)
         i1, i2 = coarse_split.gamma1_idx, coarse_split.gamma2_idx
         t = coarse_split.geometry.n_time
-        args = dict(phantoms=[SquareIndicator(k, k + 1, 0, 1) for k in range(3)],
-                    split=coarse_split, u1_samples=np.zeros((3, len(i1), t)),
+        args = dict(phantoms=cells, split=coarse_split,
+                    tables=split_tables(cells, coarse_geom, coarse_split),
+                    u1_samples=np.zeros((3, len(i1), t)),
                     u2_samples=np.zeros((3, len(i2), t)))
         TrainingSet(**args)
+        TrainingSet(**{**args, "u1_samples": None, "u2_samples": None})
         if bad == "phantoms":
             args["phantoms"] = args["phantoms"][:2]
         elif bad == "n_time":
             args["u2_samples"] = np.zeros((3, len(i2), t - 1))
+        elif bad == "one-tensor":
+            args["u2_samples"] = None
+        elif bad == "tables":
+            args["tables"] = split_tables(cells, medium_geom, medium_split)
         else:
             key = "u1_samples" if bad == "u1_idx" else "u2_samples"
             args[key] = args[key][:, 1:]
         with pytest.raises(ParameterError):
             TrainingSet(**args)
 
+    def test_table_traces_are_simulated_data(self, ts32, coarse_geom,
+                                             coarse_split):
+        # a table set's u1[k] and u2[k] are built from its tables, byte for
+        # byte the phantom's simulated gamma1 and gamma2 data
+        cells = training_partition(BOX, 32, 16)
+        for k in (0, 77, 300, 511):
+            for part, traces in ((Part.GAMMA1, ts32.u1), (Part.GAMMA2, ts32.u2)):
+                want = simulate_wave_data(cells[k], coarse_geom, coarse_split,
+                                          part)
+                got = traces[k]
+                assert got.part is part
+                assert np.array_equal(got.node_idx, want.node_idx)
+                assert got.samples.tobytes() == want.samples.tobytes()
+
 
 class TestGramAndFactorization:
 
     def test_orthonormal_traces_give_identity(self, coarse_geom, coarse_split):
+        # phantom k's one table entry sits at gamma1 node 3k, scaled so that
+        # its trace has unit norm: traces at distinct nodes are orthogonal
         w = coarse_geom.ds * coarse_geom.dt
-        n_time = coarse_geom.n_time
-        traces = np.zeros((4, len(coarse_split.gamma1_idx), n_time))
-        for k in range(4):
-            traces[k, 3 * k, 5 + k] = 1.0 / np.sqrt(w)
+        wm = _boundary_wave_map(coarse_geom)
+        m1, m2 = len(coarse_split.gamma1_idx), len(coarse_split.gamma2_idx)
+        j = 40
+        counts = np.zeros(4 * (m1 + m2), dtype=int)
+        counts[np.arange(4) * (m1 + 3)] = 1
+        tables = MeanTables(
+            n_phantoms=4, sizes=(m1, m2),
+            indptr=np.concatenate([[0], np.cumsum(counts)]),
+            cols=np.full(4, j, dtype=np.int32),
+            values=np.full(4, 1.0 / np.sqrt(w * (wm.diff_t[j] ** 2).sum())),
+            blocks=((0, 0, 4 * m1), (1, 4 * m1, 4 * (m1 + m2))), wm=wm,
+            reach=j + 1)
         phantoms = [SquareIndicator(k, k + 1, 0, 1) for k in range(4)]
-        ts = TrainingSet(phantoms=phantoms, split=coarse_split,
-                         u1_samples=traces,
-                         u2_samples=np.zeros((4, len(coarse_split.gamma2_idx),
-                                              n_time)))
+        ts = TrainingSet(phantoms=phantoms, split=coarse_split, tables=tables)
         gram = gram_matrix(ts, coarse_geom)
         assert np.abs(gram - np.eye(4)).max() <= 1e-12
+        assert gram_matrix(as_dense(ts), coarse_geom).tobytes() == gram.tobytes()
 
     def test_gram_matches_pairwise_inner_products(self, coarse_geom,
                                                   coarse_split):
@@ -171,17 +276,20 @@ class TestGramAndFactorization:
                                         monkeypatch):
         # the node blocks' partial Grams, added in block order, agree with
         # one SYRK over all of U1 to rounding, are exactly symmetric, and
-        # give the same bytes for every thread count; the gamma1 node count
-        # is not a multiple of GRAM_BLOCKS, so the blocks differ in size
+        # give the same bytes for every thread count, from dense tensors
+        # and from tables alike; blocks of three tiles leave a last block of
+        # 4 nodes (148 gamma1 nodes), whose tile is partial too
         rng = np.random.default_rng(8)
         n, n_time = 40, coarse_geom.n_time
         n_nodes = len(coarse_split.gamma1_idx)
-        assert n_nodes % GRAM_BLOCKS
-        u1 = rng.standard_normal((n, n_nodes, n_time))
+        monkeypatch.setattr(extension, "GRAM_BLOCK_BYTES",
+                            3 * n * _TILE * n_time * 8)
+        assert n_nodes % (3 * _TILE) == 4
         ts = TrainingSet(phantoms=[SquareIndicator(0, 1, 0, 1)] * n,
-                         split=coarse_split, u1_samples=u1,
-                         u2_samples=np.zeros((n, len(coarse_split.gamma2_idx),
-                                              n_time)))
+                         split=coarse_split,
+                         tables=random_tables(rng, n, coarse_geom, coarse_split))
+        dense = as_dense(ts)
+        u1 = dense.u1_samples
         w = coarse_geom.ds * coarse_geom.dt
         want = dsyrk(w, u1.reshape(n, -1).T, trans=1, lower=1)
         want = np.tril(want) + np.tril(want, -1).T
@@ -192,12 +300,13 @@ class TestGramAndFactorization:
             return real(fn, items, threads)
 
         monkeypatch.setattr(extension, "parallel_map", recorded)
-        grams = {t: gram_matrix(ts, coarse_geom, threads=t) for t in (1, 2, 4)}
-        assert blocks == [list(range(GRAM_BLOCKS))] * 3
-        gram = grams[1]
+        grams = {(t, s.dense): gram_matrix(s, coarse_geom, threads=t)
+                 for t in (1, 2, 4) for s in (ts, dense)}
+        assert blocks == [list(range(4))] * 6
+        gram = grams[1, True]
         assert np.abs(gram - want).max() <= 1e-13 * np.abs(want).max()
         assert np.array_equal(gram, gram.T)
-        assert grams[2].tobytes() == grams[4].tobytes() == gram.tobytes()
+        assert all(g.tobytes() == gram.tobytes() for g in grams.values())
 
     def test_identity_factorizes_with_zero_ridge(self):
         chol, ridge = factorize(np.eye(5))
@@ -343,6 +452,99 @@ class TestExtend:
             assert b <= a + 1e-12, f"extension error increased: {errs}"
 
 
+class TestTablePath:
+    """Training sets above the crossover hold mean tables, not traces."""
+
+    # (C, {partition: dense}) of the shipped configs, and of the
+    # benchmark's pipeline (4x2, 8x4, 16x8) and apply (8x4) at step 0.04
+    PATHS = {
+        "smoke": (135, {(2, 1): True, (4, 2): True}),
+        "reduced": (669, {(4, 2): True, (8, 4): True, (16, 8): False,
+                          (32, 16): False}),
+        "full": (1337, {(4, 2): True, (8, 4): True, (16, 8): True,
+                        (32, 16): False}),
+        "step 0.04": (335, {(4, 2): True, (8, 4): True, (16, 8): False}),
+    }
+
+    @staticmethod
+    def step_004():
+        """(geometry, split) of the benchmark's pipeline and apply."""
+        raw = json.loads((CONFIG_DIR / "experiment_reduced.json").read_text())
+        return read_geometry({**raw["geometry"], "spacing": 0.04, "dt": 0.04},
+                             "geometry")
+
+    def test_path_choice_pinned(self):
+        # every partition of a box reaches the rows its whole box reaches,
+        # so C comes from the 1x1 partition; the shipped n_list are pinned
+        # too, so a config edit shows here
+        for name, (reach, paths) in self.PATHS.items():
+            if name == "step 0.04":
+                geom, split = self.step_004()
+                shapes = [(4, 2), (8, 4), (16, 8)]
+            else:
+                cfg = ExperimentConfig.from_json(
+                    CONFIG_DIR / f"experiment_{name}.json")
+                geom, split, shapes = cfg.geometry, cfg.split, cfg.n_list
+                assert cfg.box == BOX
+            whole = split_tables(training_partition(BOX, 1, 1), geom, split)
+            assert whole.reach == reach, name
+            assert [tuple(s) for s in shapes] == list(paths), name
+            got = {tuple(s): extension._keeps_dense(s[0] * s[1], reach)
+                   for s in shapes}
+            assert got == paths, name
+
+    def test_table_set_holds_a_tenth_of_the_traces(self):
+        # the pipeline's 8x4 set stays dense and its 16x8 set keeps tables
+        # of at most 1/10 of the dense U1 + U2 bytes (array nbytes)
+        geom, split = self.step_004()
+        sizes = len(split.gamma1_idx) + len(split.gamma2_idx)
+        for shape, dense in (((8, 4), True), ((16, 8), False)):
+            ts = partition_set(shape, geom, split)
+            assert ts.dense is dense and ts.tables.reach == 335
+            traces = ts.n * sizes * geom.n_time * 8
+            if dense:
+                assert held_bytes(ts) > traces
+            else:
+                assert 10 * held_bytes(ts) <= traces
+
+    def test_span_member_exactness_above_crossover(self, medium_geom,
+                                                   medium_split):
+        # c4's check on a 16x8 model at step 0.04, above the crossover
+        ts = partition_set((16, 8), medium_geom, medium_split)
+        assert not ts.dense
+        model = train_extension_model(ts, medium_geom, threads=2)
+        rng = np.random.default_rng(99)
+        coefs = rng.uniform(-1, 1, model.n)
+        f = WeightedSum(tuple(zip(coefs, ts.phantoms)))
+        full = simulate_wave_data(f, medium_geom, medium_split, Part.FULL,
+                                  threads=2)
+        u1 = restrict_wave_data(full, medium_split, Part.GAMMA1)
+        u2 = restrict_wave_data(full, medium_split, Part.GAMMA2)
+        diff = u2.copy_with(extend(model, u1, threads=2).samples - u2.samples)
+        rel = (boundary_time_norm(diff, medium_geom)
+               / boundary_time_norm(u2, medium_geom))
+        assert rel <= 1e-6
+
+    def test_dense_and_table_paths_agree(self, model8, coarse_geom,
+                                         coarse_split):
+        # one model: the same Gram bytes from both representations, and
+        # coefficients and extensions within 1e-12 of their maximum
+        assert not model8.training.dense
+        dense = dataclasses.replace(model8, training=as_dense(model8.training))
+        assert gram_matrix(dense.training, coarse_geom).tobytes() == \
+            model8.gram.tobytes()
+        rng = np.random.default_rng(21)
+        mixed, _ = mixture_data(model8, rng.uniform(-1, 1, model8.n),
+                                coarse_split)
+        for u1 in (simulate_wave_data(TEST_PHANTOM, coarse_geom, coarse_split,
+                                      Part.GAMMA1), mixed):
+            c_tab = project_coefficients(model8, u1)
+            c_dense = project_coefficients(dense, u1)
+            assert np.abs(c_tab - c_dense).max() <= 1e-12 * np.abs(c_dense).max()
+            got, want = extend(model8, u1).samples, extend(dense, u1).samples
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestStitch:
 
     def test_parts_reassemble_exactly(self, coarse_geom, coarse_split):
@@ -368,6 +570,30 @@ class TestStitch:
         with pytest.raises(DataMismatchError):
             stitch(u1, fake, coarse_geom, coarse_split)
 
+    def test_other_dt_rejected(self, coarse_geom, coarse_split):
+        # a part sampled at another dt is not stitched under the other's
+        p = SquareIndicator(-1.0, -0.6, -0.5, -0.1)
+        u1 = simulate_wave_data(p, coarse_geom, coarse_split, Part.GAMMA1)
+        u2 = simulate_wave_data(p, coarse_geom, coarse_split, Part.GAMMA2)
+        for a, b in ((u1, dataclasses.replace(u2, dt=2 * u2.dt)),
+                     (dataclasses.replace(u1, dt=2 * u1.dt), u2)):
+            with pytest.raises(DataMismatchError, match="dt="):
+                stitch(a, b, coarse_geom, coarse_split)
+
+    def test_other_n_time_rejected(self, coarse_geom, coarse_split):
+        # a part with another step count, or both parts off the geometry's
+        p = SquareIndicator(-1.0, -0.6, -0.5, -0.1)
+        u1 = simulate_wave_data(p, coarse_geom, coarse_split, Part.GAMMA1)
+        u2 = simulate_wave_data(p, coarse_geom, coarse_split, Part.GAMMA2)
+
+        def short(u):
+            return dataclasses.replace(u, n_time=u.n_time - 1,
+                                       samples=u.samples[:, :-1])
+
+        for a, b in ((u1, short(u2)), (short(u1), u2), (short(u1), short(u2))):
+            with pytest.raises(DataMismatchError, match="steps"):
+                stitch(a, b, coarse_geom, coarse_split)
+
     def test_wrong_parts_rejected(self, coarse_geom, coarse_split):
         p = SquareIndicator(-1.0, -0.6, -0.5, -0.1)
         u1 = simulate_wave_data(p, coarse_geom, coarse_split, Part.GAMMA1)
@@ -389,6 +615,16 @@ def bad_geometry(*keys):
             for key in keys for name, bad in BAD_NUMBERS.items()]
 
 
+def same_tables(a, b):
+    """Whether two training sets hold the same bytes: tables, and dense
+    tensors (or none)."""
+    arrays = [(x.tables.indptr, x.tables.cols, x.tables.values,
+               x.u1_samples, x.u2_samples) for x in (a, b)]
+    return all((u is None and v is None) or
+               (u is not None and v is not None and u.tobytes() == v.tobytes())
+               for u, v in zip(*arrays))
+
+
 class TestPersistence:
 
     def test_round_trip_bit_exact(self, model8, tmp_path):
@@ -402,10 +638,7 @@ class TestPersistence:
         assert again.ridge == model8.ridge
         assert again.training.phantoms == model8.training.phantoms
         assert again.fingerprint == model8.fingerprint
-        assert again.training.u1_samples.tobytes() == \
-            model8.training.u1_samples.tobytes()
-        assert again.training.u2_samples.tobytes() == \
-            model8.training.u2_samples.tobytes()
+        assert same_tables(again.training, model8.training)
         assert again.partition is None
         # saving the reloaded model reproduces the same bytes
         path2 = tmp_path / "model2.patb"
@@ -417,8 +650,7 @@ class TestPersistence:
         save_model(dataclasses.replace(model8, partition=(8, 4, BOX)), path)
         again = load_model(path, threads=2)
         assert again.partition == (8, 4, BOX)
-        assert again.training.u1_samples.tobytes() == \
-            model8.training.u1_samples.tobytes()
+        assert same_tables(again.training, model8.training)
 
     def test_fingerprint_checked_on_load(self, model8, tmp_path):
         path = tmp_path / "model.patb"

@@ -1362,14 +1362,14 @@ class TestSimulate:
         # time grid's radius nodes
         geom = build_boundary(domain, spacing_target=step, dt=step, t_max=20.0)
         split = split_boundary(geom, GAMMA2_INTERVAL)
-        real, seen = forward._traces, []
+        real, seen = forward.plan_pass, []
 
-        def traces(phantoms, parts, wm, threads=1):
+        def plan(phantoms, parts, wm):
             seen.append(wm)
-            return real(phantoms, parts, wm, threads)
+            return real(phantoms, parts, wm)
 
-        monkeypatch.setattr(forward, "_traces", traces)
-        monkeypatch.setattr(extension, "_traces", traces)
+        monkeypatch.setattr(forward, "plan_pass", plan)
+        monkeypatch.setattr(extension, "plan_pass", plan)
         p = KERNEL_CASES["sum"]
         simulate_wave_data(p, geom, split, Part.FULL)
         simulate_wave_data(p, geom, split, Part.GAMMA1)
