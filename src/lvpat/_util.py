@@ -140,11 +140,12 @@ def numbers(value, count: int | None, what: str,
 
 def load_json(fh, what: str, error: type = ParameterError):
     """The JSON value in the open text file fh, or `error` naming `what`
-    when it is not JSON or holds an integer literal longer than Python
-    reads (4300 digits)."""
+    when it is not JSON, holds an integer literal longer than Python reads
+    (4300 digits) or nests deeper than the interpreter's recursion limit."""
     try:
         return json.load(fh)
-    except ValueError as exc:  # json.JSONDecodeError is one
+    # json.JSONDecodeError is a ValueError
+    except (ValueError, RecursionError) as exc:
         raise error(f"{what} is not readable JSON: {exc}") from None
 
 

@@ -8,11 +8,13 @@ c and combine sum_j c_j * u2_j.  The Gram matrix is factorized once
 every extension.  The nodes are equidistant in arc length, so every sample
 weighs ds * dt.
 
-A training set holds the forward's mean tables S1 and S2 (see
-`forward.MeanTables`): a trace is a table row times the wave map D, and only
-the first C rows of D, the rows that the set's windows reach, matter.  Below
-a fixed size crossover, DENSE_RATIO * n <= C, the set also holds its traces
-as two contiguous tensors, U1 (n, |gamma1|, T) and U2 (n, |gamma2|, T).
+A training set holds its traces in one of two representations.  A trace is
+a row of the forward's mean tables times the wave map D (see
+`forward.MeanTables`), and only the first C rows of D, the rows that the
+set's windows reach, matter.  Below a fixed size crossover,
+DENSE_RATIO * n <= C, the set holds its traces as two contiguous tensors,
+U1 (n, |gamma1|, T) and U2 (n, |gamma2|, T); above it, it holds the mean
+tables S1 and S2 instead and builds traces from them when it needs them.
 The crossover depends on sizes alone, so the path, and every byte, depends
 neither on `threads` nor on the machine.
 
@@ -50,7 +52,7 @@ from .errors import (ContainerFormatError, DataMismatchError, ParameterError,
                      SingularTrainingSetError)
 from .forward import (_TILE, MeanTables, Part, WaveData, _boundary_wave_map,
                       _check_supports, apply_rows, mean_tables, plan_pass,
-                      tables_and_traces)
+                      plan_traces)
 from .geometry import (BoundaryGeometry, BoundarySplit, geometry_object,
                        read_geometry)
 from .io import (dump_container, finite_section, read_container, read_meta,
@@ -108,10 +110,11 @@ class _PartTraces(Sequence):
 class TrainingSet:
     """Simulated limited-view/missing-part trace pairs for training phantoms.
 
-    tables holds the mean tables of the phantoms at the gamma1 nodes of
-    split (part 0) and at its gamma2 nodes (part 1).  Below the crossover
-    (`_keeps_dense`) u1_samples[k] and u2_samples[k] hold phantom k's traces
-    there over the geometry's time grid; above it both are None.  u1[k] and
+    A set holds exactly one representation of its traces.  Either
+    u1_samples[k] and u2_samples[k] hold phantom k's traces at the gamma1
+    and the gamma2 nodes of split over the geometry's time grid (below the
+    crossover, `_keeps_dense`), or tables holds the phantoms' mean tables
+    there, gamma1 as part 0 and gamma2 as part 1 (above it).  u1[k] and
     u2[k] give the traces either way.  outside_detection lists indices of
     phantoms whose support pokes out of the detection region; their
     extension problem is unstable, which is worth knowing but not fatal.
@@ -119,7 +122,7 @@ class TrainingSet:
 
     phantoms: list
     split: BoundarySplit
-    tables: MeanTables
+    tables: MeanTables | None = None
     u1_samples: np.ndarray | None = None  # (n, |gamma1|, T)
     u2_samples: np.ndarray | None = None  # (n, |gamma2|, T)
     outside_detection: tuple = ()
@@ -132,19 +135,22 @@ class TrainingSet:
         if n < 1:
             raise ParameterError("training set must not be empty")
         sizes = (len(s.gamma1_idx), len(s.gamma2_idx))
-        if (self.tables.n_phantoms, self.tables.sizes) != (n, sizes) or \
-           self.tables.wm.n_time != t:
+        dense = (self.u1_samples, self.u2_samples)
+        held = (self.tables is not None, *(u is not None for u in dense))
+        if held not in ((True, False, False), (False, True, True)):
+            raise ParameterError("a training set holds either its mean tables "
+                                 "or both dense tensors")
+        if self.tables is None:
+            if any(u.shape != (n, m, t) for u, m in zip(dense, sizes)):
+                raise ParameterError("training tensors disagree with the "
+                                     "phantom count or the split's nodes and "
+                                     "time steps")
+        elif (self.tables.n_phantoms, self.tables.sizes) != (n, sizes) or \
+                self.tables.wm.n_time != t:
             raise ParameterError("mean tables disagree with the phantom count "
                                  "or the split's nodes and time steps")
-        dense = (self.u1_samples, self.u2_samples)
-        if any(u is None for u in dense):
-            if any(u is not None for u in dense):
-                raise ParameterError("a training set holds both dense "
-                                     "tensors or neither")
+        else:
             self._sparse = tuple(self._part_matrix(p) for p in (0, 1))
-        elif any(u.shape != (n, m, t) for u, m in zip(dense, sizes)):
-            raise ParameterError("training tensors disagree with the phantom "
-                                 "count or the split's nodes and time steps")
 
     def _part_matrix(self, part: int) -> csr_array:
         tab = self.tables
@@ -188,8 +194,8 @@ def _keeps_dense(n: int, reach: int) -> bool:
 
 @dataclass
 class ExtensionModel:
-    """Trained extension operator: the training set (split, phantoms, mean
-    tables and, below the crossover, traces) and the Gram matrix with its
+    """Trained extension operator: the training set (split, phantoms, and
+    traces or, above the crossover, mean tables) and the Gram matrix with its
     factorization; partition is (n_w, n_h, box) when the phantoms are
     `training_partition(box, n_w, n_h)`.
     """
@@ -211,11 +217,11 @@ class ExtensionModel:
 
 def build_training_set(phantoms, geom: BoundaryGeometry, split: BoundarySplit,
                        threads: int = 1) -> TrainingSet:
-    """Tabulate every phantom's means at the gamma1 and the gamma2 nodes,
-    and below the crossover (`_keeps_dense`) simulate U1 and U2 too.
+    """Simulate U1 and U2 below the crossover (`_keeps_dense`), else
+    tabulate every phantom's means at the gamma1 and the gamma2 nodes.
 
     All phantoms go through one forward pass over the two boundary parts,
-    which keeps the tables and, below the crossover, the traces.  The
+    which keeps the traces below the crossover and the tables above it.  The
     forward cuts each (part, phantom) into the same tiles of nodes as
     `simulate_wave_data` does, and a trace depends only on its tile, so
     u1_i and u2_i (dense, or built from the tables) are byte for byte the
@@ -239,11 +245,11 @@ def build_training_set(phantoms, geom: BoundaryGeometry, split: BoundarySplit,
                                 geom.positions[split.gamma2_idx]],
                      _boundary_wave_map(geom))
     if _keeps_dense(len(phantoms), plan.reach):
-        tables, dense = tables_and_traces(plan, threads)
-    else:
-        tables, dense = mean_tables(plan, threads), (None, None)
-    return TrainingSet(phantoms=phantoms, split=split, tables=tables,
-                       u1_samples=dense[0], u2_samples=dense[1],
+        u1, u2 = plan_traces(plan, threads)
+        return TrainingSet(phantoms=phantoms, split=split, u1_samples=u1,
+                           u2_samples=u2, outside_detection=outside)
+    return TrainingSet(phantoms=phantoms, split=split,
+                       tables=mean_tables(plan, threads),
                        outside_detection=outside)
 
 

@@ -35,14 +35,15 @@ up to the domain's diameter, and a pass with a window that reaches farther
 reads the map of all the time grid's rows.
 
 A pass has two halves.  `plan_pass` cuts it into blocks and counts the
-wave-map rows its windows reach; `mean_tables` tabulates the blocks' means,
-without their exact zeros, as a `MeanTables` value, which the training sets
-of `extension` keep in place of their traces.  `apply_tables` lays the
-tables out as tiles and runs the GEMMs; `apply_rows` does so for chosen
-runs of rows, so a caller can build some traces from a table and free them
-after use.  `simulate_wave_data` and `wave_trace` run both halves block by
-block in one parallel pass, so their tables never exist whole;
-`tables_and_traces` does the same and keeps the tables.
+wave-map rows its windows reach, and tabulates one block's means, without
+their exact zeros, as a `MeanTables` value; `apply_rows` lays a table's
+chosen runs of rows out as tiles and runs the GEMMs.  A planned pass is used
+in one of two ways.  `plan_traces` runs both halves block by block in one
+parallel pass, so no block's table outlives its products: it gives the
+traces of `simulate_wave_data`, `wave_trace` and a dense training set of
+`extension`.  `mean_tables` keeps the blocks' tables, joined, for a training
+set that holds them in place of its traces and builds traces from them with
+`apply_rows` when it needs them.
 
 `threads` spreads blocks of whole tiles of one part over workers, with
 OpenBLAS on one thread; each block builds its own tiles and their products.
@@ -268,8 +269,7 @@ class MeanTables:
     its terms' windows in term order, without the exact zeros.  The trace
     of a row is its entries times the wave map: u(k*dt) = sum of
     value * wm.diff_t[col, k].  Tiles are _TILE consecutive points of one
-    (part, phantom); blocks are the pass's (part, first row, end row) runs
-    of whole tiles.  reach is the number of wave-map rows the pass's
+    (part, phantom).  reach is the number of wave-map rows the pass's
     windows reach: no column is reach or beyond.
     """
 
@@ -278,7 +278,6 @@ class MeanTables:
     indptr: np.ndarray
     cols: np.ndarray
     values: np.ndarray
-    blocks: tuple
     wm: _WaveMap
     reach: int
     first_row: int = 0
@@ -290,8 +289,9 @@ class MeanTables:
 
 
 class ForwardPlan(NamedTuple):
-    """The blocks of one forward pass (see `plan_pass`): tabulate(block)
-    gives the MeanTables of one block's rows."""
+    """The blocks of one forward pass (see `plan_pass`), its
+    (part, first row, end row) runs of whole tiles: tabulate(block) gives
+    the MeanTables of one block's rows."""
 
     n_phantoms: int
     sizes: tuple
@@ -378,7 +378,6 @@ def plan_pass(phantoms, parts, wm: _WaveMap) -> ForwardPlan:
     px, py = np.array(points.T)
 
     shape = dict(n_phantoms=n_ph, sizes=tuple(int(s) for s in sizes),
-                 blocks=tuple((p, int(a), int(b)) for p, a, b in tasks),
                  wm=wm, reach=reach)
 
     def tabulate(task) -> MeanTables:
@@ -408,25 +407,21 @@ def plan_pass(phantoms, parts, wm: _WaveMap) -> ForwardPlan:
                           cols=cols[nz].astype(np.int32), values=data[nz],
                           first_row=r0, **shape)
 
-    return ForwardPlan(tabulate=tabulate, **shape)
+    return ForwardPlan(
+        blocks=tuple((p, int(a), int(b)) for p, a, b in tasks),
+        tabulate=tabulate, **shape)
 
 
-def _joined(plan: ForwardPlan, done: list) -> MeanTables:
-    """The tables of the plan's blocks, joined in row order."""
-    if not done:  # no points: the tables of no rows
-        return plan.tabulate((0, 0, 0))
+def mean_tables(plan: ForwardPlan, threads: int = 1) -> MeanTables:
+    """The mean tables of a planned pass that has a block, its blocks'
+    tables joined in row order.  `threads` spreads the blocks."""
+    done = parallel_map(plan.tabulate, plan.blocks, threads)
     return dataclasses.replace(
         done[0], first_row=0,
         indptr=np.concatenate([[0], np.cumsum(np.concatenate(
             [np.diff(t.indptr) for t in done]))]),
         cols=np.concatenate([t.cols for t in done]),
         values=np.concatenate([t.values for t in done]))
-
-
-def mean_tables(plan: ForwardPlan, threads: int = 1) -> MeanTables:
-    """The mean tables of a planned pass: its first half.  `threads`
-    spreads the blocks."""
-    return _joined(plan, parallel_map(plan.tabulate, plan.blocks, threads))
 
 
 def apply_rows(tables: MeanTables, starts, length: int, out: np.ndarray) -> None:
@@ -469,51 +464,30 @@ def apply_rows(tables: MeanTables, starts, length: int, out: np.ndarray) -> None
                   out=out[o:o + hi - lo, k0:])
 
 
-def _apply_blocks(shape, table_of, threads: int) -> list:
-    """One (phantoms, m_p, n_time) array per part of shape (a ForwardPlan or
-    MeanTables), each block's rows written by `apply_rows` from
-    table_of(block), the blocks spread over `threads` inside `serial_blas`."""
-    row0, n_time = _row0(shape.n_phantoms, shape.sizes), shape.wm.n_time
-    outs = [np.zeros((shape.n_phantoms, m_p, n_time)) for m_p in shape.sizes]
+def plan_traces(plan: ForwardPlan, threads: int = 1) -> list:
+    """Traces u(x, k*dt), k = 1..n_time, of a planned pass, as one
+    (phantoms, m_p, n_time) array per part: each block tabulated and its
+    rows written by `apply_rows` in one task, so no block's table outlives
+    its products, the blocks spread over `threads` inside `serial_blas`."""
+    row0, n_time = _row0(plan.n_phantoms, plan.sizes), plan.wm.n_time
+    outs = [np.zeros((plan.n_phantoms, m_p, n_time)) for m_p in plan.sizes]
 
     def block(task) -> None:
         p, r0, r1 = task
         rows_out = outs[p].reshape(-1, n_time)
-        apply_rows(table_of(task), [r0], r1 - r0,
+        apply_rows(plan.tabulate(task), [r0], r1 - r0,
                    rows_out[r0 - row0[p]:r1 - row0[p]])
 
     with serial_blas():
-        parallel_map(block, shape.blocks, threads)
+        parallel_map(block, plan.blocks, threads)
     return outs
-
-
-def apply_tables(tables: MeanTables, threads: int = 1) -> list:
-    """Traces u(x, k*dt), k = 1..n_time, of the tables' rows, as one
-    (phantoms, m_p, n_time) array per part: the second half of a forward
-    pass.  `threads` spreads the tables' blocks."""
-    return _apply_blocks(tables, lambda block: tables, threads)
-
-
-def tables_and_traces(plan: ForwardPlan, threads: int = 1) -> tuple:
-    """(MeanTables, traces) of a planned pass: both halves block by block
-    in one parallel pass, the blocks' tables kept and joined."""
-    done = {}
-
-    def table_of(block) -> MeanTables:
-        done[block] = plan.tabulate(block)
-        return done[block]
-
-    traces = _apply_blocks(plan, table_of, threads)
-    return _joined(plan, [done[b] for b in plan.blocks]), traces
 
 
 def _traces(phantoms, parts, wm: _WaveMap, threads: int = 1) -> list:
     """Traces u(x, k*dt), k = 1..n_time, of each phantom at each point x of
     each part (an (m_p, 2) array), as one (phantoms, m_p, n_time) array per
-    part: both halves block by block in one parallel pass, so no block's
-    table outlives its products."""
-    plan = plan_pass(phantoms, parts, wm)
-    return _apply_blocks(plan, plan.tabulate, threads)
+    part (see `plan_traces`)."""
+    return plan_traces(plan_pass(phantoms, parts, wm), threads)
 
 
 def wave_trace(p: Phantom, x, geom: BoundaryGeometry) -> np.ndarray:

@@ -154,8 +154,9 @@ def read_meta(sections: dict) -> dict:
     """The JSON object that a container's text section 'meta' holds."""
     try:
         meta = json.loads(sections.get("meta"))
-    # not text, not JSON, or an int literal of more than 4300 digits
-    except (TypeError, ValueError):
+    # not text, not JSON, an int literal of more than 4300 digits, or
+    # nested past the recursion limit
+    except (TypeError, ValueError, RecursionError):
         meta = None
     if not isinstance(meta, dict):
         raise ContainerFormatError("section 'meta' is not a text section "
@@ -188,6 +189,10 @@ def read_wave_data(path) -> WaveData:
         raise ContainerFormatError("section 'node_idx' is not a list of integers")
     if np.any(idx < 0):
         raise ContainerFormatError("section 'node_idx' holds negative node indices")
+    # no section dimension reaches 2^32, and the int cast must not overflow
+    if np.any(idx > _U32_MAX):
+        raise ContainerFormatError("section 'node_idx' holds node indices of "
+                                   "2^32 or more")
     if len(np.unique(idx)) != len(idx):
         raise ContainerFormatError("section 'node_idx' repeats a node index")
     return WaveData(

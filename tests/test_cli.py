@@ -93,7 +93,8 @@ class TestConfig:
     @pytest.mark.parametrize("digits, message", [
         ("1" + "0" * 400, "beyond the float range"),
         ("1" * 5000, "not readable JSON"),
-    ], ids=["beyond-float", "beyond-digit-limit"])
+        ("[" * 100000, "not readable JSON"),
+    ], ids=["beyond-float", "beyond-digit-limit", "beyond-recursion-limit"])
     def test_huge_integer_literal_is_config_error(self, tmp_path, smoke_config,
                                                   capsys, digits, message):
         # json.dumps cannot write a 5000-digit int, so the literal goes in
@@ -111,7 +112,8 @@ class TestConfig:
     @pytest.mark.parametrize("digits, message", [
         ("1" + "0" * 400, "beyond the float range"),
         ("1" * 5000, "not readable JSON"),
-    ], ids=["beyond-float", "beyond-digit-limit"])
+        ("[" * 100000, "not readable JSON"),
+    ], ids=["beyond-float", "beyond-digit-limit", "beyond-recursion-limit"])
     def test_huge_integer_in_phantom_spec_is_config_error(
             self, tmp_path, smoke_config, capsys, digits, message):
         phantom = tmp_path / "huge.json"

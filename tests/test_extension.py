@@ -17,8 +17,8 @@ from lvpat.extension import (PROJECT_BLOCK_ROWS, TrainingSet,
                              save_model, stitch, train_extension_model,
                              zero_extend)
 from lvpat.forward import (_TILE, MeanTables, Part, WaveData,
-                           _boundary_wave_map, apply_tables, mean_tables,
-                           plan_pass, restrict_wave_data, simulate_wave_data)
+                           _boundary_wave_map, mean_tables, plan_pass,
+                           restrict_wave_data, simulate_wave_data)
 from lvpat.geometry import read_geometry
 from lvpat.metrics import boundary_time_inner, boundary_time_norm
 from lvpat.phantoms import SquareIndicator, WeightedSum, training_partition
@@ -46,11 +46,11 @@ def model8(coarse_geom, coarse_split):
                                                coarse_split), coarse_geom)
 
 
-def split_tables(phantoms, geom, split):
+def split_tables(phantoms, geom, split, threads=1):
     """The mean tables of phantoms at the split's gamma1 and gamma2 nodes."""
     return mean_tables(plan_pass(phantoms, [geom.positions[split.gamma1_idx],
                                             geom.positions[split.gamma2_idx]],
-                                 _boundary_wave_map(geom)))
+                                 _boundary_wave_map(geom)), threads)
 
 
 def random_tables(rng, n, geom, split, width=12):
@@ -63,36 +63,34 @@ def random_tables(rng, n, geom, split, width=12):
     first = rng.integers(0, len(wm.diff_t) - width, rows)
     cols = (np.arange(counts.sum())
             + np.repeat(first - (np.cumsum(counts) - counts), counts))
-    row0 = n * sizes[0]
     return MeanTables(
         n_phantoms=n, sizes=sizes,
         indptr=np.concatenate([[0], np.cumsum(counts)]),
         cols=cols.astype(np.int32), values=rng.uniform(0.5, 1.5, len(cols)),
-        blocks=((0, 0, row0), (1, row0, rows)), wm=wm,
-        reach=int(cols.max()) + 1)
+        wm=wm, reach=int(cols.max()) + 1)
 
 
 def as_dense(ts):
-    """The same training set holding its dense traces."""
-    u1, u2 = apply_tables(ts.tables)
-    return dataclasses.replace(ts, u1_samples=u1, u2_samples=u2)
+    """The table set ts as a dense set: its traces, built from its tables,
+    stacked into the two tensors."""
+    return TrainingSet(phantoms=ts.phantoms, split=ts.split,
+                       u1_samples=np.stack([u.samples for u in ts.u1]),
+                       u2_samples=np.stack([u.samples for u in ts.u2]))
 
 
-def as_tables(ts):
-    """The same training set without its dense traces."""
-    return dataclasses.replace(ts, u1_samples=None, u2_samples=None)
+def held_arrays(ts):
+    """The arrays a training set holds: its two tensors, or its tables and
+    the index arrays of its sparse parts (whose values are the tables')."""
+    if ts.dense:
+        return [ts.u1_samples, ts.u2_samples]
+    tab = ts.tables
+    return [tab.indptr, tab.cols, tab.values,
+            *(a for s in ts._sparse for a in (s.indices, s.indptr))]
 
 
 def held_bytes(ts):
-    """Bytes of the arrays a training set holds: its tables, its tensors,
-    and the index arrays of a table set's sparse parts (whose values are
-    the tables')."""
-    tab = ts.tables
-    held = [tab.indptr, tab.cols, tab.values]
-    if ts.dense:
-        held += [ts.u1_samples, ts.u2_samples]
-    held += [a for s in ts._sparse for a in (s.indices, s.indptr)]
-    return sum(a.nbytes for a in held)
+    """Bytes of the arrays a training set holds."""
+    return sum(a.nbytes for a in held_arrays(ts))
 
 
 def mixture_data(model, coefs, split):
@@ -149,7 +147,9 @@ class TestTrainingSet:
                                                           coarse_split):
         # squares, an ellipse and a nested sum of both kernels go through one
         # forward pass per boundary part; each phantom's rows are its own
-        # full-boundary data, bit for bit, at every thread count
+        # full-boundary data, bit for bit, at every thread count, whether
+        # the set holds them as tensors or builds them from its tables; the
+        # tables themselves have the same bytes at every thread count
         cells = training_partition(BOX, 4, 2)
         nested = WeightedSum(((0.5, WeightedSum(((1.0, cells[1]),
                                                  (-2.0, TEST_PHANTOM)))),
@@ -160,16 +160,22 @@ class TestTrainingSet:
         i1, i2 = coarse_split.gamma1_idx, coarse_split.gamma2_idx
         u1 = np.stack([s[i1] for s in full])
         u2 = np.stack([s[i2] for s in full])
+        table_bytes = set()
         for threads in (1, 2, 4):
             ts = build_training_set(phantoms, coarse_geom, coarse_split,
                                     threads=threads)
-            assert ts.dense
+            assert ts.dense and ts.tables is None
             assert ts.u1_samples.tobytes() == u1.tobytes()
             assert ts.u2_samples.tobytes() == u2.tobytes()
-            tables = as_tables(ts)
+            tables = split_tables(phantoms, coarse_geom, coarse_split, threads)
+            table_bytes.add(tuple(a.tobytes() for a in (
+                tables.indptr, tables.cols, tables.values)))
+            table_set = TrainingSet(phantoms=phantoms, split=coarse_split,
+                                    tables=tables)
             for k in range(len(phantoms)):
-                assert tables.u1[k].samples.tobytes() == u1[k].tobytes()
-                assert tables.u2[k].samples.tobytes() == u2[k].tobytes()
+                assert table_set.u1[k].samples.tobytes() == u1[k].tobytes()
+                assert table_set.u2[k].samples.tobytes() == u2[k].tobytes()
+        assert len(table_bytes) == 1
 
     def test_support_outside_domain_rejected(self, coarse_geom, coarse_split):
         cells = training_partition(BOX, 2, 1)
@@ -187,34 +193,39 @@ class TestTrainingSet:
         assert len(seen) == 1
         assert ts.outside_detection == (0, 2)
 
-    @pytest.mark.parametrize("bad", ["phantoms", "u1_idx", "u2_idx", "n_time",
-                                     "one-tensor", "tables"])
+    @pytest.mark.parametrize("bad", [
+        "phantoms", "table-phantoms", "u1_idx", "u2_idx", "n_time",
+        "one-tensor", "tables", "both", "both-one-tensor", "neither"])
     def test_constructor_rejects_mismatched_tensors(self, coarse_geom,
                                                     coarse_split, medium_geom,
                                                     medium_split, bad):
-        # the tables and the tensors must match the phantom count, the
-        # split's gamma1 and gamma2 node counts and its geometry's n_time,
-        # and a set holds both tensors or neither
+        # a set holds either its tables or both tensors, never both and
+        # never neither; the tables and the tensors must match the phantom
+        # count, the split's gamma1 and gamma2 node counts and its
+        # geometry's n_time
         cells = training_partition(BOX, 3, 1)
         i1, i2 = coarse_split.gamma1_idx, coarse_split.gamma2_idx
         t = coarse_split.geometry.n_time
-        args = dict(phantoms=cells, split=coarse_split,
-                    tables=split_tables(cells, coarse_geom, coarse_split),
-                    u1_samples=np.zeros((3, len(i1), t)),
-                    u2_samples=np.zeros((3, len(i2), t)))
-        TrainingSet(**args)
-        TrainingSet(**{**args, "u1_samples": None, "u2_samples": None})
-        if bad == "phantoms":
-            args["phantoms"] = args["phantoms"][:2]
-        elif bad == "n_time":
-            args["u2_samples"] = np.zeros((3, len(i2), t - 1))
-        elif bad == "one-tensor":
-            args["u2_samples"] = None
-        elif bad == "tables":
-            args["tables"] = split_tables(cells, medium_geom, medium_split)
-        else:
-            key = "u1_samples" if bad == "u1_idx" else "u2_samples"
-            args[key] = args[key][:, 1:]
+        tensors = dict(u1_samples=np.zeros((3, len(i1), t)),
+                       u2_samples=np.zeros((3, len(i2), t)))
+        tables = dict(tables=split_tables(cells, coarse_geom, coarse_split))
+        dense = dict(phantoms=cells, split=coarse_split, **tensors)
+        table = dict(phantoms=cells, split=coarse_split, **tables)
+        assert TrainingSet(**dense).dense
+        assert not TrainingSet(**table).dense
+        args = {
+            "phantoms": {**dense, "phantoms": cells[:2]},
+            "table-phantoms": {**table, "phantoms": cells[:2]},
+            "u1_idx": {**dense, "u1_samples": tensors["u1_samples"][:, 1:]},
+            "u2_idx": {**dense, "u2_samples": tensors["u2_samples"][:, 1:]},
+            "n_time": {**dense, "u2_samples": np.zeros((3, len(i2), t - 1))},
+            "one-tensor": {**dense, "u2_samples": None},
+            "tables": {**table, "tables": split_tables(cells, medium_geom,
+                                                       medium_split)},
+            "both": {**dense, **tables},
+            "both-one-tensor": {**table, "u1_samples": tensors["u1_samples"]},
+            "neither": dict(phantoms=cells, split=coarse_split),
+        }[bad]
         with pytest.raises(ParameterError):
             TrainingSet(**args)
 
@@ -249,8 +260,7 @@ class TestGramAndFactorization:
             indptr=np.concatenate([[0], np.cumsum(counts)]),
             cols=np.full(4, j, dtype=np.int32),
             values=np.full(4, 1.0 / np.sqrt(w * (wm.diff_t[j] ** 2).sum())),
-            blocks=((0, 0, 4 * m1), (1, 4 * m1, 4 * (m1 + m2))), wm=wm,
-            reach=j + 1)
+            wm=wm, reach=j + 1)
         phantoms = [SquareIndicator(k, k + 1, 0, 1) for k in range(4)]
         ts = TrainingSet(phantoms=phantoms, split=coarse_split, tables=tables)
         gram = gram_matrix(ts, coarse_geom)
@@ -494,17 +504,18 @@ class TestTablePath:
             assert got == paths, name
 
     def test_table_set_holds_a_tenth_of_the_traces(self):
-        # the pipeline's 8x4 set stays dense and its 16x8 set keeps tables
-        # of at most 1/10 of the dense U1 + U2 bytes (array nbytes)
+        # the pipeline's 8x4 set holds exactly its dense U1 + U2 bytes, and
+        # its 16x8 set keeps tables of at most 1/10 of them (array nbytes)
         geom, split = self.step_004()
         sizes = len(split.gamma1_idx) + len(split.gamma2_idx)
         for shape, dense in (((8, 4), True), ((16, 8), False)):
             ts = partition_set(shape, geom, split)
-            assert ts.dense is dense and ts.tables.reach == 335
+            assert ts.dense is dense
             traces = ts.n * sizes * geom.n_time * 8
             if dense:
-                assert held_bytes(ts) > traces
+                assert held_bytes(ts) == traces
             else:
+                assert ts.tables.reach == 335
                 assert 10 * held_bytes(ts) <= traces
 
     def test_span_member_exactness_above_crossover(self, medium_geom,
@@ -615,14 +626,12 @@ def bad_geometry(*keys):
             for key in keys for name, bad in BAD_NUMBERS.items()]
 
 
-def same_tables(a, b):
-    """Whether two training sets hold the same bytes: tables, and dense
-    tensors (or none)."""
-    arrays = [(x.tables.indptr, x.tables.cols, x.tables.values,
-               x.u1_samples, x.u2_samples) for x in (a, b)]
-    return all((u is None and v is None) or
-               (u is not None and v is not None and u.tobytes() == v.tobytes())
-               for u, v in zip(*arrays))
+def same_bytes(a, b):
+    """Whether two training sets hold the same representation with the same
+    bytes: both tensors, or the tables and their sparse parts' indices."""
+    return a.dense is b.dense and all(
+        u.tobytes() == v.tobytes()
+        for u, v in zip(held_arrays(a), held_arrays(b)))
 
 
 class TestPersistence:
@@ -638,7 +647,7 @@ class TestPersistence:
         assert again.ridge == model8.ridge
         assert again.training.phantoms == model8.training.phantoms
         assert again.fingerprint == model8.fingerprint
-        assert same_tables(again.training, model8.training)
+        assert same_bytes(again.training, model8.training)
         assert again.partition is None
         # saving the reloaded model reproduces the same bytes
         path2 = tmp_path / "model2.patb"
@@ -650,7 +659,7 @@ class TestPersistence:
         save_model(dataclasses.replace(model8, partition=(8, 4, BOX)), path)
         again = load_model(path, threads=2)
         assert again.partition == (8, 4, BOX)
-        assert same_tables(again.training, model8.training)
+        assert same_bytes(again.training, model8.training)
 
     def test_fingerprint_checked_on_load(self, model8, tmp_path):
         path = tmp_path / "model.patb"

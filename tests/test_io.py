@@ -270,7 +270,8 @@ class TestContainer:
         ([3.0, np.nan, 8.0], "integers"),
         ([3.0, -5.0, 8.0], "negative"),
         ([3.0, 5.0, 3.0], "repeats"),
-    ], ids=["fractional", "nan", "negative", "duplicate"])
+        ([3.0, 1e30, 8.0], "2\\^32"),
+    ], ids=["fractional", "nan", "negative", "duplicate", "beyond-u32"])
     def test_wave_data_bad_node_idx_rejected(self, tmp_path, node_idx, reason):
         path = tmp_path / "w.patb"
         self.write_raw_wave_data(path, np.array(node_idx),
@@ -284,7 +285,9 @@ class TestContainer:
         (np.ones((1, 1)), "meta"),
         ("[1, 2]", "meta"),
         ("{", "meta"),
-    ], ids=["unknown-part", "tensor-meta", "list-meta", "not-json"])
+        ("[" * 100000, "meta"),
+    ], ids=["unknown-part", "tensor-meta", "list-meta", "not-json",
+            "deep-nesting"])
     def test_wave_data_bad_meta_rejected(self, tmp_path, meta, message):
         path = tmp_path / "w.patb"
         path.write_bytes(write_container([
