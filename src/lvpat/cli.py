@@ -23,7 +23,8 @@ from .errors import (ContainerFormatError, DataMismatchError, ParameterError,
                      SingularTrainingSetError)
 from .extension import (build_training_set, extend, load_model, save_model,
                         stitch, train_extension_model, zero_extend)
-from .forward import Part, WaveData, restrict_wave_data, simulate_wave_data
+from .forward import (Part, WaveData, check_wave_data, restrict_wave_data,
+                      simulate_wave_data)
 from .geometry import BoundaryGeometry, BoundarySplit, read_geometry
 from .inversion import reconstruct
 from .io import (export_csv, export_pgm, read_image_field, read_wave_data,
@@ -156,7 +157,7 @@ def _train(cfg: ExperimentConfig, n_w, n_h):
 def _extend(cfg: ExperimentConfig, model, u1: WaveData):
     """(gamma2 extension, stitched full-boundary data, seconds for both)."""
     t0 = time.perf_counter()
-    u2_hat = extend(model, u1, cfg.threads)
+    u2_hat = extend(model, u1)
     stitched = stitch(u1, u2_hat, cfg.geometry, cfg.split)
     return u2_hat, stitched, time.perf_counter() - t0
 
@@ -216,6 +217,8 @@ def cmd_extend(cfg: ExperimentConfig, model_path, data_path) -> int:
 
 def cmd_reconstruct(cfg: ExperimentConfig, data_path) -> int:
     data = read_wave_data(data_path)
+    check_wave_data(data, Part.FULL, np.arange(cfg.geometry.n_nodes),
+                    cfg.geometry, cfg.split.fingerprint())
     path = cfg.out_dir / f"recon_{Path(data_path).stem}.patb"
     _, elapsed = _reconstruct(cfg, data, path)
     print(f"reconstruct: {path} ({elapsed:.2f} s)")

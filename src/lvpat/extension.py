@@ -51,8 +51,8 @@ from ._util import cholesky_lower, numbers, parallel_map, required, serial_blas
 from .errors import (ContainerFormatError, DataMismatchError, ParameterError,
                      SingularTrainingSetError)
 from .forward import (_TILE, MeanTables, Part, WaveData, _boundary_wave_map,
-                      _check_supports, apply_rows, mean_tables, plan_pass,
-                      plan_traces)
+                      _check_supports, apply_rows, check_wave_data,
+                      mean_tables, plan_pass, plan_traces)
 from .geometry import (BoundaryGeometry, BoundarySplit, geometry_object,
                        read_geometry)
 from .io import (dump_container, finite_section, read_container, read_meta,
@@ -62,7 +62,6 @@ from .phantoms import phantom_from_dict, phantom_to_dict, training_partition
 RIDGE_START = 1e-12
 RIDGE_CAP = 1e-6
 GRAM_CHECK_RTOL = 1e-12  # a loaded Gram's diagonal against its traces
-PROJECT_BLOCK_ROWS = 16
 # bytes of U1 per Gram block: a block holds as many whole tiles of gamma1
 # nodes as fit, and at least one
 GRAM_BLOCK_BYTES = 2 ** 23
@@ -347,33 +346,19 @@ def train_extension_model(ts: TrainingSet, geom: BoundaryGeometry,
     return ExtensionModel(training=ts, gram=gram, chol_lower=chol, ridge=ridge)
 
 
-def project_coefficients(model: ExtensionModel, u1: WaveData,
-                         threads: int = 1) -> np.ndarray:
+def project_coefficients(model: ExtensionModel, u1: WaveData) -> np.ndarray:
     """Projection coefficients of u1 onto the span of the training traces.
 
-    For a dense set the right-hand side ds * dt * U1 @ u1 is one `np.dot`
-    GEMV (which, unlike `@`, releases the GIL) per PROJECT_BLOCK_ROWS
-    phantoms over `threads`; the blocks depend on n alone, so the bytes do
-    not depend on `threads`.  For a table set it is ds * dt * S1 @ vec(Y),
-    with Y = u1 D[:C]^T on one BLAS thread.
+    u1 must be gamma1 data of the model's split (`forward.check_wave_data`).
+    For a dense set the right-hand side ds * dt * U1 @ u1 is one GEMV at
+    the caller's BLAS thread count.  For a table set it is
+    ds * dt * S1 @ vec(Y), with Y = u1 D[:C]^T on one BLAS thread.
     """
-    if u1.fingerprint != model.fingerprint:
-        raise DataMismatchError("limited-view data does not match the model geometry")
-    if u1.part is not Part.GAMMA1:
-        raise DataMismatchError("extension input must live on gamma1")
     ts, geom = model.training, model.training.split.geometry
-    if not np.array_equal(u1.node_idx, ts.split.gamma1_idx):
-        raise DataMismatchError("limited-view data is not on the model's "
-                                "gamma1 nodes in node order")
-    if u1.dt != geom.dt or u1.n_time != geom.n_time:
-        raise DataMismatchError(
-            f"data sampled at dt={u1.dt!r} over {u1.n_time} steps; the model "
-            f"has dt={geom.dt!r} over {geom.n_time} steps")
+    check_wave_data(u1, Part.GAMMA1, ts.split.gamma1_idx, geom,
+                    model.fingerprint)
     if ts.dense:
-        x, v = ts.u1_samples.reshape(model.n, -1), u1.samples.ravel()
-        rhs = np.concatenate(parallel_map(
-            lambda lo: np.dot(x[lo:lo + PROJECT_BLOCK_ROWS], v),
-            range(0, model.n, PROJECT_BLOCK_ROWS), threads))
+        rhs = np.dot(ts.u1_samples.reshape(model.n, -1), u1.samples.ravel())
     else:
         with serial_blas():
             y = u1.samples @ ts.tables.wm.diff_t[:ts.tables.reach].T
@@ -385,12 +370,12 @@ def project_coefficients(model: ExtensionModel, u1: WaveData,
     return coeffs
 
 
-def extend(model: ExtensionModel, u1: WaveData, threads: int = 1) -> WaveData:
+def extend(model: ExtensionModel, u1: WaveData) -> WaveData:
     """Predicted gamma2 data: the coefficient combination of training u2
     traces, sum_k c_k U2_k for a dense set and (S2^T c) D[:C] for a table
     set, with S2^T c laid out as (|gamma2|, C)."""
     ts = model.training
-    coeffs = project_coefficients(model, u1, threads)
+    coeffs = project_coefficients(model, u1)
     if ts.dense:
         samples = np.tensordot(coeffs, ts.u2_samples, axes=1)
     else:
@@ -408,19 +393,8 @@ def stitch(u1: WaveData, u2: WaveData, geom: BoundaryGeometry,
     """Merge gamma1 and gamma2 data into full-boundary data in node order;
     both parts must be on geom's time grid."""
     fp = split.fingerprint()
-    if u1.fingerprint != fp or u2.fingerprint != fp:
-        raise DataMismatchError("parts do not belong to this boundary split")
-    if u1.part is not Part.GAMMA1 or u2.part is not Part.GAMMA2:
-        raise DataMismatchError("stitch expects a (gamma1, gamma2) pair")
-    if not np.array_equal(u1.node_idx, split.gamma1_idx) or \
-       not np.array_equal(u2.node_idx, split.gamma2_idx):
-        raise DataMismatchError("node indices do not partition the boundary")
-    for u in (u1, u2):
-        if u.dt != geom.dt or u.n_time != geom.n_time:
-            raise DataMismatchError(
-                f"{u.part.value} data sampled at dt={u.dt!r} over {u.n_time} "
-                f"steps; the geometry has dt={geom.dt!r} over {geom.n_time} "
-                "steps")
+    check_wave_data(u1, Part.GAMMA1, split.gamma1_idx, geom, fp)
+    check_wave_data(u2, Part.GAMMA2, split.gamma2_idx, geom, fp)
     samples = np.empty((geom.n_nodes, u1.n_time))
     samples[split.gamma1_idx] = u1.samples
     samples[split.gamma2_idx] = u2.samples

@@ -138,6 +138,35 @@ class WaveData:
                         samples, self.fingerprint)
 
 
+def check_wave_data(u: WaveData, part: Part, node_idx: np.ndarray,
+                    grid: BoundaryGeometry | WaveData,
+                    fingerprint: str | None = None) -> None:
+    """Raise DataMismatchError unless u is `part` data on exactly `node_idx`
+    in that order, on the time grid of `grid` (a geometry, or data that u
+    must match) and, when one is given, under `fingerprint`.
+
+    For part P of a split, `node_idx` is the split's P nodes in node order,
+    every node for FULL.  Each linear map on boundary data holds only on the
+    nodes and time grid it was built for, so dt and n_time must be equal,
+    not close.
+    """
+    if fingerprint is not None and u.fingerprint != fingerprint:
+        raise DataMismatchError(
+            f"{u.part.value} data has fingerprint {u.fingerprint!r}; "
+            f"expected the boundary split's {fingerprint!r}")
+    if u.part is not part:
+        raise DataMismatchError(
+            f"expected {part.value} data, got {u.part.value} data")
+    if not np.array_equal(u.node_idx, node_idx):
+        raise DataMismatchError(
+            f"{part.value} data must hold its {len(node_idx)} nodes in node "
+            f"order; got {len(u.node_idx)} node indices")
+    if u.dt != grid.dt or u.n_time != grid.n_time:
+        raise DataMismatchError(
+            f"{part.value} data sampled at dt={u.dt!r} over {u.n_time} "
+            f"steps; expected dt={grid.dt!r} over {grid.n_time} steps")
+
+
 class _WaveMap:
     """Linear map from a circular-mean table to u(k*dt), k = 1..n_time.
 
@@ -565,10 +594,9 @@ def simulate_wave_data(p: Phantom, geom: BoundaryGeometry, split: BoundarySplit,
 
 def restrict_wave_data(full: WaveData, split: BoundarySplit, part: Part) -> WaveData:
     """Row-restriction of full-boundary data to one part of the split."""
-    if full.part is not Part.FULL:
-        raise DataMismatchError("can only restrict full-boundary data")
-    if full.fingerprint != split.fingerprint():
-        raise DataMismatchError("wave data does not belong to this split")
+    geom = split.geometry
+    check_wave_data(full, Part.FULL, np.arange(geom.n_nodes), geom,
+                    split.fingerprint())
     if part is Part.FULL:
         return full
     idx = split.gamma1_idx if part is Part.GAMMA1 else split.gamma2_idx

@@ -29,8 +29,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.sparse import csr_array
 
-from .errors import DataMismatchError, ParameterError
-from .forward import Part, WaveData
+from .errors import ParameterError
+from .forward import Part, WaveData, check_wave_data
 from .geometry import BoundaryGeometry
 from .phantoms import GridSpec, ImageField
 
@@ -141,25 +141,16 @@ def reconstruct(u: WaveData, geom: BoundaryGeometry, grid: GridSpec,
     """Back-projection image on the grid; cells outside the domain are masked.
 
     Requires full-boundary data over every node of `geom`, in node order,
-    on the geometry's time grid: apply `extension.stitch` or
-    `extension.zero_extend` to limited-view data first.  The image is the
-    filter, the Abel tables Q @ K.T and one product with the cached
-    boundary operator B (see `_boundary_operator`).  B stores 24 bytes per
-    (masked pixel, node) pair and stays in memory until a call with another
-    grid, node set or time step replaces it.  `threads` is accepted and
-    ignored; the result does not depend on it.
+    on the geometry's time grid (`forward.check_wave_data`; `geom` names no
+    split, so the fingerprint is the caller's to check): apply
+    `extension.stitch` or `extension.zero_extend` to limited-view data
+    first.  The image is the filter, the Abel tables Q @ K.T and one
+    product with the cached boundary operator B (see `_boundary_operator`).
+    B stores 24 bytes per (masked pixel, node) pair and stays in memory
+    until a call with another grid, node set or time step replaces it.
+    `threads` is accepted and ignored; the result does not depend on it.
     """
-    if u.part is not Part.FULL:
-        raise DataMismatchError(
-            "reconstruct requires full-boundary data; stitch or zero-extend first")
-    if not np.array_equal(u.node_idx, np.arange(geom.n_nodes)):
-        raise DataMismatchError(
-            f"full-boundary data must hold nodes 0..{geom.n_nodes - 1} of the "
-            f"geometry in order; got {len(u.node_idx)} node indices")
-    if u.dt != geom.dt or u.n_time != geom.n_time:
-        raise DataMismatchError(
-            f"data sampled at dt={u.dt!r} over {u.n_time} steps; the geometry "
-            f"has dt={geom.dt!r} over {geom.n_time} steps")
+    check_wave_data(u, Part.FULL, np.arange(geom.n_nodes), geom)
     if grid.domain is None:
         raise ParameterError("reconstruction grid needs a domain for masking")
 

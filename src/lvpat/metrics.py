@@ -8,17 +8,16 @@ from scipy.linalg import cho_solve
 
 from ._util import cholesky_lower
 from .errors import DataMismatchError, SingularTrainingSetError
-from .forward import WaveData
+from .forward import WaveData, check_wave_data
 from .geometry import BoundaryGeometry
 from .phantoms import GridSpec, ImageField, Phantom, rasterize
 
 
 def boundary_time_inner(u: WaveData, v: WaveData, geom: BoundaryGeometry) -> float:
-    """Discrete L2(boundary x time) inner product: ds * dt * sum u_i(t) * v_i(t)."""
-    if u.part is not v.part or u.samples.shape != v.samples.shape:
-        raise DataMismatchError("inner product requires matching parts and shapes")
-    if u.fingerprint != v.fingerprint:
-        raise DataMismatchError("inner product across different geometries")
+    """Discrete L2(boundary x time) inner product: ds * dt * sum u_i(t) * v_i(t).
+
+    v must be data of u's part on u's nodes, times and fingerprint."""
+    check_wave_data(v, u.part, u.node_idx, u, u.fingerprint)
     return float(geom.ds * u.dt * np.sum(u.samples * v.samples))
 
 
@@ -63,7 +62,6 @@ def subspace_distance(f: Phantom, training, grid: GridSpec) -> float:
 
     basis = np.stack([rasterize(g, grid).values[mask] for g in training])
     gram = h2 * (basis @ basis.T)
-    gram = 0.5 * (gram + gram.T)
     c, info = cholesky_lower(gram)
     if info != 0:
         raise SingularTrainingSetError(minor_index=info, ridge=0.0)

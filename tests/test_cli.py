@@ -36,9 +36,12 @@ def smoke_config(tmp_path):
 class TestConfig:
 
     def test_loads_shipped_configs(self):
-        for name in ("experiment_full.json", "experiment_reduced.json",
-                     "experiment_smoke.json"):
-            cfg = ExperimentConfig.from_json(CONFIG_DIR / name)
+        paths = sorted(CONFIG_DIR.glob("experiment_*.json"))
+        assert {p.name for p in paths} >= {"experiment_full.json",
+                                           "experiment_reduced.json",
+                                           "experiment_smoke.json"}
+        for path in paths:
+            cfg = ExperimentConfig.from_json(path)
             assert cfg.geometry.domain.a1 == 2.0
             assert (cfg.split.theta_lo, cfg.split.theta_hi) == (0.97, 2.17)
 
@@ -454,6 +457,30 @@ class TestSubcommands:
                    "--data", str(data_path), "--out", str(out)])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    def test_reconstruct_data_of_other_geometry_is_config_error(
+            self, tmp_path, smoke_config, capsys):
+        # a2 = 1.002 keeps the smoke boundary's node count and time grid, so
+        # only the fingerprint tells the data's geometry from the config's
+        raw = json.loads(smoke_config.read_text())
+        raw["geometry"]["a2"] = 1.002
+        other_config = tmp_path / "other.json"
+        other_config.write_text(json.dumps(raw))
+        main(["simulate", "--config", str(other_config), "--phantom",
+              str(tmp_path / "phantom_reference.json"),
+              "--out", str(tmp_path / "other")])
+        data_path = tmp_path / "other" / "data_full.patb"
+        data = read_wave_data(data_path)
+        geom = ExperimentConfig.from_json(smoke_config).geometry
+        assert (len(data.node_idx), data.dt, data.n_time) == \
+            (geom.n_nodes, geom.dt, geom.n_time)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = main(["reconstruct", "--config", str(smoke_config),
+                   "--data", str(data_path), "--out", str(out)])
+        assert rc == 2
+        assert "fingerprint" in capsys.readouterr().err
+        assert not (out / "recon_data_full.patb").exists()
 
     @pytest.mark.parametrize("digits, message", [
         ("1" + "0" * 400, "beyond the float range"),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -16,7 +17,7 @@ import lvpat.forward as forward
 from lvpat._util import serial_blas
 from lvpat.arcmeans import (_ellipse_crossings, _monic_quartic_roots,
                             exact_mean_table)
-from lvpat.errors import ParameterError
+from lvpat.errors import DataMismatchError, ParameterError
 from lvpat.extension import build_training_set
 from lvpat.forward import (_CHUNK_ROWS, _TILE, Part, _wave_map,
                            restrict_wave_data, simulate_wave_data, wave_trace)
@@ -1001,6 +1002,22 @@ class TestSimulate:
         restricted = restrict_wave_data(full, coarse_split, part)
         assert np.array_equal(restricted.samples, got.samples)
         assert np.array_equal(restricted.node_idx, idx)
+
+    @pytest.mark.parametrize("mismatch", [
+        lambda u: dataclasses.replace(
+            u, node_idx=np.random.default_rng(5).permutation(u.node_idx)),
+        lambda u: dataclasses.replace(u, dt=2 * u.dt),
+        lambda u: dataclasses.replace(u, fingerprint="deadbeef"),
+        lambda u: dataclasses.replace(u, part=Part.GAMMA1),
+    ], ids=["permuted-nodes", "double-dt", "other-fingerprint", "gamma1"])
+    def test_restrict_rejects_data_off_the_split(self, coarse_geom,
+                                                 coarse_split, mismatch):
+        # a full container may list its nodes in any order; restriction
+        # picks gamma1 rows by position, so only node order is accepted
+        full = simulate_wave_data(TEST_PHANTOM, coarse_geom, coarse_split,
+                                  Part.FULL)
+        with pytest.raises(DataMismatchError):
+            restrict_wave_data(mismatch(full), coarse_split, Part.GAMMA1)
 
     @pytest.mark.parametrize("part", [Part.FULL, Part.GAMMA1])
     @pytest.mark.parametrize("name", ["square", "rotated_ellipse", "sum"])

@@ -1,14 +1,23 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from lvpat.errors import DataMismatchError
-from lvpat.forward import Part, WaveData
+from lvpat.forward import Part, WaveData, simulate_wave_data
 from lvpat.metrics import (boundary_time_inner, e2_error, grid_norm,
                            subspace_distance)
 from lvpat.phantoms import (ImageField, SquareIndicator, WeightedSum, rasterize,
                             training_partition)
 
 from conftest import BOX, TEST_PHANTOM, random_mix
+
+
+def permuted(u):
+    """u with its rows and node indices in one fixed shuffled order."""
+    perm = np.random.default_rng(3).permutation(len(u.node_idx))
+    return dataclasses.replace(u, node_idx=u.node_idx[perm],
+                               samples=u.samples[perm])
 
 
 def gamma1_constant_data(geom, split, value=1.0):
@@ -50,6 +59,20 @@ class TestBoundaryTimeInner:
                      coarse_split.fingerprint())
         with pytest.raises(DataMismatchError):
             boundary_time_inner(u, v, coarse_geom)
+
+    @pytest.mark.parametrize("mismatch", [
+        lambda u: (u, permuted(u)),
+        lambda u: (u, dataclasses.replace(u, dt=2 * u.dt)),
+        lambda u: (dataclasses.replace(u, dt=2 * u.dt), u),
+    ], ids=["permuted-nodes", "second-double-dt", "first-double-dt"])
+    def test_operands_off_each_other_rejected(self, coarse_geom, coarse_split,
+                                              mismatch):
+        # same part, shape and fingerprint: the rows pair up only on the
+        # same nodes in the same order, and dt weighs the sum
+        u = simulate_wave_data(TEST_PHANTOM, coarse_geom, coarse_split,
+                               Part.GAMMA1)
+        with pytest.raises(DataMismatchError):
+            boundary_time_inner(*mismatch(u), coarse_geom)
 
 
 class TestE2Error:
