@@ -38,10 +38,17 @@ def parallel_map(fn, items, threads: int = 1) -> list:
     only effect of threads > 1 is wall time.  The workers are shared by
     every call with the same thread count, so fn must not call parallel_map.
     """
+    return list(parallel_imap(fn, items, threads))
+
+
+def parallel_imap(fn, items, threads: int = 1):
+    """`parallel_map` as an iterator: each result in order, as soon as it
+    and those before it are done, so a caller that drops each one holds only
+    the results the workers are ahead by."""
     items = list(items)
     if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    return list(_pool(threads).map(fn, items))
+        return map(fn, items)
+    return _pool(threads).map(fn, items)
 
 
 # (get, set) symbol pairs, in order of preference: the scipy-openblas wheels

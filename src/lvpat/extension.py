@@ -19,9 +19,12 @@ The crossover depends on sizes alone, so the path, and every byte, depends
 neither on `threads` nor on the machine.
 
 - Gram: a sum of SYRKs over blocks of whole tiles of gamma1 nodes, in block
-  order.  A dense set slices U1; a table set builds each U1 block from S1
-  in a reused buffer.  A built block is byte for byte the dense slice, so
-  both representations give the same matrix.
+  order.  A dense set slices U1.  A table set's inner products are
+  quadratic forms in M = D[:C] D[:C]^T, whose eigenvalues fall below double
+  rounding after about a third of its rows, so it builds each block from S1
+  times W, a (C, k) factor with W W^T = M to rounding, in a reused buffer:
+  k columns per node instead of T.  The two representations' Grams agree
+  within about 1e-15 of their largest entry.
 - Projection: a dense set runs the GEMV U1 u1; a table set forms
   Y = u1 D[:C]^T and takes one sparse product of S1 with Y.  Y costs
   |gamma1| * T * C whatever n is, which the dense GEMV undercuts while n is
@@ -39,6 +42,7 @@ import json
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 from queue import SimpleQueue
 
 import numpy as np
@@ -51,7 +55,7 @@ from ._util import cholesky_lower, numbers, parallel_map, required, serial_blas
 from .errors import (ContainerFormatError, DataMismatchError, ParameterError,
                      SingularTrainingSetError)
 from .forward import (_TILE, MeanTables, Part, WaveData, _boundary_wave_map,
-                      _check_supports, apply_rows, check_wave_data,
+                      _check_supports, _WaveMap, apply_rows, check_wave_data,
                       mean_tables, plan_pass, plan_traces)
 from .geometry import (BoundaryGeometry, BoundarySplit, geometry_object,
                        read_geometry)
@@ -62,8 +66,9 @@ from .phantoms import phantom_from_dict, phantom_to_dict, training_partition
 RIDGE_START = 1e-12
 RIDGE_CAP = 1e-6
 GRAM_CHECK_RTOL = 1e-12  # a loaded Gram's diagonal against its traces
-# bytes of U1 per Gram block: a block holds as many whole tiles of gamma1
-# nodes as fit, and at least one
+# bytes per Gram block, T samples per node of U1 for a dense set and k basis
+# columns for a table set (`_gram_basis`): a block holds as many whole tiles
+# of gamma1 nodes as fit, and at least one
 GRAM_BLOCK_BYTES = 2 ** 23
 # a training set keeps dense traces while DENSE_RATIO * n <= C, the wave-map
 # rows its windows reach (C is 335, 669 and 1337 at steps 0.04, 0.02 and
@@ -252,34 +257,58 @@ def build_training_set(phantoms, geom: BoundaryGeometry, split: BoundarySplit,
                        outside_detection=outside)
 
 
-def _u1_blocks(ts: TrainingSet, fn, threads: int = 1) -> list:
+@lru_cache(maxsize=4)
+def _gram_basis(wm: _WaveMap, reach: int) -> np.ndarray:
+    """W (reach, k), read-only, with W W^T = D D^T to double rounding, for
+    D = wm.diff_t[:reach]; built once per (map, reach).
+
+    W = V_k Lambda_k^(1/2) keeps the eigenpairs of M = D D^T above
+    eps * lambda_max, and the eigenvalues fall below that after about a
+    third of the rows (k = 106, 204 and 385 of C = 335, 669 and 1337 at
+    steps 0.04, 0.02 and 0.01 on the reduced geometry).  The factorization
+    runs on one BLAS thread, so W's bytes do not depend on
+    OPENBLAS_NUM_THREADS.
+    """
+    d = wm.diff_t[:reach]
+    with serial_blas():
+        lam, vec = np.linalg.eigh(d @ d.T)
+    keep = lam > np.finfo(float).eps * lam[-1]
+    w = vec[:, keep] * np.sqrt(lam[keep])
+    w.flags.writeable = False
+    return w
+
+
+def _u1_blocks(ts: TrainingSet, fn, threads: int = 1,
+               basis: np.ndarray | None = None) -> list:
     """fn of each gamma1 node block of U1 as (n, nodes * T), in block order.
 
     The blocks are runs of whole tiles of nodes, with at most
-    GRAM_BLOCK_BYTES of U1 each (at least one tile), cut from the sizes
-    alone.  A dense set passes views of U1; a table set builds each block
-    from its tables, byte for byte the dense slice, in one of `threads`
-    reused buffers.  `threads` spreads the blocks, on one BLAS thread.
+    GRAM_BLOCK_BYTES each (at least one tile), cut from the sizes alone.  A
+    dense set passes views of U1; a table set builds each block from its
+    tables, byte for byte the dense slice, in one of `threads` reused
+    buffers.  With a (reach, k) `basis`, a table set's block is its tables
+    times the basis in place of the wave map, (n, nodes * k).  `threads`
+    spreads the blocks, on one BLAS thread.
     """
     n, m = ts.n, len(ts.split.gamma1_idx)
-    n_time = ts.split.geometry.n_time
-    step = _TILE * max(1, GRAM_BLOCK_BYTES // (n * _TILE * n_time * 8))
+    width = ts.split.geometry.n_time if basis is None else basis.shape[1]
+    step = _TILE * max(1, GRAM_BLOCK_BYTES // (n * _TILE * width * 8))
     bounds = np.append(np.arange(0, m, step), m)
     # one buffer per worker, allocated in this thread: memory that a worker
     # allocates stays in its malloc arena after use, which cost about 10 MB
     # of peak RSS over repeated pipeline runs at step 0.04
     free = SimpleQueue()
     for _ in range(0 if ts.dense else min(threads, len(bounds) - 1)):
-        free.put(np.empty(n * step * n_time))
+        free.put(np.empty(n * step * width))
 
     def block(b):
         lo, hi = bounds[b], bounds[b + 1]
         if ts.dense:
             return fn(ts.u1_samples[:, lo:hi].reshape(n, -1))
         buf = free.get()
-        x = buf[:n * (hi - lo) * n_time].reshape(n * (hi - lo), n_time)
+        x = buf[:n * (hi - lo) * width].reshape(n * (hi - lo), width)
         x.fill(0.0)
-        apply_rows(ts.tables, m * np.arange(n) + lo, hi - lo, x)
+        apply_rows(ts.tables, m * np.arange(n) + lo, hi - lo, x, basis)
         result = fn(x.reshape(n, -1))
         free.put(buf)
         return result
@@ -293,13 +322,17 @@ def gram_matrix(ts: TrainingSet, geom: BoundaryGeometry,
     """Pairwise discrete inner products of the gamma1 training traces.
 
     Each gamma1 node block's X_b @ X_b.T (see `_u1_blocks`) is one
-    `np.matmul`, which runs SYRK for this form and releases the GIL.  The
-    partial Grams are added in block order and scaled by ds * dt, and the
-    lower triangle is mirrored, so the result is exactly symmetric and its
-    bytes depend on the sizes alone: not on `threads`, and not on whether
-    the set is dense.
+    `np.matmul`, which runs SYRK for this form and releases the GIL.  A
+    dense set's blocks are slices of U1.  A table set's inner products are
+    sums of s_k D D^T s_l^T over its table rows, so its blocks are the
+    tables times W (`_gram_basis`), k columns per node instead of T; the
+    result agrees with the traces' Gram within about 1e-15 of its largest
+    entry.  The partial Grams are added in block order and scaled by
+    ds * dt, and the lower triangle is mirrored, so the result is exactly
+    symmetric and its bytes depend on the sizes alone, not on `threads`.
     """
-    gram = sum(_u1_blocks(ts, lambda x: np.matmul(x, x.T), threads))
+    basis = None if ts.dense else _gram_basis(ts.tables.wm, ts.tables.reach)
+    gram = sum(_u1_blocks(ts, lambda x: np.matmul(x, x.T), threads, basis))
     gram *= geom.ds * geom.dt
     return np.tril(gram) + np.tril(gram, -1).T
 
@@ -439,8 +472,11 @@ def load_model(path, expected_fingerprint: str | None = None,
     `build_training_set` tabulates the phantoms over `threads`.  The Gram
     matrix is refactorized, and its diagonal must equal ds*dt*||u1_k||^2 of
     the traces, summed over the Gram's node blocks (`_u1_blocks`), within
-    GRAM_CHECK_RTOL.  A stored partition must tile its box into exactly the
-    phantoms.  Format failures raise ContainerFormatError.
+    GRAM_CHECK_RTOL.  The check builds the traces themselves, also for a
+    table set, whose Gram comes from the basis W (`gram_matrix`), so every
+    load checks that Gram against the real traces.  A stored partition must
+    tile its box into exactly the phantoms.  Format failures raise
+    ContainerFormatError.
     """
     with open(path, "rb") as fh:
         sections = dict(read_container(fh))

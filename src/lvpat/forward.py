@@ -61,7 +61,6 @@ accuracy.
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -70,7 +69,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._util import parallel_map, serial_blas
+from ._util import parallel_imap, parallel_map, serial_blas
 from .arcmeans import TWO_PI, _box_arc_measures, exact_mean_table
 from .errors import DataMismatchError, ParameterError
 from .geometry import BoundaryGeometry, BoundarySplit, detection_region_contains
@@ -320,7 +319,8 @@ class MeanTables:
 class ForwardPlan(NamedTuple):
     """The blocks of one forward pass (see `plan_pass`), its
     (part, first row, end row) runs of whole tiles: tabulate(block) gives
-    the MeanTables of one block's rows."""
+    the MeanTables of one block's rows.  entries counts the pass's window
+    entries, which bounds its table entries."""
 
     n_phantoms: int
     sizes: tuple
@@ -328,6 +328,7 @@ class ForwardPlan(NamedTuple):
     wm: _WaveMap
     reach: int
     tabulate: Callable
+    entries: int
 
 
 def plan_pass(phantoms, parts, wm: _WaveMap) -> ForwardPlan:
@@ -438,22 +439,35 @@ def plan_pass(phantoms, parts, wm: _WaveMap) -> ForwardPlan:
 
     return ForwardPlan(
         blocks=tuple((p, int(a), int(b)) for p, a, b in tasks),
-        tabulate=tabulate, **shape)
+        tabulate=tabulate, entries=int(row_ends[-1]), **shape)
 
 
 def mean_tables(plan: ForwardPlan, threads: int = 1) -> MeanTables:
-    """The mean tables of a planned pass that has a block, its blocks'
-    tables joined in row order.  `threads` spreads the blocks."""
-    done = parallel_map(plan.tabulate, plan.blocks, threads)
-    return dataclasses.replace(
-        done[0], first_row=0,
-        indptr=np.concatenate([[0], np.cumsum(np.concatenate(
-            [np.diff(t.indptr) for t in done]))]),
-        cols=np.concatenate([t.cols for t in done]),
-        values=np.concatenate([t.values for t in done]))
+    """The mean tables of a planned pass, its blocks' tables joined in row
+    order.  `threads` spreads the blocks.
+
+    Each block is copied into the joined arrays as soon as it and the blocks
+    before it are done, and then dropped, so the build holds the joined
+    tables and the blocks the workers are ahead by, not every block twice.
+    The arrays are allocated for the window entries (`ForwardPlan.entries`)
+    and returned as views of the entries kept; their tail is never written.
+    """
+    indptr = np.empty(_row0(plan.n_phantoms, plan.sizes)[-1] + 1, dtype=int)
+    cols = np.empty(plan.entries, dtype=np.int32)
+    values = np.empty(plan.entries)
+    indptr[0] = at = 0
+    for t in parallel_imap(plan.tabulate, plan.blocks, threads):
+        r, end = t.first_row, at + len(t.values)
+        indptr[r + 1:r + len(t.indptr)] = t.indptr[1:] + at
+        cols[at:end], values[at:end] = t.cols, t.values
+        at = end
+    return MeanTables(n_phantoms=plan.n_phantoms, sizes=plan.sizes,
+                      indptr=indptr, cols=cols[:at], values=values[:at],
+                      wm=plan.wm, reach=plan.reach)
 
 
-def apply_rows(tables: MeanTables, starts, length: int, out: np.ndarray) -> None:
+def apply_rows(tables: MeanTables, starts, length: int, out: np.ndarray,
+               basis: np.ndarray | None = None) -> None:
     """Write the traces of the table rows [s, s + length), for each s in
     starts, into the zeroed (len(starts) * length, n_time) array out, range
     after range.
@@ -462,9 +476,10 @@ def apply_rows(tables: MeanTables, starts, length: int, out: np.ndarray) -> None
     first row and ends at a tile's end.  `_dense_tiles` lays each tile's
     entries out densely, and the tile's GEMM with the wave map, from the
     first time column its span can reach (`_WaveMap.first_k`), writes its
-    rows; a row without entries stays +0.0.  A trace depends only on its tile, so its
-    bytes do not depend on the ranges it is written with.  Run it inside
-    `serial_blas`.
+    rows; a row without entries stays +0.0.  A (reach, k) `basis` takes the
+    wave map's place, from column 0, and out is then (rows, k).  A row
+    depends only on its tile, so its bytes do not depend on the ranges it is
+    written with.  Run it inside `serial_blas`.
     """
     starts = np.asarray(starts, dtype=int)
     ends = starts + length
@@ -487,9 +502,13 @@ def apply_rows(tables: MeanTables, starts, length: int, out: np.ndarray) -> None
     lo = np.array([t[0] for t in tiles], dtype=int)
     r = np.searchsorted(starts, lo, side="right") - 1
     at_out = (r * length + lo - starts[r]).tolist()
-    k0s = wm.first_k[np.array([t[2] for t in tiles], dtype=int)].tolist()
+    if basis is None:
+        basis = wm.diff_t
+        k0s = wm.first_k[np.array([t[2] for t in tiles], dtype=int)].tolist()
+    else:
+        k0s = [0] * len(tiles)
     for (lo, hi, j0, tile), o, k0 in zip(tiles, at_out, k0s):
-        np.matmul(tile, wm.diff_t[j0:j0 + tile.shape[1], k0:],
+        np.matmul(tile, basis[j0:j0 + tile.shape[1], k0:],
                   out=out[o:o + hi - lo, k0:])
 
 

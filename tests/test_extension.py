@@ -264,7 +264,8 @@ class TestGramAndFactorization:
         ts = TrainingSet(phantoms=phantoms, split=coarse_split, tables=tables)
         gram = gram_matrix(ts, coarse_geom)
         assert np.abs(gram - np.eye(4)).max() <= 1e-12
-        assert gram_matrix(as_dense(ts), coarse_geom).tobytes() == gram.tobytes()
+        dense = gram_matrix(as_dense(ts), coarse_geom)
+        assert np.abs(dense - gram).max() <= 1e-12 * np.abs(gram).max()
 
     def test_gram_matches_pairwise_inner_products(self, coarse_geom,
                                                   coarse_split):
@@ -285,9 +286,10 @@ class TestGramAndFactorization:
                                         monkeypatch):
         # the node blocks' partial Grams, added in block order, agree with
         # one SYRK over all of U1 to rounding, are exactly symmetric, and
-        # give the same bytes for every thread count, from dense tensors
-        # and from tables alike; blocks of three tiles leave a last block of
-        # 4 nodes (148 gamma1 nodes), whose tile is partial too
+        # give the same bytes for every thread count within each
+        # representation; dense blocks of three tiles leave a last block of
+        # 4 nodes (148 gamma1 nodes), whose tile is partial too, and the
+        # table set's blocks of k basis columns per node hold more tiles
         rng = np.random.default_rng(8)
         n, n_time = 40, coarse_geom.n_time
         n_nodes = len(coarse_split.gamma1_idx)
@@ -311,11 +313,20 @@ class TestGramAndFactorization:
         monkeypatch.setattr(extension, "parallel_map", recorded)
         grams = {(t, s.dense): gram_matrix(s, coarse_geom, threads=t)
                  for t in (1, 2, 4) for s in (ts, dense)}
-        assert blocks == [list(range(4))] * 6
+        k = extension._gram_basis(ts.tables.wm, ts.tables.reach).shape[1]
+        step = _TILE * (3 * n_time // k)
+        n_table = -(-n_nodes // step)
+        assert n_table == 2
+        assert blocks == [list(range(n_table)), list(range(4))] * 3
         gram = grams[1, True]
         assert np.abs(gram - want).max() <= 1e-13 * np.abs(want).max()
-        assert np.array_equal(gram, gram.T)
-        assert all(g.tobytes() == gram.tobytes() for g in grams.values())
+        assert np.abs(grams[1, False] - gram).max() <= \
+            1e-12 * np.abs(gram).max()
+        for g in grams.values():
+            assert np.array_equal(g, g.T)
+        for t in (2, 4):
+            for d in (True, False):
+                assert grams[t, d].tobytes() == grams[1, d].tobytes()
 
     def test_identity_factorizes_with_zero_ridge(self):
         chol, ridge = factorize(np.eye(5))
@@ -331,6 +342,56 @@ class TestGramAndFactorization:
         assert ridge >= 0.0  # may or may not need jitter, must not raise
         recon = chol @ chol.T
         assert np.abs(recon - v).max() <= 1e-6
+
+
+class TestGramBasis:
+
+    def test_basis_reproduces_the_map_product(self, coarse_geom, coarse_split):
+        # W W^T = D D^T within C * eps * lambda_max on fewer columns than
+        # rows; W is read-only and built once per (map, reach)
+        wm = _boundary_wave_map(coarse_geom)
+        reach = split_tables(training_partition(BOX, 1, 1), coarse_geom,
+                             coarse_split).reach
+        extension._gram_basis.cache_clear()
+        w = extension._gram_basis(wm, reach)
+        d = wm.diff_t[:reach]
+        m = d @ d.T
+        lam_max = np.linalg.eigvalsh(m)[-1]
+        assert w.shape[0] == reach and w.shape[1] < reach
+        assert np.abs(w @ w.T - m).max() <= \
+            reach * np.finfo(float).eps * lam_max
+        assert not w.flags.writeable
+        assert extension._gram_basis(wm, reach) is w
+        assert extension._gram_basis(wm, reach - 1) is not w
+        assert extension._gram_basis.cache_info().misses == 2
+
+    def test_table_gram_independent_of_openblas_threads(
+            self, coarse_geom, coarse_split, blas_threads):
+        from lvpat import _util
+        ts = partition_set((16, 8), coarse_geom, coarse_split)
+        assert not ts.dense
+        grams = []
+        for n in (2, 1):
+            for _, set_ in _util._openblas():
+                set_(n)
+            extension._gram_basis.cache_clear()
+            grams.append(gram_matrix(ts, coarse_geom, threads=2))
+        assert grams[0].tobytes() == grams[1].tobytes()
+
+    def test_small_cells_load_through_the_diagonal_check(
+            self, coarse_geom, coarse_split, tmp_path):
+        # cells of 1/160 x 1/160 hold one radius node per table row, the
+        # shortest window; their Gram from the basis still matches the
+        # traces' norms within GRAM_CHECK_RTOL on load
+        box = (-0.3, -0.25, -0.1, -0.075)
+        ts = build_training_set(training_partition(box, 8, 4), coarse_geom,
+                                coarse_split)
+        assert not ts.dense and np.diff(ts.tables.indptr).max() == 1
+        model = train_extension_model(ts, coarse_geom)
+        model.partition = (8, 4, box)
+        save_model(model, tmp_path / "small.patb")
+        loaded = load_model(tmp_path / "small.patb")
+        assert loaded.gram.tobytes() == model.gram.tobytes()
 
 
 class TestProjection:
@@ -524,12 +585,12 @@ class TestTablePath:
 
     def test_dense_and_table_paths_agree(self, model8, coarse_geom,
                                          coarse_split):
-        # one model: the same Gram bytes from both representations, and
-        # coefficients and extensions within 1e-12 of their maximum
+        # one model: Grams from both representations, coefficients and
+        # extensions within 1e-12 of their maximum
         assert not model8.training.dense
         dense = dataclasses.replace(model8, training=as_dense(model8.training))
-        assert gram_matrix(dense.training, coarse_geom).tobytes() == \
-            model8.gram.tobytes()
+        gram = gram_matrix(dense.training, coarse_geom)
+        assert np.abs(gram - model8.gram).max() <= 1e-12 * np.abs(gram).max()
         rng = np.random.default_rng(21)
         mixed, _ = mixture_data(model8, rng.uniform(-1, 1, model8.n),
                                 coarse_split)

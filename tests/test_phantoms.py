@@ -157,6 +157,49 @@ class TestRasterize:
         perim = 2 * (K_WIDTH + K_HEIGHT)
         assert abs(mass - area) <= 2 * perim * small_grid.h
 
+    # a grid of exact binary nodes: x = -1 + i/8 (i < 17), y = -1/2 + j/8
+    # (j < 9), so box edges and ellipse extremes can sit on nodes exactly
+    NODE_GRID = GridSpec(origin=(-1.0, -0.5), h=0.125, nx=17, ny=9)
+    ON_NODES = SquareIndicator(-0.5, 0.25, -0.25, 0.5)
+    ELLIPSE = EllipseIndicator((0.1, 0.05), 0.6, 0.25, 0.7)
+
+    @pytest.mark.parametrize("p", [
+        ON_NODES,  # half-open: the top edge is the last node row
+        SquareIndicator(-1.0, -0.75, -0.5, -0.375),  # at the first nodes
+        SquareIndicator(0.75, 1.5, -1.0, 0.0),  # partly off the grid
+        SquareIndicator(-0.125, 0.125, 0.5, 0.75),  # on the last row only
+        SquareIndicator(2.0, 3.0, 0.0, 0.1),  # wholly off the grid
+        SquareIndicator(-5.0, -4.0, -5.0, -4.0),
+        SquareIndicator(1e300, 2e300, -2e300, -1e300),
+        EllipseIndicator((0.0, 0.0), 0.5, 0.25),  # extremes on nodes
+        ELLIPSE,
+        EllipseIndicator((0.9, -0.4), 0.3, 0.1, -2.2),  # partly off
+        EllipseIndicator((0.0, 0.0), 0.5, 0.25, np.pi / 2),
+        WeightedSum(((-1.0, ON_NODES), (0.0, ELLIPSE),
+                     (2.5, SquareIndicator(0.0, 0.5, -0.5, 0.0)))),
+        WeightedSum(((0.0, ON_NODES),)),
+        WeightedSum(((-0.5, SquareIndicator(2.0, 3.0, 0.0, 0.1)),
+                     (-1.5, ELLIPSE))),
+    ])
+    def test_window_gives_the_whole_grid_bytes(self, p):
+        # only the bounding box's nodes are evaluated, yet every value,
+        # zeros and their signs included, is that of the whole grid
+        got = rasterize(p, self.NODE_GRID).values
+        want = eval_phantom(p, self.NODE_GRID.points())
+        assert got.tobytes() == want.tobytes()
+
+    def test_random_phantoms_give_the_whole_grid_bytes(self, small_grid):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            p = random_mix(rng, n_terms=4)
+            q = EllipseIndicator(tuple(rng.uniform(-2.5, 2.5, 2)),
+                                 *rng.uniform(0.01, 1.0, 2),
+                                 rng.uniform(-np.pi, np.pi))
+            for f in (p, q, WeightedSum(((-1.0, p), (0.0, q)))):
+                want = eval_phantom(f, small_grid.points())
+                assert rasterize(f, small_grid).values.tobytes() == \
+                    want.tobytes()
+
     def test_commutes_with_weighted_sum(self, small_grid):
         rng = np.random.default_rng(4)
         mix = random_mix(rng)
