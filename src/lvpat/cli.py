@@ -21,8 +21,8 @@ from ._util import (json_object, load_json, number, numbers, required,
                     serial_blas)
 from .errors import (ContainerFormatError, DataMismatchError, ParameterError,
                      SingularTrainingSetError)
-from .extension import (build_training_set, extend, load_model, save_model,
-                        stitch, train_extension_model, zero_extend)
+from .extension import (build_training_set, extend_full, load_model,
+                        save_model, train_extension_model, zero_extend)
 from .forward import (Part, WaveData, check_wave_data, restrict_wave_data,
                       simulate_wave_data)
 from .geometry import BoundaryGeometry, BoundarySplit, read_geometry
@@ -155,10 +155,10 @@ def _train(cfg: ExperimentConfig, n_w, n_h):
 
 
 def _extend(cfg: ExperimentConfig, model, u1: WaveData):
-    """(gamma2 extension, stitched full-boundary data, seconds for both)."""
+    """(gamma2 extension, stitched full-boundary data, seconds for both);
+    cfg.threads spreads a dense set's projection."""
     t0 = time.perf_counter()
-    u2_hat = extend(model, u1)
-    stitched = stitch(u1, u2_hat, cfg.geometry, cfg.split)
+    u2_hat, stitched = extend_full(model, u1, cfg.threads)
     return u2_hat, stitched, time.perf_counter() - t0
 
 

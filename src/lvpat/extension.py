@@ -21,16 +21,18 @@ neither on `threads` nor on the machine.
 - Gram: a sum of SYRKs over blocks of whole tiles of gamma1 nodes, in block
   order.  A dense set slices U1.  A table set's inner products are
   quadratic forms in M = D[:C] D[:C]^T, whose eigenvalues fall below double
-  rounding after about a third of its rows, so it builds each block from S1
-  times W, a (C, k) factor with W W^T = M to rounding, in a reused buffer:
-  k columns per node instead of T.  The two representations' Grams agree
-  within about 1e-15 of their largest entry.
-- Projection: a dense set runs the GEMV U1 u1; a table set forms
+  rounding after about a third of its rows, so each block is the block's
+  rows of S1 times W, a (C, k) factor with W W^T = M to rounding, in one
+  sparse product: k columns per node instead of T.  The two
+  representations' Grams agree within about 1e-15 of their largest entry.
+- Projection: a dense set runs the GEMV U1 u1 in two fixed halves of its
+  phantom rows, which `threads` can run side by side; a table set forms
   Y = u1 D[:C]^T and takes one sparse product of S1 with Y.  Y costs
   |gamma1| * T * C whatever n is, which the dense GEMV undercuts while n is
   small against C.
 - Extension: a dense set combines U2 with the coefficients; a table set
-  forms (S2^T c reshaped to |gamma2| x C) D[:C].
+  forms (S2^T c reshaped to |gamma2| x C) D[:C].  `extend_full` writes it
+  straight into the gamma2 rows of the full-boundary data.
 
 A saved model holds its recipe, not its traces: the forward is deterministic,
 so loading tabulates the stored phantoms again on the stored geometry.
@@ -43,7 +45,6 @@ import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from queue import SimpleQueue
 
 import numpy as np
 import scipy
@@ -66,9 +67,10 @@ from .phantoms import phantom_from_dict, phantom_to_dict, training_partition
 RIDGE_START = 1e-12
 RIDGE_CAP = 1e-6
 GRAM_CHECK_RTOL = 1e-12  # a loaded Gram's diagonal against its traces
-# bytes per Gram block, T samples per node of U1 for a dense set and k basis
-# columns for a table set (`_gram_basis`): a block holds as many whole tiles
-# of gamma1 nodes as fit, and at least one
+# bytes per Gram block, T samples per node of U1 for a dense set (a view,
+# or traces built for `load_model`'s check) and k basis columns for a table
+# set (`_gram_basis`), the product that each worker allocates: a block holds
+# as many whole tiles of gamma1 nodes as fit, and at least one
 GRAM_BLOCK_BYTES = 2 ** 23
 # a training set keeps dense traces while DENSE_RATIO * n <= C, the wave-map
 # rows its windows reach (C is 335, 669 and 1337 at steps 0.04, 0.02 and
@@ -163,12 +165,22 @@ class TrainingSet:
         m = tab.sizes[part]
         if not m:
             return csr_array((self.n, 0))
-        ip = tab.indptr[r0:r1 + 1]
-        flat = np.repeat(np.arange(r1 - r0, dtype=np.int32) % m, np.diff(ip))
+        at = slice(tab.indptr[r0], tab.indptr[r1])
+        flat = np.repeat(np.arange(r1 - r0, dtype=np.int32) % m,
+                         np.diff(tab.indptr[r0:r1 + 1]))
         flat *= c
-        flat += tab.cols[ip[0]:ip[-1]]
-        return csr_array((tab.values[ip[0]:ip[-1]], flat, ip[::m] - ip[0]),
-                         shape=(self.n, m * c))
+        flat += tab.cols[at]
+        return _csr_over(tab.values[at], flat, _table_indptr(tab, r0, r1, m),
+                         (self.n, m * c))
+
+    def _gamma1_rows(self) -> csr_array:
+        """A table set's gamma1 rows as one (n * |gamma1|, C) CSR matrix,
+        phantom-major, over views of the tables' cols and values."""
+        tab = self.tables
+        r0, r1 = tab.row0[:2]
+        at = slice(tab.indptr[r0], tab.indptr[r1])
+        return _csr_over(tab.values[at], tab.cols[at],
+                         _table_indptr(tab, r0, r1), (r1 - r0, tab.reach))
 
     @property
     def n(self) -> int:
@@ -188,6 +200,26 @@ class TrainingSet:
     def u2(self) -> Sequence:
         """Per-phantom gamma2 WaveData, read-only."""
         return _PartTraces(self, Part.GAMMA2)
+
+
+def _table_indptr(tab: MeanTables, r0: int, r1: int,
+                  step: int = 1) -> np.ndarray:
+    """Row pointers from 0 over table rows [r0, r1), every step-th row
+    ending a CSR row: int32, the dtype of the tables' cols, while the
+    entries fit, so that `_csr_over` takes those cols as they are."""
+    ip = tab.indptr[r0:r1 + 1:step] - tab.indptr[r0]
+    return ip.astype(np.int32 if ip[-1] < 2 ** 31 else np.int64)
+
+
+def _csr_over(data, indices, indptr, shape) -> csr_array:
+    """A CSR matrix of `shape` over these arrays themselves, indices in
+    indptr's dtype.  `csr_array`'s constructor copies a view of less than
+    half its base, as one part of the tables is, so the arrays are set on an
+    empty matrix instead."""
+    mat = csr_array(shape)
+    mat.data, mat.indptr = data, indptr
+    mat.indices = indices.astype(indptr.dtype, copy=False)
+    return mat
 
 
 def _keeps_dense(n: int, reach: int) -> bool:
@@ -278,61 +310,72 @@ def _gram_basis(wm: _WaveMap, reach: int) -> np.ndarray:
     return w
 
 
-def _u1_blocks(ts: TrainingSet, fn, threads: int = 1,
-               basis: np.ndarray | None = None) -> list:
-    """fn of each gamma1 node block of U1 as (n, nodes * T), in block order.
+def _node_blocks(ts: TrainingSet, width: int, fn, threads: int = 1) -> list:
+    """fn(lo, hi) of each block of gamma1 nodes [lo, hi), in block order.
 
-    The blocks are runs of whole tiles of nodes, with at most
-    GRAM_BLOCK_BYTES each (at least one tile), cut from the sizes alone.  A
-    dense set passes views of U1; a table set builds each block from its
-    tables, byte for byte the dense slice, in one of `threads` reused
-    buffers.  With a (reach, k) `basis`, a table set's block is its tables
-    times the basis in place of the wave map, (n, nodes * k).  `threads`
-    spreads the blocks, on one BLAS thread.
+    The blocks are runs of whole tiles of nodes, each with at most
+    GRAM_BLOCK_BYTES of `width` doubles per (phantom, node) and at least one
+    tile, cut from the sizes alone.  `threads` spreads the blocks, on one
+    BLAS thread.
     """
     n, m = ts.n, len(ts.split.gamma1_idx)
-    width = ts.split.geometry.n_time if basis is None else basis.shape[1]
     step = _TILE * max(1, GRAM_BLOCK_BYTES // (n * _TILE * width * 8))
     bounds = np.append(np.arange(0, m, step), m)
-    # one buffer per worker, allocated in this thread: memory that a worker
-    # allocates stays in its malloc arena after use, which cost about 10 MB
-    # of peak RSS over repeated pipeline runs at step 0.04
-    free = SimpleQueue()
-    for _ in range(0 if ts.dense else min(threads, len(bounds) - 1)):
-        free.put(np.empty(n * step * width))
+    with serial_blas():
+        return parallel_map(lambda b: fn(bounds[b], bounds[b + 1]),
+                            range(len(bounds) - 1), threads)
 
-    def block(b):
-        lo, hi = bounds[b], bounds[b + 1]
+
+def _u1_blocks(ts: TrainingSet, fn, threads: int = 1) -> list:
+    """fn of each gamma1 node block of U1 as (n, nodes * T), in block order
+    (`_node_blocks`, T samples per node).
+
+    A dense set passes views of U1; a table set builds each block from its
+    tables, byte for byte the dense slice.  `load_model` checks a Gram's
+    diagonal against these real traces.
+    """
+    n, m, t = ts.n, len(ts.split.gamma1_idx), ts.split.geometry.n_time
+
+    def block(lo, hi):
         if ts.dense:
             return fn(ts.u1_samples[:, lo:hi].reshape(n, -1))
-        buf = free.get()
-        x = buf[:n * (hi - lo) * width].reshape(n * (hi - lo), width)
-        x.fill(0.0)
-        apply_rows(ts.tables, m * np.arange(n) + lo, hi - lo, x, basis)
-        result = fn(x.reshape(n, -1))
-        free.put(buf)
-        return result
+        x = np.zeros((n * (hi - lo), t))
+        apply_rows(ts.tables, m * np.arange(n) + lo, hi - lo, x)
+        return fn(x.reshape(n, -1))
 
-    with serial_blas():
-        return parallel_map(block, range(len(bounds) - 1), threads)
+    return _node_blocks(ts, t, block, threads)
 
 
 def gram_matrix(ts: TrainingSet, geom: BoundaryGeometry,
                 threads: int = 1) -> np.ndarray:
     """Pairwise discrete inner products of the gamma1 training traces.
 
-    Each gamma1 node block's X_b @ X_b.T (see `_u1_blocks`) is one
-    `np.matmul`, which runs SYRK for this form and releases the GIL.  A
-    dense set's blocks are slices of U1.  A table set's inner products are
-    sums of s_k D D^T s_l^T over its table rows, so its blocks are the
-    tables times W (`_gram_basis`), k columns per node instead of T; the
-    result agrees with the traces' Gram within about 1e-15 of its largest
-    entry.  The partial Grams are added in block order and scaled by
-    ds * dt, and the lower triangle is mirrored, so the result is exactly
-    symmetric and its bytes depend on the sizes alone, not on `threads`.
+    Each gamma1 node block's X_b @ X_b.T is one `np.matmul`, which runs
+    SYRK for this form and releases the GIL.  A dense set's X_b are slices
+    of U1 (`_u1_blocks`).  A table set's inner products are sums of
+    s_k D D^T s_l^T over its table rows, so its X_b is the block's rows of
+    the gamma1 tables, gathered phantom-major, times W (`_gram_basis`): one
+    sparse product, k columns per node instead of T, allocated in the
+    worker.  The result agrees with the traces' Gram within about 1e-15 of
+    its largest entry.  The partial Grams are added in block order and
+    scaled by ds * dt, and the lower triangle is mirrored, so the result is
+    exactly symmetric and its bytes depend on the sizes alone, not on
+    `threads`.
     """
-    basis = None if ts.dense else _gram_basis(ts.tables.wm, ts.tables.reach)
-    gram = sum(_u1_blocks(ts, lambda x: np.matmul(x, x.T), threads, basis))
+    if ts.dense:
+        parts = _u1_blocks(ts, lambda x: np.matmul(x, x.T), threads)
+    else:
+        n, m = ts.n, len(ts.split.gamma1_idx)
+        w = _gram_basis(ts.tables.wm, ts.tables.reach)
+        s1 = ts._gamma1_rows()
+
+        def block(lo, hi):
+            rows = (m * np.arange(n)[:, None] + np.arange(lo, hi)).ravel()
+            x = (s1[rows] @ w).reshape(n, -1)
+            return np.matmul(x, x.T)
+
+        parts = _node_blocks(ts, w.shape[1], block, threads)
+    gram = sum(parts)
     gram *= geom.ds * geom.dt
     return np.tril(gram) + np.tril(gram, -1).T
 
@@ -379,19 +422,26 @@ def train_extension_model(ts: TrainingSet, geom: BoundaryGeometry,
     return ExtensionModel(training=ts, gram=gram, chol_lower=chol, ridge=ridge)
 
 
-def project_coefficients(model: ExtensionModel, u1: WaveData) -> np.ndarray:
+def project_coefficients(model: ExtensionModel, u1: WaveData,
+                         threads: int = 1) -> np.ndarray:
     """Projection coefficients of u1 onto the span of the training traces.
 
     u1 must be gamma1 data of the model's split (`forward.check_wave_data`).
-    For a dense set the right-hand side ds * dt * U1 @ u1 is one GEMV at
-    the caller's BLAS thread count.  For a table set it is
-    ds * dt * S1 @ vec(Y), with Y = u1 D[:C]^T on one BLAS thread.
+    For a dense set the right-hand side ds * dt * U1 @ u1 is two GEMVs, over
+    U1's phantom rows [0, ceil(n/2)) and [ceil(n/2), n), spread over
+    `threads`: the halves depend on n alone, so no byte depends on
+    `threads`.  For a table set it is ds * dt * S1 @ vec(Y), with
+    Y = u1 D[:C]^T on one BLAS thread.
     """
     ts, geom = model.training, model.training.split.geometry
     check_wave_data(u1, Part.GAMMA1, ts.split.gamma1_idx, geom,
                     model.fingerprint)
     if ts.dense:
-        rhs = np.dot(ts.u1_samples.reshape(model.n, -1), u1.samples.ravel())
+        u, v = ts.u1_samples.reshape(model.n, -1), u1.samples.ravel()
+        half = -(-model.n // 2)
+        rhs = np.concatenate(parallel_map(
+            lambda rows: np.dot(u[rows], v),
+            (slice(0, half), slice(half, model.n)), threads))
     else:
         with serial_blas():
             y = u1.samples @ ts.tables.wm.diff_t[:ts.tables.reach].T
@@ -403,22 +453,58 @@ def project_coefficients(model: ExtensionModel, u1: WaveData) -> np.ndarray:
     return coeffs
 
 
-def extend(model: ExtensionModel, u1: WaveData) -> WaveData:
+def extend(model: ExtensionModel, u1: WaveData, threads: int = 1,
+           out: np.ndarray | None = None) -> WaveData:
     """Predicted gamma2 data: the coefficient combination of training u2
     traces, sum_k c_k U2_k for a dense set and (S2^T c) D[:C] for a table
-    set, with S2^T c laid out as (|gamma2|, C)."""
-    ts = model.training
-    coeffs = project_coefficients(model, u1)
+    set, with S2^T c laid out as (|gamma2|, C).  `threads` spreads a dense
+    set's projection (`project_coefficients`).  The result is written into
+    `out`, a C-contiguous (|gamma2|, T) array, when it is given
+    (`extend_full`), else into a fresh one, with the same bytes."""
+    ts, geom = model.training, model.training.split.geometry
+    coeffs = project_coefficients(model, u1, threads)
+    m2 = len(ts.split.gamma2_idx)
+    if out is None:
+        out = np.empty((m2, geom.n_time))
+    elif out.shape != (m2, geom.n_time) or not out.flags.c_contiguous:
+        raise ParameterError("out must be a C-contiguous array of the "
+                             "gamma2 nodes by the time steps")
     if ts.dense:
-        samples = np.tensordot(coeffs, ts.u2_samples, axes=1)
+        np.dot(coeffs, ts.u2_samples.reshape(model.n, -1),
+               out=out.reshape(-1))
     else:
-        m2 = len(ts.split.gamma2_idx)
         means = (ts._sparse[1].T @ coeffs).reshape(m2, -1)
         with serial_blas():
-            samples = means @ ts.tables.wm.diff_t[:ts.tables.reach]
+            np.matmul(means, ts.tables.wm.diff_t[:ts.tables.reach], out=out)
     return WaveData(part=Part.GAMMA2, node_idx=ts.split.gamma2_idx,
-                    dt=ts.split.geometry.dt, n_time=samples.shape[1],
-                    samples=samples, fingerprint=model.fingerprint)
+                    dt=geom.dt, n_time=geom.n_time, samples=out,
+                    fingerprint=model.fingerprint)
+
+
+def extend_full(model: ExtensionModel, u1: WaveData,
+                threads: int = 1) -> tuple:
+    """(gamma2 extension, full-boundary data) with one fresh array: the
+    bytes of `extend` and then `stitch`.
+
+    u1 goes into its rows of the full-boundary array, and `extend` writes
+    the gamma2 extension straight into the rest when the gamma2 nodes are
+    one run; a gamma2 that wraps past node 0 is copied in.  The extension's
+    samples are then a view of the full data's.
+    """
+    split = model.training.split
+    geom, g2 = split.geometry, split.gamma2_idx
+    check_wave_data(u1, Part.GAMMA1, split.gamma1_idx, geom,
+                    model.fingerprint)
+    samples = np.empty((geom.n_nodes, geom.n_time))
+    samples[split.gamma1_idx] = u1.samples
+    run = len(g2) > 0 and g2[-1] - g2[0] + 1 == len(g2)
+    u2 = extend(model, u1, threads,
+                out=samples[g2[0]:g2[-1] + 1] if run else None)
+    if not run:
+        samples[g2] = u2.samples
+    return u2, WaveData(part=Part.FULL, node_idx=np.arange(geom.n_nodes),
+                        dt=geom.dt, n_time=geom.n_time, samples=samples,
+                        fingerprint=model.fingerprint)
 
 
 def stitch(u1: WaveData, u2: WaveData, geom: BoundaryGeometry,

@@ -466,8 +466,8 @@ def mean_tables(plan: ForwardPlan, threads: int = 1) -> MeanTables:
                       wm=plan.wm, reach=plan.reach)
 
 
-def apply_rows(tables: MeanTables, starts, length: int, out: np.ndarray,
-               basis: np.ndarray | None = None) -> None:
+def apply_rows(tables: MeanTables, starts, length: int,
+               out: np.ndarray) -> None:
     """Write the traces of the table rows [s, s + length), for each s in
     starts, into the zeroed (len(starts) * length, n_time) array out, range
     after range.
@@ -476,10 +476,9 @@ def apply_rows(tables: MeanTables, starts, length: int, out: np.ndarray,
     first row and ends at a tile's end.  `_dense_tiles` lays each tile's
     entries out densely, and the tile's GEMM with the wave map, from the
     first time column its span can reach (`_WaveMap.first_k`), writes its
-    rows; a row without entries stays +0.0.  A (reach, k) `basis` takes the
-    wave map's place, from column 0, and out is then (rows, k).  A row
-    depends only on its tile, so its bytes do not depend on the ranges it is
-    written with.  Run it inside `serial_blas`.
+    rows; a row without entries stays +0.0.  A row depends only on its
+    tile, so its bytes do not depend on the ranges it is written with.  Run
+    it inside `serial_blas`.
     """
     starts = np.asarray(starts, dtype=int)
     ends = starts + length
@@ -502,13 +501,9 @@ def apply_rows(tables: MeanTables, starts, length: int, out: np.ndarray,
     lo = np.array([t[0] for t in tiles], dtype=int)
     r = np.searchsorted(starts, lo, side="right") - 1
     at_out = (r * length + lo - starts[r]).tolist()
-    if basis is None:
-        basis = wm.diff_t
-        k0s = wm.first_k[np.array([t[2] for t in tiles], dtype=int)].tolist()
-    else:
-        k0s = [0] * len(tiles)
+    k0s = wm.first_k[np.array([t[2] for t in tiles], dtype=int)].tolist()
     for (lo, hi, j0, tile), o, k0 in zip(tiles, at_out, k0s):
-        np.matmul(tile, basis[j0:j0 + tile.shape[1], k0:],
+        np.matmul(tile, wm.diff_t[j0:j0 + tile.shape[1], k0:],
                   out=out[o:o + hi - lo, k0:])
 
 

@@ -5,24 +5,26 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 from scipy.linalg.blas import dsyrk
 
 import lvpat.extension as extension
+from lvpat._util import serial_blas
 from lvpat.cli import ExperimentConfig
 from lvpat.errors import (ContainerFormatError, DataMismatchError,
                           ParameterError, SingularTrainingSetError)
 from lvpat.extension import (TrainingSet, build_training_set, extend,
-                             factorize, gram_matrix, load_model,
+                             extend_full, factorize, gram_matrix, load_model,
                              project_coefficients, save_model, stitch,
                              train_extension_model, zero_extend)
 from lvpat.forward import (_TILE, MeanTables, Part, WaveData,
                            _boundary_wave_map, mean_tables, plan_pass,
                            restrict_wave_data, simulate_wave_data)
-from lvpat.geometry import read_geometry
+from lvpat.geometry import read_geometry, split_boundary
 from lvpat.metrics import boundary_time_inner, boundary_time_norm
 from lvpat.phantoms import SquareIndicator, WeightedSum, training_partition
 
-from conftest import BOX, TEST_PHANTOM, write_container
+from conftest import BOX, GAMMA2_INTERVAL, TEST_PHANTOM, write_container
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -141,6 +143,25 @@ class TestTrainingSet:
         assert len(ts32.u1) == 512
         with pytest.raises(IndexError):
             ts32.u1[512]
+
+    def test_sparse_parts_take_the_tables_without_copies(self, ts32):
+        # both parts keep int32 indices and the tables' own values, also the
+        # gamma2 part, a view of less than half of them; the gamma1 rows
+        # that the Gram multiplies take the tables' cols too, and times the
+        # wave map they give the gamma1 traces
+        tab = ts32.tables
+        rows = ts32._gamma1_rows()
+        for s in (*ts32._sparse, rows):
+            assert s.indices.dtype == s.indptr.dtype == np.int32
+            assert np.shares_memory(s.data, tab.values)
+        assert np.shares_memory(rows.indices, tab.cols)
+        assert ts32._sparse[1].nnz < tab.values.size // 2
+        traces = (rows @ tab.wm.diff_t[:tab.reach]).reshape(
+            ts32.n, -1, tab.wm.n_time)
+        for k in (0, 200, 511):
+            want = ts32.u1[k].samples
+            assert np.abs(traces[k] - want).max() <= \
+                1e-12 * np.abs(want).max()
 
     def test_tensors_are_restrictions_of_full_simulations(self, coarse_geom,
                                                           coarse_split):
@@ -289,7 +310,8 @@ class TestGramAndFactorization:
         # give the same bytes for every thread count within each
         # representation; dense blocks of three tiles leave a last block of
         # 4 nodes (148 gamma1 nodes), whose tile is partial too, and the
-        # table set's blocks of k basis columns per node hold more tiles
+        # table set's blocks of k basis columns per node hold more tiles.
+        # The table Gram agrees with the traces' within 1e-12 of max|G|
         rng = np.random.default_rng(8)
         n, n_time = 40, coarse_geom.n_time
         n_nodes = len(coarse_split.gamma1_idx)
@@ -320,13 +342,45 @@ class TestGramAndFactorization:
         assert blocks == [list(range(n_table)), list(range(4))] * 3
         gram = grams[1, True]
         assert np.abs(gram - want).max() <= 1e-13 * np.abs(want).max()
-        assert np.abs(grams[1, False] - gram).max() <= \
-            1e-12 * np.abs(gram).max()
+        shift = np.abs(grams[1, False] - gram).max() / np.abs(gram).max()
+        print(f"table Gram against the traces' Gram: {shift:.2e} of max|G|")
+        assert shift <= 1e-12
         for g in grams.values():
             assert np.array_equal(g, g.T)
         for t in (2, 4):
             for d in (True, False):
                 assert grams[t, d].tobytes() == grams[1, d].tobytes()
+
+    def test_table_blocks_are_tile_runs_in_order(self, coarse_geom,
+                                                 coarse_split, monkeypatch):
+        # a table set's Gram runs its blocks of whole tiles over the gamma1
+        # nodes in node order, at most GRAM_BLOCK_BYTES of k columns per
+        # (phantom, node) each, and adds their partial Grams in that order:
+        # the bytes of one block at a time
+        ts = partition_set((16, 8), coarse_geom, coarse_split)
+        assert not ts.dense
+        m = len(coarse_split.gamma1_idx)
+        k = extension._gram_basis(ts.tables.wm, ts.tables.reach).shape[1]
+        monkeypatch.setattr(extension, "GRAM_BLOCK_BYTES",
+                            2 * ts.n * _TILE * k * 8)
+        seen, real = [], extension._node_blocks
+
+        def recorded(ts, width, fn, threads=1):
+            def block(lo, hi):
+                part = fn(lo, hi)
+                seen.append((lo, hi, part))
+                return part
+            return real(ts, width, block, threads)
+
+        monkeypatch.setattr(extension, "_node_blocks", recorded)
+        gram = gram_matrix(ts, coarse_geom)
+        bounds = [(lo, hi) for lo, hi, _ in seen]
+        assert bounds == [(lo, min(lo + 2 * _TILE, m))
+                          for lo in range(0, m, 2 * _TILE)]
+        want = sum(part for _, _, part in seen)
+        want *= coarse_geom.ds * coarse_geom.dt
+        want = np.tril(want) + np.tril(want, -1).T
+        assert gram.tobytes() == want.tobytes()
 
     def test_identity_factorizes_with_zero_ridge(self):
         chol, ridge = factorize(np.eye(5))
@@ -424,6 +478,30 @@ class TestProjection:
         samples2 = sum(c * u.samples for c, u in zip(c1, model8.training.u1))
         c2 = project_coefficients(model8, u1.copy_with(samples2))
         assert np.abs(c1 - c2).max() <= 1e-8
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (3, 1), (4, 2)])
+    def test_dense_halves_independent_of_threads(self, coarse_geom,
+                                                 coarse_split, shape):
+        # a dense set's right-hand side is two GEMVs over the phantom rows
+        # [0, ceil(n/2)) and [ceil(n/2), n): the same coefficient and
+        # extension bytes at threads 1, 2 and 4, an empty or odd half
+        # included, and within rounding of one GEMV over all rows
+        ts = partition_set(shape, coarse_geom, coarse_split)
+        assert ts.dense
+        model = train_extension_model(ts, coarse_geom)
+        u1 = simulate_wave_data(TEST_PHANTOM, coarse_geom, coarse_split,
+                                Part.GAMMA1)
+        with serial_blas():
+            coeffs = {t: project_coefficients(model, u1, threads=t)
+                      for t in (1, 2, 4)}
+            ext = {t: extend(model, u1, threads=t).samples for t in (1, 2, 4)}
+            rhs = np.dot(ts.u1_samples.reshape(ts.n, -1), u1.samples.ravel())
+        rhs *= coarse_geom.ds * coarse_geom.dt
+        one = cho_solve((model.chol_lower, True), rhs)
+        for t in (2, 4):
+            assert coeffs[t].tobytes() == coeffs[1].tobytes()
+            assert ext[t].tobytes() == ext[1].tobytes()
+        assert np.abs(coeffs[1] - one).max() <= 1e-14 * np.abs(one).max()
 
     def test_fingerprint_mismatch_rejected(self, model8):
         bad = model8.training.u1[0]
@@ -612,6 +690,28 @@ class TestStitch:
         u2 = restrict_wave_data(full, coarse_split, Part.GAMMA2)
         again = stitch(u1, u2, coarse_geom, coarse_split)
         assert np.array_equal(again.samples, full.samples)
+
+    @pytest.mark.parametrize("interval", [GAMMA2_INTERVAL, (3.0, 3.4)])
+    def test_extend_full_is_extend_then_stitch(self, coarse_geom, interval):
+        # one fresh array with the bytes of extend and then stitch, for a
+        # dense (4x2) and a table (8x4) set: the extension is written in
+        # place while the gamma2 nodes are one run, copied in when they wrap
+        # past node 0
+        split = split_boundary(coarse_geom, interval)
+        g2 = split.gamma2_idx
+        run = bool(np.all(np.diff(g2) == 1))
+        assert run is (interval == GAMMA2_INTERVAL)
+        u1 = simulate_wave_data(TEST_PHANTOM, coarse_geom, split, Part.GAMMA1)
+        for shape in ((4, 2), (8, 4)):
+            model = train_extension_model(
+                partition_set(shape, coarse_geom, split), coarse_geom)
+            u2, full = extend_full(model, u1, threads=2)
+            want = stitch(u1, extend(model, u1), coarse_geom, split)
+            assert full.samples.tobytes() == want.samples.tobytes()
+            assert u2.samples.tobytes() == want.samples[g2].tobytes()
+            assert np.shares_memory(u2.samples, full.samples) is run
+            with pytest.raises(ParameterError):
+                extend(model, u1, out=np.empty((coarse_geom.n_time, len(g2))))
 
     def test_zero_extension(self, coarse_geom, coarse_split):
         p = SquareIndicator(-1.0, -0.6, -0.5, -0.1)

@@ -77,6 +77,25 @@ BOX_EDGE_ROWS = {
 }
 
 
+def stacked_box_measures(edges, cx, cy, radii):
+    """The box arc measure in its former stacked form: the four y intervals'
+    ends as (rows, 4) arrays, their clamped overlaps with the x band summed
+    along the rows."""
+    x_lo, x_hi, y_lo, y_hi = edges
+    r = radii
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_hi = np.arccos(np.clip((x_hi - cx) / r, -1.0, 1.0))
+        a_lo = np.arccos(np.clip((x_lo - cx) / r, -1.0, 1.0))
+        b_lo = np.arcsin(np.clip((y_lo - cy) / r, -1.0, 1.0))
+        b_hi = np.arcsin(np.clip((y_hi - cy) / r, -1.0, 1.0))
+    lo = np.stack([b_lo, np.pi - b_hi, -b_hi, np.pi + b_lo], axis=1)
+    hi = np.stack([b_hi, np.pi - b_lo, -b_lo, np.pi + b_hi], axis=1)
+    overlap = np.minimum(a_lo[:, None], hi) - np.maximum(a_hi[:, None], lo)
+    measure = np.sum(np.maximum(overlap, 0.0), axis=1)
+    inside = (cx >= x_lo) & (cx < x_hi) & (cy >= y_lo) & (cy < y_hi)
+    return np.where(r > 0, measure, 2 * np.pi * inside)
+
+
 def companion_roots(a, b, c, d):
     """Roots of z^4 + a z^3 + b z^2 + c z + d as companion eigenvalues."""
     comp = np.zeros((len(a), 4, 4), dtype=complex)
@@ -603,6 +622,37 @@ class TestCircularMean:
             radii[order]) / (2 * np.pi)
         want = np.concatenate([exact_mean_table(q, c, r) for q, c, r in groups])
         assert got.tobytes() == want.tobytes()
+
+    def test_box_kernel_matches_the_stacked_overlaps(self):
+        # the four overlaps added directly give the stacked form's bytes on
+        # random rows with r = 0, box edges on radius nodes, the tangent and
+        # corner rows of EDGE_BOX, and centres inside, on the edge of and
+        # outside a box, with per-row and with scalar edges
+        rng = np.random.default_rng(34)
+        n = 5000
+        edges = np.sort(rng.uniform(-1, 1, (2, 2, n)), axis=1).reshape(4, n)
+        centers = rng.uniform(-2, 2, (2, n))
+        radii = rng.uniform(0.0, 3.0, n)
+        radii[::25] = 0.0
+        cases = [(edges, *centers, radii)]
+        # a box whose edges lie on radius nodes j * dr from a node's centre
+        dr = 0.04
+        box = dr * np.array([-7.0, 5.0, -3.0, 11.0])
+        cases.append((box, 0.0, 0.0, dr * np.arange(0, 400)))
+        cases.append((EDGE_BOX.bounding_box(),
+                      *np.array([c for c, _, _ in BOX_EDGE_ROWS.values()]).T,
+                      np.array([r for _, r, _ in BOX_EDGE_ROWS.values()])))
+        x_lo, x_hi, y_lo, y_hi = EDGE_BOX.bounding_box()
+        xs = [x_lo - 0.3, x_lo, 0.5 * (x_lo + x_hi), x_hi, x_hi + 0.3]
+        ys = [y_lo - 0.3, y_lo, 0.5 * (y_lo + y_hi), y_hi, y_hi + 0.3]
+        grid = np.array([(x, y) for x in xs for y in ys])
+        radii = np.linspace(0.0, 2.0, 33)
+        cases.append((EDGE_BOX.bounding_box(), np.repeat(grid[:, 0], 33),
+                      np.repeat(grid[:, 1], 33), np.tile(radii, len(grid))))
+        for edges, cx, cy, r in cases:
+            got = arcmeans._box_arc_measures(edges, cx, cy, r)
+            assert got.tobytes() == stacked_box_measures(edges, cx, cy,
+                                                         r).tobytes()
 
     def test_sum_has_no_mean_table(self):
         # the forward evaluates a sum term by term; `oracle` holds the
