@@ -81,13 +81,22 @@ class ExperimentConfig:
         if not isinstance(n_list, list):
             raise ParameterError(f"n_list must be a list of [n_w, n_h] "
                                  f"pairs, got {n_list!r}")
-        n_list = sorted((numbers(pair, 2, "n_list entry", whole=True)
+        n_list = sorted((numbers(pair, 2, "n_list entry", whole=True,
+                                 positive=True)
                          for pair in n_list), key=lambda p: p[0] * p[1])
         for i, (n_w, n_h) in enumerate(n_list):
             if (n_w, n_h) in n_list[:i]:
                 raise ParameterError(f"n_list repeats partition {n_w}x{n_h}")
             if n_w != 2 * n_h:
                 warnings.warn(f"partition {n_w}x{n_h} does not follow n_w = 2*n_h")
+        # the box meets the rule that every training cell meets later,
+        # before any output is written
+        box = numbers(required(raw, "box", "config"), 4, "box")
+        training_partition(box, 1, 1)  # a degenerate box fails here
+        x_lo, x_hi, y_lo, y_hi = box
+        corners = [(x, y) for x in (x_lo, x_hi) for y in (y_lo, y_hi)]
+        if not np.all(geometry.domain.contains(corners)):
+            raise ParameterError(f"box {list(box)} is not inside the domain")
         phantom_path = _path(required(raw, "phantom", "config"), "phantom",
                              base)
         if not phantom_path.exists():
@@ -102,7 +111,7 @@ class ExperimentConfig:
                           ny=number(ny, "grid.ny", whole=True),
                           domain=geometry.domain),
             phantom_path=phantom_path,
-            box=numbers(required(raw, "box", "config"), 4, "box"),
+            box=box,
             n_list=n_list,
             out_dir=_path(raw.get("out_dir", "out"), "out_dir", base),
             threads=number(raw.get("threads", 1), "threads", whole=True,

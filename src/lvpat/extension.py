@@ -14,7 +14,9 @@ a row of the forward's mean tables times the wave map D (see
 set's windows reach, matter.  Below a fixed size crossover,
 DENSE_RATIO * n <= C, the set holds its traces as two contiguous tensors,
 U1 (n, |gamma1|, T) and U2 (n, |gamma2|, T); above it, it holds the mean
-tables S1 and S2 instead and builds traces from them when it needs them.
+tables S1 and S2 instead.  Either way, u1[k] and u2[k] are the one reader
+of exact traces: a view of the tensor, or one run of table rows built by
+`forward.apply_rows`.
 The crossover depends on sizes alone, so the path, and every byte, depends
 neither on `threads` nor on the machine.
 
@@ -35,7 +37,8 @@ neither on `threads` nor on the machine.
   straight into the gamma2 rows of the full-boundary data.
 
 A saved model holds its recipe, not its traces: the forward is deterministic,
-so loading tabulates the stored phantoms again on the stored geometry.
+so loading tabulates the stored phantoms again on the stored geometry and
+checks the stored Gram's diagonal against the traces that `ts.u1[k]` reads.
 """
 
 from __future__ import annotations
@@ -67,20 +70,23 @@ from .phantoms import phantom_from_dict, phantom_to_dict, training_partition
 RIDGE_START = 1e-12
 RIDGE_CAP = 1e-6
 GRAM_CHECK_RTOL = 1e-12  # a loaded Gram's diagonal against its traces
-# bytes per Gram block, T samples per node of U1 for a dense set (a view,
-# or traces built for `load_model`'s check) and k basis columns for a table
-# set (`_gram_basis`), the product that each worker allocates: a block holds
-# as many whole tiles of gamma1 nodes as fit, and at least one
+# bytes per Gram block, T samples per node of U1 for a dense set (a view)
+# and k basis columns for a table set (`_gram_basis`), the product that each
+# worker allocates: a block holds as many whole tiles of gamma1 nodes as
+# fit, and at least one
 GRAM_BLOCK_BYTES = 2 ** 23
 # a training set keeps dense traces while DENSE_RATIO * n <= C, the wave-map
 # rows its windows reach (C is 335, 669 and 1337 at steps 0.04, 0.02 and
 # 0.01 on the reduced geometry).  The table projection costs about the same
-# at every n, the dense GEMV grows with n.  Medians on one BLAS thread of a
-# 2-core x86-64 machine: at step 0.04, 1.2-1.6 ms for the table projection
-# (Y plus the sparse product) against 0.24, 1.06, 2.3 and 6.0 ms for the
-# GEMV at n = 8, 32, 72 and 128, so the two cross near n = 40 (C/n = 8); at
-# step 0.02, 7.5-8.3 ms against 1.1, 5.9, 14.9 and 28.9 ms, crossing near
-# n = 40 (C/n = 17).
+# at every n, the dense one grows with n.  Medians of `project_coefficients`
+# on a 2-core x86-64 machine, serial BLAS, at n = 32, 50, 72 and 128
+# (`BENCH_one_reader.json`): at step 0.04, 1.5-2.5 ms for tables against
+# 1.2-1.4, 1.9-2.1, 2.6-4.3 and 7.9-9.2 ms dense at threads 1; at step
+# 0.02, 10-15 ms against 7.6-8.8, 12-15, 20-21 and 30-35 ms; at step 0.01,
+# 65-78 ms against 31-41 and 56-64 ms at n = 32 and 50.  At threads 1 the
+# two cross near n = 45 at steps 0.04 and 0.02 (C/n = 7 and 15); the dense
+# halves at threads 2 take 0.4-1.1 of that time, by whether the second
+# core is free, which moves the crossing up to n = 50-72.
 DENSE_RATIO = 10
 
 
@@ -105,8 +111,8 @@ class _PartTraces(Sequence):
         else:
             samples = np.zeros((len(idx), geom.n_time))
             with serial_blas():
-                apply_rows(ts.tables, [ts.tables.row0[0 if one else 1]
-                                       + k * len(idx)], len(idx), samples)
+                apply_rows(ts.tables, ts.tables.row0[0 if one else 1]
+                           + k * len(idx), len(idx), samples)
         samples.flags.writeable = False
         return WaveData(self._part, idx, geom.dt, geom.n_time, samples,
                         split.fingerprint())
@@ -326,33 +332,14 @@ def _node_blocks(ts: TrainingSet, width: int, fn, threads: int = 1) -> list:
                             range(len(bounds) - 1), threads)
 
 
-def _u1_blocks(ts: TrainingSet, fn, threads: int = 1) -> list:
-    """fn of each gamma1 node block of U1 as (n, nodes * T), in block order
-    (`_node_blocks`, T samples per node).
-
-    A dense set passes views of U1; a table set builds each block from its
-    tables, byte for byte the dense slice.  `load_model` checks a Gram's
-    diagonal against these real traces.
-    """
-    n, m, t = ts.n, len(ts.split.gamma1_idx), ts.split.geometry.n_time
-
-    def block(lo, hi):
-        if ts.dense:
-            return fn(ts.u1_samples[:, lo:hi].reshape(n, -1))
-        x = np.zeros((n * (hi - lo), t))
-        apply_rows(ts.tables, m * np.arange(n) + lo, hi - lo, x)
-        return fn(x.reshape(n, -1))
-
-    return _node_blocks(ts, t, block, threads)
-
-
 def gram_matrix(ts: TrainingSet, geom: BoundaryGeometry,
                 threads: int = 1) -> np.ndarray:
     """Pairwise discrete inner products of the gamma1 training traces.
 
-    Each gamma1 node block's X_b @ X_b.T is one `np.matmul`, which runs
-    SYRK for this form and releases the GIL.  A dense set's X_b are slices
-    of U1 (`_u1_blocks`).  A table set's inner products are sums of
+    Each gamma1 node block (`_node_blocks`) gives one (n, width) matrix X_b,
+    and X_b @ X_b.T is one `np.matmul`, which runs SYRK for this form and
+    releases the GIL.  A dense set's X_b is a view of the block's slice of
+    U1, T samples per node.  A table set's inner products are sums of
     s_k D D^T s_l^T over its table rows, so its X_b is the block's rows of
     the gamma1 tables, gathered phantom-major, times W (`_gram_basis`): one
     sparse product, k columns per node instead of T, allocated in the
@@ -362,20 +349,25 @@ def gram_matrix(ts: TrainingSet, geom: BoundaryGeometry,
     exactly symmetric and its bytes depend on the sizes alone, not on
     `threads`.
     """
+    n, m = ts.n, len(ts.split.gamma1_idx)
     if ts.dense:
-        parts = _u1_blocks(ts, lambda x: np.matmul(x, x.T), threads)
+        width = ts.split.geometry.n_time
+
+        def rows(lo, hi):
+            return ts.u1_samples[:, lo:hi].reshape(n, -1)
     else:
-        n, m = ts.n, len(ts.split.gamma1_idx)
         w = _gram_basis(ts.tables.wm, ts.tables.reach)
-        s1 = ts._gamma1_rows()
+        s1, width = ts._gamma1_rows(), w.shape[1]
 
-        def block(lo, hi):
-            rows = (m * np.arange(n)[:, None] + np.arange(lo, hi)).ravel()
-            x = (s1[rows] @ w).reshape(n, -1)
-            return np.matmul(x, x.T)
+        def rows(lo, hi):
+            at = (m * np.arange(n)[:, None] + np.arange(lo, hi)).ravel()
+            return (s1[at] @ w).reshape(n, -1)
 
-        parts = _node_blocks(ts, w.shape[1], block, threads)
-    gram = sum(parts)
+    def block(lo, hi):
+        x = rows(lo, hi)
+        return np.matmul(x, x.T)
+
+    gram = sum(_node_blocks(ts, width, block, threads))
     gram *= geom.ds * geom.dt
     return np.tril(gram) + np.tril(gram, -1).T
 
@@ -557,10 +549,10 @@ def load_model(path, expected_fingerprint: str | None = None,
     (DataMismatchError) and against the geometry built from meta before
     `build_training_set` tabulates the phantoms over `threads`.  The Gram
     matrix is refactorized, and its diagonal must equal ds*dt*||u1_k||^2 of
-    the traces, summed over the Gram's node blocks (`_u1_blocks`), within
-    GRAM_CHECK_RTOL.  The check builds the traces themselves, also for a
-    table set, whose Gram comes from the basis W (`gram_matrix`), so every
-    load checks that Gram against the real traces.  A stored partition must
+    the traces within GRAM_CHECK_RTOL.  The check reads each phantom's
+    exact traces from `ts.u1[k]`, spread over `threads`, also for a table
+    set, whose Gram comes from the basis W (`gram_matrix`), so every load
+    checks that Gram against the real traces.  A stored partition must
     tile its box into exactly the phantoms.  Format failures raise
     ContainerFormatError.
     """
@@ -599,8 +591,14 @@ def load_model(path, expected_fingerprint: str | None = None,
 
     ts = build_training_set(phantoms, geom, split, threads)
     chol, ridge = factorize(gram)
-    norms = geom.ds * geom.dt * sum(_u1_blocks(
-        ts, lambda x: np.einsum("ij,ij->i", x, x), threads))
+
+    def norm2(k):
+        u = ts.u1[k].samples
+        return np.vdot(u, u)
+
+    with serial_blas():
+        norms = geom.ds * geom.dt * np.array(parallel_map(norm2, range(n),
+                                                          threads))
     if not np.all(np.abs(np.diagonal(gram) - norms) <= GRAM_CHECK_RTOL * norms):
         raise ContainerFormatError("section 'gram' is not the Gram matrix "
                                    "of the model's phantoms")

@@ -36,14 +36,14 @@ reads the map of all the time grid's rows.
 
 A pass has two halves.  `plan_pass` cuts it into blocks and counts the
 wave-map rows its windows reach, and tabulates one block's means, without
-their exact zeros, as a `MeanTables` value; `apply_rows` lays a table's
-chosen runs of rows out as tiles and runs the GEMMs.  A planned pass is used
+their exact zeros, as a `MeanTables` value; `apply_rows` lays one run of
+a table's rows out as tiles and runs the GEMMs.  A planned pass is used
 in one of two ways.  `plan_traces` runs both halves block by block in one
 parallel pass, so no block's table outlives its products: it gives the
 traces of `simulate_wave_data`, `wave_trace` and a dense training set of
 `extension`.  `mean_tables` keeps the blocks' tables, joined, for a training
-set that holds them in place of its traces and builds traces from them with
-`apply_rows` when it needs them.
+set that holds them in place of its traces and builds one phantom's traces
+on one part, a run of rows, with `apply_rows` when it needs them.
 
 `threads` spreads blocks of whole tiles of one part over workers, with
 OpenBLAS on one thread; each block builds its own tiles and their products.
@@ -466,45 +466,34 @@ def mean_tables(plan: ForwardPlan, threads: int = 1) -> MeanTables:
                       wm=plan.wm, reach=plan.reach)
 
 
-def apply_rows(tables: MeanTables, starts, length: int,
+def apply_rows(tables: MeanTables, start: int, length: int,
                out: np.ndarray) -> None:
-    """Write the traces of the table rows [s, s + length), for each s in
-    starts, into the zeroed (len(starts) * length, n_time) array out, range
-    after range.
+    """Write the traces of the one run of table rows [start, start + length)
+    into the zeroed (length, n_time) array out.
 
-    The ranges lie in one part, in row order, and each starts at a tile's
-    first row and ends at a tile's end.  `_dense_tiles` lays each tile's
-    entries out densely, and the tile's GEMM with the wave map, from the
-    first time column its span can reach (`_WaveMap.first_k`), writes its
-    rows; a row without entries stays +0.0.  A row depends only on its
-    tile, so its bytes do not depend on the ranges it is written with.  Run
-    it inside `serial_blas`.
+    The run lies in one part, starts at a tile's first row and ends at a
+    tile's end.  `_dense_tiles` lays each tile's entries out densely, and
+    the tile's GEMM with the wave map, from the first time column its span
+    can reach (`_WaveMap.first_k`), writes its rows; a row without entries
+    stays +0.0.  A row depends only on its tile, so its bytes do not depend
+    on the run it is written with.  Run it inside `serial_blas`.
     """
-    starts = np.asarray(starts, dtype=int)
-    ends = starts + length
     wm, f, ip = tables.wm, tables.first_row, tables.indptr
-    e0, e1 = ip[starts - f], ip[ends - f]
-    if len(starts) == 1:
-        at = slice(e0[0], e1[0])
-    else:
-        n_e = e1 - e0
-        at = np.arange(n_e.sum()) + np.repeat(e0 - (np.cumsum(n_e) - n_e), n_e)
-    rows = (starts[:, None] + np.arange(length)).ravel()
+    end = start + length
+    rows = np.arange(start, end)
     # a tile starts at every _TILE-th point of its (part, phantom)
     row0 = tables.row0
-    p = np.searchsorted(row0, starts[0], side="right") - 1
+    p = np.searchsorted(row0, start, side="right") - 1
     first = (rows - row0[p]) % tables.sizes[p] % _TILE == 0
-    bounds = np.union1d(rows[first], ends)
-    rows = np.repeat(rows, ip[rows - f + 1] - ip[rows - f])
-    tiles = _dense_tiles(bounds, rows, tables.cols[at], tables.values[at])
-    # each tile's first row in out, and the first time column it reaches
-    lo = np.array([t[0] for t in tiles], dtype=int)
-    r = np.searchsorted(starts, lo, side="right") - 1
-    at_out = (r * length + lo - starts[r]).tolist()
+    at = slice(ip[start - f], ip[end - f])
+    tiles = _dense_tiles(np.append(rows[first], end),
+                         np.repeat(rows, np.diff(ip[start - f:end - f + 1])),
+                         tables.cols[at], tables.values[at])
+    # the first time column each tile reaches
     k0s = wm.first_k[np.array([t[2] for t in tiles], dtype=int)].tolist()
-    for (lo, hi, j0, tile), o, k0 in zip(tiles, at_out, k0s):
+    for (lo, hi, j0, tile), k0 in zip(tiles, k0s):
         np.matmul(tile, wm.diff_t[j0:j0 + tile.shape[1], k0:],
-                  out=out[o:o + hi - lo, k0:])
+                  out=out[lo - start:hi - start, k0:])
 
 
 def plan_traces(plan: ForwardPlan, threads: int = 1) -> list:
@@ -518,7 +507,7 @@ def plan_traces(plan: ForwardPlan, threads: int = 1) -> list:
     def block(task) -> None:
         p, r0, r1 = task
         rows_out = outs[p].reshape(-1, n_time)
-        apply_rows(plan.tabulate(task), [r0], r1 - r0,
+        apply_rows(plan.tabulate(task), r0, r1 - r0,
                    rows_out[r0 - row0[p]:r1 - row0[p]])
 
     with serial_blas():

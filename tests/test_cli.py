@@ -76,13 +76,23 @@ class TestConfig:
         (None, "out_dir", 5, "out_dir"),
         (None, "geometry", [1], "geometry"),
         (None, None, [], "config"),
+        (None, "n_list", [[0, 0]], "n_list entry must be at least 1, got 0"),
+        (None, "n_list", [[-2, -1]], "n_list entry must be at least 1, got -2"),
+        (None, "n_list", [[2, 0]], "n_list entry must be at least 1, got 0"),
+        (None, "box", [0.5, -1.25, -0.7, 0.1752], "degenerate box"),
+        (None, "box", [-1.25, 0.5, float("nan"), 0.1752], "degenerate box"),
+        (None, "box", [-2.5, 0.5, -0.7, 0.1752], "is not inside the domain"),
     ], ids=["nan-dt", "negative-spacing", "nan-a1", "inf-t_max", "nan-h",
             "zero-threads", "fractional-threads", "fractional-nx",
             "fractional-ny", "text-dt", "null-a1", "three-box-edges",
             "one-origin-coordinate", "flat-n_list", "number-phantom",
-            "number-out_dir", "list-geometry", "list-config"])
+            "number-out_dir", "list-geometry", "list-config", "zero-counts",
+            "negative-counts", "zero-height", "reversed-box", "nan-box-edge",
+            "box-leaves-domain"])
     def test_bad_value_is_config_error(self, tmp_path, smoke_config, capsys,
                                        section, key, value, message):
+        # the experiment writes its data and zero-extension files before it
+        # trains, so a bad n_list or box must fail where the config is read
         raw = json.loads(smoke_config.read_text())
         if key is None:  # the whole config
             raw = value
@@ -92,6 +102,8 @@ class TestConfig:
         bad.write_text(json.dumps(raw))
         assert main(["experiment", "--config", str(bad)]) == 2
         assert message in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("digits, message", [
         ("1" + "0" * 400, "beyond the float range"),

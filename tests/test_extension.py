@@ -955,14 +955,22 @@ class TestPersistence:
         with pytest.raises(ParameterError, match="symmetric"):
             load_model(path)
 
-    def test_gram_of_other_phantoms_rejected(self, model8, tmp_path):
+    def test_gram_of_other_phantoms_rejected(self, model8, coarse_geom,
+                                             coarse_split, tmp_path):
         # symmetric and positive definite, but 1e-9 away from the Gram
-        # matrix of the model's traces
-        path = tmp_path / "model.patb"
-        self.corrupt_section(model8, path, "gram",
-                             lambda gram: gram * (1.0 + 1e-9))
-        with pytest.raises(ContainerFormatError, match="not the Gram matrix"):
-            load_model(path)
+        # matrix of the model's traces, for a dense set and for a table set
+        # (model8 on this geometry), whose check builds its traces from the
+        # tables
+        model4 = train_extension_model(
+            partition_set((4, 2), coarse_geom, coarse_split), coarse_geom)
+        assert model4.training.dense and not model8.training.dense
+        for model in (model4, model8):
+            path = tmp_path / "model.patb"
+            self.corrupt_section(model, path, "gram",
+                                 lambda gram: gram * (1.0 + 1e-9))
+            with pytest.raises(ContainerFormatError,
+                               match="not the Gram matrix"):
+                load_model(path)
 
     def test_truncated_file_rejected(self, model8, tmp_path):
         path = tmp_path / "model.patb"
