@@ -38,7 +38,8 @@ neither on `threads` nor on the machine.
 
 A saved model holds its recipe, not its traces: the forward is deterministic,
 so loading tabulates the stored phantoms again on the stored geometry and
-checks the stored Gram's diagonal against the traces that `ts.u1[k]` reads.
+checks the whole stored Gram against `gram_matrix`, and the exact traces of
+two anchor phantoms.
 """
 
 from __future__ import annotations
@@ -69,7 +70,9 @@ from .phantoms import phantom_from_dict, phantom_to_dict, training_partition
 
 RIDGE_START = 1e-12
 RIDGE_CAP = 1e-6
-GRAM_CHECK_RTOL = 1e-12  # a loaded Gram's diagonal against its traces
+# a loaded Gram's entries against `gram_matrix`, relative to its largest,
+# and its two anchor diagonal entries against their exact traces
+GRAM_CHECK_RTOL = 1e-12
 # bytes per Gram block, T samples per node of U1 for a dense set (a view)
 # and k basis columns for a table set (`_gram_basis`), the product that each
 # worker allocates: a block holds as many whole tiles of gamma1 nodes as
@@ -547,14 +550,13 @@ def load_model(path, expected_fingerprint: str | None = None,
 
     The stored fingerprint is checked against expected_fingerprint
     (DataMismatchError) and against the geometry built from meta before
-    `build_training_set` tabulates the phantoms over `threads`.  The Gram
-    matrix is refactorized, and its diagonal must equal ds*dt*||u1_k||^2 of
-    the traces within GRAM_CHECK_RTOL.  The check reads each phantom's
-    exact traces from `ts.u1[k]`, spread over `threads`, also for a table
-    set, whose Gram comes from the basis W (`gram_matrix`), so every load
-    checks that Gram against the real traces.  A stored partition must
-    tile its box into exactly the phantoms.  Format failures raise
-    ContainerFormatError.
+    `build_training_set` tabulates the phantoms over `threads`.  The stored
+    Gram matrix is refactorized and checked whole: all n^2 entries against
+    `gram_matrix` of the rebuilt set, and its diagonal at the anchor
+    phantoms 0 and n - 1 against ds*dt*||u1_k||^2 of the exact traces
+    `ts.u1[k]`, which ties a table set's Gram from the basis W to them (see
+    GRAM_CHECK_RTOL).  A stored partition must tile its box into exactly the
+    phantoms.  Format failures raise ContainerFormatError.
     """
     with open(path, "rb") as fh:
         sections = dict(read_container(fh))
@@ -591,15 +593,13 @@ def load_model(path, expected_fingerprint: str | None = None,
 
     ts = build_training_set(phantoms, geom, split, threads)
     chol, ridge = factorize(gram)
-
-    def norm2(k):
-        u = ts.u1[k].samples
-        return np.vdot(u, u)
-
-    with serial_blas():
-        norms = geom.ds * geom.dt * np.array(parallel_map(norm2, range(n),
-                                                          threads))
-    if not np.all(np.abs(np.diagonal(gram) - norms) <= GRAM_CHECK_RTOL * norms):
+    fresh, ends = gram_matrix(ts, geom, threads), sorted({0, n - 1})
+    norms = [geom.ds * geom.dt * np.vdot(u, u)
+             for u in (ts.u1[k].samples for k in ends)]
+    if not (np.allclose(gram, fresh, rtol=0,
+                        atol=GRAM_CHECK_RTOL * np.abs(fresh).max())
+            and np.allclose(fresh[ends, ends], norms, rtol=GRAM_CHECK_RTOL,
+                            atol=0)):
         raise ContainerFormatError("section 'gram' is not the Gram matrix "
                                    "of the model's phantoms")
     return ExtensionModel(training=ts, gram=gram, chol_lower=chol,

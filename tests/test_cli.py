@@ -614,8 +614,10 @@ class TestSubcommands:
         assert (out / "extended_4x3.patb").exists()
         assert (out / "gamma2_hat_4x3.patb").exists()
 
-    def test_extend_non_symmetric_gram_is_config_error(self, tmp_path,
-                                                       smoke_config, capsys):
+    @staticmethod
+    def extend_with_gram(tmp_path, smoke_config, tamper):
+        """Train and simulate the smoke config, apply tamper to the stored
+        4x2 Gram in place, and return `lvpat extend`'s exit code and out."""
         from lvpat.io import read_container
         out = tmp_path / "out"
         phantom = tmp_path / "phantom_reference.json"
@@ -624,14 +626,33 @@ class TestSubcommands:
               str(phantom), "--part", "gamma1", "--out", str(out)])
         model_path = out / "model_4x2.patb"
         sections = read_container(BytesIO(model_path.read_bytes()))
-        gram = dict(sections)["gram"]
-        gram[0, 1] += 1e-3 * np.abs(gram).max()
+        tamper(dict(sections)["gram"])
         model_path.write_bytes(write_container(sections))
-        rc = main(["extend", "--config", str(smoke_config),
-                   "--model", str(model_path),
-                   "--data", str(out / "data_gamma1.patb"), "--out", str(out)])
+        return main(["extend", "--config", str(smoke_config),
+                     "--model", str(model_path),
+                     "--data", str(out / "data_gamma1.patb"),
+                     "--out", str(out)]), out
+
+    def test_extend_non_symmetric_gram_is_config_error(self, tmp_path,
+                                                       smoke_config, capsys):
+        def tamper(gram):
+            gram[0, 1] += 1e-3 * np.abs(gram).max()
+
+        rc, _ = self.extend_with_gram(tmp_path, smoke_config, tamper)
         assert rc == 2
         assert "symmetric" in capsys.readouterr().err
+
+    def test_extend_other_gram_is_config_error(self, tmp_path, smoke_config,
+                                               capsys):
+        # a symmetric off-diagonal shift keeps the stored Gram positive
+        # definite and its diagonal exact, but not the phantoms' Gram
+        def tamper(gram):
+            gram[[0, 1], [1, 0]] += 1e-6 * np.abs(gram).max()
+
+        rc, out = self.extend_with_gram(tmp_path, smoke_config, tamper)
+        assert rc == 2
+        assert "not the Gram matrix" in capsys.readouterr().err
+        assert not (out / "extended_4x2.patb").exists()
 
     def test_evaluate_repeated_stem_is_config_error(self, tmp_path,
                                                     smoke_config, capsys):

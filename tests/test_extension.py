@@ -432,11 +432,12 @@ class TestGramBasis:
             grams.append(gram_matrix(ts, coarse_geom, threads=2))
         assert grams[0].tobytes() == grams[1].tobytes()
 
-    def test_small_cells_load_through_the_diagonal_check(
+    def test_small_cells_load_through_the_gram_check(
             self, coarse_geom, coarse_split, tmp_path):
         # cells of 1/160 x 1/160 hold one radius node per table row, the
-        # shortest window; their Gram from the basis still matches the
-        # traces' norms within GRAM_CHECK_RTOL on load
+        # shortest window; on load their stored Gram matches the rebuilt
+        # set's `gram_matrix`, and its anchor diagonal the exact traces'
+        # norms, within GRAM_CHECK_RTOL
         box = (-0.3, -0.25, -0.1, -0.075)
         ts = build_training_set(training_partition(box, 8, 4), coarse_geom,
                                 coarse_split)
@@ -955,14 +956,15 @@ class TestPersistence:
         with pytest.raises(ParameterError, match="symmetric"):
             load_model(path)
 
-    def test_gram_of_other_phantoms_rejected(self, model8, coarse_geom,
-                                             coarse_split, tmp_path):
+    @pytest.fixture(scope="class")
+    def model4(self, coarse_geom, coarse_split):
+        return train_extension_model(
+            partition_set((4, 2), coarse_geom, coarse_split), coarse_geom)
+
+    def test_gram_of_other_phantoms_rejected(self, model4, model8, tmp_path):
         # symmetric and positive definite, but 1e-9 away from the Gram
         # matrix of the model's traces, for a dense set and for a table set
-        # (model8 on this geometry), whose check builds its traces from the
-        # tables
-        model4 = train_extension_model(
-            partition_set((4, 2), coarse_geom, coarse_split), coarse_geom)
+        # (model8 on this geometry)
         assert model4.training.dense and not model8.training.dense
         for model in (model4, model8):
             path = tmp_path / "model.patb"
@@ -971,6 +973,58 @@ class TestPersistence:
             with pytest.raises(ContainerFormatError,
                                match="not the Gram matrix"):
                 load_model(path)
+
+    @pytest.mark.parametrize("name", ["model4", "model8"])
+    def test_off_diagonal_tamper_rejected(self, name, request, tmp_path):
+        # G[0, 1] and G[1, 0] move by 1e-6 of max|G|: the stored Gram stays
+        # symmetric and positive definite and keeps the traces' diagonal,
+        # for a dense set (model4) and for a table set (model8)
+        model = request.getfixturevalue(name)
+        path = tmp_path / "model.patb"
+
+        def corrupt(gram):
+            gram[[0, 1], [1, 0]] += 1e-6 * np.abs(gram).max()
+            assert np.linalg.eigvalsh(gram).min() > 0.0
+
+        self.corrupt_section(model, path, "gram", corrupt)
+        with pytest.raises(ContainerFormatError, match="not the Gram matrix"):
+            load_model(path)
+
+    def test_load_builds_the_anchor_traces_only(self, model8, coarse_geom,
+                                                coarse_split, tmp_path,
+                                                monkeypatch):
+        # the Gram is checked through `gram_matrix`; only the anchors 0 and
+        # n - 1 build their exact gamma1 traces from a table set's rows, and
+        # a one-phantom model has one anchor
+        calls, read = [], []
+        apply_rows = extension.apply_rows
+        getitem = extension._PartTraces.__getitem__
+
+        def counted_rows(tables, start, length, out):
+            calls.append((start, length))
+            apply_rows(tables, start, length, out)
+
+        def counted_getitem(traces, k):
+            read.append(k)
+            return getitem(traces, k)
+
+        one = train_extension_model(build_training_set(
+            [SquareIndicator(-1.0, -0.8, -0.5, -0.3)], coarse_geom,
+            coarse_split), coarse_geom)
+        save_model(model8, tmp_path / "model8.patb")
+        save_model(one, tmp_path / "one.patb")
+        monkeypatch.setattr(extension, "apply_rows", counted_rows)
+        monkeypatch.setattr(extension._PartTraces, "__getitem__",
+                            counted_getitem)
+        loaded = load_model(tmp_path / "model8.patb")
+        m = len(coarse_split.gamma1_idx)
+        row0 = loaded.training.tables.row0[0]
+        assert calls == [(row0, m), (row0 + 31 * m, m)]
+        assert read == [0, 31]
+        del calls[:], read[:]
+        loaded = load_model(tmp_path / "one.patb")
+        assert loaded.gram.tobytes() == one.gram.tobytes()
+        assert calls == [] and read == [0]
 
     def test_truncated_file_rejected(self, model8, tmp_path):
         path = tmp_path / "model.patb"
